@@ -2,7 +2,7 @@
 //!
 //! Generates a campus demand trace (timing the parallel generator against
 //! the legacy sequential one), then replays it through
-//! `SimEngine::run_sharded_streamed` (records discarded by a counting
+//! `SimEngine::run_shards` (records discarded by a counting
 //! sink) at a sweep of `(policy, shard count)` cells, timing each run.
 //! The output is one JSON document — events/sec and users/sec per cell —
 //! suitable for archiving as a build artifact and diffing across commits:
@@ -151,7 +151,7 @@ fn run_cell(
     let before = events_processed();
     let start = Instant::now();
     let totals = engine
-        .run_sharded_streamed(&mut source, &mut selectors, &mut sink)
+        .run_shards(&mut source, &mut selectors, &mut sink)
         .expect("streamed replay");
     let seconds = start.elapsed().as_secs_f64();
     let sample = Sample {

@@ -57,7 +57,7 @@ pub enum Command {
         aps_per_building: usize,
         /// Worker threads (0 = auto); results are identical for any value.
         threads: usize,
-        /// Controller-domain shards (1 = the unified engine); session CSVs
+        /// Controller-domain shards (1 = in-thread); session CSVs
         /// are byte-identical for any value.
         shards: usize,
         /// Optional metrics-snapshot destination (`.json` or `.csv`).
@@ -140,7 +140,7 @@ pub enum Command {
         /// Worker threads (0 = auto); the log body is identical for any
         /// value.
         threads: usize,
-        /// Controller-domain shards (1 = the unified engine); the log body
+        /// Controller-domain shards (1 = in-thread); the log body
         /// is identical for any value.
         shards: usize,
         /// Skip malformed rows (with a report) instead of aborting.
@@ -187,7 +187,7 @@ fn parse_shards(value: &str) -> Result<usize, CliError> {
     let shards = parse_u64("--shards", value)? as usize;
     if shards == 0 {
         return Err(CliError::Usage(
-            "--shards must be at least 1 (1 = the unified engine)".into(),
+            "--shards must be at least 1 (1 = one in-thread shard)".into(),
         ));
     }
     Ok(shards)
@@ -792,7 +792,7 @@ mod tests {
             let err = parse(&argv(cmdline)).unwrap_err();
             assert!(err.to_string().contains("random"), "{err}");
         }
-        // One shard is the unified engine: random stays allowed.
+        // One shard runs in the calling thread: random stays allowed.
         assert!(parse(&argv(
             "replay --demands d.csv --policy random --out s.csv --shards 1"
         ))

@@ -16,7 +16,7 @@ use s3_trace::ingest::{
 };
 use s3_trace::{csv, SessionDemand, SessionRecord, TraceStore};
 use s3_types::{TimeDelta, Timestamp, UserId};
-use s3_wlan::engine::{check_log, trace_header, SliceSource, TraceSink};
+use s3_wlan::engine::{check_log, trace_header, CollectSink, SliceSource, TraceSink};
 use s3_wlan::metrics::{mean_active_balance_filtered, StreamingBalance};
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst};
 use s3_wlan::{
@@ -417,9 +417,11 @@ fn replay<W: Write>(
 
     let result = if shards > 1 {
         let mut source = SliceSource::new(&demands);
-        engine
-            .run_sharded_source(&mut source, &mut selectors)
-            .map_err(engine_err)?
+        let mut sink = CollectSink::with_capacity(demands.len());
+        let totals = engine
+            .run_shards(&mut source, &mut selectors, &mut sink)
+            .map_err(engine_err)?;
+        sink.into_result(totals)
     } else {
         engine.run_unsorted(&demands, selectors[0].as_mut())
     };
@@ -545,9 +547,9 @@ fn replay_streamed<W: Write>(
     };
     let engine = SimEngine::new(Topology::from_campus(&config), SimConfig::default());
 
-    // One selector per shard; `--shards 1` (the default) is the unified
-    // engine. Unshardable policies are single-shard only (enforced at
-    // parse time via the registry's capability flags).
+    // One selector per shard; `--shards 1` (the default) runs in the
+    // calling thread. Unshardable policies are single-shard only
+    // (enforced at parse time via the registry's capability flags).
     let span = last_day + 1;
     let registry = strategy_registry();
     let needs_training = registry
@@ -580,7 +582,7 @@ fn replay_streamed<W: Write>(
     };
     csv::write_session_header(&mut sink.writer)?;
     let totals = engine
-        .run_sharded_streamed(&mut source, &mut selectors, &mut sink)
+        .run_shards(&mut source, &mut selectors, &mut sink)
         .map_err(engine_err)?;
     let StreamingReplaySink {
         mut writer,
@@ -951,7 +953,7 @@ fn trace<W: Write>(
     let mut sink = TraceSink::new(BufWriter::new(File::create(out_path)?), &header)?;
     let mut source = SliceSource::new(&demands);
     let totals = engine
-        .run_sharded_traced(&mut source, &mut selectors, &mut sink)
+        .run_shards(&mut source, &mut selectors, &mut sink)
         .map_err(engine_err)?;
     let records = sink.records_written();
     sink.finish()?.flush()?;

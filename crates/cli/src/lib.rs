@@ -124,8 +124,8 @@ THREADS:
 SHARDS:
   --shards N partitions the simulation into N controller-domain shards,
   each replaying its own controllers on a dedicated worker thread and
-  synchronizing at per-batch epoch barriers (default 1 = the unified
-  single-threaded engine). Session CSVs, metrics snapshots and decision
+  synchronizing at per-chunk barriers (default 1 = one shard, run in
+  the calling thread). Session CSVs, metrics snapshots and decision
   log bodies are byte-identical for any N for every policy whose registry
   entry is flagged shardable — all of them except random (one sequential
   RNG stream; single-shard only). generate --scale picks a topology

@@ -310,9 +310,18 @@ impl SocialModel {
         if k == 0 {
             return matrix;
         }
+        // Sum in sorted pair order: floating-point addition is not
+        // associative and `HashMap` iteration order differs between maps,
+        // so map order would let two trainings on one store disagree in
+        // the last bits of T — enough to flip near-tied S³ placements.
+        let mut pairs: Vec<(UserPair, f64)> = pair_probability
+            .iter()
+            .map(|(&pair, &p)| (pair, p))
+            .collect();
+        pairs.sort_unstable_by_key(|&(pair, _)| pair);
         let mut sums = vec![0.0; k * k];
         let mut counts = vec![0u32; k * k];
-        for (pair, &p) in pair_probability {
+        for (pair, p) in pairs {
             let (Some(&ti), Some(&tj)) = (user_type.get(&pair.0), user_type.get(&pair.1)) else {
                 continue;
             };
@@ -502,6 +511,46 @@ mod tests {
     fn unknown_users_fall_back_to_zero() {
         let model = SocialModel::learn(&social_store(), &config(), 1);
         assert_eq!(model.delta(UserId::new(100), UserId::new(101)), 0.0);
+    }
+
+    #[test]
+    fn learning_twice_gives_a_bit_identical_type_matrix() {
+        // Every map gets its own hash seed, so two learns of one store
+        // iterate their pair tables in different orders; the type matrix
+        // must not depend on that order.
+        use s3_trace::generator::{CampusConfig, CampusGenerator};
+        use s3_wlan::selector::LeastLoadedFirst;
+        use s3_wlan::{SimConfig, SimEngine, Topology};
+
+        let config = CampusConfig {
+            buildings: 2,
+            aps_per_building: 4,
+            users: 300,
+            days: 7,
+            ..CampusConfig::campus()
+        };
+        let campus = CampusGenerator::new(config, 3).generate();
+        let engine = SimEngine::new(Topology::from_campus(&campus.config), SimConfig::default());
+        let store = TraceStore::new(
+            engine
+                .run(&campus.demands, &mut LeastLoadedFirst::new())
+                .records,
+        );
+        let config = S3Config {
+            fixed_k: Some(4),
+            ..S3Config::default()
+        };
+        let a = SocialModel::learn(&store, &config, 1);
+        let b = SocialModel::learn(&store, &config, 1);
+        assert!(a.known_pairs() > 1_000, "fixture must have many pairs");
+        let k = a.type_count();
+        assert_eq!(k, b.type_count());
+        for i in 0..k {
+            for j in 0..k {
+                let (x, y) = (a.type_matrix().get(i, j), b.type_matrix().get(i, j));
+                assert_eq!(x.to_bits(), y.to_bits(), "T[{i}][{j}]: {x} vs {y}");
+            }
+        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub struct TraceHeader {
     /// Requested worker-thread count (`0` = auto). Provenance only —
     /// decisions never depend on it.
     pub threads: u64,
-    /// Requested controller-domain shard count (`1` = the unified
-    /// engine). Provenance only, like `threads`: shard outputs are merged
+    /// Requested controller-domain shard count (`1` = one shard, run in
+    /// the calling thread). Provenance only, like `threads`: shard outputs are merged
     /// in canonical order, so decision lines never depend on it. Absent
     /// in logs written before sharding existed; parsed as `1`.
     pub shards: u64,
@@ -1037,8 +1037,8 @@ mod tests {
     #[test]
     fn header_without_shards_parses_as_one() {
         // Logs written before controller-domain sharding existed carry no
-        // "shards" field; they must keep parsing, as unified (1-shard)
-        // runs. A present field with the wrong type is still an error.
+        // "shards" field; they must keep parsing, as 1-shard runs. A
+        // present field with the wrong type is still an error.
         let mut old = encode_header(&header()).replace(",\"shards\":4", "");
         assert!(!old.contains("shards"));
         let parsed = parse_header(&old).unwrap();

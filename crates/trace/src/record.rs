@@ -18,7 +18,6 @@ use s3_types::{
 
 /// Transport-layer protocol of a flow (the classifier keys on port+proto).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TransportProtocol {
     /// Transmission Control Protocol.
     Tcp,
@@ -31,7 +30,6 @@ pub enum TransportProtocol {
 /// The generator emits these sorted by `arrive`; the simulator replays them
 /// through an AP-selection policy to produce [`SessionRecord`]s.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SessionDemand {
     /// The user.
     pub user: UserId,
@@ -87,7 +85,6 @@ impl SessionDemand {
 
 /// A logged association session — the paper's per-connection record.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SessionRecord {
     /// The user (hashed MAC in the real trace; dense id here).
     pub user: UserId,
@@ -158,7 +155,6 @@ impl SessionRecord {
 
 /// A router flow log entry — the input of the application classifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowRecord {
     /// The user that generated the flow.
     pub user: UserId,

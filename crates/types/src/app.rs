@@ -14,7 +14,6 @@ pub const APP_CATEGORY_COUNT: usize = 6;
 
 /// The six application realms of the paper (Section III-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AppCategory {
     /// Instant messaging.
     Im,
@@ -122,7 +121,6 @@ impl std::error::Error for AppMixError {}
 /// # Ok::<(), s3_types::AppMixError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AppMix {
     shares: [f64; APP_CATEGORY_COUNT],
 }

@@ -17,8 +17,6 @@ pub const SECS_PER_DAY: u64 = 86_400;
 
 /// An instant in simulated time: seconds since day 0, 00:00:00.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Timestamp(u64);
 
 /// A span of simulated time in whole seconds.
@@ -26,8 +24,6 @@ pub struct Timestamp(u64);
 /// Spans are non-negative; subtracting a later timestamp from an earlier one
 /// saturates to zero (use [`Timestamp::abs_diff`] for unsigned distance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct TimeDelta(u64);
 
 impl Timestamp {

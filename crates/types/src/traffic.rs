@@ -13,8 +13,6 @@ use crate::TimeDelta;
 
 /// A traffic volume in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -130,8 +128,6 @@ impl fmt::Display for Bytes {
 /// AP capacities (`W(i)` in the paper's constraint `Σ w(u) ≤ W(i)`) and
 /// estimated user demands (`w(u)`) are both rates.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct BitsPerSec(f64);
 
 impl BitsPerSec {

@@ -1,176 +1,60 @@
-//! The unified simulation event queue.
+//! The departure queue.
 //!
-//! The old engine loop interleaved four ad-hoc checks per batch cycle
-//! (departures, rebalance epoch, load-report epoch, arrival placement).
-//! They are now explicit [`EventPayload`] variants drained from one
-//! time-ordered [`EventQueue`], which makes the ordering contract a single
-//! comparable key instead of control flow:
+//! Every engine event has a `(time, rank, seq)` key: time in whole
+//! seconds (the engine's clock), a fixed rank per kind — departures (0)
+//! release load before the rebalancer sees it, the rebalance tick (1)
+//! runs on pre-report state, the load report (2) refreshes the policy's
+//! view, and only then is the arrival batch (3) placed — and a global
+//! sequence number. Tick, report and batch happen at most once per
+//! cycle, at its head, so the cycle step runs them in rank order as plain
+//! control flow. Departures are the only events scheduled ahead of time,
+//! so they are the only ones queued:
 //!
-//! * primary key — event time in whole seconds (the engine's clock);
-//! * secondary key — a fixed rank per variant: departures release load
-//!   before the rebalancer sees it, the rebalancer runs on pre-report
-//!   state, the load report refreshes the policy's view, and only then is
-//!   the arrival batch placed (exactly the old loop's statement order);
-//! * tertiary key — insertion sequence, so same-kind ties pop FIFO
-//!   (departures scheduled in placement order keep the old heap's
-//!   session-index order, which pins floating-point load subtraction
-//!   order and hence byte-identical results).
+//! * primary key — departure time;
+//! * secondary key — the sequence number the cycle former assigned at
+//!   placement, so same-second departures pop in placement order (which
+//!   pins the floating-point order in which loads are released, and
+//!   hence byte-identical results).
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use s3_obs::{Desc, HistogramDesc, Stability, Unit};
-use s3_trace::SessionDemand;
 use s3_types::Timestamp;
 
-static EVENTS_PROCESSED: Desc = Desc {
-    name: "wlan.engine.events_processed",
-    help: "Simulation events drained from the unified event queue",
-    unit: Unit::Count,
-    stability: Stability::Stable,
-};
-static EVENTS_QUEUE_PEAK: HistogramDesc = HistogramDesc {
-    name: "wlan.engine.events_queue_peak",
-    help: "Peak event-queue depth observed per replay run",
-    unit: Unit::Count,
-    stability: Stability::Stable,
-    bounds: &[4, 16, 64, 256, 1_024, 4_096, 16_384],
-};
-
-/// What happens when an event fires. Variants are listed in drain order
-/// for events at the same second (see module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum EventPayload {
-    /// A session reaches its scheduled departure.
-    Departure {
-        /// Index of the session in [`super::state::RunState`].
-        session: u32,
-    },
-    /// Online-rebalancer epoch boundary.
-    RebalanceTick,
-    /// Controller load-report refresh (policies see loads as of the last
-    /// one).
-    LoadReport,
-    /// A window of simultaneous arrivals to place.
-    ArrivalBatch {
-        /// The demands of the batch, in arrival order.
-        batch: Vec<SessionDemand>,
-    },
-}
-
-impl EventPayload {
-    fn rank(&self) -> u8 {
-        match self {
-            EventPayload::Departure { .. } => 0,
-            EventPayload::RebalanceTick => 1,
-            EventPayload::LoadReport => 2,
-            EventPayload::ArrivalBatch { .. } => 3,
-        }
-    }
-}
-
-/// A scheduled simulation event.
-#[derive(Debug)]
-pub(crate) struct Event {
-    /// When the event fires.
+/// A session reaching its scheduled departure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Departure {
+    /// When the session departs.
     pub at: Timestamp,
-    /// Insertion sequence — exposed so the decision-trace hooks can log
-    /// the full `(time, rank, seq)` queue key of each drained event.
+    /// Queue sequence number (the trace logs it as the event key's
+    /// `seq`).
     pub seq: u64,
-    /// What fires.
-    pub payload: EventPayload,
+    /// Index of the session in [`super::state::RunState`].
+    pub session: u32,
 }
 
-impl Event {
-    fn key(&self) -> (u64, u8, u64) {
-        (self.at.as_secs(), self.payload.rank(), self.seq)
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// Min-heap of pending events ordered by `(time, rank, sequence)`.
+/// Min-heap of pending departures ordered by `(time, seq)`.
 #[derive(Debug, Default)]
-pub(crate) struct EventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-    processed: u64,
-    peak: usize,
+pub(crate) struct DepartureQueue {
+    heap: BinaryHeap<Reverse<(Timestamp, u64, u32)>>,
 }
 
-impl EventQueue {
-    pub fn new() -> Self {
-        EventQueue::default()
+impl DepartureQueue {
+    /// Schedules `session` to depart at `at` under sequence number `seq`.
+    pub fn push(&mut self, at: Timestamp, seq: u64, session: u32) {
+        self.heap.push(Reverse((at, seq, session)));
     }
 
-    /// Schedules `payload` at `at`.
-    pub fn push(&mut self, at: Timestamp, payload: EventPayload) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_with_seq(at, seq, payload);
-    }
-
-    /// Schedules `payload` at `at` under an externally assigned sequence
-    /// number. The sharded engine's coordinator numbers events globally
-    /// (a pure function of the cycle structure), so shard-local queues
-    /// order by the same `(time, rank, seq)` key the unified queue would
-    /// have used; the internal counter is not advanced.
-    pub fn push_with_seq(&mut self, at: Timestamp, seq: u64, payload: EventPayload) {
-        self.heap.push(Reverse(Event { at, seq, payload }));
-        self.peak = self.peak.max(self.heap.len());
-    }
-
-    /// Pops the earliest event due at or before `now` (whole seconds).
-    pub fn pop_due(&mut self, now: Timestamp) -> Option<Event> {
-        if self.heap.peek()?.0.at.as_secs() > now.as_secs() {
+    /// Pops the earliest departure due at or before `now` (every pending
+    /// one when `now` is `None` — the final drain).
+    pub fn pop_due(&mut self, now: Option<Timestamp>) -> Option<Departure> {
+        let Reverse((at, _, _)) = self.heap.peek()?;
+        if now.is_some_and(|now| *at > now) {
             return None;
         }
-        self.pop()
+        let Reverse((at, seq, session)) = self.heap.pop()?;
+        Some(Departure { at, seq, session })
     }
-
-    /// Pops the earliest event unconditionally (final drain).
-    pub fn pop(&mut self) -> Option<Event> {
-        let event = self.heap.pop()?.0;
-        self.processed += 1;
-        Some(event)
-    }
-
-    /// Publishes the queue's per-run metrics: events drained and peak
-    /// depth. Called once per run, after the final drain; peak depth goes
-    /// to a histogram (not a gauge) so concurrent sweep runs stay
-    /// order-independent.
-    pub fn publish(&self) {
-        publish_queue_totals(self.processed, self.peak);
-    }
-}
-
-/// Publishes one run's queue metrics. Shared by [`EventQueue::publish`]
-/// and the sharded coordinator's queue mirror, which replays the unified
-/// queue's push/pop sequence to reproduce the exact same totals without
-/// owning real events (shard-local queues never publish — the mirror
-/// speaks for all of them so the metrics snapshot is shard-invariant).
-pub fn publish_queue_totals(processed: u64, peak: usize) {
-    let registry = s3_obs::global();
-    registry.counter(&EVENTS_PROCESSED).add(processed);
-    registry.histogram(&EVENTS_QUEUE_PEAK).observe(peak as u64);
 }
 
 #[cfg(test)]
@@ -183,54 +67,37 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(ts(30), EventPayload::RebalanceTick);
-        q.push(ts(10), EventPayload::LoadReport);
-        q.push(ts(20), EventPayload::Departure { session: 0 });
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.at.as_secs())).collect();
+        let mut q = DepartureQueue::default();
+        q.push(ts(30), 0, 0);
+        q.push(ts(10), 1, 1);
+        q.push(ts(20), 2, 2);
+        let order: Vec<u64> =
+            std::iter::from_fn(|| q.pop_due(None).map(|d| d.at.as_secs())).collect();
         assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]
-    fn same_second_pops_by_rank() {
-        // At one instant: departures, then rebalance, then report, then
-        // arrivals — the old loop's statement order.
-        let mut q = EventQueue::new();
-        q.push(ts(5), EventPayload::ArrivalBatch { batch: vec![] });
-        q.push(ts(5), EventPayload::LoadReport);
-        q.push(ts(5), EventPayload::Departure { session: 1 });
-        q.push(ts(5), EventPayload::RebalanceTick);
-        let ranks: Vec<u8> = std::iter::from_fn(|| q.pop().map(|e| e.payload.rank())).collect();
-        assert_eq!(ranks, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn same_kind_ties_pop_fifo() {
+    fn same_second_ties_pop_by_sequence() {
         // Departures at the same second must pop in scheduling order —
         // this pins floating-point load-release order.
-        let mut q = EventQueue::new();
-        for session in [7u32, 3, 9] {
-            q.push(ts(100), EventPayload::Departure { session });
+        let mut q = DepartureQueue::default();
+        for (seq, session) in [(4, 7u32), (5, 3), (6, 9)] {
+            q.push(ts(100), seq, session);
         }
-        let sessions: Vec<u32> = std::iter::from_fn(|| {
-            q.pop().map(|e| match e.payload {
-                EventPayload::Departure { session } => session,
-                _ => unreachable!(),
-            })
-        })
-        .collect();
+        let sessions: Vec<u32> =
+            std::iter::from_fn(|| q.pop_due(None).map(|d| d.session)).collect();
         assert_eq!(sessions, vec![7, 3, 9]);
     }
 
     #[test]
     fn pop_due_respects_the_horizon() {
-        let mut q = EventQueue::new();
-        q.push(ts(10), EventPayload::Departure { session: 0 });
-        q.push(ts(20), EventPayload::Departure { session: 1 });
-        assert!(q.pop_due(ts(9)).is_none());
-        assert_eq!(q.pop_due(ts(10)).unwrap().at, ts(10));
-        assert!(q.pop_due(ts(19)).is_none());
-        assert_eq!(q.pop_due(ts(25)).unwrap().at, ts(20));
-        assert!(q.pop().is_none());
+        let mut q = DepartureQueue::default();
+        q.push(ts(10), 0, 0);
+        q.push(ts(20), 1, 1);
+        assert!(q.pop_due(Some(ts(9))).is_none());
+        assert_eq!(q.pop_due(Some(ts(10))).unwrap().at, ts(10));
+        assert!(q.pop_due(Some(ts(19))).is_none());
+        assert_eq!(q.pop_due(Some(ts(25))).unwrap().at, ts(20));
+        assert!(q.pop_due(None).is_none());
     }
 }

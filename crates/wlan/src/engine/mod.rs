@@ -1,18 +1,22 @@
 //! The event-driven trace-replay simulation engine.
 //!
 //! Replays a time-sorted [`s3_trace::SessionDemand`] stream against a
-//! [`Topology`] under an [`ApSelector`] policy. The core is one unified
-//! loop draining a time-ordered event queue over incrementally maintained
-//! per-AP state:
+//! [`Topology`] under an [`ApSelector`] policy. Every run is one loop
+//! over *cycles* — an arrival batch plus everything due at its head —
+//! over incrementally maintained per-AP state:
 //!
-//! 1. **Departures** scheduled before the next batch head release load
-//!    and association state;
-//! 2. **rebalance ticks** and **load-report refreshes** fire lazily at
+//! 1. **departures** due before the batch head release load and
+//!    association state;
+//! 2. a **rebalance tick** and a **load-report refresh** fire lazily at
 //!    epoch boundaries crossed by a batch head;
-//! 3. an **arrival batch** — everything inside one batching window —
+//! 3. the **arrival batch** — everything inside one batching window —
 //!    is grouped per controller and handed to the policy as a batch (a
 //!    class start is a burst of simultaneous arrivals — precisely the
 //!    case where the S³ clique logic matters).
+//!
+//! The controllers can be split into shards ([`SimEngine::run_shards`]):
+//! one shard runs in the calling thread, several run on worker threads
+//! joined at per-chunk barriers, with byte-identical output either way.
 //!
 //! Demands are pulled from a [`DemandSource`]: an in-memory slice
 //! ([`SliceSource`]) or a streaming reader ([`StreamSource`]) that lets
@@ -35,6 +39,7 @@
 //! [`s3_trace::SessionRecord`] segments with its volume
 //! divided proportionally.
 
+mod cycle;
 mod events;
 mod runner;
 mod shard;
@@ -175,35 +180,11 @@ impl SimEngine {
             demands.windows(2).all(|w| w[0].arrive <= w[1].arrive),
             "demands must be sorted by arrival time"
         );
-        let mut source = SliceSource::new(demands);
-        self.run_source(&mut source, selector)
-            .expect("slice replay is infallible")
-    }
-
-    /// Replays demands pulled from any [`DemandSource`], collecting the
-    /// result in memory.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Source`] on reader failures and
-    /// [`EngineError::Unsorted`] if the source yields demands out of
-    /// arrival order.
-    pub fn run_source(
-        &self,
-        source: &mut dyn DemandSource,
-        selector: &mut dyn ApSelector,
-    ) -> Result<SimResult, EngineError> {
-        let mut sink = CollectSink::with_capacity(source.len_hint().unwrap_or(0));
-        let totals = self.run_events(source, selector, &mut sink)?;
-        let mut records = sink.records;
-        // Migrations close segments out of connect order; restore a stable
-        // order for downstream consumers.
-        records.sort_by_key(|r| (r.connect, r.user, r.ap));
-        Ok(SimResult {
-            records,
-            rejected: totals.rejected,
-            migrations: totals.migrations,
-        })
+        let mut sink = CollectSink::with_capacity(demands.len());
+        let totals = self
+            .run_in_thread(&mut SliceSource::new(demands), selector, &mut sink)
+            .expect("slice replay is infallible");
+        sink.into_result(totals)
     }
 
     /// Fully streaming replay: demands pulled from `source`, records
@@ -217,8 +198,7 @@ impl SimEngine {
     ///
     /// [`EngineError::StreamedRebalance`] if the engine is configured with
     /// the online rebalancer (its mid-session segment splits need the full
-    /// record log); otherwise as [`SimEngine::run_source`], plus
-    /// [`EngineError::Sink`] on writer failures.
+    /// record log); otherwise as [`SimEngine::run_shards`].
     pub fn run_streamed(
         &self,
         source: &mut dyn DemandSource,
@@ -228,115 +208,53 @@ impl SimEngine {
         if self.config.rebalance.is_some() {
             return Err(EngineError::StreamedRebalance);
         }
-        self.run_events(source, selector, sink)
+        self.run_in_thread(source, selector, sink)
     }
 
-    /// Replays demands while `sink` observes every engine decision in
-    /// exact processing order — the `s3wlan trace` entry point, normally
-    /// run with a [`tracing::TraceSink`] writing an `s3-dtrace/1` log
-    /// (see `docs/TRACING.md`).
+    /// The general entry point: replays demands pulled from `source` over
+    /// controller-domain shards, one per selector, pushing records and
+    /// decisions to `sink`.
     ///
-    /// Unlike [`SimEngine::run_streamed`] the online rebalancer is
-    /// permitted: its migrations become `move` records, and trace sinks
-    /// discard session records, so the global record sort the streaming
-    /// path cannot afford is never needed here.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimEngine::run_source`], plus [`EngineError::Sink`] when the
-    /// sink's writer fails.
-    pub fn run_traced(
-        &self,
-        source: &mut dyn DemandSource,
-        selector: &mut dyn ApSelector,
-        sink: &mut dyn RecordSink,
-    ) -> Result<RunTotals, EngineError> {
-        self.run_events(source, selector, sink)
-    }
-
-    /// Routes a run to the unified loop (one selector) or the sharded
-    /// engine (one shard per selector). A single shard has nothing to
-    /// merge, so it delegates straight to [`SimEngine::run_events`] —
-    /// `--shards 1` *is* the unified engine, not a one-worker pipeline.
-    fn run_events_dispatch(
-        &self,
-        source: &mut (dyn DemandSource + Send),
-        selectors: &mut [Box<dyn ApSelector + Send>],
-        sink: &mut dyn RecordSink,
-    ) -> Result<RunTotals, EngineError> {
-        match selectors {
-            [] => panic!("at least one selector required"),
-            [only] => self.run_events(source, &mut **only, sink),
-            _ => self.run_events_sharded(source, selectors, sink),
-        }
-    }
-
-    /// [`SimEngine::run_source`] over controller-domain shards: one
-    /// worker per selector, each owning a contiguous slice of the
-    /// controller space, synchronized at per-batch epoch barriers. The
-    /// result is byte-identical to the unified engine for any selector
-    /// whose decisions are a pure function of its controller group (every
-    /// shipped policy except `random`, which draws from one sequential
-    /// RNG stream). See `docs/ENGINE.md` for the sharding model.
+    /// Each shard owns a contiguous slice of the controller space. With
+    /// one non-empty shard the run stays in the calling thread; with
+    /// several, each runs on a worker thread, synchronized at per-chunk
+    /// barriers. The output is byte-identical at any shard count for any
+    /// selector whose decisions are a pure function of its controller
+    /// group (every shipped policy except `random`, which draws from one
+    /// sequential RNG stream). See `docs/ENGINE.md` for the sharding
+    /// model.
     ///
     /// Each shard needs its own selector value because selectors are
     /// stateful; build N equivalent instances (for trained policies,
     /// train once and clone the model).
     ///
-    /// # Errors
-    ///
-    /// As [`SimEngine::run_source`].
-    pub fn run_sharded_source(
-        &self,
-        source: &mut (dyn DemandSource + Send),
-        selectors: &mut [Box<dyn ApSelector + Send>],
-    ) -> Result<SimResult, EngineError> {
-        let mut sink = CollectSink::with_capacity(source.len_hint().unwrap_or(0));
-        let totals = self.run_events_dispatch(source, selectors, &mut sink)?;
-        let mut records = sink.records;
-        records.sort_by_key(|r| (r.connect, r.user, r.ap));
-        Ok(SimResult {
-            records,
-            rejected: totals.rejected,
-            migrations: totals.migrations,
-        })
-    }
-
-    /// [`SimEngine::run_streamed`] over controller-domain shards; the
-    /// emitted record stream is byte-identical to the unified streamed
-    /// run (and to the in-memory paths).
+    /// Without the rebalancer, records arrive globally sorted by
+    /// `(connect, user, ap)`. With it, each segment is emitted when it
+    /// closes — at a migration or a departure — so a collecting caller
+    /// sorts ([`CollectSink::into_result`]) and a streaming caller should
+    /// use [`SimEngine::run_streamed`], which refuses the rebalancer.
+    /// Decision-trace sinks ([`TraceSink`]) observe every decision in
+    /// processing order either way.
     ///
     /// # Errors
     ///
-    /// As [`SimEngine::run_streamed`] (in particular
-    /// [`EngineError::StreamedRebalance`] with the rebalancer on).
-    pub fn run_sharded_streamed(
+    /// [`EngineError::NoSelectors`] for an empty `selectors` slice;
+    /// [`EngineError::Source`] on reader failures;
+    /// [`EngineError::Unsorted`] if the source yields demands out of
+    /// arrival order; [`EngineError::Sink`] on writer failures; and
+    /// [`EngineError::MissingAp`] for a malformed topology.
+    pub fn run_shards(
         &self,
         source: &mut (dyn DemandSource + Send),
         selectors: &mut [Box<dyn ApSelector + Send>],
         sink: &mut dyn RecordSink,
     ) -> Result<RunTotals, EngineError> {
-        if self.config.rebalance.is_some() {
-            return Err(EngineError::StreamedRebalance);
+        let plan = cycle::ShardPlan::new(&self.topology, selectors.len());
+        match selectors {
+            [] => Err(EngineError::NoSelectors),
+            [first, ..] if plan.active() <= 1 => self.run_in_thread(source, &mut **first, sink),
+            _ => self.run_threaded(source, &plan, selectors, sink),
         }
-        self.run_events_dispatch(source, selectors, sink)
-    }
-
-    /// [`SimEngine::run_traced`] over controller-domain shards: shard
-    /// outputs are merged in the canonical cycle order before the sink
-    /// observes them, so `s3-dtrace/1` bodies are byte-identical across
-    /// shard counts.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimEngine::run_traced`].
-    pub fn run_sharded_traced(
-        &self,
-        source: &mut (dyn DemandSource + Send),
-        selectors: &mut [Box<dyn ApSelector + Send>],
-        sink: &mut dyn RecordSink,
-    ) -> Result<RunTotals, EngineError> {
-        self.run_events_dispatch(source, selectors, sink)
     }
 }
 
@@ -365,6 +283,23 @@ mod tests {
     fn tiny_engine() -> SimEngine {
         let topology = Topology::from_campus(&CampusConfig::tiny());
         SimEngine::new(topology, SimConfig::default())
+    }
+
+    fn shard_selectors(n: usize) -> Vec<Box<dyn ApSelector + Send>> {
+        (0..n)
+            .map(|_| Box::new(LeastLoadedFirst::new()) as Box<dyn ApSelector + Send>)
+            .collect()
+    }
+
+    /// [`SimEngine::run_shards`] into a collecting sink.
+    fn run_collect(
+        engine: &SimEngine,
+        source: &mut (dyn DemandSource + Send),
+        mut selectors: Vec<Box<dyn ApSelector + Send>>,
+    ) -> Result<SimResult, EngineError> {
+        let mut sink = CollectSink::default();
+        let totals = engine.run_shards(source, &mut selectors, &mut sink)?;
+        Ok(sink.into_result(totals))
     }
 
     #[test]
@@ -567,9 +502,7 @@ mod tests {
         .unwrap()
         .without_publish();
         let mut source = StreamSource::new(reader);
-        let streamed = engine
-            .run_source(&mut source, &mut LeastLoadedFirst::new())
-            .unwrap();
+        let streamed = run_collect(&engine, &mut source, shard_selectors(1)).unwrap();
         assert_eq!(streamed, in_memory);
     }
 
@@ -614,9 +547,7 @@ mod tests {
         let engine = tiny_engine();
         let demands = vec![demand(1, 0, 500, 600, 1), demand(2, 0, 100, 200, 1)];
         let mut source = SliceSource::new(&demands);
-        let err = engine
-            .run_source(&mut source, &mut LeastLoadedFirst::new())
-            .unwrap_err();
+        let err = run_collect(&engine, &mut source, shard_selectors(1)).unwrap_err();
         match err {
             EngineError::Unsorted { prev, next } => {
                 assert_eq!((prev, next), (500, 100));
@@ -725,29 +656,35 @@ mod tests {
         );
     }
 
-    /// Shard-invariance suite: the controller-domain sharded engine must
-    /// reproduce the unified engine byte for byte — results, streamed
+    #[test]
+    fn empty_selector_slice_is_an_error_not_a_panic() {
+        let engine = tiny_engine();
+        let demands = vec![demand(1, 0, 100, 200, 1)];
+        let mut source = SliceSource::new(&demands);
+        let mut sink = CollectSink::default();
+        let err = engine
+            .run_shards(&mut source, &mut [], &mut sink)
+            .unwrap_err();
+        assert!(matches!(err, EngineError::NoSelectors), "{err}");
+        assert!(sink.records.is_empty());
+    }
+
+    /// Shard-invariance suite: the threaded pipeline must reproduce the
+    /// single-shard, in-thread run byte for byte — results, streamed
     /// record order and `s3-dtrace/1` log bodies — at every shard count,
-    /// including more shards than controllers (empty shards).
+    /// including more shards than controllers (empty shards). The
+    /// recorded fixtures under `crates/cli/tests/fixtures/` pin both
+    /// against an independent earlier implementation.
     mod sharded {
         use super::*;
         use s3_trace::decision_log::config_hash;
 
-        fn shard_selectors(n: usize) -> Vec<Box<dyn ApSelector + Send>> {
-            (0..n)
-                .map(|_| Box::new(LeastLoadedFirst::new()) as Box<dyn ApSelector + Send>)
-                .collect()
-        }
-
-        fn run_sharded(
+        fn replay_sharded(
             engine: &SimEngine,
             demands: &[SessionDemand],
-            mut selectors: Vec<Box<dyn ApSelector + Send>>,
+            selectors: Vec<Box<dyn ApSelector + Send>>,
         ) -> SimResult {
-            let mut source = SliceSource::new(demands);
-            engine
-                .run_sharded_source(&mut source, &mut selectors)
-                .unwrap()
+            run_collect(engine, &mut SliceSource::new(demands), selectors).unwrap()
         }
 
         /// A generated four-controller campus, sorted for replay.
@@ -766,7 +703,7 @@ mod tests {
         }
 
         /// The `s3-dtrace/1` log body (header line stripped) of a traced
-        /// run at `shards`; `shards == 1` is the unified engine.
+        /// run at `shards`; `shards == 1` runs in the calling thread.
         fn traced_body(engine: &SimEngine, demands: &[SessionDemand], shards: usize) -> String {
             let header = trace_header(
                 engine.topology(),
@@ -778,67 +715,60 @@ mod tests {
             );
             let mut sink = TraceSink::new(Vec::new(), &header).unwrap();
             let mut source = SliceSource::new(demands);
-            if shards == 1 {
-                engine
-                    .run_traced(&mut source, &mut LeastLoadedFirst::new(), &mut sink)
-                    .unwrap();
-            } else {
-                let mut selectors = shard_selectors(shards);
-                engine
-                    .run_sharded_traced(&mut source, &mut selectors, &mut sink)
-                    .unwrap();
-            }
+            engine
+                .run_shards(&mut source, &mut shard_selectors(shards), &mut sink)
+                .unwrap();
             let log = String::from_utf8(sink.finish().unwrap()).unwrap();
             log.split_once('\n').unwrap().1.to_string()
         }
 
         #[test]
-        fn replay_matches_unified_at_every_shard_count() {
+        fn replay_matches_single_shard_at_every_shard_count() {
             let (config, demands) = four_controller_fixture();
             let engine = SimEngine::new(Topology::from_campus(&config), SimConfig::default());
-            let unified = engine.run(&demands, &mut LeastLoadedFirst::new());
+            let single = engine.run(&demands, &mut LeastLoadedFirst::new());
             // 8 > 4 controllers: the last four shards own nothing and must
             // stay byte-transparent.
             for shards in [1, 2, 3, 4, 8] {
-                let sharded = run_sharded(&engine, &demands, shard_selectors(shards));
-                assert_eq!(sharded, unified, "shards={shards}");
+                let sharded = replay_sharded(&engine, &demands, shard_selectors(shards));
+                assert_eq!(sharded, single, "shards={shards}");
             }
         }
 
         #[test]
-        fn rebalancing_replay_matches_unified() {
+        fn rebalancing_replay_matches_single_shard() {
             let engine = rebalancing_engine();
             let demands = stacked_demands();
-            let unified = engine.run(&demands, &mut Stacker);
+            let single = engine.run(&demands, &mut Stacker);
             assert!(
-                unified.migrations > 0,
+                single.migrations > 0,
                 "fixture must exercise the rebalancer"
             );
             for shards in [2, 4] {
                 let selectors: Vec<Box<dyn ApSelector + Send>> = (0..shards)
                     .map(|_| Box::new(Stacker) as Box<dyn ApSelector + Send>)
                     .collect();
-                let sharded = run_sharded(&engine, &demands, selectors);
-                assert_eq!(sharded, unified, "shards={shards}");
+                let sharded = replay_sharded(&engine, &demands, selectors);
+                assert_eq!(sharded, single, "shards={shards}");
             }
         }
 
         #[test]
-        fn streamed_emission_order_matches_unified() {
+        fn streamed_emission_order_matches_single_shard() {
             let (config, demands) = four_controller_fixture();
             let engine = SimEngine::new(Topology::from_campus(&config), SimConfig::default());
-            let unified = engine.run(&demands, &mut LeastLoadedFirst::new());
+            let single = engine.run(&demands, &mut LeastLoadedFirst::new());
 
             let mut selectors = shard_selectors(3);
             let mut source = SliceSource::new(&demands);
             let mut sink = CollectSink::default();
             let totals = engine
-                .run_sharded_streamed(&mut source, &mut selectors, &mut sink)
+                .run_shards(&mut source, &mut selectors, &mut sink)
                 .unwrap();
-            // Emission order IS the final order, exactly as in the unified
-            // streaming contract.
-            assert_eq!(sink.records, unified.records);
-            assert_eq!(totals.records, unified.records.len());
+            // Emission order IS the final order, exactly as in the
+            // single-shard streaming contract.
+            assert_eq!(sink.records, single.records);
+            assert_eq!(totals.records, single.records.len());
             assert_eq!(totals.placed, demands.len());
         }
 
@@ -853,18 +783,18 @@ mod tests {
                     ..SimConfig::default()
                 },
             );
-            let unified = traced_body(&engine, &demands, 1);
+            let single = traced_body(&engine, &demands, 1);
             for shards in [2, 4, 8] {
                 assert_eq!(
                     traced_body(&engine, &demands, shards),
-                    unified,
+                    single,
                     "shards={shards}"
                 );
             }
         }
 
         #[test]
-        fn epoch_barrier_edge_cases_match_unified() {
+        fn epoch_barrier_edge_cases_match_single_shard() {
             // The three barrier edge cases of the sharding contract:
             // (a) a session arriving and departing inside a single epoch,
             // (b) arrivals/departures exactly on a rebalance barrier
@@ -878,10 +808,10 @@ mod tests {
                 demand(3, 1, 300, 450, 80), // same barrier, other controller
                 demand(4, 1, 550, 600, 10), // departs exactly on a barrier
             ];
-            let unified = engine.run(&demands, &mut LeastLoadedFirst::new());
+            let single = engine.run(&demands, &mut LeastLoadedFirst::new());
             for shards in [2, 8] {
-                let sharded = run_sharded(&engine, &demands, shard_selectors(shards));
-                assert_eq!(sharded, unified, "shards={shards}");
+                let sharded = replay_sharded(&engine, &demands, shard_selectors(shards));
+                assert_eq!(sharded, single, "shards={shards}");
             }
             // The decision logs agree record for record as well.
             let body = traced_body(&engine, &demands, 1);
@@ -895,16 +825,16 @@ mod tests {
         }
 
         #[test]
-        fn sixteen_shards_above_controller_count_match_unified() {
+        fn sixteen_shards_above_controller_count_match_single_shard() {
             // `--shards 16` on a four-controller campus: twelve shards
             // are structurally empty and are never spawned (the plan
             // packs non-empty shards into a prefix), yet results and
-            // decision logs must stay byte-identical to the unified run.
+            // decision logs must stay byte-identical to the single-shard run.
             let (config, demands) = four_controller_fixture();
             let engine = SimEngine::new(Topology::from_campus(&config), SimConfig::default());
-            let unified = engine.run(&demands, &mut LeastLoadedFirst::new());
-            let sharded = run_sharded(&engine, &demands, shard_selectors(16));
-            assert_eq!(sharded, unified);
+            let single = engine.run(&demands, &mut LeastLoadedFirst::new());
+            let sharded = replay_sharded(&engine, &demands, shard_selectors(16));
+            assert_eq!(sharded, single);
             assert_eq!(
                 traced_body(&engine, &demands, 16),
                 traced_body(&engine, &demands, 1)
@@ -912,7 +842,7 @@ mod tests {
         }
 
         #[test]
-        fn maximally_uneven_chunks_match_unified() {
+        fn maximally_uneven_chunks_match_single_shard() {
             // Five controllers over four shards: the plan front-loads
             // the extras (chunks 2,1,1,1), so one shard owns twice the
             // controllers of the rest — the most uneven split the
@@ -929,11 +859,11 @@ mod tests {
             demands.sort_by_key(|d| (d.arrive, d.user));
             let engine =
                 SimEngine::new(Topology::from_campus(&campus.config), SimConfig::default());
-            let unified = engine.run(&demands, &mut LeastLoadedFirst::new());
+            let single = engine.run(&demands, &mut LeastLoadedFirst::new());
             let body = traced_body(&engine, &demands, 1);
             for shards in [3, 4] {
-                let sharded = run_sharded(&engine, &demands, shard_selectors(shards));
-                assert_eq!(sharded, unified, "shards={shards}");
+                let sharded = replay_sharded(&engine, &demands, shard_selectors(shards));
+                assert_eq!(sharded, single, "shards={shards}");
                 assert_eq!(
                     traced_body(&engine, &demands, shards),
                     body,
@@ -943,7 +873,7 @@ mod tests {
         }
 
         #[test]
-        fn single_epoch_trace_matches_unified() {
+        fn single_epoch_trace_matches_single_shard() {
             // Every arrival inside one batch window: the whole run is a
             // single cycle, exercising the partial-chunk flush (one
             // cycle ≪ the chunk size) and the final drain back to back.
@@ -953,12 +883,12 @@ mod tests {
                 demand(2, 1, 105, 300, 40),
                 demand(3, 0, 110, 500, 30),
             ];
-            let unified = engine.run(&demands, &mut LeastLoadedFirst::new());
-            assert_eq!(unified.records.len(), 3);
+            let single = engine.run(&demands, &mut LeastLoadedFirst::new());
+            assert_eq!(single.records.len(), 3);
             let body = traced_body(&engine, &demands, 1);
             for shards in [2, 4] {
-                let sharded = run_sharded(&engine, &demands, shard_selectors(shards));
-                assert_eq!(sharded, unified, "shards={shards}");
+                let sharded = replay_sharded(&engine, &demands, shard_selectors(shards));
+                assert_eq!(sharded, single, "shards={shards}");
                 assert_eq!(
                     traced_body(&engine, &demands, shards),
                     body,
@@ -989,7 +919,7 @@ mod tests {
             let mut source = SliceSource::new(&demands);
             let mut selectors = shard_selectors(4);
             engine
-                .run_sharded_traced(&mut source, &mut selectors, &mut sink)
+                .run_shards(&mut source, &mut selectors, &mut sink)
                 .unwrap();
             let log = sink.finish().unwrap();
             let report = check_log(BufReader::new(log.as_slice())).unwrap();
@@ -1005,8 +935,9 @@ mod tests {
             use crate::topology::{default_ap_capacity, ApInfo};
             // Sparse AP ids (0 missing) make `Topology::ap` fail for every
             // listed id — the malformed input shape behind the former
-            // `expect("ap exists")` panic. Both engines must surface it as
-            // a structured `MissingAp` error.
+            // `expect("ap exists")` panic. Both the in-thread and the
+            // threaded pipeline must surface it as a structured
+            // `MissingAp` error.
             let ap = |id: u32, position: (f64, f64)| ApInfo {
                 id: ApId::new(id),
                 building: BuildingId::new(0),
@@ -1014,24 +945,23 @@ mod tests {
                 capacity: default_ap_capacity(),
                 position,
             };
-            let engine = SimEngine::new(
-                Topology::from_aps(vec![ap(1, (1.0, 1.0)), ap(2, (2.0, 2.0))]),
-                SimConfig::default(),
-            );
+            let topology = Topology::from_aps(vec![ap(1, (1.0, 1.0)), ap(2, (2.0, 2.0))]);
             let demands = vec![demand(1, 0, 100, 200, 1)];
-
-            let mut source = SliceSource::new(&demands);
-            let err = engine
-                .run_source(&mut source, &mut LeastLoadedFirst::new())
-                .unwrap_err();
-            assert!(matches!(err, EngineError::MissingAp { .. }), "{err}");
-
-            let mut source = SliceSource::new(&demands);
-            let mut selectors = shard_selectors(2);
-            let err = engine
-                .run_sharded_source(&mut source, &mut selectors)
-                .unwrap_err();
-            assert!(matches!(err, EngineError::MissingAp { .. }), "{err}");
+            // With the rebalancer on, the first cycle's tick scans the
+            // domain's loads before any placement.
+            for rebalance in [None, Some(RebalanceConfig::default())] {
+                let config = SimConfig {
+                    rebalance,
+                    ..SimConfig::default()
+                };
+                let engine = SimEngine::new(topology.clone(), config);
+                for shards in [1, 2] {
+                    let mut source = SliceSource::new(&demands);
+                    let selectors = shard_selectors(shards);
+                    let err = run_collect(&engine, &mut source, selectors).unwrap_err();
+                    assert!(matches!(err, EngineError::MissingAp { .. }), "{err}");
+                }
+            }
         }
     }
 }

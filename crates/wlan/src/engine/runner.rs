@@ -1,22 +1,27 @@
-//! The unified event-driven replay loop.
+//! The replay loop: the per-shard cycle step and the emitter.
 //!
-//! [`SimEngine::run_events`] is the single loop behind every public entry
-//! point ([`SimEngine::run`], [`SimEngine::run_unsorted`],
-//! [`SimEngine::run_streamed`]): it pulls demands from a
-//! [`DemandSource`], batches arrivals per window, schedules everything
-//! else (departures, rebalance ticks, load reports) on the
-//! [`EventQueue`], and emits session records to a
-//! [`super::source::RecordSink`].
+//! Every run, at any shard count, is one pipeline. A
+//! [`super::cycle::CycleFormer`] forms global cycles; each shard's
+//! [`Shard::step`] drains its own departures, runs its share of the
+//! rebalance tick and the load report, and places its controller groups;
+//! the [`Emitter`] hands everything to the sink in the canonical order:
 //!
-//! # Drain discipline
+//! 1. departures due at the head, by `(time, seq)`;
+//! 2. the rebalance tick, then its moves in ascending-controller order;
+//! 3. the load report;
+//! 4. the arrival batch, its groups in first-appearance order (placed or
+//!    rejected), then the batch's placement-mode records.
 //!
-//! Each cycle pulls the next batch head from the source, schedules the
-//! cycle's epoch events and the arrival batch at that head, then drains
-//! every event due at or before it. The drain stops right after the
-//! arrival batch fires: departures scheduled *during* placement — even
-//! zero-length sessions departing within the same second — wait for the
-//! next batch head (or the final drain), exactly as the old loop applied
-//! departures only at batch heads.
+//! With one active shard, [`SimEngine::run_in_thread`] passes the emitter
+//! to the step as its [`StepOut`]: the step's own order *is* the
+//! canonical order, so output goes straight to the sink with nothing
+//! staged. With several, each shard steps on its own thread, stages its
+//! output per cycle, and the merger (`super::shard`) replays the staged
+//! outputs through the same emitter.
+//!
+//! Departures scheduled *during* placement — even zero-length sessions
+//! departing within the same second — wait for the next cycle (or the
+//! final drain): a cycle drains only what was due before its batch.
 //!
 //! # Record emission
 //!
@@ -25,102 +30,111 @@
 //! = the whole demand), so records are emitted *per batch*, sorted by
 //! `(connect, user, ap)` within the batch. Batch connect ranges are
 //! disjoint and increasing, so the streamed concatenation is globally
-//! sorted — byte-identical to the in-memory path's final sort, with peak
-//! memory bounded by the widest batch plus the live session table. With
-//! the rebalancer, segments are only known at migration/departure time;
-//! records are emitted then and globally sorted by the in-memory wrapper
-//! (streaming + rebalancing is rejected:
-//! [`EngineError::StreamedRebalance`]).
+//! sorted, with peak memory bounded by the widest batch plus the live
+//! session table. With the rebalancer, segments are only known at
+//! migration/departure time; records are emitted then, and collecting
+//! callers sort them ([`super::CollectSink::into_result`]).
 
-use std::collections::HashMap;
-
-use s3_obs::{Counter, Desc, Histogram, HistogramDesc, Stability, Unit};
+use s3_obs::{Desc, Histogram, HistogramDesc, SpanTimer, Stability, Unit};
 use s3_trace::{SessionDemand, SessionRecord};
-use s3_types::{ApId, ControllerId, TimeDelta, Timestamp, UserId};
+use s3_types::{ApId, BitsPerSec, ControllerId, Timestamp, UserId};
 
-use super::events::{Event, EventPayload, EventQueue};
+use super::cycle::{Cycle, CycleFormer, Group, ShardPlan};
+use super::events::DepartureQueue;
 use super::source::{DemandSource, EngineError, RecordSink};
-use super::state::{Active, RunState};
+use super::state::RunState;
 use super::tracing::TraceEvent;
-use super::{RebalanceConfig, SimEngine};
+use super::{SimConfig, SimEngine};
 use crate::radio::{distance, rssi_at, session_position};
 use crate::selector::{ApSelector, ApView, ArrivalUser, DecisionMeta};
+use crate::topology::Topology;
 
-// Replay-engine metrics (documented in docs/METRICS.md). The engine is
-// sequential within a run, and sweep binaries that replay many scenarios in
-// parallel only ever *add* (u64 addition is associative), so every value
-// here is a pure function of the demand stream and topology. The sharded
-// coordinator (`super::shard`) publishes the same descriptors, hence the
-// module-level visibility.
-pub(super) static RUNS: Desc = Desc {
+// Replay-engine metrics (documented in docs/METRICS.md). Every value
+// here is a pure function of the demand stream and topology: the emitter
+// sees the same events in the same order at any shard count, and sweep
+// binaries that replay many scenarios in parallel only ever *add*.
+static RUNS: Desc = Desc {
     name: "wlan.engine.runs",
     help: "Replay runs executed",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static DEMANDS: Desc = Desc {
+static DEMANDS: Desc = Desc {
     name: "wlan.engine.demands",
     help: "Session demands fed into replay runs",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static BATCHES: Desc = Desc {
+static BATCHES: Desc = Desc {
     name: "wlan.engine.batches",
     help: "Arrival batches presented to the selection policy",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static BATCH_SIZE: HistogramDesc = HistogramDesc {
+static BATCH_SIZE: HistogramDesc = HistogramDesc {
     name: "wlan.engine.batch_size",
     help: "Arrivals grouped into each batch window",
     unit: Unit::Count,
     stability: Stability::Stable,
     bounds: &[1, 2, 4, 8, 16, 32, 64],
 };
-pub(super) static PLACEMENTS: Desc = Desc {
+static PLACEMENTS: Desc = Desc {
     name: "wlan.engine.placements",
     help: "Sessions placed on an AP by the policy",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static REJECTED: Desc = Desc {
+static REJECTED: Desc = Desc {
     name: "wlan.engine.rejected",
     help: "Demands with no candidate AP (controller without APs)",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static DEPARTURES: Desc = Desc {
+static DEPARTURES: Desc = Desc {
     name: "wlan.engine.departures",
     help: "Sessions closed at their scheduled departure time",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static MIGRATIONS: Desc = Desc {
+static MIGRATIONS: Desc = Desc {
     name: "wlan.engine.migrations",
     help: "Mid-session migrations performed by the online rebalancer",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static LOAD_REPORTS: Desc = Desc {
+static LOAD_REPORTS: Desc = Desc {
     name: "wlan.engine.load_reports",
     help: "Controller load-report refreshes (policies see loads as of the last one)",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static REBALANCE_ROUNDS: Desc = Desc {
+static REBALANCE_ROUNDS: Desc = Desc {
     name: "wlan.engine.rebalance_rounds",
     help: "Online-rebalancer rounds executed",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-pub(super) static AP_LOAD_KBPS: HistogramDesc = HistogramDesc {
+static AP_LOAD_KBPS: HistogramDesc = HistogramDesc {
     name: "wlan.engine.ap_load_kbps",
     help: "Per-AP load sampled at every controller report refresh",
     unit: Unit::Kbps,
     stability: Stability::Stable,
     bounds: &[100, 1_000, 5_000, 10_000, 25_000, 50_000, 100_000],
 };
-pub(super) static RUN_MICROS: HistogramDesc = HistogramDesc {
+static EVENTS_PROCESSED: Desc = Desc {
+    name: "wlan.engine.events_processed",
+    help: "Simulation events drained from the unified event queue",
+    unit: Unit::Count,
+    stability: Stability::Stable,
+};
+static EVENTS_QUEUE_PEAK: HistogramDesc = HistogramDesc {
+    name: "wlan.engine.events_queue_peak",
+    help: "Peak event-queue depth observed per replay run",
+    unit: Unit::Count,
+    stability: Stability::Stable,
+    bounds: &[4, 16, 64, 256, 1_024, 4_096, 16_384],
+};
+static RUN_MICROS: HistogramDesc = HistogramDesc {
     name: "wlan.engine.run_micros",
     help: "Wall-clock duration of each replay run",
     unit: Unit::Micros,
@@ -149,41 +163,325 @@ pub struct RunTotals {
     pub records: usize,
 }
 
-/// Per-run loop state threaded through the event handlers.
-struct RunCtx<'a> {
-    run: RunState,
-    queue: EventQueue,
-    /// Hoisted once per run — the old loop cloned it every batch.
-    max_moves_per_round: usize,
-    /// With a rebalancer, segments are only known at migration/departure;
-    /// without one, records are fully determined at placement.
-    emit_at_departure: bool,
-    /// Per-batch record staging (placement-emission mode).
-    scratch: Vec<SessionRecord>,
-    /// Reusable arrival buffer for `place_batch`; both the outer
-    /// allocation and the per-user RSSI vectors survive across batches.
-    arrivals: Vec<ArrivalUser>,
-    /// Reusable controller-grouping scratch for `place_batch` (index map +
-    /// member lists), hoisted so no per-batch allocation remains.
-    group_of: HashMap<ControllerId, usize>,
-    groups: Vec<(ControllerId, Vec<usize>)>,
-    rejected: usize,
-    placed: usize,
-    /// Sessions closed at their scheduled departure (for the trace's end
-    /// record — the process-global departure counter spans runs).
-    departed: usize,
-    records: usize,
-    sink: &'a mut dyn RecordSink,
-    selector: &'a mut dyn ApSelector,
-    batches: Counter,
-    batch_size: Histogram,
-    placements: Counter,
-    departures: Counter,
-    load_reports: Counter,
-    ap_load_kbps: Histogram,
+impl SimEngine {
+    /// The single-shard pipeline, in the calling thread: no channels and
+    /// no helper threads. The step writes straight through the emitter.
+    pub(super) fn run_in_thread(
+        &self,
+        source: &mut dyn DemandSource,
+        selector: &mut dyn ApSelector,
+        sink: &mut dyn RecordSink,
+    ) -> Result<RunTotals, EngineError> {
+        let plan = ShardPlan::new(&self.topology, 1);
+        let mut shard = Shard::new(&self.topology, &self.config, 0, &plan.shards[0])?;
+        let mut emitter = Emitter::new(sink, &self.config);
+        let mut former = CycleFormer::new(&self.config, &plan);
+        let mut cycle = Cycle::default();
+        while former.next(source, &mut cycle)? {
+            shard.step(&cycle, selector, &mut emitter)?;
+        }
+        let popped = shard.depart_due(None, &mut emitter)?;
+        emitter.finish(popped)
+    }
 }
 
-impl RunCtx<'_> {
+/// A session closed at its scheduled departure.
+pub(super) struct DepartOut {
+    pub at: Timestamp,
+    pub seq: u64,
+    pub sid: u32,
+    pub user: UserId,
+    pub ap: ApId,
+    /// The final segment (rebalancer runs only; otherwise the record was
+    /// emitted at placement).
+    pub record: Option<SessionRecord>,
+}
+
+/// One migration performed by [`rebalance_controller`], handed to the
+/// caller's `apply` hook: the session is already retargeted, its load
+/// not yet moved.
+pub(super) struct MoveOutcome {
+    /// Engine session index.
+    pub sid: u32,
+    /// The migrated user.
+    pub user: UserId,
+    /// AP the session left.
+    pub from: ApId,
+    /// AP the session joined.
+    pub to: ApId,
+    /// The closed segment on the old AP (`None` for zero-length ones).
+    pub record: Option<SessionRecord>,
+}
+
+/// Receives a shard's cycle-step output, in step order. The [`Emitter`]
+/// implements it by writing to the sink; the threaded path's staging
+/// (`super::shard`) buffers it for the merger. The tick and rejected
+/// groups are facts of the cycle itself, which the merger emits on its
+/// own — so staging keeps the no-op defaults for them.
+pub(super) trait StepOut {
+    /// A departure, in `(time, seq)` order.
+    fn depart(&mut self, depart: DepartOut) -> Result<(), EngineError>;
+
+    /// The rebalance tick fires (before its moves).
+    fn tick(&mut self, _head: Timestamp, _seq: u64) -> Result<(), EngineError> {
+        Ok(())
+    }
+
+    /// One rebalancer migration.
+    fn moved(&mut self, head: Timestamp, mv: MoveOutcome) -> Result<(), EngineError>;
+
+    /// The load report refreshed; `reported` is indexed by AP and current
+    /// for the shard's own APs.
+    fn report(
+        &mut self,
+        head: Timestamp,
+        seq: u64,
+        reported: &[BitsPerSec],
+    ) -> Result<(), EngineError>;
+
+    /// The arrival batch is about to be placed.
+    fn batch(&mut self, cycle: &Cycle) -> Result<(), EngineError>;
+
+    /// A group whose controller has no APs.
+    fn reject(&mut self, _cycle: &Cycle, _group: &Group) -> Result<(), EngineError> {
+        Ok(())
+    }
+
+    /// One placement.
+    fn select(
+        &mut self,
+        head: Timestamp,
+        sid: u32,
+        demand: &SessionDemand,
+        ap: ApId,
+        meta: DecisionMeta,
+        candidates: &[ApId],
+    ) -> Result<(), EngineError>;
+
+    /// The cycle is done; `popped` departures left the queue in it.
+    fn end(&mut self, cycle: &Cycle, popped: u64) -> Result<(), EngineError>;
+}
+
+/// One shard's engine state: full-size AP vectors (indexed by global AP
+/// id) of which it only ever touches its own controllers' entries, and a
+/// queue holding its own sessions' departures under the cycle former's
+/// sequence numbers.
+pub(super) struct Shard<'t> {
+    topology: &'t Topology,
+    index: usize,
+    /// Own controllers, ascending.
+    controllers: &'t [ControllerId],
+    /// Their APs, in controller order; every one resolves in the
+    /// topology (checked by [`Shard::new`]).
+    pub own_aps: Vec<ApId>,
+    max_moves: usize,
+    emit_at_departure: bool,
+    run: RunState,
+    queue: DepartureQueue,
+    /// Reusable arrival buffer for [`select_group`].
+    arrivals: Vec<ArrivalUser>,
+}
+
+impl<'t> Shard<'t> {
+    /// Creates shard `index` over `controllers`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::MissingAp`] when a controller lists an AP the
+    /// topology cannot resolve — checked once here, so the cycle step
+    /// indexes per-AP state directly.
+    pub fn new(
+        topology: &'t Topology,
+        config: &SimConfig,
+        index: usize,
+        controllers: &'t [ControllerId],
+    ) -> Result<Self, EngineError> {
+        let mut own_aps = Vec::new();
+        for &controller in controllers {
+            for &ap in topology.aps_of_controller(controller) {
+                if topology.ap(ap).is_none() {
+                    return Err(EngineError::MissingAp { ap, controller });
+                }
+                own_aps.push(ap);
+            }
+        }
+        Ok(Shard {
+            topology,
+            index,
+            controllers,
+            own_aps,
+            max_moves: config
+                .rebalance
+                .as_ref()
+                .map_or(0, |rb| rb.max_moves_per_round),
+            emit_at_departure: config.rebalance.is_some(),
+            run: RunState::new(topology.ap_count()),
+            queue: DepartureQueue::default(),
+            arrivals: Vec::new(),
+        })
+    }
+
+    /// Runs the shard's share of one cycle, in event-rank order:
+    /// departures, rebalance tick, load report, arrival batch.
+    pub fn step(
+        &mut self,
+        cycle: &Cycle,
+        selector: &mut dyn ApSelector,
+        out: &mut impl StepOut,
+    ) -> Result<(), EngineError> {
+        let head = cycle.head;
+        let popped = self.depart_due(Some(head), out)?;
+        if let Some(seq) = cycle.tick_seq {
+            out.tick(head, seq)?;
+            for &controller in self.controllers {
+                let aps = self.topology.aps_of_controller(controller);
+                rebalance_controller(&mut self.run, aps, self.max_moves, head, &mut |mv| {
+                    out.moved(head, mv)
+                })?;
+            }
+        }
+        if let Some(seq) = cycle.report_seq {
+            for &ap in &self.own_aps {
+                self.run.reported[ap.index()] = self.run.loads[ap.index()];
+            }
+            out.report(head, seq, &self.run.reported)?;
+        }
+        out.batch(cycle)?;
+        for group in cycle.groups() {
+            match group.shard {
+                None => out.reject(cycle, group)?,
+                Some(s) if s == self.index => self.place(cycle, group, selector, out)?,
+                Some(_) => {}
+            }
+        }
+        out.end(cycle, popped)
+    }
+
+    /// Places one owned group: asks the selector, then admits each
+    /// session under its pre-assigned index and schedules its departure.
+    fn place(
+        &mut self,
+        cycle: &Cycle,
+        group: &Group,
+        selector: &mut dyn ApSelector,
+        out: &mut impl StepOut,
+    ) -> Result<(), EngineError> {
+        let aps = self.topology.aps_of_controller(group.controller);
+        let batch = &cycle.batch;
+        let picks = select_group(
+            self.topology,
+            &self.run,
+            selector,
+            aps,
+            group.members.iter().map(|&i| &batch[i as usize]),
+            &mut self.arrivals,
+        );
+        let metas = selector.last_batch_meta();
+        for (j, (&pick, &i)) in picks.iter().zip(&group.members).enumerate() {
+            let d = &batch[i as usize];
+            let sid = group.first_sid + j as u32;
+            let ap = aps[pick];
+            self.run.place_at(d, ap, sid);
+            self.queue
+                .push(d.depart, group.first_dep_seq + j as u64, sid);
+            let meta = metas.and_then(|m| m.get(j)).copied().unwrap_or_default();
+            out.select(cycle.head, sid, d, ap, meta, aps)?;
+        }
+        Ok(())
+    }
+
+    /// Drains departures due at or before `due` (all of them when
+    /// `None`), in `(time, seq)` order. Returns the number popped,
+    /// including departures of sessions already closed.
+    pub fn depart_due(
+        &mut self,
+        due: Option<Timestamp>,
+        out: &mut impl StepOut,
+    ) -> Result<u64, EngineError> {
+        let mut popped = 0;
+        while let Some(dep) = self.queue.pop_due(due) {
+            popped += 1;
+            let Some(mut active) = self.run.close(dep.session) else {
+                continue;
+            };
+            self.run.release(active.ap, active.user, active.rate);
+            let end = active.depart;
+            let record = self
+                .emit_at_departure
+                .then(|| active.close_segment(end, true));
+            out.depart(DepartOut {
+                at: dep.at,
+                seq: dep.seq,
+                sid: dep.session,
+                user: active.user,
+                ap: active.ap,
+                record,
+            })?;
+        }
+        Ok(popped)
+    }
+}
+
+/// Writes a run's events to the sink in canonical order and keeps its
+/// accounting: totals, the queue counters and the engine metrics, all
+/// published once the run finishes.
+///
+/// The queue counters count every event kind as if all were queued: each
+/// cycle pushes its own events (batch, plus tick and report when they
+/// fire) on top of the pending departures, pops them together with the
+/// departures due, then pushes one departure per placement.
+pub(super) struct Emitter<'s> {
+    sink: &'s mut dyn RecordSink,
+    emit_at_departure: bool,
+    /// Placement-mode records of the current batch.
+    staged: Vec<SessionRecord>,
+    demands: usize,
+    batches: usize,
+    placed: usize,
+    rejected: usize,
+    departed: usize,
+    migrations: usize,
+    records: usize,
+    load_reports: usize,
+    rebalance_rounds: usize,
+    /// Pending departures between cycles.
+    depth: usize,
+    peak: usize,
+    processed: u64,
+    cycle_placed: usize,
+    batch_size: Histogram,
+    ap_load_kbps: Histogram,
+    _run: SpanTimer,
+}
+
+impl<'s> Emitter<'s> {
+    /// Starts a run: counts it and times it until the emitter drops.
+    pub fn new(sink: &'s mut dyn RecordSink, config: &SimConfig) -> Self {
+        let registry = s3_obs::global();
+        registry.counter(&RUNS).inc();
+        Emitter {
+            sink,
+            emit_at_departure: config.rebalance.is_some(),
+            staged: Vec::new(),
+            demands: 0,
+            batches: 0,
+            placed: 0,
+            rejected: 0,
+            departed: 0,
+            migrations: 0,
+            records: 0,
+            load_reports: 0,
+            rebalance_rounds: 0,
+            depth: 0,
+            peak: 0,
+            processed: 0,
+            cycle_placed: 0,
+            batch_size: registry.histogram(&BATCH_SIZE),
+            ap_load_kbps: registry.histogram(&AP_LOAD_KBPS),
+            _run: registry.timer(&RUN_MICROS),
+        }
+    }
+
     fn emit(&mut self, record: SessionRecord) -> Result<(), EngineError> {
         self.sink.emit(record).map_err(EngineError::Sink)?;
         self.records += 1;
@@ -195,397 +493,206 @@ impl RunCtx<'_> {
     fn observe(&mut self, event: &TraceEvent<'_>) -> Result<(), EngineError> {
         self.sink.observe(event).map_err(EngineError::Sink)
     }
+
+    /// Ends the run after the final drain popped `popped` departures:
+    /// emits the end record and publishes the run's metrics. Active
+    /// sessions at the end are exactly `placed − departed`: sessions
+    /// close only at departure, and migration never closes one.
+    pub fn finish(mut self, popped: u64) -> Result<RunTotals, EngineError> {
+        self.processed += popped;
+        let end = TraceEvent::End {
+            placed: self.placed as u64,
+            rejected: self.rejected as u64,
+            departed: self.departed as u64,
+            active: (self.placed - self.departed) as u64,
+        };
+        self.observe(&end)?;
+        let registry = s3_obs::global();
+        registry.counter(&EVENTS_PROCESSED).add(self.processed);
+        // A histogram, not a gauge, so concurrent sweep runs stay
+        // order-independent.
+        registry
+            .histogram(&EVENTS_QUEUE_PEAK)
+            .observe(self.peak as u64);
+        for (desc, n) in [
+            (&DEMANDS, self.demands),
+            (&BATCHES, self.batches),
+            (&PLACEMENTS, self.placed),
+            (&REJECTED, self.rejected),
+            (&DEPARTURES, self.departed),
+            (&MIGRATIONS, self.migrations),
+            (&LOAD_REPORTS, self.load_reports),
+        ] {
+            registry.counter(desc).add(n as u64);
+        }
+        // Registered by the first round only: a run without the
+        // rebalancer leaves it out of the snapshot.
+        if self.rebalance_rounds > 0 {
+            registry
+                .counter(&REBALANCE_ROUNDS)
+                .add(self.rebalance_rounds as u64);
+        }
+        Ok(RunTotals {
+            placed: self.placed,
+            rejected: self.rejected,
+            migrations: self.migrations,
+            records: self.records,
+        })
+    }
 }
 
-impl SimEngine {
-    /// The unified event-driven loop every public entry point delegates
-    /// to. `source` must yield demands sorted by arrival time.
-    pub(super) fn run_events(
-        &self,
-        source: &mut dyn DemandSource,
-        selector: &mut dyn ApSelector,
-        sink: &mut dyn RecordSink,
-    ) -> Result<RunTotals, EngineError> {
-        let registry = s3_obs::global();
-        let _span = registry.timer(&RUN_MICROS);
-        registry.counter(&RUNS).inc();
-        let demands_total = registry.counter(&DEMANDS);
-        let rebalance = self.config.rebalance.clone();
-        let mut ctx = RunCtx {
-            run: RunState::new(self.topology.ap_count()),
-            queue: EventQueue::new(),
-            max_moves_per_round: rebalance.as_ref().map_or(0, |rb| rb.max_moves_per_round),
-            emit_at_departure: rebalance.is_some(),
-            scratch: Vec::new(),
-            arrivals: Vec::new(),
-            group_of: HashMap::new(),
-            groups: Vec::new(),
-            rejected: 0,
-            placed: 0,
-            departed: 0,
-            records: 0,
-            sink,
-            selector,
-            batches: registry.counter(&BATCHES),
-            batch_size: registry.histogram(&BATCH_SIZE),
-            placements: registry.counter(&PLACEMENTS),
-            departures: registry.counter(&DEPARTURES),
-            load_reports: registry.counter(&LOAD_REPORTS),
-            ap_load_kbps: registry.histogram(&AP_LOAD_KBPS),
-        };
-        let mut epochs = EpochSchedule::new();
-        let mut pending: Option<SessionDemand> = None;
-
-        while let Some(batch) = next_batch(source, &mut pending, self.config.batch_window)? {
-            let batch_head = batch[0].arrive;
-            demands_total.add(batch.len() as u64);
-
-            // Epoch events fire lazily, at batch heads that land in a new
-            // epoch — an idle trace gap runs no reports (exactly the old
-            // loop's lazy-epoch semantics, which the metric identity
-            // contract pins).
-            if epochs.tick_due(batch_head, rebalance.as_ref()) {
-                ctx.queue.push(batch_head, EventPayload::RebalanceTick);
-            }
-            if epochs.report_due(batch_head, self.config.load_report_interval) {
-                ctx.queue.push(batch_head, EventPayload::LoadReport);
-            }
-            ctx.queue
-                .push(batch_head, EventPayload::ArrivalBatch { batch });
-
-            // Drain everything due at this head; stop right after the
-            // (single) arrival batch so departures scheduled during
-            // placement wait for the next head (see module docs).
-            while let Some(event) = ctx.queue.pop_due(batch_head) {
-                let is_arrival = matches!(event.payload, EventPayload::ArrivalBatch { .. });
-                self.handle_event(&mut ctx, event)?;
-                if is_arrival {
-                    break;
-                }
-            }
+impl StepOut for Emitter<'_> {
+    fn depart(&mut self, depart: DepartOut) -> Result<(), EngineError> {
+        self.departed += 1;
+        self.observe(&TraceEvent::Depart {
+            at: depart.at,
+            seq: depart.seq,
+            sid: depart.sid,
+            user: depart.user,
+            ap: depart.ap,
+        })?;
+        match depart.record {
+            Some(record) => self.emit(record),
+            None => Ok(()),
         }
-        // Final drain: remaining departures (no further arrivals exist).
-        while let Some(event) = ctx.queue.pop() {
-            self.handle_event(&mut ctx, event)?;
+    }
+
+    fn tick(&mut self, head: Timestamp, seq: u64) -> Result<(), EngineError> {
+        self.rebalance_rounds += 1;
+        self.observe(&TraceEvent::Tick { at: head, seq })
+    }
+
+    fn moved(&mut self, head: Timestamp, mv: MoveOutcome) -> Result<(), EngineError> {
+        self.migrations += 1;
+        self.observe(&TraceEvent::Move {
+            at: head,
+            sid: mv.sid,
+            user: mv.user,
+            from: mv.from,
+            to: mv.to,
+        })?;
+        match mv.record {
+            Some(record) => self.emit(record),
+            None => Ok(()),
         }
-        let end = TraceEvent::End {
-            placed: ctx.placed as u64,
-            rejected: ctx.rejected as u64,
-            departed: ctx.departed as u64,
-            active: ctx.run.sessions().count() as u64,
-        };
-        ctx.observe(&end)?;
-        ctx.queue.publish();
-        registry.counter(&REJECTED).add(ctx.rejected as u64);
-        registry.counter(&MIGRATIONS).add(ctx.run.migrations as u64);
-        Ok(RunTotals {
-            placed: ctx.placed,
-            rejected: ctx.rejected,
-            migrations: ctx.run.migrations,
-            records: ctx.records,
+    }
+
+    fn report(
+        &mut self,
+        head: Timestamp,
+        seq: u64,
+        reported: &[BitsPerSec],
+    ) -> Result<(), EngineError> {
+        self.load_reports += 1;
+        for load in reported {
+            self.ap_load_kbps.observe((load.as_f64() / 1_000.0) as u64);
+        }
+        self.observe(&TraceEvent::Report {
+            at: head,
+            seq,
+            loads: reported,
         })
     }
 
-    fn handle_event(&self, ctx: &mut RunCtx<'_>, event: Event) -> Result<(), EngineError> {
-        match event.payload {
-            EventPayload::Departure { session } => {
-                let Some(mut active) = ctx.run.close(session) else {
-                    return Ok(());
-                };
-                ctx.departures.inc();
-                ctx.departed += 1;
-                ctx.observe(&TraceEvent::Depart {
-                    at: event.at,
-                    seq: event.seq,
-                    sid: session,
-                    user: active.user,
-                    ap: active.ap,
-                })?;
-                ctx.run.release(active.ap, active.user, active.rate);
-                if ctx.emit_at_departure {
-                    let end = active.depart;
-                    let record = active.close_segment(end, true);
-                    ctx.emit(record)?;
-                }
-                Ok(())
-            }
-            EventPayload::RebalanceTick => {
-                ctx.observe(&TraceEvent::Tick {
-                    at: event.at,
-                    seq: event.seq,
-                })?;
-                self.rebalance_round(ctx, event.at)
-            }
-            EventPayload::LoadReport => {
-                ctx.load_reports.inc();
-                for (r, &load) in ctx.run.reported.iter_mut().zip(&ctx.run.loads) {
-                    *r = load;
-                    ctx.ap_load_kbps.observe((load.as_f64() / 1_000.0) as u64);
-                }
-                ctx.sink
-                    .observe(&TraceEvent::Report {
-                        at: event.at,
-                        seq: event.seq,
-                        loads: &ctx.run.reported,
-                    })
-                    .map_err(EngineError::Sink)?;
-                Ok(())
-            }
-            EventPayload::ArrivalBatch { batch } => {
-                ctx.sink
-                    .observe(&TraceEvent::Batch {
-                        at: event.at,
-                        seq: event.seq,
-                        batch: &batch,
-                    })
-                    .map_err(EngineError::Sink)?;
-                self.place_batch(ctx, event.at, &batch)
-            }
-        }
+    fn batch(&mut self, cycle: &Cycle) -> Result<(), EngineError> {
+        self.demands += cycle.batch.len();
+        self.batches += 1;
+        self.batch_size.observe(cycle.batch.len() as u64);
+        self.observe(&TraceEvent::Batch {
+            at: cycle.head,
+            seq: cycle.batch_seq,
+            batch: &cycle.batch,
+        })
     }
 
-    fn place_batch(
-        &self,
-        ctx: &mut RunCtx<'_>,
-        now: Timestamp,
-        batch: &[SessionDemand],
-    ) -> Result<(), EngineError> {
-        ctx.batches.inc();
-        ctx.batch_size.observe(batch.len() as u64);
-        // Group the batch by controller, preserving first-appearance
-        // order; an index map replaces the old O(n²) `contains` scan. The
-        // scratch lives in the ctx (taken/restored around the loop so the
-        // trace hooks can still borrow ctx) — no per-batch allocation.
-        let mut group_of = std::mem::take(&mut ctx.group_of);
-        let mut groups = std::mem::take(&mut ctx.groups);
-        group_of.clear();
-        let mut used = 0usize;
-        for (i, d) in batch.iter().enumerate() {
-            let gi = *group_of.entry(d.controller).or_insert_with(|| {
-                if used < groups.len() {
-                    groups[used].0 = d.controller;
-                    groups[used].1.clear();
-                } else {
-                    groups.push((d.controller, Vec::new()));
-                }
-                used += 1;
-                used - 1
-            });
-            groups[gi].1.push(i);
-        }
-        for (controller, members) in &groups[..used] {
-            let aps = self.topology.aps_of_controller(*controller);
-            if aps.is_empty() {
-                ctx.rejected += members.len();
-                for &i in members {
-                    ctx.observe(&TraceEvent::Reject {
-                        at: now,
-                        user: batch[i].user,
-                    })?;
-                }
-                continue;
-            }
-            let (picks, metas) = select_group(
-                &self.topology,
-                &ctx.run,
-                &mut *ctx.selector,
-                *controller,
-                aps,
-                members.iter().map(|&i| &batch[i]),
-                &mut ctx.arrivals,
-            )?;
-            ctx.placements.add(picks.len() as u64);
-            ctx.placed += picks.len();
-            for (j, (&i, &pick)) in members.iter().zip(&picks).enumerate() {
-                let d = &batch[i];
-                let ap = aps[pick];
-                let session_idx = ctx.run.place(d, ap);
-                let m = metas[j];
-                ctx.sink
-                    .observe(&TraceEvent::Select {
-                        at: now,
-                        sid: session_idx,
-                        user: d.user,
-                        ap,
-                        clique: m.clique,
-                        degraded: m.degraded,
-                        rate: d.mean_rate(),
-                        candidates: aps,
-                    })
-                    .map_err(EngineError::Sink)?;
-                ctx.queue.push(
-                    d.depart,
-                    EventPayload::Departure {
-                        session: session_idx,
-                    },
-                );
-                if !ctx.emit_at_departure {
-                    let mut active = Active::from_demand(d, ap);
-                    ctx.scratch.push(active.close_segment(d.depart, true));
-                }
-            }
-        }
-        ctx.group_of = group_of;
-        ctx.groups = groups;
-        if !ctx.emit_at_departure && !ctx.scratch.is_empty() {
-            // Emitted per batch in `(connect, user, ap)` order; batch
-            // connect ranges are disjoint and increasing, so the streamed
-            // concatenation is globally sorted (module docs).
-            ctx.scratch.sort_by_key(|r| (r.connect, r.user, r.ap));
-            let mut scratch = std::mem::take(&mut ctx.scratch);
-            for record in scratch.drain(..) {
-                ctx.emit(record)?;
-            }
-            ctx.scratch = scratch;
-        }
-        Ok(())
-    }
-
-    /// Greedy max-to-min migration per controller: repeatedly move the
-    /// best-fitting session from the most-loaded AP to the least-loaded
-    /// one while the gap shrinks.
-    fn rebalance_round(&self, ctx: &mut RunCtx<'_>, now: Timestamp) -> Result<(), EngineError> {
-        s3_obs::global().counter(&REBALANCE_ROUNDS).inc();
-        let RunCtx {
-            run,
-            max_moves_per_round,
-            records,
-            sink,
-            ..
-        } = ctx;
-        for controller in self.topology.controllers() {
-            let aps = self.topology.aps_of_controller(controller);
-            rebalance_controller(run, aps, *max_moves_per_round, now, &mut |mv| {
-                sink.observe(&TraceEvent::Move {
-                    at: now,
-                    sid: mv.sid,
-                    user: mv.user,
-                    from: mv.from,
-                    to: mv.to,
-                })
-                .map_err(EngineError::Sink)?;
-                if let Some(record) = mv.record {
-                    sink.emit(record).map_err(EngineError::Sink)?;
-                    *records += 1;
-                }
-                Ok(())
+    fn reject(&mut self, cycle: &Cycle, group: &Group) -> Result<(), EngineError> {
+        self.rejected += group.members.len();
+        for &i in &group.members {
+            self.observe(&TraceEvent::Reject {
+                at: cycle.head,
+                user: cycle.batch[i as usize].user,
             })?;
         }
         Ok(())
     }
-}
 
-/// Pulls the next arrival batch from `source`: the head demand plus every
-/// demand arriving at or at most `window` after it (`<=` — the boundary
-/// demand joins the batch; a regression test pins the convention).
-/// `pending` carries the first demand past the deadline between calls.
-/// Shared by the unified loop and the sharded coordinator: batch
-/// boundaries are *global* — a per-shard batcher would group a
-/// controller's arrivals differently and change selector inputs — so they
-/// must come from exactly one implementation.
-pub(super) fn next_batch(
-    source: &mut dyn DemandSource,
-    pending: &mut Option<SessionDemand>,
-    window: TimeDelta,
-) -> Result<Option<Vec<SessionDemand>>, EngineError> {
-    let head = match pending.take() {
-        Some(d) => d,
-        None => match source.next_demand().map_err(EngineError::Source)? {
-            Some(d) => d,
-            None => return Ok(None),
-        },
-    };
-    let deadline = head.arrive + window;
-    let mut batch = vec![head];
-    while let Some(d) = source.next_demand().map_err(EngineError::Source)? {
-        let prev = batch.last().expect("batch starts non-empty").arrive;
-        if d.arrive < prev {
-            return Err(EngineError::Unsorted {
-                prev: prev.as_secs(),
-                next: d.arrive.as_secs(),
+    fn select(
+        &mut self,
+        head: Timestamp,
+        sid: u32,
+        d: &SessionDemand,
+        ap: ApId,
+        meta: DecisionMeta,
+        candidates: &[ApId],
+    ) -> Result<(), EngineError> {
+        self.observe(&TraceEvent::Select {
+            at: head,
+            sid,
+            user: d.user,
+            ap,
+            clique: meta.clique,
+            degraded: meta.degraded,
+            rate: d.mean_rate(),
+            candidates,
+        })?;
+        self.placed += 1;
+        self.cycle_placed += 1;
+        if !self.emit_at_departure {
+            self.staged.push(SessionRecord {
+                user: d.user,
+                ap,
+                controller: d.controller,
+                connect: d.arrive,
+                disconnect: d.depart,
+                volume_by_app: d.volume_by_app,
             });
         }
-        if d.arrive <= deadline {
-            batch.push(d);
-        } else {
-            *pending = Some(d);
-            break;
-        }
-    }
-    Ok(Some(batch))
-}
-
-/// Lazy epoch bookkeeping: rebalance ticks and load reports fire only at
-/// batch heads landing in a new `interval`-sized epoch. One implementation
-/// serves the unified loop and the sharded coordinator — the fire flags
-/// are part of the global cycle structure both paths must agree on
-/// bit-for-bit.
-pub(super) struct EpochSchedule {
-    last_report: Option<u64>,
-    last_rebalance: Option<u64>,
-}
-
-impl EpochSchedule {
-    pub fn new() -> Self {
-        EpochSchedule {
-            last_report: None,
-            last_rebalance: None,
-        }
+        Ok(())
     }
 
-    /// Whether a rebalance tick fires at this batch head.
-    pub fn tick_due(&mut self, head: Timestamp, rebalance: Option<&RebalanceConfig>) -> bool {
-        let Some(rb) = rebalance else { return false };
-        if rb.interval.is_zero() {
-            return false;
+    fn end(&mut self, cycle: &Cycle, popped: u64) -> Result<(), EngineError> {
+        let own = cycle.own_events();
+        self.peak = self.peak.max(self.depth + own);
+        self.depth = self.depth - popped as usize + self.cycle_placed;
+        self.peak = self.peak.max(self.depth);
+        self.processed += popped + own as u64;
+        self.cycle_placed = 0;
+        if self.staged.is_empty() {
+            return Ok(());
         }
-        let epoch = head.as_secs() / rb.interval.as_secs();
-        if self.last_rebalance == Some(epoch) {
-            false
-        } else {
-            self.last_rebalance = Some(epoch);
-            true
+        // Staged in group-major member order; a stable sort makes the
+        // emission order independent of how groups were split.
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.sort_by_key(|r| (r.connect, r.user, r.ap));
+        for record in staged.drain(..) {
+            self.emit(record)?;
         }
-    }
-
-    /// Whether a load report fires at this batch head (always, when the
-    /// interval is zero — the live-load oracle baseline).
-    pub fn report_due(&mut self, head: Timestamp, interval: TimeDelta) -> bool {
-        let epoch = if interval.is_zero() {
-            None
-        } else {
-            Some(head.as_secs() / interval.as_secs())
-        };
-        if epoch.is_some() && self.last_report == epoch {
-            false
-        } else {
-            self.last_report = epoch;
-            true
-        }
+        self.staged = staged;
+        Ok(())
     }
 }
 
 /// Runs the selector over one controller group: builds the arrival users
-/// (RSSI per candidate) and the zero-copy candidate views, asks the
-/// selector for one pick per user, and reads back the per-user decision
-/// metadata while the picks still correspond. Shared by the unified
-/// `place_batch` and the sharded workers — the inputs a selector sees for
-/// a group are a pure function of `(topology, run state, group demands)`,
-/// which is exactly why per-controller sharding cannot change decisions.
+/// (RSSI per candidate) and the zero-copy candidate views and asks the
+/// selector for one pick per user (its decision metadata stays readable
+/// through [`ApSelector::last_batch_meta`]). The inputs a selector sees
+/// for a group are a pure function of `(topology, run state, group
+/// demands)`, which is exactly why per-controller sharding cannot change
+/// decisions. Every AP in `aps` resolves in the topology ([`Shard::new`]
+/// checks).
 ///
 /// `arrivals` is a reusable buffer: slots (including their RSSI vectors)
 /// are overwritten in place and persist across batches, so the steady
-/// state runs without per-demand allocation — at city scale the old
-/// fresh-`Vec`-per-arrival pattern was millions of allocations.
-pub(super) fn select_group<'d>(
-    topology: &crate::topology::Topology,
+/// state runs without per-demand allocation.
+fn select_group<'d>(
+    topology: &Topology,
     run: &RunState,
     selector: &mut dyn ApSelector,
-    controller: ControllerId,
     aps: &[ApId],
     demands: impl Iterator<Item = &'d SessionDemand>,
     arrivals: &mut Vec<ArrivalUser>,
-) -> Result<(Vec<usize>, Vec<DecisionMeta>), EngineError> {
+) -> Vec<usize> {
+    let info = |ap: ApId| &topology.aps()[ap.index()];
     let mut n = 0usize;
     for d in demands {
         let pos = session_position(d.user, d.arrive);
@@ -605,65 +712,38 @@ pub(super) fn select_group<'d>(
         }
         let slot = &mut arrivals[n];
         for &ap in aps {
-            let info = topology
-                .ap(ap)
-                .ok_or(EngineError::MissingAp { ap, controller })?;
-            slot.rssi.push(rssi_at(distance(pos, info.position)));
+            slot.rssi.push(rssi_at(distance(pos, info(ap).position)));
         }
         n += 1;
     }
     let arrivals = &arrivals[..n];
-    let picks = {
-        // Zero-copy candidate views borrowing the engine's live
-        // association state — nothing is cloned per candidate.
-        let mut views: Vec<ApView<'_>> = Vec::with_capacity(aps.len());
-        for &ap in aps {
-            let info = topology
-                .ap(ap)
-                .ok_or(EngineError::MissingAp { ap, controller })?;
-            views.push(ApView::new(
+    // Zero-copy candidate views borrowing the engine's live association
+    // state — nothing is cloned per candidate.
+    let views: Vec<ApView<'_>> = aps
+        .iter()
+        .map(|&ap| {
+            ApView::new(
                 ap,
                 run.reported[ap.index()],
-                info.capacity,
+                info(ap).capacity,
                 &run.associated[ap.index()],
-            ));
-        }
-        selector.select_batch(arrivals, &views)
-    };
+            )
+        })
+        .collect();
+    let picks = selector.select_batch(arrivals, &views);
     assert_eq!(picks.len(), arrivals.len(), "one pick per user required");
     for &pick in &picks {
         assert!(pick < aps.len(), "selector pick out of range");
     }
-    let meta = selector.last_batch_meta();
-    let metas = (0..picks.len())
-        .map(|j| meta.and_then(|m| m.get(j)).copied().unwrap_or_default())
-        .collect();
-    Ok((picks, metas))
-}
-
-/// One migration performed by [`rebalance_controller`], handed to the
-/// caller's `apply` hook at the exact observe/emit point of the original
-/// loop: the session is already retargeted, its load not yet moved.
-pub(super) struct MoveOutcome {
-    /// Engine session index.
-    pub sid: u32,
-    /// The migrated user.
-    pub user: UserId,
-    /// AP the session left.
-    pub from: ApId,
-    /// AP the session joined.
-    pub to: ApId,
-    /// The closed segment on the old AP (`None` for zero-length ones).
-    pub record: Option<SessionRecord>,
+    picks
 }
 
 /// One controller's greedy max-to-min migration round: repeatedly move
 /// the best-fitting session from the most-loaded AP to the least-loaded
 /// one while the gap shrinks, at most `max_moves` times. All state
-/// mutation lives here; trace/record emission differs between the unified
-/// and sharded paths and goes through `apply`. Controllers with fewer
-/// than two APs are no-ops.
-pub(super) fn rebalance_controller(
+/// mutation lives here; each migration goes through `apply`. Controllers
+/// with fewer than two APs are no-ops.
+fn rebalance_controller(
     run: &mut RunState,
     aps: &[ApId],
     max_moves: usize,
@@ -691,7 +771,7 @@ pub(super) fn rebalance_controller(
         // The largest session on max_ap whose move still shrinks the gap
         // (rate < gap). Ascending-index iteration plus last-max-wins
         // `max_by` resolves rate ties to the most recently placed
-        // session, as the old slab scan did.
+        // session.
         let candidate = run
             .sessions()
             .filter(|(_, s)| s.ap == max_ap && s.rate.as_f64() < gap.as_f64())
@@ -717,7 +797,6 @@ pub(super) fn rebalance_controller(
         let user = active.user;
         let old = active.ap;
         active.ap = min_ap;
-        run.migrations += 1;
         apply(MoveOutcome {
             sid: idx,
             user,

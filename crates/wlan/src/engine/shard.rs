@@ -1,84 +1,52 @@
-//! Controller-domain sharding: the replay engine partitioned into
-//! shard-local event loops joined by deterministic epoch barriers.
+//! The threaded pipeline: controller-domain shards on worker threads.
 //!
 //! # Why sharding by controller is decision-preserving
 //!
 //! Every placement decision is a pure function of `(topology, shard-local
-//! run state, group demands)`: `place_batch` groups each arrival batch
-//! per controller, candidate APs never cross controllers, and the
-//! rebalancer migrates only within a controller's domain. Partitioning
-//! controllers across shards therefore cannot change any decision — only
-//! the *interleaving* of work. Three couplings remain global, and all
-//! three live on the coordinator side:
+//! run state, group demands)`: each arrival batch is grouped per
+//! controller, candidate APs never cross controllers, and the rebalancer
+//! migrates only within a controller's domain. Partitioning controllers
+//! across shards therefore cannot change any decision — only the
+//! *interleaving* of work. What remains global is computed once for all
+//! shards by the cycle former (`super::cycle`: batch boundaries, epoch
+//! events, identifiers) and emitted once for all shards by the merger,
+//! which replays each cycle's shard outputs through the emitter in the
+//! canonical order (`super::runner`): departures by `(time, seq)` across
+//! shards, moves in shard order (ascending-controller order, since the
+//! plan is contiguous), one global load report assembled from shard
+//! fragments, then the batch's groups in first-appearance order.
 //!
-//! * **batch boundaries** — batches are formed from the global arrival
-//!   stream ([`next_batch`]); a per-shard batcher would group a
-//!   controller's arrivals differently and change selector inputs;
-//! * **identifier assignment** — session indices and event-queue
-//!   sequence numbers are pure functions of the cycle structure (what
-//!   fires this cycle, which members place), so the ingest thread
-//!   computes them up front and shards schedule departures under the
-//!   exact `(time, rank, seq)` keys the unified queue would have used;
-//! * **output order** — each cycle's decisions are merged in the
-//!   canonical order of the unified drain: departures by `(time, seq)`
-//!   across shards, moves in ascending-controller order, one global load
-//!   report, then the batch's groups in first-appearance order.
+//! # Wire contract
 //!
-//! # Batched-epoch wire contract
+//! Cycles travel in **chunks** of up to [`CHUNK_CYCLES`]: one
+//! `Arc<Vec<Cycle>>` per chunk, shared read-only by every shard and the
+//! merger, so channel traffic is one send per role per chunk and demands
+//! are never copied per shard. Three message streams exist:
 //!
-//! A *cycle* (one arrival batch plus everything due at its head) is the
-//! epoch, but cycles never travel alone: the wire unit is a **chunk** of
-//! up to [`CHUNK_CYCLES`] cycles, so channel traffic is one send per
-//! shard per chunk instead of one per shard per cycle. Three message
-//! streams exist:
-//!
-//! * ingest → shard: [`ToShard::Chunk`] carrying a flat `Vec<CycleMsg>`.
-//!   Each [`CycleMsg`] shares the cycle's arrival batch as an
-//!   `Arc<Vec<SessionDemand>>` (one allocation fanned out to every
-//!   shard) and lists only the groups the shard owns, as
-//!   `Arc<GroupMsg>`s holding *member indices into the batch* — demands
-//!   are never copied per shard.
-//! * ingest → merger: [`MetaMsg::Chunk`] carrying the matching
-//!   `Vec<CycleMeta>` (same batch `Arc`, every group with its owner, the
-//!   cycle's pre-assigned sequence numbers). `MetaMsg::Finish` /
-//!   `MetaMsg::Fail` terminate the stream.
+//! * ingest → shard: [`ToShard::Chunk`], then [`ToShard::Finish`];
+//! * ingest → merger: [`MetaMsg::Chunk`] with the same chunk, then
+//!   `MetaMsg::Finish` (or `MetaMsg::Fail` with the source's error);
 //! * shard → merger: one reply per chunk, `Ok(Vec<CycleOut>)` with
-//!   exactly one entry per cycle of the chunk (or the first error).
+//!   exactly one staged output per cycle (or the first error).
 //!
-//! Within a chunk the ingest thread sends every shard's payload *before*
-//! the meta payload, and the merger consumes meta chunks in order — so
-//! whenever the merger waits on chunk `k`'s shard replies, every shard
-//! already holds chunk `k`. All channels are bounded at
-//! [`IN_FLIGHT_CHUNKS`]; backpressure bounds memory without deadlock.
+//! Within a chunk the ingest thread sends to every shard *before* the
+//! merger, and the merger consumes chunks in order — so whenever the
+//! merger waits on chunk `k`'s shard replies, every shard already holds
+//! chunk `k`. All channels are bounded at [`IN_FLIGHT_CHUNKS`];
+//! backpressure bounds memory without deadlock.
 //!
 //! # Pipeline roles
 //!
-//! Three roles run under one thread scope:
-//!
-//! 1. the **ingest thread** pulls demands, forms global cycles
-//!    ([`next_batch`] + [`EpochSchedule`]), assigns session indices and
-//!    queue sequences, groups members per controller, and fans chunks
-//!    out — overlapping source I/O and cycle formation with shard
-//!    execution;
-//! 2. **shard workers** (one per non-empty shard) drain their own
-//!    departures, run their rebalance/report share, and place their
-//!    groups;
+//! 1. the **ingest thread** forms cycles and fans chunks out —
+//!    overlapping source I/O and cycle formation with shard execution;
+//! 2. **shard workers** (one per non-empty shard) run the cycle step,
+//!    staging its output;
 //! 3. the **merger** (the calling thread — it owns the non-`Send` sink)
-//!    joins each cycle at the barrier and emits everything in unified
-//!    order.
+//!    joins each chunk at the barrier and emits.
 //!
-//! Shards beyond the controller count are structurally empty and are
-//! never spawned: the plan packs non-empty shards into a prefix, so the
-//! barrier only ever waits on shards with actual work.
-//!
-//! The result is byte-identical to the unified engine at any
-//! `--shards N × --threads M`: same records, same `s3-dtrace/1` bodies,
-//! same stable metrics. The unified queue's `events_processed` /
-//! queue-peak totals are reproduced from per-cycle counters: every push
-//! and pop of the unified drain is mirrored as a bulk add/subtract at
-//! the exact cycle boundaries, and since pushes within a cycle are
-//! monotone (no interleaved pops), bulk peak updates see the same
-//! maximum the per-event mirror did.
+//! With one non-empty shard none of this runs: the step writes straight
+//! through the emitter in the calling thread
+//! ([`SimEngine::run_in_thread`]).
 //!
 //! # Shard-invariance contract
 //!
@@ -87,27 +55,20 @@
 //! this except `RandomSelector`, which draws from one sequential RNG
 //! stream — the CLI rejects `--shards > 1` with the random policy.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 use s3_par::mailbox::{self, Receiver, Sender};
-use s3_trace::{SessionDemand, SessionRecord};
-use s3_types::{ApId, BitsPerSec, ControllerId, TimeDelta, Timestamp, UserId};
+use s3_trace::SessionDemand;
+use s3_types::{ApId, BitsPerSec, Timestamp};
 
-use super::events::{publish_queue_totals, EventPayload, EventQueue};
-use super::runner::{
-    next_batch, rebalance_controller, select_group, EpochSchedule, RunTotals, AP_LOAD_KBPS,
-    BATCHES, BATCH_SIZE, DEMANDS, DEPARTURES, LOAD_REPORTS, MIGRATIONS, PLACEMENTS,
-    REBALANCE_ROUNDS, REJECTED, RUNS, RUN_MICROS,
-};
+use super::cycle::{Cycle, CycleFormer, ShardPlan};
+use super::runner::{DepartOut, Emitter, MoveOutcome, RunTotals, Shard, StepOut};
 use super::source::{DemandSource, EngineError, RecordSink};
-use super::state::{Active, RunState};
-use super::tracing::TraceEvent;
-use super::{RebalanceConfig, SimEngine};
-use crate::selector::{ApSelector, ArrivalUser};
+use super::SimEngine;
+use crate::selector::{ApSelector, DecisionMeta};
 use crate::topology::Topology;
 
 /// Cycles carried per cross-shard chunk. Larger chunks amortize channel
@@ -122,11 +83,11 @@ const CHUNK_CYCLES: usize = 32;
 /// cycles of work sit between ingest and merge.
 const IN_FLIGHT_CHUNKS: usize = 4;
 
-// Sharded-pipeline phase metrics (documented in docs/METRICS.md). All
+// Threaded-pipeline phase metrics (documented in docs/METRICS.md). All
 // Volatile: their values depend on host timing and shard count, and the
 // stable-snapshot identity contract (`--shards 1` vs `--shards 4` byte-
-// identical) only covers Stable metrics — the unified path never records
-// these.
+// identical) only covers Stable metrics — the single-shard path never
+// records these.
 static CHUNKS: Desc = Desc {
     name: "wlan.shard.chunks",
     help: "Cross-shard chunk rounds merged at the epoch barrier",
@@ -162,68 +123,14 @@ static CHANNEL_OCCUPANCY: HistogramDesc = HistogramDesc {
     bounds: &[1, 2, 3, 4],
 };
 
-/// Assignment of controllers to shards: the ascending controller list
-/// split into contiguous, near-equal chunks (extras to low indices).
-/// Contiguity keeps the merged move stream in ascending-controller order
-/// by plain shard-order concatenation, and front-loading the extras
-/// packs every non-empty shard into a prefix — shards past the
-/// controller count are structurally empty and never spawned.
-struct ShardPlan {
-    shards: Vec<Vec<ControllerId>>,
-    owner: HashMap<ControllerId, usize>,
-}
-
-impl ShardPlan {
-    fn new(topology: &Topology, shard_count: usize) -> ShardPlan {
-        let controllers = topology.controllers();
-        let n = shard_count.max(1);
-        let mut shards = vec![Vec::new(); n];
-        let per = controllers.len() / n;
-        let extra = controllers.len() % n;
-        let mut it = controllers.into_iter();
-        for (i, shard) in shards.iter_mut().enumerate() {
-            shard.extend(it.by_ref().take(per + usize::from(i < extra)));
-        }
-        let owner = shards
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cs)| cs.iter().map(move |&c| (c, i)))
-            .collect();
-        ShardPlan { shards, owner }
-    }
-}
-
-/// One controller group of a cycle, with ingest-assigned ids: the
-/// group's sessions get consecutive indices from `first_sid` and their
-/// departure events consecutive queue sequences from `first_dep_seq`.
-/// Members are indices into the cycle's shared batch — the demands
-/// themselves travel once, inside the batch `Arc`. Shared (`Arc`)
-/// between the owner shard's [`CycleMsg`] and the merger's
-/// [`CycleMeta`].
-struct GroupMsg {
-    controller: ControllerId,
-    /// Indices into the cycle's batch, in batch order.
-    members: Vec<u32>,
-    first_sid: u32,
-    first_dep_seq: u64,
-}
-
-/// One epoch's work order for a shard. `groups` lists only the groups
-/// this shard owns; the batch is shared across all shards and the meta
-/// stream.
-struct CycleMsg {
-    head: Timestamp,
-    tick: bool,
-    report: bool,
-    batch: Arc<Vec<SessionDemand>>,
-    groups: Vec<Arc<GroupMsg>>,
-}
+/// Up to [`CHUNK_CYCLES`] consecutive cycles, shared by every role.
+type Chunk = Arc<Vec<Cycle>>;
 
 enum ToShard {
-    /// Up to [`CHUNK_CYCLES`] cycles; reply with one [`CycleOut`] each.
-    Chunk(Vec<CycleMsg>),
+    /// Step every cycle; reply with one [`CycleOut`] each.
+    Chunk(Chunk),
     /// Source exhausted: drain every remaining departure and reply with
-    /// a single-element chunk holding the final drain.
+    /// a single [`CycleOut`] holding the final drain.
     Finish,
 }
 
@@ -233,251 +140,128 @@ type ShardReply = Result<Vec<CycleOut>, EngineError>;
 
 /// Ingest → merger stream, mirroring the shard chunking one-to-one.
 enum MetaMsg {
-    Chunk(Vec<CycleMeta>),
+    Chunk(Chunk),
     /// Source exhausted; shards have been told to finish.
     Finish,
     /// The demand source failed; abort with this error.
     Fail(EngineError),
 }
 
-/// How one cycle group resolves at merge time.
-struct MetaGroup {
-    /// Owner shard, or `None` for controllers without APs — those are
-    /// unknown to every shard plan and the merger rejects the members
-    /// itself.
-    shard: Option<usize>,
-    msg: Arc<GroupMsg>,
-}
-
-/// Everything the merger must know about a cycle to emit it once every
-/// shard has reported back.
-struct CycleMeta {
-    head: Timestamp,
-    tick_seq: Option<u64>,
-    report_seq: Option<u64>,
-    batch_seq: u64,
-    batch: Arc<Vec<SessionDemand>>,
-    /// All groups in first-appearance order (placed and rejected).
-    groups: Vec<MetaGroup>,
-    /// Events the unified queue pushes for this cycle (1 for the batch,
-    /// +1 tick, +1 report) — input to the merger's queue counters.
-    cycle_events: u8,
-}
-
-/// One placement decision. Everything else the merger needs (sid, user,
-/// rate) is recomputed from the group's ids and the shared batch, so
-/// only the genuinely shard-computed fields cross the channel.
-struct SelectOut {
-    ap: ApId,
-    clique: Option<u32>,
-    degraded: bool,
-}
-
-struct DepartOut {
-    at: Timestamp,
-    seq: u64,
-    sid: u32,
-    user: UserId,
-    ap: ApId,
-    record: Option<SessionRecord>,
-}
-
-struct MoveOut {
-    sid: u32,
-    user: UserId,
-    from: ApId,
-    to: ApId,
-    record: Option<SessionRecord>,
-}
-
-/// A shard's results for one cycle, in shard-local processing order.
+/// A shard's staged output for one cycle, in step order.
 #[derive(Default)]
 struct CycleOut {
-    /// Queue events this cycle popped (including departures of sessions
-    /// already closed) — folded into the merger's processed/depth
-    /// counters once per cycle instead of mirroring every event.
+    /// Departures popped, including those of sessions already closed.
     popped: u64,
     departs: Vec<DepartOut>,
-    moves: Vec<MoveOut>,
-    /// Own APs' loads after the report refresh (when the cycle reported).
-    report: Option<Vec<(ApId, BitsPerSec)>>,
-    /// One selects-vec per owned group, in [`CycleMsg::groups`] order.
-    groups: Vec<Vec<SelectOut>>,
+    moves: Vec<MoveOutcome>,
+    /// Own APs' reported loads, when the cycle reported.
+    report: Vec<(ApId, BitsPerSec)>,
+    /// Owned groups' placements, group-major. Everything else the
+    /// emitter needs (sid, demand, candidates) follows from the cycle.
+    selects: Vec<(ApId, DecisionMeta)>,
 }
 
-/// Shard-local engine state driven by [`CycleMsg`]s. Holds full-size AP
-/// vectors (indexed by global AP id) but only ever touches its own
-/// controllers' entries; the local [`EventQueue`] holds only departures,
-/// scheduled under ingest-assigned sequence numbers.
-struct ShardWorker<'a> {
-    topology: &'a Topology,
-    /// Own controllers, ascending.
-    controllers: &'a [ControllerId],
-    max_moves: usize,
-    emit_at_departure: bool,
-    run: RunState,
-    queue: EventQueue,
-    arrivals: Vec<ArrivalUser>,
-    /// Selection wall time accumulated since the last chunk reply.
+/// [`StepOut`] that stages a shard's output per cycle for the merger.
+struct Staging {
+    own_aps: Vec<ApId>,
+    current: CycleOut,
+    outs: Vec<CycleOut>,
+    /// When the current cycle's placements started.
+    selecting: Instant,
+    /// Placement wall time accumulated since the last chunk reply.
     select_elapsed: Duration,
 }
 
-impl ShardWorker<'_> {
-    fn run_loop(
-        mut self,
-        selector: &mut (dyn ApSelector + Send),
-        rx: Receiver<ToShard>,
-        tx: Sender<ShardReply>,
-    ) {
-        let select_micros = s3_obs::global().histogram(&SELECT_MICROS);
-        while let Some(msg) = rx.recv() {
-            match msg {
-                ToShard::Chunk(cycles) => {
-                    let mut outs = Vec::with_capacity(cycles.len());
-                    for cycle in cycles {
-                        match self.run_cycle(cycle, selector) {
-                            Ok(out) => outs.push(out),
-                            Err(e) => {
-                                let _ = tx.send(Err(e));
-                                return;
-                            }
-                        }
-                    }
-                    select_micros.observe(self.select_elapsed.as_micros() as u64);
-                    self.select_elapsed = Duration::ZERO;
-                    if tx.send(Ok(outs)).is_err() {
-                        return;
-                    }
-                }
-                ToShard::Finish => {
-                    let mut departs = Vec::new();
-                    let popped = self.pop_departures(None, &mut departs);
-                    let out = CycleOut {
-                        popped,
-                        departs,
-                        ..CycleOut::default()
-                    };
-                    let _ = tx.send(Ok(vec![out]));
-                    return;
-                }
-            }
-        }
+impl Staging {
+    /// Closes the current cycle's output.
+    fn close(&mut self, popped: u64) {
+        self.current.popped = popped;
+        self.outs.push(std::mem::take(&mut self.current));
+    }
+}
+
+impl StepOut for Staging {
+    fn depart(&mut self, depart: DepartOut) -> Result<(), EngineError> {
+        self.current.departs.push(depart);
+        Ok(())
     }
 
-    /// Drains departures due at or before `due` (all of them when
-    /// `None`), in global `(time, seq)` order restricted to this shard —
-    /// which preserves the per-AP floating-point release order, since an
-    /// AP lives in exactly one shard. Returns the number of events
-    /// popped (dead sessions included — the unified loop counts those
-    /// pops too).
-    fn pop_departures(&mut self, due: Option<Timestamp>, departs: &mut Vec<DepartOut>) -> u64 {
-        let mut popped = 0;
-        loop {
-            let event = match due {
-                Some(head) => self.queue.pop_due(head),
-                None => self.queue.pop(),
-            };
-            let Some(event) = event else { break };
-            popped += 1;
-            let EventPayload::Departure { session } = event.payload else {
-                unreachable!("shard queues hold departures only");
-            };
-            let Some(mut active) = self.run.close(session) else {
-                continue;
-            };
-            let end = active.depart;
-            let record = self
-                .emit_at_departure
-                .then(|| active.close_segment(end, true));
-            self.run.release(active.ap, active.user, active.rate);
-            departs.push(DepartOut {
-                at: event.at,
-                seq: event.seq,
-                sid: session,
-                user: active.user,
-                ap: active.ap,
-                record,
-            });
-        }
-        popped
+    fn moved(&mut self, _head: Timestamp, mv: MoveOutcome) -> Result<(), EngineError> {
+        self.current.moves.push(mv);
+        Ok(())
     }
 
-    fn run_cycle(
+    fn report(
         &mut self,
-        cycle: CycleMsg,
-        selector: &mut (dyn ApSelector + Send),
-    ) -> Result<CycleOut, EngineError> {
-        // Rank order of the unified drain at one head: departures (0),
-        // rebalance tick (1), load report (2), arrival batch (3).
-        let mut departs = Vec::new();
-        let popped = self.pop_departures(Some(cycle.head), &mut departs);
-        let mut out = CycleOut {
-            popped,
-            departs,
-            ..CycleOut::default()
+        _head: Timestamp,
+        _seq: u64,
+        reported: &[BitsPerSec],
+    ) -> Result<(), EngineError> {
+        let loads = self.own_aps.iter().map(|&ap| (ap, reported[ap.index()]));
+        self.current.report.extend(loads);
+        Ok(())
+    }
+
+    fn batch(&mut self, _cycle: &Cycle) -> Result<(), EngineError> {
+        self.selecting = Instant::now();
+        Ok(())
+    }
+
+    fn select(
+        &mut self,
+        _head: Timestamp,
+        _sid: u32,
+        _demand: &SessionDemand,
+        ap: ApId,
+        meta: DecisionMeta,
+        _candidates: &[ApId],
+    ) -> Result<(), EngineError> {
+        self.current.selects.push((ap, meta));
+        Ok(())
+    }
+
+    fn end(&mut self, _cycle: &Cycle, popped: u64) -> Result<(), EngineError> {
+        self.select_elapsed += self.selecting.elapsed();
+        self.close(popped);
+        Ok(())
+    }
+}
+
+/// A shard worker: steps every cycle of every chunk, replying once per
+/// chunk, until told to finish or a peer disconnects.
+fn shard_worker(
+    mut shard: Shard<'_>,
+    selector: &mut (dyn ApSelector + Send),
+    rx: Receiver<ToShard>,
+    tx: Sender<ShardReply>,
+) {
+    let select_micros = s3_obs::global().histogram(&SELECT_MICROS);
+    let mut staging = Staging {
+        own_aps: shard.own_aps.clone(),
+        current: CycleOut::default(),
+        outs: Vec::new(),
+        selecting: Instant::now(),
+        select_elapsed: Duration::ZERO,
+    };
+    while let Some(msg) = rx.recv() {
+        let finish = matches!(msg, ToShard::Finish);
+        let stepped = match msg {
+            ToShard::Chunk(cycles) => cycles
+                .iter()
+                .try_for_each(|cycle| shard.step(cycle, &mut *selector, &mut staging))
+                .map(|()| {
+                    let micros = std::mem::take(&mut staging.select_elapsed).as_micros();
+                    select_micros.observe(micros as u64);
+                }),
+            ToShard::Finish => shard
+                .depart_due(None, &mut staging)
+                .map(|popped| staging.close(popped)),
         };
-        if cycle.tick {
-            for &controller in self.controllers {
-                let aps = self.topology.aps_of_controller(controller);
-                rebalance_controller(&mut self.run, aps, self.max_moves, cycle.head, &mut |mv| {
-                    out.moves.push(MoveOut {
-                        sid: mv.sid,
-                        user: mv.user,
-                        from: mv.from,
-                        to: mv.to,
-                        record: mv.record,
-                    });
-                    Ok(())
-                })?;
-            }
+        let failed = stepped.is_err();
+        let reply = stepped.map(|()| std::mem::take(&mut staging.outs));
+        if tx.send(reply).is_err() || failed || finish {
+            return;
         }
-        if cycle.report {
-            let mut loads = Vec::new();
-            for &controller in self.controllers {
-                for &ap in self.topology.aps_of_controller(controller) {
-                    let Some(&load) = self.run.loads.get(ap.index()) else {
-                        return Err(EngineError::MissingAp { ap, controller });
-                    };
-                    self.run.reported[ap.index()] = load;
-                    loads.push((ap, load));
-                }
-            }
-            out.report = Some(loads);
-        }
-        let started = Instant::now();
-        for group in &cycle.groups {
-            let aps = self.topology.aps_of_controller(group.controller);
-            let (picks, metas) = select_group(
-                self.topology,
-                &self.run,
-                selector,
-                group.controller,
-                aps,
-                group.members.iter().map(|&i| &cycle.batch[i as usize]),
-                &mut self.arrivals,
-            )?;
-            let mut selects = Vec::with_capacity(picks.len());
-            for (j, (&pick, &i)) in picks.iter().zip(&group.members).enumerate() {
-                let d = &cycle.batch[i as usize];
-                let sid = group.first_sid + j as u32;
-                let ap = aps[pick];
-                self.run.place_at(d, ap, sid);
-                let m = metas[j];
-                selects.push(SelectOut {
-                    ap,
-                    clique: m.clique,
-                    degraded: m.degraded,
-                });
-                self.queue.push_with_seq(
-                    d.depart,
-                    group.first_dep_seq + j as u64,
-                    EventPayload::Departure { session: sid },
-                );
-            }
-            out.groups.push(selects);
-        }
-        self.select_elapsed += started.elapsed();
-        Ok(out)
     }
 }
 
@@ -508,156 +292,51 @@ fn sweep_worker_error(from_shards: &[Receiver<ShardReply>]) -> EngineError {
     worker_died()
 }
 
-/// Sends the buffered chunk: every shard's payload first, then the meta
-/// payload — the order the deadlock-freedom argument in the module docs
-/// relies on. Returns `false` if a peer disconnected (the pipeline is
-/// unwinding; the caller just exits).
+/// Sends the buffered chunk: to every shard first, then to the merger —
+/// the order the deadlock-freedom argument in the module docs relies on.
+/// Returns `false` if a peer disconnected (the pipeline is unwinding;
+/// the caller just exits).
 fn flush_chunk(
     to_shards: &[Sender<ToShard>],
     meta_tx: &Sender<MetaMsg>,
-    shard_bufs: &mut [Vec<CycleMsg>],
-    meta_buf: &mut Vec<CycleMeta>,
+    buf: &mut Vec<Cycle>,
 ) -> bool {
-    for (tx, buf) in to_shards.iter().zip(shard_bufs.iter_mut()) {
-        let chunk = std::mem::replace(buf, Vec::with_capacity(CHUNK_CYCLES));
-        if tx.send(ToShard::Chunk(chunk)).is_err() {
+    let chunk = Arc::new(std::mem::replace(buf, Vec::with_capacity(CHUNK_CYCLES)));
+    for tx in to_shards {
+        if tx.send(ToShard::Chunk(Arc::clone(&chunk))).is_err() {
             return false;
         }
     }
-    let metas = std::mem::replace(meta_buf, Vec::with_capacity(CHUNK_CYCLES));
-    meta_tx.send(MetaMsg::Chunk(metas)).is_ok()
+    meta_tx.send(MetaMsg::Chunk(chunk)).is_ok()
 }
 
-/// The ingest role: pulls demands, forms global cycles, assigns every
-/// identifier, and fans chunks out to the shards and the merger. Runs on
-/// its own thread so source I/O and cycle formation overlap shard
-/// execution and merging.
-fn ingest_cycles(
+/// The ingest role: forms cycles and fans chunks out to the shards and
+/// the merger.
+fn ingest(
+    mut former: CycleFormer<'_>,
     source: &mut (dyn DemandSource + Send),
-    batch_window: TimeDelta,
-    report_interval: TimeDelta,
-    rebalance: Option<RebalanceConfig>,
-    plan: &ShardPlan,
     to_shards: Vec<Sender<ToShard>>,
     meta_tx: Sender<MetaMsg>,
 ) {
-    let demands_total = s3_obs::global().counter(&DEMANDS);
-    let mut epochs = EpochSchedule::new();
-    let mut pending: Option<SessionDemand> = None;
-    let mut next_seq: u64 = 0;
-    let mut next_sid: u32 = 0;
-    // Reusable per-cycle grouping scratch: controller → group index, the
-    // groups in first-appearance order (owner, controller, members), and
-    // the per-shard routed group lists.
-    let mut group_of: HashMap<ControllerId, usize> = HashMap::new();
-    let mut order: Vec<(Option<usize>, ControllerId, Vec<u32>)> = Vec::new();
-    let mut per_shard: Vec<Vec<Arc<GroupMsg>>> = to_shards.iter().map(|_| Vec::new()).collect();
-    let mut shard_bufs: Vec<Vec<CycleMsg>> = to_shards
-        .iter()
-        .map(|_| Vec::with_capacity(CHUNK_CYCLES))
-        .collect();
-    let mut meta_buf: Vec<CycleMeta> = Vec::with_capacity(CHUNK_CYCLES);
-
+    let mut buf: Vec<Cycle> = Vec::with_capacity(CHUNK_CYCLES);
     loop {
-        let batch = match next_batch(source, &mut pending, batch_window) {
-            Ok(Some(batch)) => batch,
-            Ok(None) => break,
+        let mut cycle = Cycle::default();
+        match former.next(source, &mut cycle) {
+            Ok(true) => buf.push(cycle),
+            Ok(false) => break,
             Err(e) => {
-                // Buffered cycles are discarded along with the error
-                // verdict's successors: the shards never saw them, so
-                // the pipeline stays consistent.
+                // Buffered cycles are discarded with the verdict: the
+                // shards never saw them, so the pipeline stays
+                // consistent.
                 let _ = meta_tx.send(MetaMsg::Fail(e));
                 return;
             }
-        };
-        let head = batch[0].arrive;
-        demands_total.add(batch.len() as u64);
-        let tick = epochs.tick_due(head, rebalance.as_ref());
-        let report = epochs.report_due(head, report_interval);
-        // Sequence numbers replicate the unified push order: tick,
-        // report, arrival batch, then one per placed member.
-        let mut take_seq = || {
-            let s = next_seq;
-            next_seq += 1;
-            s
-        };
-        let tick_seq = tick.then(&mut take_seq);
-        let report_seq = report.then(&mut take_seq);
-        let batch_seq = take_seq();
-        let cycle_events = 1 + u8::from(tick) + u8::from(report);
-
-        // Group by controller in first-appearance order (the same
-        // grouping `place_batch` computes). Controllers without APs are
-        // unknown to every shard plan: their groups carry no ids and the
-        // merger rejects the members.
-        group_of.clear();
-        let mut used = 0usize;
-        for (i, d) in batch.iter().enumerate() {
-            let gi = *group_of.entry(d.controller).or_insert_with(|| {
-                let shard = plan.owner.get(&d.controller).copied();
-                if used < order.len() {
-                    order[used].0 = shard;
-                    order[used].1 = d.controller;
-                    order[used].2.clear();
-                } else {
-                    order.push((shard, d.controller, Vec::new()));
-                }
-                used += 1;
-                used - 1
-            });
-            order[gi].2.push(i as u32);
         }
-        // Assign sids/departure seqs in global group-major order — the
-        // order `place_batch` admits sessions and schedules departures
-        // (rejected groups consume no ids).
-        let mut meta_groups: Vec<MetaGroup> = Vec::with_capacity(used);
-        for (shard, controller, members) in &mut order[..used] {
-            let (first_sid, first_dep_seq) = if shard.is_some() {
-                let ids = (next_sid, next_seq);
-                next_sid += members.len() as u32;
-                next_seq += members.len() as u64;
-                ids
-            } else {
-                (0, 0)
-            };
-            let msg = Arc::new(GroupMsg {
-                controller: *controller,
-                members: std::mem::take(members),
-                first_sid,
-                first_dep_seq,
-            });
-            if let Some(s) = *shard {
-                per_shard[s].push(Arc::clone(&msg));
-            }
-            meta_groups.push(MetaGroup { shard: *shard, msg });
-        }
-
-        let batch = Arc::new(batch);
-        for (s, buf) in shard_bufs.iter_mut().enumerate() {
-            buf.push(CycleMsg {
-                head,
-                tick,
-                report,
-                batch: Arc::clone(&batch),
-                groups: std::mem::take(&mut per_shard[s]),
-            });
-        }
-        meta_buf.push(CycleMeta {
-            head,
-            tick_seq,
-            report_seq,
-            batch_seq,
-            batch,
-            groups: meta_groups,
-            cycle_events,
-        });
-        if meta_buf.len() >= CHUNK_CYCLES
-            && !flush_chunk(&to_shards, &meta_tx, &mut shard_bufs, &mut meta_buf)
-        {
+        if buf.len() == CHUNK_CYCLES && !flush_chunk(&to_shards, &meta_tx, &mut buf) {
             return;
         }
     }
-    if !meta_buf.is_empty() && !flush_chunk(&to_shards, &meta_tx, &mut shard_bufs, &mut meta_buf) {
+    if !buf.is_empty() && !flush_chunk(&to_shards, &meta_tx, &mut buf) {
         return;
     }
     for tx in &to_shards {
@@ -669,90 +348,42 @@ fn ingest_cycles(
 }
 
 impl SimEngine {
-    /// The sharded replay loop: one worker thread per non-empty shard,
-    /// one ingest thread forming global cycles and assigning
-    /// identifiers, and the calling thread merging shard outputs in
-    /// canonical order. See the module docs for the determinism argument
-    /// and the wire contract.
-    pub(super) fn run_events_sharded(
+    /// The threaded pipeline: one worker thread per non-empty shard of
+    /// `plan`, one ingest thread, and the calling thread merging shard
+    /// outputs in canonical order. See the module docs for the
+    /// determinism argument and the wire contract.
+    pub(super) fn run_threaded(
         &self,
         source: &mut (dyn DemandSource + Send),
+        plan: &ShardPlan,
         selectors: &mut [Box<dyn ApSelector + Send>],
         sink: &mut dyn RecordSink,
     ) -> Result<RunTotals, EngineError> {
-        assert!(
-            !selectors.is_empty(),
-            "sharded run needs at least one selector"
-        );
-        let registry = s3_obs::global();
-        let _span = registry.timer(&RUN_MICROS);
-        registry.counter(&RUNS).inc();
-        let plan = ShardPlan::new(&self.topology, selectors.len());
-        // Non-empty shards form a prefix of the plan; empty ones would
-        // only add barrier traffic for structurally empty replies.
-        let active = plan.shards.iter().take_while(|s| !s.is_empty()).count();
-        let rebalance = self.config.rebalance.clone();
-        let max_moves = rebalance.as_ref().map_or(0, |rb| rb.max_moves_per_round);
-        let emit_at_departure = rebalance.is_some();
-        let batch_window = self.config.batch_window;
-        let report_interval = self.config.load_report_interval;
-
+        let shards = (0..plan.active())
+            .map(|i| Shard::new(&self.topology, &self.config, i, &plan.shards[i]))
+            .collect::<Result<Vec<_>, _>>()?;
+        let emitter = Emitter::new(sink, &self.config);
         std::thread::scope(|scope| {
-            let mut to_shards: Vec<Sender<ToShard>> = Vec::with_capacity(active);
-            let mut from_shards: Vec<Receiver<ShardReply>> = Vec::with_capacity(active);
-            for (i, selector) in selectors.iter_mut().take(active).enumerate() {
+            let mut to_shards: Vec<Sender<ToShard>> = Vec::with_capacity(shards.len());
+            let mut from_shards: Vec<Receiver<ShardReply>> = Vec::with_capacity(shards.len());
+            for (shard, selector) in shards.into_iter().zip(selectors.iter_mut()) {
                 let (to_tx, to_rx) = mailbox::bounded(IN_FLIGHT_CHUNKS);
                 let (out_tx, out_rx) = mailbox::bounded(IN_FLIGHT_CHUNKS);
-                let worker = ShardWorker {
-                    topology: &self.topology,
-                    controllers: &plan.shards[i],
-                    max_moves,
-                    emit_at_departure,
-                    run: RunState::new(self.topology.ap_count()),
-                    queue: EventQueue::new(),
-                    arrivals: Vec::new(),
-                    select_elapsed: Duration::ZERO,
-                };
-                let sel: &mut (dyn ApSelector + Send) = &mut **selector;
-                scope.spawn(move || worker.run_loop(sel, to_rx, out_tx));
+                let selector: &mut (dyn ApSelector + Send) = &mut **selector;
+                scope.spawn(move || shard_worker(shard, selector, to_rx, out_tx));
                 to_shards.push(to_tx);
                 from_shards.push(out_rx);
             }
             let (meta_tx, meta_rx) = mailbox::bounded(IN_FLIGHT_CHUNKS);
-            let plan_ref = &plan;
-            scope.spawn(move || {
-                ingest_cycles(
-                    source,
-                    batch_window,
-                    report_interval,
-                    rebalance,
-                    plan_ref,
-                    to_shards,
-                    meta_tx,
-                );
-            });
-            let mut merger = Merger {
+            let former = CycleFormer::new(&self.config, plan);
+            scope.spawn(move || ingest(former, source, to_shards, meta_tx));
+            let registry = s3_obs::global();
+            let merger = Merger {
                 topology: &self.topology,
-                sink,
-                emit_at_departure,
+                emitter,
                 reported: vec![BitsPerSec::ZERO; self.topology.ap_count()],
-                depth: 0,
-                peak: 0,
-                processed: 0,
                 dep_pos: Vec::new(),
-                group_cursor: Vec::new(),
-                record_buf: Vec::new(),
-                placed: 0,
-                rejected: 0,
-                departed: 0,
-                migrations: 0,
-                records: 0,
-                batches: registry.counter(&BATCHES),
-                batch_size: registry.histogram(&BATCH_SIZE),
-                placements: registry.counter(&PLACEMENTS),
-                departures: registry.counter(&DEPARTURES),
-                load_reports: registry.counter(&LOAD_REPORTS),
-                ap_load_kbps: registry.histogram(&AP_LOAD_KBPS),
+                sel_pos: Vec::new(),
                 chunks: registry.counter(&CHUNKS),
                 barrier_wait: registry.histogram(&BARRIER_WAIT_MICROS),
                 merge_micros: registry.histogram(&MERGE_MICROS),
@@ -763,39 +394,17 @@ impl SimEngine {
     }
 }
 
-/// Merger-side emission state: joins each chunk at the barrier, merges
-/// every cycle's shard outputs in the canonical order of the unified
-/// drain, and owns every sink call — so trace bodies and record streams
-/// are byte-identical to the unified engine's.
-struct Merger<'a, 't> {
+/// Joins each chunk at the barrier and replays every cycle's shard
+/// outputs through the emitter in canonical order.
+struct Merger<'s, 't> {
     topology: &'t Topology,
-    sink: &'a mut dyn RecordSink,
-    emit_at_departure: bool,
-    /// The global reported-load vector (what the unified engine keeps in
-    /// `RunState::reported`), assembled from shard fragments.
+    emitter: Emitter<'s>,
+    /// The global reported-load vector, assembled from shard fragments.
     reported: Vec<BitsPerSec>,
-    /// Unified-queue counters, reduced from per-cycle pop counts (the
-    /// old per-event heap mirror, folded into three integers).
-    depth: usize,
-    peak: usize,
-    processed: u64,
     /// Reusable k-way departure-merge cursors, one per shard.
     dep_pos: Vec<usize>,
-    /// Reusable per-shard group cursors for the group walk.
-    group_cursor: Vec<usize>,
-    /// Reusable placement-mode record staging (per cycle).
-    record_buf: Vec<SessionRecord>,
-    placed: usize,
-    rejected: usize,
-    departed: usize,
-    migrations: usize,
-    records: usize,
-    batches: s3_obs::Counter,
-    batch_size: s3_obs::Histogram,
-    placements: s3_obs::Counter,
-    departures: s3_obs::Counter,
-    load_reports: s3_obs::Counter,
-    ap_load_kbps: s3_obs::Histogram,
+    /// Reusable per-shard cursors into the staged placements.
+    sel_pos: Vec<usize>,
     chunks: s3_obs::Counter,
     barrier_wait: s3_obs::Histogram,
     merge_micros: s3_obs::Histogram,
@@ -803,20 +412,10 @@ struct Merger<'a, 't> {
 }
 
 impl Merger<'_, '_> {
-    fn emit(&mut self, record: SessionRecord) -> Result<(), EngineError> {
-        self.sink.emit(record).map_err(EngineError::Sink)?;
-        self.records += 1;
-        Ok(())
-    }
-
-    fn observe(&mut self, event: &TraceEvent<'_>) -> Result<(), EngineError> {
-        self.sink.observe(event).map_err(EngineError::Sink)
-    }
-
     /// The merge loop: consumes the meta stream in order, joining each
     /// chunk's shard replies at the barrier.
     fn run(
-        &mut self,
+        mut self,
         meta_rx: &Receiver<MetaMsg>,
         from_shards: &[Receiver<ShardReply>],
     ) -> Result<RunTotals, EngineError> {
@@ -827,49 +426,42 @@ impl Merger<'_, '_> {
                 // a shard failed, so a worker holds the real error.
                 return Err(sweep_worker_error(from_shards));
             };
-            match msg {
-                MetaMsg::Chunk(metas) => {
-                    self.chunks.inc();
-                    outs.clear();
-                    let waited = Instant::now();
-                    for rx in from_shards {
-                        self.channel_occupancy.observe(rx.len() as u64);
-                        outs.push(recv_reply(rx)?);
-                    }
-                    self.barrier_wait
-                        .observe(waited.elapsed().as_micros() as u64);
-                    let merging = Instant::now();
-                    for (c, meta) in metas.iter().enumerate() {
-                        self.merge_cycle(meta, &mut outs, c)?;
-                    }
-                    self.merge_micros
-                        .observe(merging.elapsed().as_micros() as u64);
-                }
-                MetaMsg::Finish => {
-                    // Final drain: every shard closes its remaining
-                    // sessions; the merged departures complete the log.
-                    outs.clear();
-                    for rx in from_shards {
-                        outs.push(recv_reply(rx)?);
-                    }
-                    let popped: u64 = outs
-                        .iter()
-                        .map(|o| o.first().map_or(0, |out| out.popped))
-                        .sum();
-                    self.merge_departures_at(&mut outs, 0)?;
-                    self.processed += popped;
-                    return self.finish();
-                }
+            let cycles = match msg {
+                MetaMsg::Chunk(cycles) => cycles,
+                MetaMsg::Finish => break,
                 MetaMsg::Fail(e) => return Err(e),
+            };
+            self.chunks.inc();
+            outs.clear();
+            let waited = Instant::now();
+            for rx in from_shards {
+                self.channel_occupancy.observe(rx.len() as u64);
+                outs.push(recv_reply(rx)?);
             }
+            self.barrier_wait
+                .observe(waited.elapsed().as_micros() as u64);
+            let merging = Instant::now();
+            for (c, cycle) in cycles.iter().enumerate() {
+                self.merge_cycle(cycle, &mut outs, c)?;
+            }
+            self.merge_micros
+                .observe(merging.elapsed().as_micros() as u64);
         }
+        // Final drain: every shard closes its remaining sessions; the
+        // merged departures complete the log.
+        outs.clear();
+        for rx in from_shards {
+            outs.push(recv_reply(rx)?);
+        }
+        self.merge_departures(&mut outs, 0)?;
+        let popped = outs.iter().map(|shard| shard[0].popped).sum();
+        self.emitter.finish(popped)
     }
 
     /// Merges cycle `c`'s departures across shards in global
-    /// `(time, seq)` order. Each shard's departs are already sorted by
-    /// that key (queue pop order), so an allocation-free k-way cursor
-    /// min reproduces the old collect-and-sort exactly.
-    fn merge_departures_at(
+    /// `(time, seq)` order. Each shard's departures are already sorted
+    /// by that key (queue pop order), so a k-way cursor min suffices.
+    fn merge_departures(
         &mut self,
         outs: &mut [Vec<CycleOut>],
         c: usize,
@@ -877,189 +469,71 @@ impl Merger<'_, '_> {
         self.dep_pos.clear();
         self.dep_pos.resize(outs.len(), 0);
         loop {
-            let mut best: Option<((u64, u64), usize)> = None;
+            let mut best: Option<((Timestamp, u64), usize)> = None;
             for (s, shard) in outs.iter().enumerate() {
                 if let Some(d) = shard[c].departs.get(self.dep_pos[s]) {
-                    let key = (d.at.as_secs(), d.seq);
+                    let key = (d.at, d.seq);
                     if best.is_none_or(|(k, _)| key < k) {
                         best = Some((key, s));
                     }
                 }
             }
             let Some((_, s)) = best else { break };
-            let pos = self.dep_pos[s];
+            let d = &mut outs[s][c].departs[self.dep_pos[s]];
             self.dep_pos[s] += 1;
-            let d = &mut outs[s][c].departs[pos];
-            let (at, seq, sid, user, ap) = (d.at, d.seq, d.sid, d.user, d.ap);
-            let record = d.record.take();
-            self.departures.inc();
-            self.departed += 1;
-            self.observe(&TraceEvent::Depart {
-                at,
-                seq,
-                sid,
-                user,
-                ap,
-            })?;
-            if let Some(record) = record {
-                self.emit(record)?;
-            }
+            let depart = DepartOut {
+                record: d.record.take(),
+                ..*d
+            };
+            self.emitter.depart(depart)?;
         }
         Ok(())
     }
 
     fn merge_cycle(
         &mut self,
-        meta: &CycleMeta,
+        cycle: &Cycle,
         outs: &mut [Vec<CycleOut>],
         c: usize,
     ) -> Result<(), EngineError> {
-        // Queue counters, mirroring the unified push/pop order: the
-        // cycle's events push (monotone — peak after the bulk add sees
-        // the same maximum), then the drain pops everything due plus the
-        // cycle events themselves.
-        let cycle_events = meta.cycle_events as usize;
-        self.depth += cycle_events;
-        self.peak = self.peak.max(self.depth);
-        let popped: u64 = outs.iter().map(|shard| shard[c].popped).sum();
-        self.depth -= popped as usize + cycle_events;
-        self.processed += popped + cycle_events as u64;
-        // 1. Departures due at this head, merged across shards.
-        self.merge_departures_at(outs, c)?;
-        // 2. The rebalance tick; moves concatenate in shard order, which
-        //    is ascending-controller order (the plan is contiguous).
-        if let Some(seq) = meta.tick_seq {
-            s3_obs::global().counter(&REBALANCE_ROUNDS).inc();
-            self.observe(&TraceEvent::Tick { at: meta.head, seq })?;
+        let head = cycle.head;
+        self.merge_departures(outs, c)?;
+        if let Some(seq) = cycle.tick_seq {
+            self.emitter.tick(head, seq)?;
             for shard in outs.iter_mut() {
-                for mv in std::mem::take(&mut shard[c].moves) {
-                    self.migrations += 1;
-                    self.observe(&TraceEvent::Move {
-                        at: meta.head,
-                        sid: mv.sid,
-                        user: mv.user,
-                        from: mv.from,
-                        to: mv.to,
-                    })?;
-                    if let Some(record) = mv.record {
-                        self.emit(record)?;
-                    }
+                for mv in shard[c].moves.drain(..) {
+                    self.emitter.moved(head, mv)?;
                 }
             }
         }
-        // 3. One global load report assembled from shard fragments; the
-        //    histogram samples every AP in index order, as the unified
-        //    refresh loop does.
-        if let Some(seq) = meta.report_seq {
-            self.load_reports.inc();
-            for shard in outs.iter_mut() {
-                for (ap, load) in shard[c].report.take().unwrap_or_default() {
+        if let Some(seq) = cycle.report_seq {
+            for shard in outs.iter() {
+                for &(ap, load) in &shard[c].report {
                     self.reported[ap.index()] = load;
                 }
             }
-            for load in &self.reported {
-                self.ap_load_kbps.observe((load.as_f64() / 1_000.0) as u64);
-            }
-            let event = TraceEvent::Report {
-                at: meta.head,
-                seq,
-                loads: &self.reported,
+            self.emitter.report(head, seq, &self.reported)?;
+        }
+        self.emitter.batch(cycle)?;
+        self.sel_pos.clear();
+        self.sel_pos.resize(outs.len(), 0);
+        for group in cycle.groups() {
+            let Some(s) = group.shard else {
+                self.emitter.reject(cycle, group)?;
+                continue;
             };
-            self.sink.observe(&event).map_err(EngineError::Sink)?;
-        }
-        // 4. The batch and its groups in first-appearance order.
-        self.observe(&TraceEvent::Batch {
-            at: meta.head,
-            seq: meta.batch_seq,
-            batch: &meta.batch,
-        })?;
-        self.batches.inc();
-        self.batch_size.observe(meta.batch.len() as u64);
-        self.group_cursor.clear();
-        self.group_cursor.resize(outs.len(), 0);
-        for group in &meta.groups {
-            let msg = &group.msg;
-            match group.shard {
-                None => {
-                    self.rejected += msg.members.len();
-                    for &i in &msg.members {
-                        self.observe(&TraceEvent::Reject {
-                            at: meta.head,
-                            user: meta.batch[i as usize].user,
-                        })?;
-                    }
-                }
-                Some(s) => {
-                    let gi = self.group_cursor[s];
-                    self.group_cursor[s] += 1;
-                    let selects = &outs[s][c].groups[gi];
-                    // Placed departures push onto the unified queue here.
-                    self.depth += selects.len();
-                    self.peak = self.peak.max(self.depth);
-                    let candidates = self.topology.aps_of_controller(msg.controller);
-                    self.placements.add(selects.len() as u64);
-                    self.placed += selects.len();
-                    for (j, sel) in selects.iter().enumerate() {
-                        let d = &meta.batch[msg.members[j] as usize];
-                        self.sink
-                            .observe(&TraceEvent::Select {
-                                at: meta.head,
-                                sid: msg.first_sid + j as u32,
-                                user: d.user,
-                                ap: sel.ap,
-                                clique: sel.clique,
-                                degraded: sel.degraded,
-                                rate: d.mean_rate(),
-                                candidates,
-                            })
-                            .map_err(EngineError::Sink)?;
-                        if !self.emit_at_departure {
-                            // Placement-mode records are fully determined
-                            // here — staged in group-major member order,
-                            // exactly the unified scratch order.
-                            let mut active = Active::from_demand(d, sel.ap);
-                            self.record_buf.push(active.close_segment(d.depart, true));
-                        }
-                    }
-                }
+            let n = group.members.len();
+            let selects = &outs[s][c].selects[self.sel_pos[s]..][..n];
+            self.sel_pos[s] += n;
+            let candidates = self.topology.aps_of_controller(group.controller);
+            for (j, (&i, &(ap, meta))) in group.members.iter().zip(selects).enumerate() {
+                let sid = group.first_sid + j as u32;
+                let demand = &cycle.batch[i as usize];
+                self.emitter
+                    .select(head, sid, demand, ap, meta, candidates)?;
             }
         }
-        // 5. Placement-mode records, batch-sorted by `(connect, user,
-        //    ap)` like the unified scratch emit (stable sort over the
-        //    same staging order ⇒ identical output).
-        if !self.emit_at_departure && !self.record_buf.is_empty() {
-            let mut records = std::mem::take(&mut self.record_buf);
-            records.sort_by_key(|r| (r.connect, r.user, r.ap));
-            for record in records.drain(..) {
-                self.emit(record)?;
-            }
-            self.record_buf = records;
-        }
-        Ok(())
-    }
-
-    /// Emits the end-of-run trace record and publishes the run counters
-    /// (all metrics live on the merger; shards publish only their
-    /// volatile phase timers). Active sessions at end-of-trace are
-    /// exactly `placed − departed`: sessions close only at departure,
-    /// and migration never closes one.
-    fn finish(&mut self) -> Result<RunTotals, EngineError> {
-        let end = TraceEvent::End {
-            placed: self.placed as u64,
-            rejected: self.rejected as u64,
-            departed: self.departed as u64,
-            active: (self.placed - self.departed) as u64,
-        };
-        self.observe(&end)?;
-        publish_queue_totals(self.processed, self.peak);
-        let registry = s3_obs::global();
-        registry.counter(&REJECTED).add(self.rejected as u64);
-        registry.counter(&MIGRATIONS).add(self.migrations as u64);
-        Ok(RunTotals {
-            placed: self.placed,
-            rejected: self.rejected,
-            migrations: self.migrations,
-            records: self.records,
-        })
+        let popped = outs.iter().map(|shard| shard[c].popped).sum();
+        self.emitter.end(cycle, popped)
     }
 }

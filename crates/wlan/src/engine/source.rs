@@ -15,6 +15,8 @@ use s3_trace::csv::CsvError;
 use s3_trace::{SessionDemand, SessionRecord};
 use s3_types::{ApId, ControllerId};
 
+use super::{RunTotals, SimResult};
+
 /// Errors from an event-driven engine run over a fallible source/sink.
 #[derive(Debug)]
 pub enum EngineError {
@@ -55,6 +57,9 @@ pub enum EngineError {
         /// The stale session index.
         session: u32,
     },
+    /// [`crate::SimEngine::run_shards`] was handed no selector: every
+    /// run needs at least one (one per shard).
+    NoSelectors,
 }
 
 impl std::fmt::Display for EngineError {
@@ -85,6 +90,10 @@ impl std::fmt::Display for EngineError {
                 "rebalance candidate session {session} is not live \
                  (engine-state invariant violated)"
             ),
+            EngineError::NoSelectors => write!(
+                f,
+                "no selector to run: a replay needs one selector per shard"
+            ),
         }
     }
 }
@@ -112,12 +121,6 @@ pub trait DemandSource {
     /// Propagates the underlying reader's failure; the engine aborts the
     /// run and surfaces it as [`EngineError::Source`].
     fn next_demand(&mut self) -> Result<Option<SessionDemand>, CsvError>;
-
-    /// Total demand count, when known up front (lets collecting sinks
-    /// pre-allocate).
-    fn len_hint(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// [`DemandSource`] over an in-memory, already-sorted slice.
@@ -139,10 +142,6 @@ impl DemandSource for SliceSource<'_> {
         let next = self.demands.get(self.pos).cloned();
         self.pos += next.is_some() as usize;
         Ok(next)
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.demands.len())
     }
 }
 
@@ -219,6 +218,19 @@ impl CollectSink {
             records: Vec::with_capacity(capacity),
         }
     }
+
+    /// The collected run as a [`SimResult`], records sorted by
+    /// `(connect, user, ap)`: migrations close segments out of connect
+    /// order, and downstream consumers expect a stable order.
+    pub fn into_result(self, totals: RunTotals) -> SimResult {
+        let mut records = self.records;
+        records.sort_by_key(|r| (r.connect, r.user, r.ap));
+        SimResult {
+            records,
+            rejected: totals.rejected,
+            migrations: totals.migrations,
+        }
+    }
 }
 
 impl RecordSink for CollectSink {
@@ -248,7 +260,6 @@ mod tests {
     fn slice_source_yields_in_order_then_none() {
         let demands = vec![demand(1, 10), demand(2, 20)];
         let mut source = SliceSource::new(&demands);
-        assert_eq!(source.len_hint(), Some(2));
         assert_eq!(source.next_demand().unwrap().unwrap().user, UserId::new(1));
         assert_eq!(source.next_demand().unwrap().unwrap().user, UserId::new(2));
         assert!(source.next_demand().unwrap().is_none());
@@ -267,6 +278,5 @@ mod tests {
         let mut source = StreamSource::new(rows.into_iter());
         assert!(source.next_demand().unwrap().is_some());
         assert!(source.next_demand().is_err());
-        assert_eq!(source.len_hint(), None);
     }
 }

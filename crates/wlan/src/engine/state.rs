@@ -101,9 +101,6 @@ pub(crate) struct RunState {
     pub reported: Vec<BitsPerSec>,
     /// Live sessions keyed by placement index.
     sessions: BTreeMap<u32, Active>,
-    next_session: u32,
-    /// Mid-session migrations performed so far.
-    pub migrations: usize,
 }
 
 impl RunState {
@@ -113,8 +110,6 @@ impl RunState {
             associated: vec![Vec::new(); ap_count],
             reported: vec![BitsPerSec::ZERO; ap_count],
             sessions: BTreeMap::new(),
-            next_session: 0,
-            migrations: 0,
         }
     }
 
@@ -134,18 +129,10 @@ impl RunState {
         self.sessions.iter().map(|(&idx, s)| (idx, s))
     }
 
-    /// Applies a placement: adds load and association, admits the session.
-    pub fn place(&mut self, demand: &SessionDemand, ap: ApId) -> u32 {
-        let idx = self.next_session;
-        self.next_session += 1;
-        self.place_at(demand, ap, idx);
-        idx
-    }
-
-    /// [`RunState::place`] with an externally assigned session index. The
-    /// sharded engine's coordinator numbers sessions globally (indices are
-    /// a pure function of the cycle structure), so shard-local state must
-    /// admit under the coordinator's index, not a local counter.
+    /// Applies a placement: adds load and association, admits the session
+    /// under index `idx`. The cycle former numbers sessions globally
+    /// (indices are a pure function of the cycle structure), so every
+    /// shard admits under the same index at any shard count.
     pub fn place_at(&mut self, demand: &SessionDemand, ap: ApId, idx: u32) {
         let rate = demand.mean_rate();
         self.loads[ap.index()] += rate;
@@ -182,16 +169,13 @@ mod tests {
     }
 
     #[test]
-    fn session_indices_are_monotone_and_stable_after_close() {
+    fn sessions_close_once_and_iterate_in_index_order() {
         let mut run = RunState::new(2);
-        let a = run.place(&demand(1, 0, 100), ApId::new(0));
-        let b = run.place(&demand(2, 0, 100), ApId::new(1));
-        assert_eq!((a, b), (0, 1));
-        assert!(run.close(a).is_some());
-        assert!(run.close(a).is_none(), "sessions close exactly once");
-        // Indices never recycle: the slab grows monotonically.
-        let c = run.place(&demand(3, 10, 100), ApId::new(0));
-        assert_eq!(c, 2);
+        run.place_at(&demand(1, 0, 100), ApId::new(0), 0);
+        run.place_at(&demand(2, 0, 100), ApId::new(1), 1);
+        assert!(run.close(0).is_some());
+        assert!(run.close(0).is_none(), "sessions close exactly once");
+        run.place_at(&demand(3, 10, 100), ApId::new(0), 2);
         let order: Vec<u32> = run.sessions().map(|(idx, _)| idx).collect();
         assert_eq!(order, vec![1, 2], "iteration is ascending placement order");
     }
@@ -200,10 +184,10 @@ mod tests {
     fn place_and_release_are_inverse_on_load_and_association() {
         let mut run = RunState::new(1);
         let d = demand(7, 0, 1_000);
-        let idx = run.place(&d, ApId::new(0));
+        run.place_at(&d, ApId::new(0), 0);
         assert_eq!(run.associated[0], vec![UserId::new(7)]);
         assert!(run.loads[0].as_f64() > 0.0);
-        let active = run.close(idx).unwrap();
+        let active = run.close(0).unwrap();
         run.release(active.ap, active.user, active.rate);
         assert!(run.associated[0].is_empty());
         assert_eq!(run.loads[0], BitsPerSec::ZERO);

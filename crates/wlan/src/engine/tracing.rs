@@ -9,10 +9,11 @@
 //!   allocated on their behalf.
 //! * [`TraceSink`] — a [`RecordSink`] that discards session records and
 //!   serializes every observed decision to a
-//!   [`s3_trace::decision_log::DecisionLogWriter`]. Because the engine is
-//!   sequential within a run (worker threads only parallelize training,
-//!   which is itself deterministic), the emitted log is byte-identical at
-//!   any thread count.
+//!   [`s3_trace::decision_log::DecisionLogWriter`]. The engine hands the
+//!   sink every decision in one canonical order at any shard count (worker
+//!   threads only parallelize training and shard steps, never the order of
+//!   emission), so the emitted log is byte-identical at any thread or
+//!   shard count.
 //! * [`check_log`] — the invariant checker behind `s3wlan check-trace`:
 //!   a sequential replay of a log against the paper's steadiness
 //!   guarantees (event ordering, capacity, no hidden migrations,
@@ -819,7 +820,7 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, SimEngine, SliceSource};
-    use crate::selector::LeastLoadedFirst;
+    use crate::selector::{ApSelector, LeastLoadedFirst};
     use s3_trace::decision_log::config_hash;
     use s3_trace::generator::{CampusConfig, CampusGenerator};
     use std::io::BufReader;
@@ -838,8 +839,9 @@ mod tests {
         );
         let mut sink = TraceSink::new(Vec::new(), &header).unwrap();
         let mut source = SliceSource::new(&campus.demands);
+        let mut selectors: [Box<dyn ApSelector + Send>; 1] = [Box::new(LeastLoadedFirst::new())];
         engine
-            .run_traced(&mut source, &mut LeastLoadedFirst::new(), &mut sink)
+            .run_shards(&mut source, &mut selectors, &mut sink)
             .unwrap();
         sink.finish().unwrap()
     }

@@ -19,9 +19,10 @@
 //! * [`StrategyRegistry`] — the pluggable name → factory + capability-flag
 //!   registry every consumer (CLI, benches, sharded runs) dispatches
 //!   through (see `docs/STRATEGIES.md`);
-//! * [`SimEngine`] — the event-driven replay core: a unified time-ordered
-//!   event queue (arrival batches, departures, load-report epochs,
-//!   rebalance ticks), pluggable [`engine::DemandSource`]s (in-memory
+//! * [`SimEngine`] — the event-driven replay core: one loop over arrival
+//!   cycles (departures, rebalance ticks, load-report epochs, arrival
+//!   batches) at any controller-domain shard count, pluggable
+//!   [`engine::DemandSource`]s (in-memory
 //!   slice or a streaming reader for traces larger than RAM) and
 //!   [`engine::RecordSink`]s, with policies reading live AP state through
 //!   borrowed zero-copy [`selector::ApView`]s;

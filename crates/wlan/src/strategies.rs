@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn contender_strategies_are_shard_invariant() {
-        use crate::engine::{SimConfig, SimEngine, SliceSource};
+        use crate::engine::{CollectSink, SimConfig, SimEngine, SliceSource};
         use crate::strategy::{
             register_baselines, register_contenders, BuildContext, StrategyRegistry,
         };
@@ -434,13 +434,19 @@ mod tests {
         register_baselines(&mut reg);
         register_contenders(&mut reg);
         for name in ["flow-lb", "mab", "workload"] {
-            let mut unified = reg.build(name, &BuildContext::new(7, 0)).unwrap();
-            let base = engine.run(&campus.demands, unified.as_mut());
+            let mut single = reg.build(name, &BuildContext::new(7, 0)).unwrap();
+            let base = engine.run(&campus.demands, single.as_mut());
             for shards in [2, 3] {
                 let mut selectors = reg.build_shards(name, shards, 7, 0, None).unwrap();
-                let sharded = engine
-                    .run_sharded_source(&mut SliceSource::new(&campus.demands), &mut selectors)
+                let mut sink = CollectSink::default();
+                let totals = engine
+                    .run_shards(
+                        &mut SliceSource::new(&campus.demands),
+                        &mut selectors,
+                        &mut sink,
+                    )
                     .unwrap();
+                let sharded = sink.into_result(totals);
                 assert_eq!(
                     base.records, sharded.records,
                     "{name} must be byte-identical at {shards} shards"

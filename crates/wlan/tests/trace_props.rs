@@ -18,7 +18,11 @@ use s3_wlan::{RebalanceConfig, SimConfig, SimEngine, Topology};
 
 /// Replays `demands` under `selector`, recording a decision log, and
 /// returns the log text.
-fn traced(demands: &[SessionDemand], selector: &mut dyn ApSelector, rebalance: bool) -> String {
+fn traced(
+    demands: &[SessionDemand],
+    selector: Box<dyn ApSelector + Send>,
+    rebalance: bool,
+) -> String {
     let config = CampusConfig {
         buildings: 2,
         aps_per_building: 3,
@@ -39,7 +43,9 @@ fn traced(demands: &[SessionDemand], selector: &mut dyn ApSelector, rebalance: b
     );
     let mut sink = TraceSink::new(Vec::new(), &header).unwrap();
     let mut source = SliceSource::new(demands);
-    engine.run_traced(&mut source, selector, &mut sink).unwrap();
+    engine
+        .run_shards(&mut source, &mut [selector], &mut sink)
+        .unwrap();
     String::from_utf8(sink.finish().unwrap()).unwrap()
 }
 
@@ -92,13 +98,13 @@ proptest! {
     /// invariant violations — with and without the rebalancer.
     #[test]
     fn clean_runs_always_pass(demands in arbitrary_demands(), policy in 0usize..4, rebalance in 0usize..2) {
-        let mut selector: Box<dyn ApSelector> = match policy {
+        let selector: Box<dyn ApSelector + Send> = match policy {
             0 => Box::new(LeastLoadedFirst::new()),
             1 => Box::new(LeastUsers::new()),
             2 => Box::new(StrongestRssi::new()),
             _ => Box::new(RandomSelector::new(5)),
         };
-        let log = traced(&demands, selector.as_mut(), rebalance == 1);
+        let log = traced(&demands, selector, rebalance == 1);
         let violations = check(&log);
         prop_assert!(violations.is_empty(), "clean run flagged: {violations:?}");
     }
@@ -108,7 +114,7 @@ proptest! {
 /// mutation test below. Large enough to contain each record kind.
 fn seeded_log() -> String {
     let campus = CampusGenerator::new(CampusConfig::tiny(), 17).generate();
-    traced(&campus.demands, &mut LeastLoadedFirst::new(), true)
+    traced(&campus.demands, Box::new(LeastLoadedFirst::new()), true)
 }
 
 /// 1-based line number of the first line matching `pred`.
