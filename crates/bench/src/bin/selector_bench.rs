@@ -1,5 +1,6 @@
 //! Machine-readable selector micro-benchmark: hashed vs compiled δ-probes,
-//! slot-cost scans, and end-to-end `select_batch` throughput.
+//! slot-cost scans, the distribution search for a beam-sized and an
+//! enumerated clique, and end-to-end `select_batch` throughput.
 //!
 //! Criterion (`benches/delta_lookup.rs`) is the statistically careful
 //! interactive view; this binary is the CI-friendly one — it runs the same
@@ -22,7 +23,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use s3_bench::Scenario;
-use s3_core::batch::build_social_graph;
+use s3_core::batch::{assign_clique, build_social_graph, ApSlot};
 use s3_core::{CompiledModel, S3Config, SocialModel};
 use s3_graph::clique::{reference, CliqueBudget, CliqueWorkspace};
 use s3_graph::partition::clique_partition_in;
@@ -39,6 +40,17 @@ const PROBE: usize = 64;
 const MEMBERS: usize = 64;
 /// Arrival-burst size for the batch benchmark.
 const BATCH: usize = 24;
+/// Slots (APs) of the distribution-search cases: one controller.
+const SEARCH_SLOTS: usize = 8;
+/// Residents per slot in the distribution-search cases.
+const SEARCH_RESIDENTS: usize = 12;
+/// Beam-sized clique: 8¹² distributions exceed the default
+/// `enumeration_limit`, so the search runs the beam, 12 levels deep. The
+/// punctual-class (`burst`) replay's beam searches average 2 335
+/// expansions, this one's 2 377.
+const BEAM_CLIQUE: usize = 12;
+/// Enumerated clique: 8⁴ = 4 096 distributions, each scored.
+const ENUM_CLIQUE: usize = 4;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -201,6 +213,43 @@ fn main() {
         clique_partition_in(&social, budget, &mut clique_ws).len() as f64
     });
 
+    // Tier 2.75: the distribution search alone, through the public entry
+    // point. δ is read from a table precomputed from the trained model over
+    // local ids (`0..BEAM_CLIQUE` the clique, then the residents), so cost
+    // table construction is ~1k array reads and the time is the search.
+    let pool: Vec<u32> = dense
+        .iter()
+        .copied()
+        .chain(member_dense.iter().copied())
+        .cycle()
+        .take(BEAM_CLIQUE + SEARCH_SLOTS * SEARCH_RESIDENTS)
+        .collect();
+    let n = pool.len();
+    let table: Vec<f64> = pool
+        .iter()
+        .flat_map(|&i| pool.iter().map(move |&j| (i, j)))
+        .map(|(i, j)| compiled.delta_dense(i, j))
+        .collect();
+    let local_delta = |a: UserId, b: UserId| table[a.raw() as usize * n + b.raw() as usize];
+    let local_demand = |u: UserId| compiled.demand_dense(pool[u.raw() as usize]);
+    let search_slots: Vec<ApSlot> = (0..SEARCH_SLOTS)
+        .map(|s| ApSlot {
+            load: s as f64 * 0.4e6,
+            capacity: 1e8,
+            members: (0..SEARCH_RESIDENTS)
+                .map(|r| UserId::new((BEAM_CLIQUE + s * SEARCH_RESIDENTS + r) as u32))
+                .collect(),
+        })
+        .collect();
+    let search_ns = |c: usize| {
+        let clique: Vec<UserId> = (0..c as u32).map(UserId::new).collect();
+        time_ns(iters, repeats, || {
+            assign_clique(&clique, &search_slots, local_delta, local_demand, &cfg).len() as f64
+        })
+    };
+    let beam_ns = search_ns(BEAM_CLIQUE);
+    let enum_ns = search_ns(ENUM_CLIQUE);
+
     // Tier 3: full batch decision through the compiled selector scratch.
     let mut s3 = s.default_s3(2);
     let cands = candidates(8, 12);
@@ -210,10 +259,13 @@ fn main() {
         s3.select_batch(&users, &views).len() as f64
     });
 
+    let host_cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let mut doc = String::from("{\n");
     let _ = writeln!(
         doc,
-        "  \"bench\": \"selector\",\n  \"probe_users\": {PROBE},\n  \"slot_members\": {MEMBERS},\n  \"batch_size\": {BATCH},\n  \"iters\": {iters},\n  \"repeats\": {repeats},"
+        "  \"bench\": \"selector\",\n  \"host_cpus\": {host_cpus},\n  \"probe_users\": {PROBE},\n  \"slot_members\": {MEMBERS},\n  \"batch_size\": {BATCH},\n  \"iters\": {iters},\n  \"repeats\": {repeats},"
     );
     json_section(
         &mut doc,
@@ -255,6 +307,17 @@ fn main() {
     doc.push_str(",\n");
     json_section(
         &mut doc,
+        "distribution_search_ns",
+        &[
+            ("slots", SEARCH_SLOTS as f64),
+            ("residents_per_slot", SEARCH_RESIDENTS as f64),
+            ("beam_clique_12", beam_ns),
+            ("enumerate_clique_4", enum_ns),
+        ],
+    );
+    doc.push_str(",\n");
+    json_section(
+        &mut doc,
         "select_batch",
         &[
             ("ns_per_batch", batch_ns),
@@ -271,7 +334,7 @@ fn main() {
         "selector_bench delta hashed={hashed_ns:.1}ns compiled={compiled_ns:.1}ns \
          dense={dense_ns:.1}ns slot hashed={slot_hashed_ns:.1}ns compiled={slot_compiled_ns:.1}ns \
          partition ref={partition_reference_ns:.0}ns kernel={partition_kernel_ns:.0}ns \
-         batch={batch_ns:.0}ns wrote={}",
+         search beam12={beam_ns:.0}ns enum4={enum_ns:.0}ns batch={batch_ns:.0}ns wrote={}",
         out.display()
     );
 }

@@ -11,6 +11,18 @@
 //! fall back to a beam search otherwise — preserving the
 //! top-fraction-then-balance selection either way (documented deviation in
 //! DESIGN.md).
+//!
+//! The search creates no heap object per candidate or per beam child. The
+//! beam lives in flat arenas (one `u32` slot per member of each prefix plus
+//! one cost per prefix), a child is a `(cost, parent·m + slot)` pair, a
+//! scored distribution is a `Leaf` naming its enumeration code or beam
+//! position, and only the winner is decoded into an assignment. Every
+//! buffer, the cost tables included, lives in a `SearchWorkspace` the
+//! compiled selector reuses from clique to clique (`docs/PERF.md`,
+//! "The distribution search").
+
+use std::cmp::Ordering;
+use std::sync::{Mutex, PoisonError};
 
 use s3_graph::SocialGraph;
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
@@ -19,6 +31,9 @@ use s3_types::UserId;
 
 use crate::compiled::CompiledModel;
 use crate::S3Config;
+
+#[cfg(test)]
+mod reference;
 
 // Batch-selector metrics (documented in docs/METRICS.md). Hot-loop tallies
 // are accumulated locally and added once per enumeration block / beam
@@ -123,10 +138,14 @@ impl SlotState {
     }
 }
 
-/// One scored candidate distribution.
-#[derive(Debug, Clone)]
-struct Candidate {
-    assignment: Vec<usize>,
+/// One scored, capacity-feasible distribution. `index` is its generation
+/// index: the enumeration code, or the position in the final beam. Leaves
+/// are produced in ascending `index` order, so ordering them by
+/// `(cost, index)` is the stable sort by cost Algorithm 1's short-list
+/// needs.
+#[derive(Debug, Clone, Copy)]
+struct Leaf {
+    index: usize,
     cost: f64,
     balance: f64,
 }
@@ -187,6 +206,7 @@ const MEMBER_EPSILON_BPS: f64 = 1.0;
 /// Both tables are flat row-major arrays (no per-row `Vec`), so scoring a
 /// candidate walks contiguous memory: `slot_entry[u·m + s]` and
 /// `pair[i·c + j]`.
+#[derive(Debug, Default)]
 struct CliqueCost {
     /// `slot_entry[u·m + s]` = Σ δ(clique[u], w) over slot `s`'s members.
     slot_entry: Vec<f64>,
@@ -232,37 +252,29 @@ impl CliqueCost {
         }
     }
 
-    /// [`CliqueCost::new`] against the compiled data plane: the clique and
-    /// the per-slot member lists are dense ids, every table cell comes from
-    /// a CSR scan ([`CompiledModel::slot_cost`]) or probe instead of hash
-    /// lookups, and the pair table is bulk-filled with u's CSR row and type
-    /// hoisted per row ([`CompiledModel::fill_pair_table`]).
+    /// [`CliqueCost::new`] against the compiled data plane, refilling this
+    /// table's buffers in place: the clique and the per-slot member lists
+    /// are dense ids, every table cell comes from a CSR scan
+    /// ([`CompiledModel::slot_cost`]) or probe instead of hash lookups, and
+    /// the pair table is bulk-filled with u's CSR row and type hoisted per
+    /// row ([`CompiledModel::fill_pair_table`]).
     /// Metric accounting is identical — `core.cost.delta_evals` counts one
     /// eval per (member, slot-resident) pair exactly as the hashed path
     /// does, so the counter keeps measuring work saved by the table.
-    fn from_compiled(model: &CompiledModel, clique: &[u32], members: &[Vec<u32>]) -> CliqueCost {
-        let c = clique.len();
-        let m = members.len();
-        let mut slot_entry = Vec::with_capacity(c * m);
+    fn fill_compiled(&mut self, model: &CompiledModel, clique: &[u32], members: &[Vec<u32>]) {
+        self.slot_entry.clear();
         for &user in clique {
             for row in members {
-                slot_entry.push(model.slot_cost(user, row));
+                self.slot_entry.push(model.slot_cost(user, row));
             }
         }
-        let mut pair = Vec::new();
-        model.fill_pair_table(clique, &mut pair);
-        let demands = clique
-            .iter()
-            .map(|&user| model.demand_dense(user))
-            .collect();
+        model.fill_pair_table(clique, &mut self.pair);
+        self.demands.clear();
+        self.demands
+            .extend(clique.iter().map(|&user| model.demand_dense(user)));
+        self.slots = members.len();
         let member_total: usize = members.iter().map(|row| row.len()).sum();
-        Self::record_build(c, member_total);
-        CliqueCost {
-            slot_entry,
-            pair,
-            demands,
-            slots: m,
-        }
+        Self::record_build(clique.len(), member_total);
     }
 
     fn record_build(c: usize, member_total: usize) {
@@ -330,8 +342,8 @@ impl CliqueCost {
 }
 
 /// Reusable per-candidate buffers for [`CliqueCost::score`]: the added
-/// demand / member tallies and the projected load vector. One lives per
-/// enumeration block (or beam scoring block), so steady-state scoring
+/// demand / member tallies and the projected load vector. One lives in
+/// each work block of the [`SearchWorkspace`], so steady-state scoring
 /// allocates nothing per candidate.
 #[derive(Debug, Clone, Default)]
 struct ScoreScratch {
@@ -342,8 +354,9 @@ struct ScoreScratch {
 
 /// Structure-of-arrays snapshot of the slot states for the scoring loop:
 /// three parallel arrays instead of a struct per slot, so the capacity
-/// check and load projection stream through contiguous f64s. Built once
-/// per [`search_distribution`] call.
+/// check and load projection stream through contiguous f64s. Refilled
+/// once per clique placement.
+#[derive(Debug, Default)]
 struct SlotArrays {
     load: Vec<f64>,
     capacity: Vec<f64>,
@@ -351,13 +364,97 @@ struct SlotArrays {
 }
 
 impl SlotArrays {
-    fn from_states(states: &[SlotState]) -> SlotArrays {
-        SlotArrays {
-            load: states.iter().map(|s| s.load).collect(),
-            capacity: states.iter().map(|s| s.capacity).collect(),
-            member_count: states.iter().map(|s| s.member_count).collect(),
-        }
+    fn fill(&mut self, states: &[SlotState]) {
+        self.load.clear();
+        self.load.extend(states.iter().map(|s| s.load));
+        self.capacity.clear();
+        self.capacity.extend(states.iter().map(|s| s.capacity));
+        self.member_count.clear();
+        self.member_count
+            .extend(states.iter().map(|s| s.member_count));
     }
+}
+
+/// Reusable working memory of the distribution search: the clique's cost
+/// tables and slot arrays, the beam arenas, the scored leaves and one
+/// buffer per fixed-size work block of the parallel fan-out. Every buffer
+/// is cleared before use, so a workspace carries no state from one search
+/// to the next; it only keeps their capacity. Cloning yields an empty
+/// workspace.
+#[derive(Debug, Default)]
+pub(crate) struct SearchWorkspace {
+    cost: CliqueCost,
+    slots: SlotArrays,
+    /// The current beam level `idx`: prefix `p` is
+    /// `prefixes[p·idx .. (p+1)·idx]` (one slot per placed member) and its
+    /// social cost so far is `costs[p]`.
+    prefixes: Vec<u32>,
+    costs: Vec<f64>,
+    /// The next beam level, built from the survivors and then swapped in.
+    next_prefixes: Vec<u32>,
+    next_costs: Vec<f64>,
+    /// One beam level's children as `(cost, parent·m + slot)`: the second
+    /// field is the child's generation index.
+    children: Vec<(f64, usize)>,
+    /// Capacity-feasible scored distributions, in generation order.
+    leaves: Vec<Leaf>,
+    /// Per-block output and scratch. A block is only touched by the one
+    /// `par_map` work item that owns it, so its lock is never contended.
+    blocks: Vec<Mutex<Block>>,
+    /// The winning assignment, one slot per clique member.
+    assignment: Vec<usize>,
+}
+
+impl Clone for SearchWorkspace {
+    fn clone(&self) -> Self {
+        SearchWorkspace::default()
+    }
+}
+
+/// The buffers of one work block: the children or leaves it produces and
+/// the scratch it scores with.
+#[derive(Debug, Default)]
+struct Block {
+    children: Vec<(f64, usize)>,
+    leaves: Vec<Leaf>,
+    /// A parent's added cost per slot while expanding a beam level.
+    added: Vec<f64>,
+    /// The assignment being scored.
+    assignment: Vec<usize>,
+    score: ScoreScratch,
+}
+
+impl Block {
+    /// Locks a block. Every user clears the buffers it reads, so a block
+    /// left behind by a panicked search is still valid to reuse.
+    fn lock(cell: &Mutex<Block>) -> std::sync::MutexGuard<'_, Block> {
+        cell.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get_mut(cell: &mut Mutex<Block>) -> &mut Block {
+        cell.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// `blocks[..n]`, growing the pool to `n` blocks first.
+fn blocks(pool: &mut Vec<Mutex<Block>>, n: usize) -> &[Mutex<Block>] {
+    if pool.len() < n {
+        pool.resize_with(n, Mutex::default);
+    }
+    &pool[..n]
+}
+
+/// The order a stable sort by cost leaves candidates in when they were
+/// generated in ascending `index` order: cost under `partial_cmp`, then
+/// generation index.
+fn cost_order(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .expect("finite costs")
+        .then(a.1.cmp(&b.1))
+}
+
+fn leaf_order(a: &Leaf, b: &Leaf) -> Ordering {
+    cost_order((a.cost, a.index), (b.cost, b.index))
 }
 
 /// Assigns every member of `clique` to a slot index, implementing the
@@ -383,95 +480,125 @@ where
         return Vec::new();
     }
     assert!(!slots.is_empty(), "cannot assign a clique to zero APs");
-    let cache = CliqueCost::new(clique, slots, &delta, &demand);
+    let mut ws = SearchWorkspace {
+        cost: CliqueCost::new(clique, slots, &delta, &demand),
+        ..SearchWorkspace::default()
+    };
     let states: Vec<SlotState> = slots.iter().map(SlotState::of).collect();
-    search_distribution(&cache, &states, config)
+    ws.slots.fill(&states);
+    search_distribution(&mut ws, config).to_vec()
 }
 
 /// [`assign_clique`] against the compiled data plane: `clique` and the
 /// per-slot `members` rows are dense ids (including [`crate::compiled::NO_USER`]
-/// for unknown arrivals), `states` carries the identity-free slot loads.
-/// Same search, same metrics, same answers — bit for bit.
+/// for unknown arrivals), `states` carries the identity-free slot loads,
+/// and `ws` is the caller's reusable search workspace. Same search, same
+/// metrics, same answers — bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if `states` is empty while `clique` is not, or when `members` and
 /// `states` disagree on the slot count.
-pub(crate) fn assign_clique_compiled(
+pub(crate) fn assign_clique_compiled<'w>(
     model: &CompiledModel,
     clique: &[u32],
     members: &[Vec<u32>],
     states: &[SlotState],
     config: &S3Config,
-) -> Vec<usize> {
+    ws: &'w mut SearchWorkspace,
+) -> &'w [usize] {
     if clique.is_empty() {
-        return Vec::new();
+        return &[];
     }
     assert!(!states.is_empty(), "cannot assign a clique to zero APs");
     assert_eq!(members.len(), states.len(), "one member row per slot");
-    let cache = CliqueCost::from_compiled(model, clique, members);
-    search_distribution(&cache, states, config)
+    ws.cost.fill_compiled(model, clique, members);
+    ws.slots.fill(states);
+    search_distribution(ws, config)
 }
 
 /// The enumerate-or-beam + top-fraction + balance search both entry points
-/// share once their cost tables are built.
-fn search_distribution(cache: &CliqueCost, states: &[SlotState], config: &S3Config) -> Vec<usize> {
+/// share once the workspace holds their cost tables and slot arrays.
+fn search_distribution<'w>(ws: &'w mut SearchWorkspace, config: &S3Config) -> &'w [usize] {
     let registry = s3_obs::global();
     registry.counter(&CLIQUES_ASSIGNED).inc();
-    let c = cache.demands.len();
+    let c = ws.cost.demands.len();
     registry.histogram(&CLIQUE_SIZE).observe(c as u64);
-    let m = states.len();
+    let m = ws.slots.load.len();
     let threads = config.effective_threads();
-    let slots = SlotArrays::from_states(states);
 
     let space: Option<usize> = m
         .checked_pow(c as u32)
         .filter(|&s| s <= config.enumeration_limit);
-    let candidates: Vec<Candidate> = match space {
-        Some(total) => enumerate_all(total, m, c, cache, &slots, threads),
-        None => beam_search(m, c, cache, &slots, config.beam_width, threads),
-    };
+    match space {
+        Some(total) => enumerate_all(ws, total, threads),
+        None => beam_search(ws, config.beam_width, threads),
+    }
 
-    select_best(candidates, config).unwrap_or_else(|| {
-        registry.counter(&FALLBACKS).inc();
-        fallback_least_loaded(&cache.demands, &slots)
-    })
+    let winner = select_best(&mut ws.leaves, config.top_fraction);
+    ws.assignment.clear();
+    match winner {
+        Some(code) if space.is_some() => {
+            ws.assignment.resize(c, 0);
+            decode(code, m, &mut ws.assignment);
+        }
+        Some(leaf) => ws.assignment.extend(
+            ws.prefixes[leaf * c..(leaf + 1) * c]
+                .iter()
+                .map(|&s| s as usize),
+        ),
+        None => {
+            registry.counter(&FALLBACKS).inc();
+            fallback_least_loaded(&ws.cost.demands, &ws.slots, &mut ws.assignment);
+        }
+    }
+    &ws.assignment
 }
 
-/// Fixed number of codes each enumeration work item decodes and scores.
-/// A constant block size keeps the work split — and hence the candidate
-/// order after the in-order merge — independent of the thread count.
+/// Fixed number of codes (or final beam entries) each scoring work item
+/// decodes and scores. A constant block size keeps the work split — and
+/// hence the leaf order after the in-order gather — independent of the
+/// thread count.
 const ENUM_BLOCK: usize = 512;
 
-fn enumerate_all(
-    total: usize,
-    m: usize,
-    c: usize,
-    cache: &CliqueCost,
-    slots: &SlotArrays,
-    threads: usize,
-) -> Vec<Candidate> {
+/// Fixed number of beam parents each expansion work item turns into
+/// children, for the same reason.
+const BEAM_BLOCK: usize = 64;
+
+/// Writes code `code`'s assignment: member `i` takes base-`m` digit `i`.
+fn decode(code: usize, m: usize, assignment: &mut [usize]) {
+    let mut x = code;
+    for slot in assignment.iter_mut() {
+        *slot = x % m;
+        x /= m;
+    }
+}
+
+/// Scores every code in `0..total` into `ws.leaves`, in code order.
+fn enumerate_all(ws: &mut SearchWorkspace, total: usize, threads: usize) {
     let registry = s3_obs::global();
     let enumerated = registry.counter(&CANDIDATES_ENUMERATED);
     let rejected = registry.counter(&CAPACITY_REJECTIONS);
     let lookups = registry.counter(&COST_LOOKUPS);
-    let per_score = cache.lookups_per_score();
-    let block_starts: Vec<usize> = (0..total).step_by(ENUM_BLOCK).collect();
-    let blocks = s3_par::par_map(&block_starts, threads, |_, &start| {
+    let (table, slots) = (&ws.cost, &ws.slots);
+    let c = table.demands.len();
+    let m = slots.load.len();
+    let per_score = table.lookups_per_score();
+    let n = total.div_ceil(ENUM_BLOCK);
+    s3_par::par_map(blocks(&mut ws.blocks, n), threads, |b, cell| {
+        let mut guard = Block::lock(cell);
+        let block = &mut *guard;
+        let start = b * ENUM_BLOCK;
         let end = (start + ENUM_BLOCK).min(total);
-        let mut out = Vec::new();
-        let mut assignment = vec![0usize; c];
-        let mut scratch = ScoreScratch::default();
+        block.leaves.clear();
+        block.assignment.clear();
+        block.assignment.resize(c, 0);
         for code in start..end {
-            let mut x = code;
-            for slot in assignment.iter_mut() {
-                *slot = x % m;
-                x /= m;
-            }
-            let (cost, balance) = cache.score(&assignment, slots, &mut scratch);
+            decode(code, m, &mut block.assignment);
+            let (cost, balance) = table.score(&block.assignment, slots, &mut block.score);
             if cost.is_finite() {
-                out.push(Candidate {
-                    assignment: assignment.clone(),
+                block.leaves.push(Leaf {
+                    index: code,
                     cost,
                     balance,
                 });
@@ -481,127 +608,177 @@ fn enumerate_all(
         // atomics out of the scoring loop.
         let scored = (end - start) as u64;
         enumerated.add(scored);
-        rejected.add(scored - out.len() as u64);
+        rejected.add(scored - block.leaves.len() as u64);
         lookups.add(scored * per_score);
-        out
     });
-    // Blocks come back in ascending code order, so the candidate list is
-    // identical to a sequential scan over 0..total.
-    blocks.into_iter().flatten().collect()
+    gather_leaves(ws, n);
 }
 
-fn beam_search(
-    m: usize,
-    c: usize,
-    cache: &CliqueCost,
-    slots: &SlotArrays,
-    beam_width: usize,
-    threads: usize,
-) -> Vec<Candidate> {
+/// Beam search over member-by-member prefixes, leaving the final beam's
+/// feasible distributions in `ws.leaves` (indexed by beam position).
+///
+/// A level expands parent `p` by filling one `m`-wide row of added costs:
+/// the member's `slot_entry` row, plus `pair[prev·c + idx]` on each earlier
+/// member's slot in prefix order. Each slot therefore receives the pair
+/// terms of the earlier members placed on it in prefix order, the same
+/// additions in the same order as a per-slot scan of the prefix, so child
+/// costs do not depend on the row trick. Children are `(cost, p·m + slot)`
+/// pairs, kept by `select_nth_unstable_by` under [`cost_order`] and the
+/// survivors sorted: exactly the prefix of a stable sort by cost over
+/// children in generation order.
+fn beam_search(ws: &mut SearchWorkspace, beam_width: usize, threads: usize) {
     let registry = s3_obs::global();
     let expansions = registry.counter(&BEAM_EXPANSIONS);
     let prunes = registry.counter(&BEAM_PRUNES);
-    // Partial state: assignment prefix and its social cost so far.
-    let mut beam: Vec<(Vec<usize>, f64)> = vec![(Vec::new(), 0.0)];
+    let c = ws.cost.demands.len();
+    let m = ws.slots.load.len();
+    assert!(
+        u32::try_from(m).is_ok(),
+        "slot indices fit the u32 beam arena"
+    );
+    ws.prefixes.clear();
+    ws.costs.clear();
+    ws.costs.push(0.0);
     for idx in 0..c {
-        expansions.add(beam.len() as u64);
-        // Expanding a prefix touches nothing but the cache, so the beam
-        // fans out across threads; flattening in prefix order followed by a
-        // *stable* sort reproduces the sequential beam exactly.
-        let mut next: Vec<(Vec<usize>, f64)> =
-            s3_par::par_map(&beam, threads, |_, (prefix, cost)| {
-                let c = cache.demands.len();
-                let mut children = Vec::with_capacity(m);
-                for slot in 0..m {
-                    let mut added = cache.slot_entry[idx * m + slot];
-                    for (prev_idx, &prev_slot) in prefix.iter().enumerate() {
-                        if prev_slot == slot {
-                            added += cache.pair[prev_idx * c + idx];
-                        }
-                    }
-                    let mut assignment = prefix.clone();
-                    assignment.push(slot);
-                    children.push((assignment, cost + added));
+        let parents = ws.costs.len();
+        expansions.add(parents as u64);
+        let n = parents.div_ceil(BEAM_BLOCK);
+        let (table, prefixes, costs) = (&ws.cost, &ws.prefixes, &ws.costs);
+        let entry = &table.slot_entry[idx * m..(idx + 1) * m];
+        s3_par::par_map(blocks(&mut ws.blocks, n), threads, |b, cell| {
+            let mut guard = Block::lock(cell);
+            let Block {
+                children, added, ..
+            } = &mut *guard;
+            children.clear();
+            for p in b * BEAM_BLOCK..((b + 1) * BEAM_BLOCK).min(parents) {
+                added.clear();
+                added.extend_from_slice(entry);
+                for (prev, &slot) in prefixes[p * idx..(p + 1) * idx].iter().enumerate() {
+                    added[slot as usize] += table.pair[prev * c + idx];
                 }
-                children
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        next.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
-        prunes.add(next.len().saturating_sub(beam_width) as u64);
-        next.truncate(beam_width);
-        beam = next;
-        debug_assert!(beam.iter().all(|(a, _)| a.len() == idx + 1));
+                let base = costs[p];
+                children.extend(
+                    added
+                        .iter()
+                        .enumerate()
+                        .map(|(slot, &a)| (base + a, p * m + slot)),
+                );
+            }
+        });
+        ws.children.clear();
+        for cell in &mut ws.blocks[..n] {
+            ws.children
+                .extend_from_slice(&Block::get_mut(cell).children);
+        }
+        prunes.add(ws.children.len().saturating_sub(beam_width) as u64);
+        let order = |a: &(f64, usize), b: &(f64, usize)| cost_order(*a, *b);
+        if ws.children.len() > beam_width {
+            ws.children.select_nth_unstable_by(beam_width - 1, order);
+            ws.children.truncate(beam_width);
+        }
+        ws.children.sort_unstable_by(order);
+        ws.next_prefixes.clear();
+        ws.next_costs.clear();
+        for &(cost, child) in &ws.children {
+            let parent = child / m;
+            ws.next_prefixes
+                .extend_from_slice(&ws.prefixes[parent * idx..(parent + 1) * idx]);
+            ws.next_prefixes.push((child % m) as u32);
+            ws.next_costs.push(cost);
+        }
+        std::mem::swap(&mut ws.prefixes, &mut ws.next_prefixes);
+        std::mem::swap(&mut ws.costs, &mut ws.next_costs);
     }
+
+    let beam = ws.costs.len();
     let enumerated = registry.counter(&CANDIDATES_ENUMERATED);
     let rejected = registry.counter(&CAPACITY_REJECTIONS);
     let lookups = registry.counter(&COST_LOOKUPS);
-    enumerated.add(beam.len() as u64);
-    lookups.add(beam.len() as u64 * cache.lookups_per_score());
-    // Final scoring runs in fixed-size blocks like the exhaustive path, so
-    // each work item reuses one scratch across its block; blocks come back
-    // in beam order, preserving the sequential candidate list.
-    let block_starts: Vec<usize> = (0..beam.len()).step_by(ENUM_BLOCK).collect();
-    let survivors: Vec<Candidate> = s3_par::par_map(&block_starts, threads, |_, &start| {
-        let end = (start + ENUM_BLOCK).min(beam.len());
-        let mut scratch = ScoreScratch::default();
-        let mut out = Vec::new();
-        for (assignment, _) in &beam[start..end] {
-            let (cost, balance) = cache.score(assignment, slots, &mut scratch);
+    enumerated.add(beam as u64);
+    lookups.add(beam as u64 * ws.cost.lookups_per_score());
+    // Final scoring runs in fixed-size blocks like the exhaustive path. The
+    // leaf costs come from `score`, not from the beam's running `cost +
+    // added`: the two sums associate differently and may round apart.
+    let (table, slots, prefixes) = (&ws.cost, &ws.slots, &ws.prefixes);
+    let n = beam.div_ceil(ENUM_BLOCK);
+    s3_par::par_map(blocks(&mut ws.blocks, n), threads, |b, cell| {
+        let mut guard = Block::lock(cell);
+        let block = &mut *guard;
+        block.leaves.clear();
+        for leaf in b * ENUM_BLOCK..((b + 1) * ENUM_BLOCK).min(beam) {
+            block.assignment.clear();
+            block.assignment.extend(
+                prefixes[leaf * c..(leaf + 1) * c]
+                    .iter()
+                    .map(|&s| s as usize),
+            );
+            let (cost, balance) = table.score(&block.assignment, slots, &mut block.score);
             if cost.is_finite() {
-                out.push(Candidate {
-                    assignment: assignment.clone(),
+                block.leaves.push(Leaf {
+                    index: leaf,
                     cost,
                     balance,
                 });
             }
         }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    rejected.add((beam.len() - survivors.len()) as u64);
-    survivors
+    });
+    gather_leaves(ws, n);
+    rejected.add((beam - ws.leaves.len()) as u64);
 }
 
-fn select_best(mut candidates: Vec<Candidate>, config: &S3Config) -> Option<Vec<usize>> {
-    if candidates.is_empty() {
+/// Concatenates the leaves of `blocks[..n]` into `ws.leaves`, in block
+/// order: the order a sequential scan would have produced them in.
+fn gather_leaves(ws: &mut SearchWorkspace, n: usize) {
+    ws.leaves.clear();
+    for cell in &mut ws.blocks[..n] {
+        ws.leaves.extend_from_slice(&Block::get_mut(cell).leaves);
+    }
+}
+
+/// Algorithm 1's pick: short-list the `⌈n·top_fraction⌉` cheapest leaves
+/// (plus any within 1e-12 of the cut-off cost, so a set of equal-cost
+/// distributions is never split arbitrarily), then take the best balance,
+/// the later leaf in `(cost, index)` order winning a tie. Returns the
+/// winner's generation index, or `None` when no leaf is feasible.
+///
+/// This is the stable sort by cost, truncation and `max_by` over balance
+/// of the textbook form, without the sort: the short-list is every leaf
+/// whose cost is at most the cut-off leaf's cost plus 1e-12, and
+/// `max_by` returns the last of equal maxima in sorted order.
+fn select_best(leaves: &mut [Leaf], top_fraction: f64) -> Option<usize> {
+    if leaves.is_empty() {
         return None;
     }
-    candidates.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"));
-    let mut keep = ((candidates.len() as f64 * config.top_fraction).ceil() as usize)
-        .clamp(1, candidates.len());
-    // Ties at the cut-off stay in: "top 30 % by cost" must not split a set
-    // of equal-cost distributions arbitrarily, or the balance tie-break
-    // never sees them.
-    let boundary = candidates[keep - 1].cost;
-    while keep < candidates.len() && candidates[keep].cost <= boundary + 1e-12 {
-        keep += 1;
-    }
-    candidates.truncate(keep);
-    candidates
-        .into_iter()
-        .max_by(|a, b| a.balance.partial_cmp(&b.balance).expect("finite balance"))
-        .map(|c| c.assignment)
+    let keep = ((leaves.len() as f64 * top_fraction).ceil() as usize).clamp(1, leaves.len());
+    let (_, cut, _) = leaves.select_nth_unstable_by(keep - 1, leaf_order);
+    let bound = cut.cost + 1e-12;
+    leaves
+        .iter()
+        .filter(|leaf| leaf.cost <= bound)
+        .max_by(|a, b| {
+            a.balance
+                .partial_cmp(&b.balance)
+                .expect("finite balance")
+                .then_with(|| leaf_order(a, b))
+        })
+        .map(|leaf| leaf.index)
 }
 
-fn fallback_least_loaded(demands: &[f64], slots: &SlotArrays) -> Vec<usize> {
+/// Places members one by one on the currently least-loaded slot (the first
+/// on a tie), adding each member's demand as it goes.
+fn fallback_least_loaded(demands: &[f64], slots: &SlotArrays, assignment: &mut Vec<usize>) {
     let mut loads: Vec<f64> = slots.load.clone();
-    demands
-        .iter()
-        .map(|&demand| {
-            let slot = loads
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-                .map(|(i, _)| i)
-                .expect("slots non-empty");
-            loads[slot] += demand;
-            slot
-        })
-        .collect()
+    assignment.extend(demands.iter().map(|&demand| {
+        let slot = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
+            .map(|(i, _)| i)
+            .expect("slots non-empty");
+        loads[slot] += demand;
+        slot
+    }));
 }
 
 #[cfg(test)]
@@ -744,7 +921,8 @@ mod tests {
         );
         let cache = CliqueCost::new(&clique, &slots, &delta, &|_: UserId| 1e4);
         let states: Vec<SlotState> = slots.iter().map(SlotState::of).collect();
-        let arrays = SlotArrays::from_states(&states);
+        let mut arrays = SlotArrays::default();
+        arrays.fill(&states);
         let mut scratch = ScoreScratch::default();
         let mut cost = |assignment: &[usize]| cache.score(assignment, &arrays, &mut scratch).0;
         assert!((cost(&full) - cost(&beamed)).abs() < 1e-9);

@@ -14,10 +14,13 @@
 //! Every decision runs on the **compiled data plane** (see
 //! [`crate::compiled`] and `docs/PERF.md`): the selector freezes its
 //! [`SocialModel`] into a [`CompiledModel`] once at construction and keeps
-//! a reusable [`Scratch`] of dense member buffers, slot states, and clique
-//! working vectors — so the hot path does no hashing and, after the first
-//! request warms the buffers, no allocation. The answers are bit-identical
-//! to the hashed path (enforced by `tests/compiled_props.rs`).
+//! a reusable [`Scratch`] of dense member buffers, slot states, clique
+//! working vectors and the distribution search's workspace — so the hot
+//! path does no hashing and, after the first request warms the buffers,
+//! the distribution search allocates nothing (the social graph and the
+//! clique partition still allocate per batch). The answers are
+//! bit-identical to the hashed path (enforced by
+//! `tests/compiled_props.rs`).
 
 use s3_graph::clique::{CliqueBudget, CliqueWorkspace};
 use s3_graph::partition::clique_partition_in;
@@ -26,7 +29,9 @@ use s3_wlan::selector::{
     ApSelector, ApView, ArrivalUser, DecisionMeta, LeastLoadedFirst, SelectionContext,
 };
 
-use crate::batch::{assign_clique_compiled, build_social_graph_compiled, SlotState};
+use crate::batch::{
+    assign_clique_compiled, build_social_graph_compiled, SearchWorkspace, SlotState,
+};
 use crate::compiled::CompiledModel;
 use crate::{S3Config, SocialModel};
 
@@ -93,6 +98,9 @@ struct Scratch {
     /// Reusable buffers for the per-batch clique extraction (adjacency,
     /// candidate, and weight rows survive across batches).
     clique_ws: CliqueWorkspace,
+    /// Cost tables, beam arenas and scored leaves of the distribution
+    /// search, reused from clique to clique.
+    search: SearchWorkspace,
 }
 
 impl S3Selector {
@@ -174,14 +182,15 @@ impl ApSelector for S3Selector {
         }
         self.prepare_slots(ctx.candidates);
         let arrival = [self.compiled.dense_or_unknown(ctx.arrival.user)];
-        let picks = assign_clique_compiled(
+        let scratch = &mut self.scratch;
+        assign_clique_compiled(
             &self.compiled,
             &arrival,
-            &self.scratch.members,
-            &self.scratch.states,
+            &scratch.members,
+            &scratch.states,
             &self.config,
-        );
-        picks[0]
+            &mut scratch.search,
+        )[0]
     }
 
     fn last_batch_meta(&self) -> Option<&[DecisionMeta]> {
@@ -238,8 +247,9 @@ impl ApSelector for S3Selector {
                 &scratch.members,
                 &scratch.states,
                 &self.config,
+                &mut scratch.search,
             );
-            for (&vertex, &slot) in clique.vertices.iter().zip(&assignment) {
+            for (&vertex, &slot) in clique.vertices.iter().zip(assignment) {
                 picks[vertex] = slot;
                 self.last_meta[vertex] = DecisionMeta {
                     clique: Some(clique_idx as u32),
