@@ -6,7 +6,6 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use s3_core::{strategy_registry, S3Config, S3Selector, SocialModel};
-use s3_stats::gap::{gap_statistic, GapConfig};
 use s3_trace::decision_log::{config_hash, DecisionLogReader, DecisionRecord};
 use s3_trace::generator::{
     apply_scenario, inject_csv_faults, CampusConfig, CampusGenerator, FaultSpec, ScenarioSpec,
@@ -819,25 +818,16 @@ fn analyze<W: Write>(
     // Typing.
     let profiles = s3_core::profile::all_window_profiles(&store, last_day, 15.min(last_day + 1));
     if profiles.len() >= 16 {
-        let mut users: Vec<_> = profiles.keys().copied().collect();
-        users.sort_unstable();
-        let points: Vec<Vec<f64>> = users
-            .iter()
-            .map(|u| profiles[u].shares().to_vec())
-            .collect();
-        let k_max = 8.min(points.len());
-        let gap_config = GapConfig {
-            threads: effective_threads,
-            ..GapConfig::default()
-        };
-        if let Ok(gap) = gap_statistic(&points, k_max, &gap_config, seed) {
+        // The learner types users on these profiles (the same window, seed
+        // and k_max), choosing k by the gap statistic.
+        let model = SocialModel::learn(&store, &s3_config(threads), seed);
+        if model.type_count() > 0 {
             writeln!(
                 out,
                 "application-profile clusters (gap statistic): k = {}",
-                gap.chosen_k
+                model.type_count()
             )?;
         }
-        let model = SocialModel::learn(&store, &s3_config(threads), seed);
         let t = model.type_matrix();
         if t.k() > 1 {
             writeln!(

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
-use s3_stats::gap::{gap_statistic, GapConfig};
+use s3_stats::gap::{choose_k, GapConfig};
 use s3_stats::kmeans::{self, KMeansConfig};
 use s3_trace::events::{
     coleave_given_encounter, extract_coleavings_par, extract_encounters_par, UserPair,
@@ -261,13 +261,14 @@ impl SocialModel {
                 let k_max = config.k_max.min(points.len());
                 // The gap statistic fans its independent fits across the
                 // workers; its inner k-means runs stay sequential so the
-                // pool is not oversubscribed.
+                // pool is not oversubscribed. Only the chosen k is needed,
+                // so the scan stops where the rule picks it.
                 let gap_config = GapConfig {
                     threads,
                     ..GapConfig::default()
                 };
-                match gap_statistic(&points, k_max, &gap_config, seed) {
-                    Ok(result) => result.chosen_k,
+                match choose_k(&points, k_max, &gap_config, seed) {
+                    Ok(k) => k,
                     Err(_) => return (HashMap::new(), Vec::new()),
                 }
             }

@@ -11,12 +11,22 @@
 //! drawn uniformly over the bounding box of the data. The chosen `k` is the
 //! smallest one with `Gap(k) ≥ Gap(k+1) − s_{k+1}` where
 //! `s_k = sd_k · √(1 + 1/B)`.
+//!
+//! [`gap_statistic`] evaluates the whole curve up to `k_max` (Fig. 7);
+//! [`choose_k`] evaluates `k = 1, 2, …` only until the rule fires, which is
+//! all a caller that needs the chosen `k` pays for. Both fit each `k` with
+//! the same seeds against the same reference sets, so they agree on it.
+
+use std::ops::RangeInclusive;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 
-use crate::kmeans::{self, KMeansConfig};
+use crate::kmeans::{self, KMeansConfig, Points};
+
+#[cfg(test)]
+mod reference;
 
 // Gap-statistic metrics (documented in docs/METRICS.md).
 static RUNS: Desc = Desc {
@@ -27,7 +37,7 @@ static RUNS: Desc = Desc {
 };
 static FITS: Desc = Desc {
     name: "stats.gap.fits",
-    help: "k-means fits fanned out by gap runs (k_max * (B + 1) per run)",
+    help: "k-means fits fanned out by gap runs (k_max * (B + 1) per full curve; (k + 1) * (B + 1) when choose_k's rule picks k)",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
@@ -62,9 +72,9 @@ pub struct GapConfig {
     pub reference_method: ReferenceMethod,
     /// k-means settings shared by data and reference fits.
     pub kmeans: KMeansConfig,
-    /// Worker threads fanning out the `k_max · (B + 1)` independent k-means
-    /// fits (`<= 1` is sequential). Each fit has its own derived seed, so
-    /// the curve is identical for every thread count.
+    /// Worker threads fanning out the `B + 1` independent k-means fits of
+    /// each evaluated `k` (`<= 1` is sequential). Each fit has its own
+    /// derived seed, so the curve is identical for every thread count.
     pub threads: usize,
 }
 
@@ -183,16 +193,140 @@ fn pca_reference(n: usize, frame: &PcaFrame, rng: &mut StdRng) -> Vec<Vec<f64>> 
         .collect()
 }
 
-fn log_dispersion(
-    points: &[Vec<f64>],
-    k: usize,
-    config: &KMeansConfig,
-    seed: u64,
-) -> Result<f64, StatsError> {
-    let fit = kmeans::fit(points, k, config, seed)?;
-    let w = kmeans::within_dispersion(points, &fit);
+/// `log(W_k)` of one fit. `W_k` is the fit's inertia: the within-cluster
+/// dispersion's distances, summed in the same point order.
+fn log_dispersion(points: &Points, k: usize, config: &KMeansConfig, seed: u64) -> f64 {
+    let w = kmeans::fit_points(points, k, config, seed).inertia;
     // Guard against log(0) for degenerate perfectly-tight clusterings.
-    Ok(w.max(1e-300).ln())
+    w.max(1e-300).ln()
+}
+
+/// One gap run's inputs, checked once: the data and its `B` reference sets
+/// laid out for k-means. [`Evaluator::curve`] fits any range of `k`
+/// against them.
+struct Evaluator<'a> {
+    data: Points,
+    references: Vec<Points>,
+    config: &'a GapConfig,
+    seed: u64,
+}
+
+impl<'a> Evaluator<'a> {
+    /// Checks the run's parameters and draws the reference sets once, to be
+    /// reused across `k` as Tibshirani prescribes (it reduces Monte-Carlo
+    /// noise between adjacent `k`). Counts one gap run.
+    fn new(
+        points: &[Vec<f64>],
+        k_max: usize,
+        config: &'a GapConfig,
+        seed: u64,
+    ) -> Result<Self, StatsError> {
+        if points.is_empty() {
+            return Err(StatsError::EmptyInput { what: "gap" });
+        }
+        if k_max == 0 || k_max > points.len() {
+            return Err(StatsError::BadParameter {
+                what: "gap",
+                detail: format!("k_max {k_max} must be in 1..={}", points.len()),
+            });
+        }
+        if config.reference_sets == 0 {
+            return Err(StatsError::BadParameter {
+                what: "gap",
+                detail: "reference_sets must be positive".to_string(),
+            });
+        }
+        s3_obs::global().counter(&RUNS).inc();
+        let b = config.reference_sets;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
+        let references: Vec<Vec<Vec<f64>>> = match config.reference_method {
+            ReferenceMethod::BoundingBox => {
+                let (lo, hi) = bounding_box(points);
+                (0..b)
+                    .map(|_| uniform_reference(points.len(), &lo, &hi, &mut rng))
+                    .collect()
+            }
+            ReferenceMethod::PcaAligned => {
+                let frame = pca_frame(points)?;
+                (0..b)
+                    .map(|_| pca_reference(points.len(), &frame, &mut rng))
+                    .collect()
+            }
+        };
+        // The data, the restart count, then each reference set: the order
+        // in which the first fits report a bad input.
+        let data = Points::new(points, 1)?;
+        kmeans::check_restarts(&config.kmeans)?;
+        let references = references
+            .iter()
+            .map(|reference| Points::new(reference, 1))
+            .collect::<Result<_, _>>()?;
+        Ok(Evaluator {
+            data,
+            references,
+            config,
+            seed,
+        })
+    }
+
+    /// `Gap(k)` for every `k` in `ks`. Every (k, data-or-reference) fit is
+    /// independent with its own derived seed, so all `|ks| · (B + 1)` fan
+    /// out in one `par_map` and are reassembled per `k` in task order: a
+    /// point's mean and sd sums associate the same whichever range it was
+    /// evaluated in.
+    fn curve(&self, ks: RangeInclusive<usize>) -> Vec<GapPoint> {
+        let b = self.references.len();
+        let tasks: Vec<(usize, Option<usize>)> = ks
+            .flat_map(|k| std::iter::once((k, None)).chain((0..b).map(move |bi| (k, Some(bi)))))
+            .collect();
+        s3_obs::global().counter(&FITS).add(tasks.len() as u64);
+        let kmeans = &self.config.kmeans;
+        let logs = s3_par::par_map(&tasks, self.config.threads, |_, &(k, bi)| match bi {
+            None => log_dispersion(&self.data, k, kmeans, self.seed.wrapping_add(k as u64)),
+            Some(bi) => log_dispersion(
+                &self.references[bi],
+                k,
+                kmeans,
+                self.seed.wrapping_add((k * 1_000 + bi) as u64),
+            ),
+        });
+        tasks
+            .chunks_exact(b + 1)
+            .zip(logs.chunks_exact(b + 1))
+            .map(|(task, logs)| {
+                let (log_w, ref_logs) = (logs[0], &logs[1..]);
+                let mean = ref_logs.iter().sum::<f64>() / b as f64;
+                let sd = (ref_logs
+                    .iter()
+                    .map(|x| (x - mean) * (x - mean))
+                    .sum::<f64>()
+                    / b as f64)
+                    .sqrt();
+                GapPoint {
+                    k: task[0].0,
+                    gap: mean - log_w,
+                    s: sd * (1.0 + 1.0 / b as f64).sqrt(),
+                    log_w,
+                    mean_ref_log_w: mean,
+                }
+            })
+            .collect()
+    }
+}
+
+/// The Tibshirani rule at `at.k`: `Gap(k) ≥ Gap(k+1) − s_{k+1}`.
+fn rule_fires(at: &GapPoint, next: &GapPoint) -> bool {
+    at.gap >= next.gap - next.s
+}
+
+/// The fallback when the rule never fires: the `k` with the largest gap
+/// (the last of equal maxima).
+fn argmax_k(curve: &[GapPoint]) -> usize {
+    curve
+        .iter()
+        .max_by(|a, b| a.gap.partial_cmp(&b.gap).expect("finite gaps"))
+        .map(|p| p.k)
+        .expect("non-empty")
 }
 
 /// Computes the gap statistic for `k = 1 ..= k_max` and applies the
@@ -224,107 +358,71 @@ pub fn gap_statistic(
     config: &GapConfig,
     seed: u64,
 ) -> Result<GapResult, StatsError> {
-    if points.is_empty() {
-        return Err(StatsError::EmptyInput { what: "gap" });
-    }
-    if k_max == 0 || k_max > points.len() {
-        return Err(StatsError::BadParameter {
-            what: "gap",
-            detail: format!("k_max {k_max} must be in 1..={}", points.len()),
-        });
-    }
-    if config.reference_sets == 0 {
-        return Err(StatsError::BadParameter {
-            what: "gap",
-            detail: "reference_sets must be positive".to_string(),
-        });
-    }
-    let registry = s3_obs::global();
-    registry.counter(&RUNS).inc();
-    let b = config.reference_sets;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-    // Draw the reference sets once and reuse them across k, as Tibshirani
-    // prescribes (reduces Monte-Carlo noise between adjacent k).
-    let references: Vec<Vec<Vec<f64>>> = match config.reference_method {
-        ReferenceMethod::BoundingBox => {
-            let (lo, hi) = bounding_box(points);
-            (0..b)
-                .map(|_| uniform_reference(points.len(), &lo, &hi, &mut rng))
-                .collect()
-        }
-        ReferenceMethod::PcaAligned => {
-            let frame = pca_frame(points)?;
-            (0..b)
-                .map(|_| pca_reference(points.len(), &frame, &mut rng))
-                .collect()
-        }
-    };
-
-    // Every (k, data-or-reference) fit is independent with its own derived
-    // seed; fan them all out at once and reassemble per k in task order, so
-    // the mean/sd sums associate exactly as the sequential loops did.
-    let mut tasks: Vec<(usize, Option<usize>)> = Vec::with_capacity(k_max * (b + 1));
-    for k in 1..=k_max {
-        tasks.push((k, None));
-        for bi in 0..b {
-            tasks.push((k, Some(bi)));
-        }
-    }
-    registry.counter(&FITS).add(tasks.len() as u64);
-    let logs: Vec<Result<f64, StatsError>> =
-        s3_par::par_map(&tasks, config.threads, |_, &(k, bi)| match bi {
-            None => log_dispersion(points, k, &config.kmeans, seed.wrapping_add(k as u64)),
-            Some(bi) => log_dispersion(
-                &references[bi],
-                k,
-                &config.kmeans,
-                seed.wrapping_add((k * 1_000 + bi) as u64),
-            ),
-        });
-    let mut logs = logs.into_iter();
-
-    let mut out = Vec::with_capacity(k_max);
-    for k in 1..=k_max {
-        let log_w = logs.next().expect("one data fit per k")?;
-        let mut ref_logs = Vec::with_capacity(b);
-        for _ in 0..b {
-            ref_logs.push(logs.next().expect("b reference fits per k")?);
-        }
-        let mean = ref_logs.iter().sum::<f64>() / b as f64;
-        let sd = (ref_logs
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / b as f64)
-            .sqrt();
-        out.push(GapPoint {
-            k,
-            gap: mean - log_w,
-            s: sd * (1.0 + 1.0 / b as f64).sqrt(),
-            log_w,
-            mean_ref_log_w: mean,
-        });
-    }
-
-    let mut chosen_k = 0;
-    for i in 0..out.len() - 1 {
-        if out[i].gap >= out[i + 1].gap - out[i + 1].s {
-            chosen_k = out[i].k;
-            break;
-        }
-    }
-    if chosen_k == 0 {
-        chosen_k = out
-            .iter()
-            .max_by(|a, b| a.gap.partial_cmp(&b.gap).expect("finite gaps"))
-            .map(|p| p.k)
-            .expect("non-empty");
-    }
-    registry.histogram(&CHOSEN_K).observe(chosen_k as u64);
+    let curve = Evaluator::new(points, k_max, config, seed)?.curve(1..=k_max);
+    let chosen_k = curve
+        .windows(2)
+        .find(|pair| rule_fires(&pair[0], &pair[1]))
+        .map_or_else(|| argmax_k(&curve), |pair| pair[0].k);
+    s3_obs::global()
+        .histogram(&CHOSEN_K)
+        .observe(chosen_k as u64);
     Ok(GapResult {
-        points: out,
+        points: curve,
         chosen_k,
     })
+}
+
+/// The `k` that [`gap_statistic`] chooses, without fitting past it.
+///
+/// `Gap(k)` is evaluated for `k = 1, 2, …` and the scan stops at the first
+/// `k` where the rule fires, which needs `Gap(k + 1)` and nothing beyond.
+/// Each `k` is fitted with the seeds and reference sets the full curve
+/// uses, so every evaluated point is the full curve's point bit for bit and
+/// the first `k` the rule picks is the same. Only when the rule never fires
+/// does the scan reach `k_max` and fall back to the argmax, as
+/// [`gap_statistic`] does. That costs `(k̂ + 1) · (B + 1)` k-means fits for
+/// a chosen `k̂ < k_max` against `k_max · (B + 1)` for the full curve.
+///
+/// # Errors
+///
+/// As [`gap_statistic`].
+///
+/// # Example
+/// ```
+/// # use s3_stats::gap::{choose_k, gap_statistic, GapConfig};
+/// let mut pts = Vec::new();
+/// for i in 0..30 {
+///     let j = (i % 10) as f64 * 1e-3;
+///     pts.push(vec![j, j]);
+///     pts.push(vec![4.0 + j, 4.0 - j]);
+/// }
+/// let config = GapConfig::default();
+/// assert_eq!(choose_k(&pts, 8, &config, 123)?, 2);
+/// assert_eq!(gap_statistic(&pts, 8, &config, 123)?.chosen_k, 2);
+/// # Ok::<(), s3_stats::StatsError>(())
+/// ```
+pub fn choose_k(
+    points: &[Vec<f64>],
+    k_max: usize,
+    config: &GapConfig,
+    seed: u64,
+) -> Result<usize, StatsError> {
+    let evaluator = Evaluator::new(points, k_max, config, seed)?;
+    let mut curve = evaluator.curve(1..=k_max.min(2));
+    let chosen_k = loop {
+        let evaluated = curve.len();
+        if evaluated >= 2 && rule_fires(&curve[evaluated - 2], &curve[evaluated - 1]) {
+            break curve[evaluated - 2].k;
+        }
+        if evaluated == k_max {
+            break argmax_k(&curve);
+        }
+        curve.extend(evaluator.curve(evaluated + 1..=evaluated + 1));
+    };
+    s3_obs::global()
+        .histogram(&CHOSEN_K)
+        .observe(chosen_k as u64);
+    Ok(chosen_k)
 }
 
 #[cfg(test)]
@@ -350,6 +448,7 @@ mod tests {
         let pts = blobs(&[(0.0, 0.0), (6.0, 0.0), (3.0, 6.0)], 25, 0.25, 7);
         let result = gap_statistic(&pts, 6, &GapConfig::default(), 99).unwrap();
         assert_eq!(result.chosen_k, 3, "points: {:?}", result.points);
+        assert_eq!(choose_k(&pts, 6, &GapConfig::default(), 99).unwrap(), 3);
     }
 
     #[test]
@@ -362,6 +461,7 @@ mod tests {
         );
         let result = gap_statistic(&pts, 8, &GapConfig::default(), 4).unwrap();
         assert_eq!(result.chosen_k, 4);
+        assert_eq!(choose_k(&pts, 8, &GapConfig::default(), 4).unwrap(), 4);
     }
 
     #[test]

@@ -4,12 +4,23 @@
 //! into `k = 4` groups (Fig. 8); `k` itself is chosen by the gap statistic in
 //! [`crate::gap`]. The implementation is dimension-generic so the gap
 //! statistic can feed uniform reference data through the same code path.
+//!
+//! A fit copies its points once into one row-major buffer, and each restart
+//! runs Lloyd's iterations on scratch buffers it allocates once. The kernel
+//! is generic over the row width: one instance is compiled for the
+//! six-realm profile, so its distance loop is unrolled, and one reads the
+//! width at run time. Every instance adds and compares in the same order as
+//! a loop over one `Vec` per point would, so a fit's centroids,
+//! assignments and inertia do not depend on the layout.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 
 use crate::StatsError;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 // Clustering metrics (documented in docs/METRICS.md). All values are pure
 // functions of the input and seed: iteration counts come from the
@@ -48,6 +59,12 @@ static FINAL_MOVEMENT_NANOS: HistogramDesc = HistogramDesc {
     bounds: &[1, 1_000, 1_000_000, 1_000_000_000, 1_000_000_000_000],
 };
 
+/// Width of an application profile: the six realms of
+/// `s3_types::APP_CATEGORY_COUNT` (repeated here because this crate does
+/// not depend on `s3-types`). The kernel has an instance compiled for this
+/// width; any other width runs the instance that reads it at run time.
+const PROFILE_DIM: usize = 6;
+
 /// Tuning knobs for [`fit`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
@@ -57,9 +74,9 @@ pub struct KMeansConfig {
     pub tol: f64,
     /// Number of independent restarts; the best inertia wins.
     pub restarts: usize,
-    /// Worker threads for the per-point assignment step (`<= 1` is
-    /// sequential). Assignments are a pure per-point argmin, so the fit is
-    /// identical for every thread count.
+    /// Worker threads fanning out the restarts (`<= 1` is sequential).
+    /// Each restart has its own seed and the best one is picked in restart
+    /// order, so the fit is identical for every thread count.
     pub threads: usize,
 }
 
@@ -101,15 +118,56 @@ impl KMeansResult {
     }
 }
 
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+/// Checked points in one row-major buffer: point `i` is
+/// `coords[i * dim..(i + 1) * dim]`.
+pub(crate) struct Points {
+    coords: Vec<f64>,
+    dim: usize,
 }
 
-/// Index and squared distance of the centroid nearest to `p`.
-fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
+impl Points {
+    /// Checks `points` as a `k`-cluster [`fit`] does and copies them into
+    /// one buffer.
+    pub(crate) fn new(points: &[Vec<f64>], k: usize) -> Result<Points, StatsError> {
+        let dim = validate(points, k)?;
+        Ok(Points {
+            coords: points.concat(),
+            dim,
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.coords.len() / self.dim
+    }
+}
+
+/// Row width of a kernel instance: `D`, or the run-time `dim` when `D` is 0.
+#[inline(always)]
+fn width<const D: usize>(dim: usize) -> usize {
+    if D == 0 {
+        dim
+    } else {
+        D
+    }
+}
+
+/// Squared Euclidean distance, summed in coordinate order.
+#[inline(always)]
+fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        sum += (x - y) * (x - y);
+    }
+    sum
+}
+
+/// Index and squared distance of the centroid nearest to `p`, the lowest
+/// index on ties. `centroids` holds rows of `width::<D>(dim)`.
+#[inline(always)]
+fn nearest<const D: usize>(p: &[f64], centroids: &[f64], dim: usize) -> (usize, f64) {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for (c, centroid) in centroids.iter().enumerate() {
+    for (c, centroid) in centroids.chunks_exact(width::<D>(dim)).enumerate() {
         let d = sq_dist(p, centroid);
         if d < best_d {
             best_d = d;
@@ -159,21 +217,39 @@ fn validate(points: &[Vec<f64>], k: usize) -> Result<usize, StatsError> {
     Ok(dim)
 }
 
+/// Rejects a configuration without restarts.
+pub(crate) fn check_restarts(config: &KMeansConfig) -> Result<(), StatsError> {
+    if config.restarts == 0 {
+        return Err(StatsError::BadParameter {
+            what: "kmeans",
+            detail: "restarts must be positive".to_string(),
+        });
+    }
+    Ok(())
+}
+
 /// k-means++ seeding: the first centroid is uniform, later ones are sampled
 /// proportional to squared distance to the nearest already-chosen centroid.
-fn seed_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
-    let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    let first = rng.random_range(0..points.len());
-    centroids.push(points[first].clone());
-    let mut d2: Vec<f64> = points.iter().map(|p| sq_dist(p, &centroids[0])).collect();
-    while centroids.len() < k {
+/// Returns the `k` centroids as rows of one buffer.
+fn seed_plus_plus<const D: usize>(points: &Points, k: usize, rng: &mut StdRng) -> Vec<f64> {
+    let dim = width::<D>(points.dim);
+    let n = points.len();
+    let row = |i: usize| &points.coords[i * dim..(i + 1) * dim];
+    let mut centroids = Vec::with_capacity(k * dim);
+    centroids.extend_from_slice(row(rng.random_range(0..n)));
+    let mut d2: Vec<f64> = points
+        .coords
+        .chunks_exact(dim)
+        .map(|p| sq_dist(p, &centroids))
+        .collect();
+    for _ in 1..k {
         let total: f64 = d2.iter().sum();
         let idx = if total <= 0.0 {
             // All remaining points coincide with a centroid; pick uniformly.
-            rng.random_range(0..points.len())
+            rng.random_range(0..n)
         } else {
             let mut target = rng.random_range(0.0..total);
-            let mut chosen = points.len() - 1;
+            let mut chosen = n - 1;
             for (i, &d) in d2.iter().enumerate() {
                 if target < d {
                     chosen = i;
@@ -183,74 +259,81 @@ fn seed_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f6
             }
             chosen
         };
-        centroids.push(points[idx].clone());
-        let newest = centroids.last().expect("just pushed");
-        for (i, p) in points.iter().enumerate() {
+        let newest = row(idx);
+        centroids.extend_from_slice(newest);
+        for (best, p) in d2.iter_mut().zip(points.coords.chunks_exact(dim)) {
             let d = sq_dist(p, newest);
-            if d < d2[i] {
-                d2[i] = d;
+            if d < *best {
+                *best = d;
             }
         }
     }
     centroids
 }
 
-fn lloyd(
-    points: &[Vec<f64>],
-    mut centroids: Vec<Vec<f64>>,
-    dim: usize,
+/// One restart: k-means++ seeding from `seed`, then Lloyd's iterations on
+/// scratch buffers allocated once for the run.
+fn lloyd<const D: usize>(
+    points: &Points,
+    k: usize,
     config: &KMeansConfig,
+    seed: u64,
 ) -> KMeansResult {
-    let k = centroids.len();
+    let dim = width::<D>(points.dim);
+    let coords = &points.coords[..];
+    let mut centroids = seed_plus_plus::<D>(points, k, &mut StdRng::seed_from_u64(seed));
     let mut assignments = vec![0usize; points.len()];
+    let mut sums = vec![0.0; k * dim];
+    let mut counts = vec![0usize; k];
     let mut iterations = 0u64;
     let mut converged = false;
     let mut last_movement = 0.0f64;
     for _ in 0..config.max_iters {
         iterations += 1;
-        // Assignment step: a pure per-point argmin, parallelized with the
-        // output in point order. The update step below stays sequential so
-        // the centroid sums accumulate in point order at any thread count.
-        for (i, (best, _)) in s3_par::par_map(points, config.threads, |_, p| nearest(p, &centroids))
-            .into_iter()
-            .enumerate()
-        {
-            assignments[i] = best;
+        // Assignment step.
+        for (a, p) in assignments.iter_mut().zip(coords.chunks_exact(dim)) {
+            *a = nearest::<D>(p, &centroids, dim).0;
         }
-        // Update step.
-        let mut sums = vec![vec![0.0; dim]; k];
-        let mut counts = vec![0usize; k];
-        for (p, &a) in points.iter().zip(&assignments) {
+        // Update step: the sums accumulate in point order.
+        sums.fill(0.0);
+        counts.fill(0);
+        for (p, &a) in coords.chunks_exact(dim).zip(&assignments) {
             counts[a] += 1;
-            for (s, &x) in sums[a].iter_mut().zip(p) {
+            for (s, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(p) {
                 *s += x;
             }
         }
         let mut movement = 0.0;
         for c in 0..k {
             if counts[c] == 0 {
-                // Re-seed an empty cluster at the point farthest from its
-                // current centroid to keep exactly k clusters alive.
-                let far = points
-                    .iter()
+                // Re-seed an empty cluster at the point farthest from point
+                // 0's centroid as updated so far (the last such point on
+                // ties) to keep exactly k clusters alive.
+                let anchor = &centroids[assignments[0] * dim..(assignments[0] + 1) * dim];
+                let far = coords
+                    .chunks_exact(dim)
+                    .map(|p| sq_dist(p, anchor))
                     .enumerate()
-                    .max_by(|(_, a), (_, b)| {
-                        sq_dist(a, &centroids[assignments[0]])
-                            .partial_cmp(&sq_dist(b, &centroids[assignments[0]]))
-                            .expect("finite")
-                    })
+                    .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite"))
                     .map(|(i, _)| i)
                     .expect("non-empty points");
-                movement += sq_dist(&centroids[c], &points[far]).sqrt();
-                centroids[c] = points[far].clone();
+                let p = &coords[far * dim..(far + 1) * dim];
+                let centroid = &mut centroids[c * dim..(c + 1) * dim];
+                movement += sq_dist(centroid, p).sqrt();
+                centroid.copy_from_slice(p);
                 continue;
             }
-            let mut new_c = sums[c].clone();
-            for x in &mut new_c {
-                *x /= counts[c] as f64;
+            let count = counts[c] as f64;
+            let mut shift = 0.0;
+            for (x, &s) in centroids[c * dim..(c + 1) * dim]
+                .iter_mut()
+                .zip(&sums[c * dim..(c + 1) * dim])
+            {
+                let mean = s / count;
+                shift += (*x - mean) * (*x - mean);
+                *x = mean;
             }
-            movement += sq_dist(&centroids[c], &new_c).sqrt();
-            centroids[c] = new_c;
+            movement += shift.sqrt();
         }
         last_movement = movement;
         if movement <= config.tol {
@@ -270,20 +353,16 @@ fn lloyd(
             &MAX_ITERS_REACHED
         })
         .inc();
-    // Final assignment + inertia against the converged centroids. The
-    // distances come back in point order, so the inertia sum associates
-    // exactly as the sequential loop did.
+    // Final assignment + inertia against the last centroids, summed in
+    // point order.
     let mut inertia = 0.0;
-    for (i, (best, best_d)) in
-        s3_par::par_map(points, config.threads, |_, p| nearest(p, &centroids))
-            .into_iter()
-            .enumerate()
-    {
-        assignments[i] = best;
+    for (a, p) in assignments.iter_mut().zip(coords.chunks_exact(dim)) {
+        let (best, best_d) = nearest::<D>(p, &centroids, dim);
+        *a = best;
         inertia += best_d;
     }
     KMeansResult {
-        centroids,
+        centroids: centroids.chunks_exact(dim).map(<[f64]>::to_vec).collect(),
         assignments,
         inertia,
     }
@@ -317,33 +396,49 @@ pub fn fit(
     config: &KMeansConfig,
     seed: u64,
 ) -> Result<KMeansResult, StatsError> {
-    let dim = validate(points, k)?;
-    if config.restarts == 0 {
-        return Err(StatsError::BadParameter {
-            what: "kmeans",
-            detail: "restarts must be positive".to_string(),
-        });
-    }
+    let points = Points::new(points, k)?;
+    check_restarts(config)?;
+    Ok(fit_points(&points, k, config, seed))
+}
+
+/// [`fit`] on points already checked for a fit of at least `k` clusters,
+/// under a configuration that passed [`check_restarts`].
+pub(crate) fn fit_points(
+    points: &Points,
+    k: usize,
+    config: &KMeansConfig,
+    seed: u64,
+) -> KMeansResult {
+    assert!(
+        (1..=points.len()).contains(&k) && config.restarts > 0,
+        "fit_points needs 1 <= k <= points and a restart"
+    );
     s3_obs::global().counter(&FITS).inc();
+    let seeds: Vec<u64> = (0..config.restarts)
+        .map(|restart| seed.wrapping_add(restart as u64 * 0x9E37_79B9))
+        .collect();
+    let runs = s3_par::par_map(&seeds, config.threads, |_, &seed| {
+        if points.dim == PROFILE_DIM {
+            lloyd::<PROFILE_DIM>(points, k, config, seed)
+        } else {
+            lloyd::<0>(points, k, config, seed)
+        }
+    });
+    // The best run in restart order; a later run must be strictly better.
     let mut best: Option<KMeansResult> = None;
-    for restart in 0..config.restarts {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(restart as u64 * 0x9E37_79B9));
-        let seeds = seed_plus_plus(points, k, &mut rng);
-        let result = lloyd(points, seeds, dim, config);
-        let better = match &best {
-            None => true,
-            Some(b) => result.inertia < b.inertia,
-        };
-        if better {
-            best = Some(result);
+    for run in runs {
+        if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
+            best = Some(run);
         }
     }
-    Ok(best.expect("restarts >= 1"))
+    best.expect("restarts >= 1")
 }
 
 /// Within-cluster dispersion `W_k = Σ_clusters ½·(pairwise squared dists)/n_r`
 /// as used by the gap statistic. Computed equivalently as
-/// `Σ_points ‖x − centroid‖²` (identical for Euclidean distance).
+/// `Σ_points ‖x − centroid‖²` (identical for Euclidean distance). For the
+/// points a fit was made on, this is the fit's `inertia` bit for bit: the
+/// same distances, summed in the same point order.
 pub fn within_dispersion(points: &[Vec<f64>], result: &KMeansResult) -> f64 {
     let mut w = 0.0;
     for (p, &a) in points.iter().zip(&result.assignments) {
@@ -448,7 +543,7 @@ mod tests {
         let pts = two_blobs();
         let result = fit(&pts, 2, &KMeansConfig::default(), 11).unwrap();
         let w = within_dispersion(&pts, &result);
-        assert!((w - result.inertia).abs() < 1e-9);
+        assert_eq!(w.to_bits(), result.inertia.to_bits());
     }
 
     #[test]

@@ -50,7 +50,9 @@ proptest! {
         prop_assert_eq!(result.assignments.len(), points.len());
         prop_assert!(result.assignments.iter().all(|&a| a < k));
         prop_assert!(result.inertia >= 0.0);
-        prop_assert!((within_dispersion(&points, &result) - result.inertia).abs() < 1e-6);
+        // The dispersion pass and the fit's inertia sum the same distances
+        // in the same point order, so they agree bit for bit.
+        prop_assert_eq!(within_dispersion(&points, &result).to_bits(), result.inertia.to_bits());
         // Every cluster is non-empty (the reseeding rule guarantees it
         // whenever k <= distinct points; with duplicates a cluster may
         // legitimately be empty only if there are fewer distinct points).
