@@ -23,9 +23,10 @@
 
 use std::any::Any;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use s3_bench::{fmt, write_csv, EVAL_DAYS};
-use s3_core::{strategy_registry, S3Config, SocialModel};
+use s3_core::{strategy_registry, CompiledModel, S3Config, SocialModel};
 use s3_trace::generator::{apply_scenario, CampusConfig, CampusGenerator, ScenarioSpec};
 use s3_trace::{SessionDemand, TraceStore};
 use s3_types::{TimeDelta, Timestamp, SECS_PER_DAY};
@@ -139,9 +140,10 @@ impl World {
             .collect()
     }
 
-    /// Trains the S³ model the way the CLI does: the pre-evaluation days
-    /// replayed under LLF stand in for the collected log.
-    fn train_s3(&self, threads: usize, seed: u64) -> SocialModel {
+    /// Trains the S³ model the way the CLI does — the pre-evaluation days
+    /// replayed under LLF stand in for the collected log — and compiles
+    /// it once for the registry's `s3` factory.
+    fn train_s3(&self, threads: usize, seed: u64) -> Arc<CompiledModel> {
         let first_eval = self.days.saturating_sub(EVAL_DAYS);
         let cut = Timestamp::from_secs(first_eval * SECS_PER_DAY);
         let history: Vec<SessionDemand> = self
@@ -159,7 +161,8 @@ impl World {
             threads,
             ..S3Config::default()
         };
-        SocialModel::learn(&log, &config, seed)
+        let model = SocialModel::learn(&log, &config, seed);
+        Arc::new(CompiledModel::compile(&model))
     }
 }
 

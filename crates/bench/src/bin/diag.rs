@@ -4,6 +4,7 @@
 use std::collections::{HashMap, HashSet};
 
 use s3_bench::{Args, Scenario};
+use s3_core::{S3Config, S3Selector};
 use s3_types::{ApId, TimeDelta};
 use s3_wlan::metrics::{balance_samples, mean_active_balance_filtered};
 use s3_wlan::selector::LeastLoadedFirst;
@@ -15,14 +16,14 @@ fn main() {
 
     let mut llf = LeastLoadedFirst::new();
     let llf_log = scenario.run_eval(&mut llf);
-    let mut s3 = scenario.default_s3(args.seed);
-    let s3_log = scenario.run_eval(&mut s3);
-
+    let config = S3Config::default();
+    let model = scenario.train_s3(&config, args.seed);
     println!(
         "model: {} known pairs, {} types",
-        s3.model().known_pairs(),
-        s3.model().type_count()
+        model.known_pairs(),
+        model.type_count()
     );
+    let s3_log = scenario.run_eval(&mut S3Selector::new(model, config));
 
     // For each group-meeting occurrence in the eval window: how many
     // distinct APs served the attending members?

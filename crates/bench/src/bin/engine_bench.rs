@@ -37,9 +37,10 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
-use s3_core::{S3Config, S3Selector, SocialModel};
+use s3_core::{CompiledModel, S3Config, S3Selector, SocialModel};
 use s3_obs::MetricValue;
 use s3_trace::generator::{CampusConfig, CampusGenerator};
 use s3_trace::{SessionDemand, SessionRecord, TraceStore};
@@ -114,19 +115,22 @@ struct Cell {
     best: Option<Sample>,
 }
 
-/// Boxed per-shard selectors for `policy`. The S³ model is cloned per
-/// shard — construction stays outside the timed region.
+/// The S³ model, compiled once, with the configuration its selectors run.
+type S3Artifact = (Arc<CompiledModel>, S3Config);
+
+/// Boxed per-shard selectors for `policy`. Every S³ shard shares the one
+/// compiled model — construction stays outside the timed region.
 fn build_selectors(
     policy: &str,
     shards: usize,
-    s3: Option<&(SocialModel, S3Config)>,
+    s3: Option<&S3Artifact>,
 ) -> Vec<Box<dyn ApSelector + Send>> {
     (0..shards)
         .map(|_| match policy {
             "llf" => Box::new(LeastLoadedFirst::new()) as Box<dyn ApSelector + Send>,
             "s3" => {
                 let (model, config) = s3.expect("s3 model trained before the sweep");
-                Box::new(S3Selector::new(model.clone(), config.clone()))
+                Box::new(S3Selector::from_compiled(Arc::clone(model), config.clone()))
                     as Box<dyn ApSelector + Send>
             }
             other => {
@@ -143,7 +147,7 @@ fn run_cell(
     demands: &[SessionDemand],
     policy: &str,
     shards: usize,
-    s3: Option<&(SocialModel, S3Config)>,
+    s3: Option<&S3Artifact>,
 ) -> Sample {
     let mut selectors = build_selectors(policy, shards, s3);
     let mut source = SliceSource::new(demands);
@@ -255,8 +259,9 @@ fn main() {
 
     let engine = SimEngine::new(Topology::from_campus(&campus.config), SimConfig::default());
 
-    // Train S³ once, outside every timed region, if the sweep needs it.
-    let s3_artifact: Option<(SocialModel, S3Config)> = if policies.contains(&"s3") {
+    // Train and compile S³ once, outside every timed region, if the sweep
+    // needs it.
+    let s3_artifact: Option<S3Artifact> = if policies.contains(&"s3") {
         let train_start = Instant::now();
         let llf = engine.run(&demands, &mut LeastLoadedFirst::new());
         let log = TraceStore::new(llf.records);
@@ -264,12 +269,12 @@ fn main() {
             threads,
             ..S3Config::default()
         };
-        let model = SocialModel::learn(&log, &s3_config, seed);
+        let model = CompiledModel::compile(&SocialModel::learn(&log, &s3_config, seed));
         eprintln!(
             "engine_bench: s3 model trained in {:.1}s (untimed)",
             train_start.elapsed().as_secs_f64()
         );
-        Some((model, s3_config))
+        Some((Arc::new(model), s3_config))
     } else {
         None
     };

@@ -4,8 +4,9 @@ use std::any::Any;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
+use std::sync::Arc;
 
-use s3_core::{strategy_registry, S3Config, S3Selector, SocialModel};
+use s3_core::{strategy_registry, CompiledModel, S3Config, S3Selector, SocialModel};
 use s3_trace::decision_log::{config_hash, DecisionLogReader, DecisionRecord};
 use s3_trace::generator::{
     apply_scenario, inject_csv_faults, CampusConfig, CampusGenerator, FaultSpec, ScenarioSpec,
@@ -347,11 +348,11 @@ fn effective_train_days(train_days: u64, span_days: u64) -> u64 {
 /// looking `policy` up in the [`strategy_registry`] — the single
 /// policy-name → selector code path shared by plain, sharded and traced
 /// replays. Policies whose capability flags declare `needs_training` get
-/// an S³ model trained on the first `effective_train_days` of `training`
-/// and passed down as the build-context artifact; the registry clones it
-/// into every shard's selector. Returns the selectors together with the
-/// effective training-day count (`0` for untrained policies), which
-/// parameterizes the decision-trace config hash.
+/// an S³ model trained on the first `effective_train_days` of `training`,
+/// compiled once and passed down as the build-context artifact; every
+/// shard's selector shares that one compiled model. Returns the selectors
+/// together with the effective training-day count (`0` for untrained
+/// policies), which parameterizes the decision-trace config hash.
 #[allow(clippy::too_many_arguments)]
 fn build_selectors<W: Write>(
     training: &[SessionDemand],
@@ -377,7 +378,7 @@ fn build_selectors<W: Write>(
             model.known_pairs(),
             model.type_count()
         )?;
-        (Some(model), effective)
+        (Some(Arc::new(CompiledModel::compile(&model))), effective)
     } else {
         (None, 0)
     };
@@ -414,32 +415,30 @@ fn replay<W: Write>(
         &demands, &engine, policy, seed, train_days, span, threads, shards, out,
     )?;
 
-    let result = if shards > 1 {
-        let mut source = SliceSource::new(&demands);
-        let mut sink = CollectSink::with_capacity(demands.len());
-        let totals = engine
-            .run_shards(&mut source, &mut selectors, &mut sink)
-            .map_err(engine_err)?;
-        sink.into_result(totals)
-    } else {
-        engine.run_unsorted(&demands, selectors[0].as_mut())
-    };
+    let mut source = SliceSource::new(&demands);
+    let mut sink = CollectSink::with_capacity(demands.len());
+    let totals = engine
+        .run_shards(&mut source, &mut selectors, &mut sink)
+        .map_err(engine_err)?;
+    let result = sink.into_result(totals);
     let file = File::create(out_path)?;
     csv::write_sessions(BufWriter::new(file), &result.records)?;
 
-    let log = TraceStore::new(result.records);
-    let balance =
-        mean_active_balance_filtered(&log, TimeDelta::minutes(REPORT_BIN_MINUTES), daytime);
+    // `into_result` sorts by connect, the order the accumulator needs.
+    let mut balance = StreamingBalance::new(TimeDelta::minutes(REPORT_BIN_MINUTES));
+    for record in &result.records {
+        balance.observe(record);
+    }
     writeln!(
         out,
         "replayed {} demands under {} -> {} session records ({} migrations) to {}",
         demands.len(),
         policy,
-        log.len(),
+        result.records.len(),
         result.migrations,
         out_path.display()
     )?;
-    if let Some(b) = balance {
+    if let Some(b) = balance.finish(daytime) {
         writeln!(out, "mean daytime balance index: {b:.4}")?;
     }
     Ok(())

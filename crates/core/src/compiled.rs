@@ -64,6 +64,14 @@ static CSR_EDGES: Desc = Desc {
     unit: Unit::Count,
     stability: Stability::Stable,
 };
+// Counted here, once per compile, so a model shared by several shard
+// selectors counts once; the name keeps its `core.selector` prefix.
+static DEGRADED_MODELS: Desc = Desc {
+    name: "core.selector.degraded_models",
+    help: "Compiled S3 models that are stale or trivially empty (their selectors fall back to LLF)",
+    unit: Unit::Count,
+    stability: Stability::Stable,
+};
 
 /// Dense-id sentinel for a user the model has never seen. Every query
 /// treats it as "no relations, no type, fallback demand" — exactly what
@@ -75,9 +83,10 @@ const NO_TYPE: u8 = u8::MAX;
 
 /// A [`SocialModel`] frozen into dense, allocation-free query form.
 ///
-/// Build one with [`CompiledModel::compile`]; the selector does so once at
-/// construction and serves every `select`/`select_batch` from it. All
-/// queries are bit-identical to the hashed [`SocialModel`] equivalents.
+/// Build one with [`CompiledModel::compile`], once per trained model: every
+/// [`crate::S3Selector`] serving that model shares it behind an `Arc` and
+/// answers every `select`/`select_batch` from it. All queries are
+/// bit-identical to the hashed [`SocialModel`] equivalents.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     /// Sorted raw user ids; the dense id of a user is its index here.
@@ -191,9 +200,13 @@ impl CompiledModel {
         let neighbors: Vec<u32> = entries.iter().map(|e| e.1).collect();
         let pair_prob: Vec<f64> = entries.iter().map(|e| e.2).collect();
 
+        let (trivial, stale) = (model.is_trivial(), model.is_stale());
         let registry = s3_obs::global();
         registry.counter(&COMPILED_USERS).add(n as u64);
         registry.counter(&CSR_EDGES).add(neighbors.len() as u64);
+        if trivial || stale {
+            registry.counter(&DEGRADED_MODELS).inc();
+        }
 
         CompiledModel {
             users,
@@ -206,8 +219,8 @@ impl CompiledModel {
             neighbors,
             pair_prob,
             alpha: model.alpha(),
-            trivial: model.is_trivial(),
-            stale: model.is_stale(),
+            trivial,
+            stale,
         }
     }
 

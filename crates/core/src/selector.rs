@@ -12,15 +12,17 @@
 //! each clique via [`crate::batch::assign_clique`].
 //!
 //! Every decision runs on the **compiled data plane** (see
-//! [`crate::compiled`] and `docs/PERF.md`): the selector freezes its
-//! [`SocialModel`] into a [`CompiledModel`] once at construction and keeps
-//! a reusable [`Scratch`] of dense member buffers, slot states, clique
-//! working vectors and the distribution search's workspace — so the hot
-//! path does no hashing and, after the first request warms the buffers,
-//! the distribution search allocates nothing (the social graph and the
-//! clique partition still allocate per batch). The answers are
-//! bit-identical to the hashed path (enforced by
-//! `tests/compiled_props.rs`).
+//! [`crate::compiled`] and `docs/PERF.md`): the selector queries a shared
+//! [`CompiledModel`] — one per trained [`SocialModel`], however many
+//! shard selectors serve it — and keeps its own reusable [`Scratch`] of
+//! dense member buffers, slot states, clique working vectors and the
+//! distribution search's workspace — so the hot path does no hashing and,
+//! after the first request warms the buffers, the distribution search
+//! allocates nothing (the social graph and the clique partition still
+//! allocate per batch). The answers are bit-identical to the hashed path
+//! (enforced by `tests/compiled_props.rs`).
+
+use std::sync::Arc;
 
 use s3_graph::clique::{CliqueBudget, CliqueWorkspace};
 use s3_graph::partition::clique_partition_in;
@@ -35,14 +37,9 @@ use crate::batch::{
 use crate::compiled::CompiledModel;
 use crate::{S3Config, SocialModel};
 
-// Degradation metrics (documented in docs/METRICS.md): a selector running
-// on an unusable model must be *visible*, never a silent mis-score.
-static DEGRADED_MODELS: Desc = Desc {
-    name: "core.selector.degraded_models",
-    help: "S3 selectors constructed over a stale or trivially-empty model (LLF fallback engaged)",
-    unit: Unit::Count,
-    stability: Stability::Stable,
-};
+// Degradation metric (documented in docs/METRICS.md): a selector running
+// on an unusable model must be *visible*, never a silent mis-score. The
+// degraded models themselves are counted where they are compiled.
 static DEGRADED_SELECTIONS: Desc = Desc {
     name: "core.selector.degraded_selections",
     help: "Selection requests (single or batch) answered by the LLF fallback of a degraded S3 selector",
@@ -50,7 +47,9 @@ static DEGRADED_SELECTIONS: Desc = Desc {
     stability: Stability::Stable,
 };
 
-/// The S³ policy. Construct with a trained [`SocialModel`].
+/// The S³ policy. Construct with a trained [`SocialModel`]
+/// ([`S3Selector::new`]), or share one compiled model between several
+/// selectors ([`S3Selector::from_compiled`]).
 ///
 /// A model that cannot be trusted — trivially empty
 /// ([`SocialModel::is_trivial`]) or stale
@@ -63,9 +62,9 @@ static DEGRADED_SELECTIONS: Desc = Desc {
 /// promoted to a whole-model guard.
 #[derive(Debug, Clone)]
 pub struct S3Selector {
-    model: SocialModel,
-    /// The model frozen into dense query form, built once in `new`.
-    compiled: CompiledModel,
+    /// The model in dense query form, shared by every selector built
+    /// from the same compile.
+    compiled: Arc<CompiledModel>,
     config: S3Config,
     degraded: bool,
     /// The LLF fallback policy, constructed once (degraded requests are a
@@ -111,14 +110,20 @@ impl S3Selector {
     ///
     /// Panics when `config` fails validation (see [`S3Config::validate`]).
     pub fn new(model: SocialModel, config: S3Config) -> Self {
+        S3Selector::from_compiled(Arc::new(CompiledModel::compile(&model)), config)
+    }
+
+    /// Creates a selector over an already compiled model. Selectors built
+    /// from clones of one `Arc` share the model's tables; each keeps its
+    /// own scratch buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config` fails validation (see [`S3Config::validate`]).
+    pub fn from_compiled(compiled: Arc<CompiledModel>, config: S3Config) -> Self {
         config.validate();
-        let degraded = model.is_trivial() || model.is_stale();
-        if degraded {
-            s3_obs::global().counter(&DEGRADED_MODELS).inc();
-        }
-        let compiled = CompiledModel::compile(&model);
+        let degraded = compiled.is_trivial() || compiled.is_stale();
         S3Selector {
-            model,
             compiled,
             config,
             degraded,
@@ -131,11 +136,6 @@ impl S3Selector {
     /// Whether the LLF fallback is engaged (stale or trivial model).
     pub fn is_degraded(&self) -> bool {
         self.degraded
-    }
-
-    /// The underlying model (for inspection and experiment reporting).
-    pub fn model(&self) -> &SocialModel {
-        &self.model
     }
 
     /// The compiled view the hot path queries.
@@ -486,6 +486,6 @@ mod tests {
     fn accessors_expose_model_and_config() {
         let s3 = trained_selector();
         assert!(s3.config().alpha > 0.0);
-        let _ = s3.model().type_count();
+        assert_eq!(s3.compiled_model().type_count(), 4);
     }
 }

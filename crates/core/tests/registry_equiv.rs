@@ -3,7 +3,9 @@
 //! through a registry-built selector must produce records identical to a
 //! replay through the directly-constructed selector it replaced.
 
-use s3_core::{strategy_registry, S3Config, S3Selector, SocialModel};
+use std::sync::Arc;
+
+use s3_core::{strategy_registry, CompiledModel, S3Config, S3Selector, SocialModel};
 use s3_trace::generator::{CampusConfig, CampusGenerator};
 use s3_trace::TraceStore;
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst, LeastUsers, RandomSelector, StrongestRssi};
@@ -17,7 +19,10 @@ fn campus() -> (SimEngine, Vec<s3_trace::SessionDemand>) {
     (engine, campus.demands)
 }
 
-fn registry_run(policy: &str, artifact: Option<&SocialModel>) -> Vec<s3_trace::SessionRecord> {
+fn registry_run(
+    policy: &str,
+    artifact: Option<&Arc<CompiledModel>>,
+) -> Vec<s3_trace::SessionRecord> {
     let (engine, demands) = campus();
     let mut selector = strategy_registry()
         .build(
@@ -73,8 +78,8 @@ fn random_matches_direct_construction() {
 #[test]
 fn s3_matches_direct_construction() {
     // Train once the way the CLI does (LLF replay of the first day), then
-    // compare a registry-built S³ against a hand-built one on the same
-    // model clone.
+    // compare a registry-built S³ over the shared compiled model against
+    // a hand-built one compiling its own copy.
     let (engine, demands) = campus();
     let history: Vec<_> = demands
         .iter()
@@ -88,6 +93,7 @@ fn s3_matches_direct_construction() {
     };
     let model = SocialModel::learn(&log, &config, SEED);
 
-    let mut direct = S3Selector::new(model.clone(), config);
-    assert_eq!(registry_run("s3", Some(&model)), direct_run(&mut direct));
+    let compiled = Arc::new(CompiledModel::compile(&model));
+    let mut direct = S3Selector::new(model, config);
+    assert_eq!(registry_run("s3", Some(&compiled)), direct_run(&mut direct));
 }

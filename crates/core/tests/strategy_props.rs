@@ -6,7 +6,9 @@
 
 use proptest::prelude::*;
 
-use s3_core::{strategy_registry, S3Config, SocialModel};
+use std::sync::Arc;
+
+use s3_core::{strategy_registry, CompiledModel, S3Config, SocialModel};
 use s3_trace::generator::CampusConfig;
 use s3_trace::{SessionDemand, TraceStore};
 use s3_types::{AppCategory, BuildingId, Bytes, ControllerId, Timestamp, UserId};
@@ -45,11 +47,12 @@ fn arbitrary_demands() -> impl Strategy<Value = Vec<SessionDemand>> {
     })
 }
 
-/// An S³ model trained on an empty log — structurally valid, all-default
-/// social indices — so the `needs_training` entry can run over arbitrary
-/// demands too.
-fn empty_model() -> SocialModel {
-    SocialModel::learn(&TraceStore::new(Vec::new()), &S3Config::default(), 1)
+/// An S³ model trained on an empty log and compiled — structurally valid,
+/// all-default social indices — so the `needs_training` entry can run
+/// over arbitrary demands too.
+fn empty_model() -> Arc<CompiledModel> {
+    let model = SocialModel::learn(&TraceStore::new(Vec::new()), &S3Config::default(), 1);
+    Arc::new(CompiledModel::compile(&model))
 }
 
 proptest! {

@@ -38,8 +38,7 @@
 //! `tests/clique_parity.rs`) holds because the fold accumulates in the
 //! same left-to-right member order the reference's fold used, starting
 //! from `-0.0` exactly like std's `Sum<f64>` fold, over the identical
-//! matrix cells; the `fast-math` feature swaps in a reassociated
-//! two-lane sum, waiving that guarantee.
+//! matrix cells.
 
 use super::{Clique, CliqueBudget};
 use crate::coloring::ColoringScratch;
@@ -369,7 +368,6 @@ fn record(f: &mut Frame<'_>, current_weight: f64) {
 /// pick and would drag a fresh row through the cache each time on large
 /// graphs. The matrix is symmetric, so the two orientations hold
 /// identical cells.
-#[cfg(not(feature = "fast-math"))]
 #[inline]
 fn added_weight(gw: &[f64], mrow: &[usize], col: usize) -> f64 {
     let mut acc = -0.0f64;
@@ -377,25 +375,6 @@ fn added_weight(gw: &[f64], mrow: &[usize], col: usize) -> f64 {
         acc += gw[ro + col];
     }
     acc
-}
-
-/// `fast-math` pick weight: reassociated two-lane sum over the same
-/// member-row cells. Not bit-identical to the reference fold — excluded
-/// from the parity guarantees (`docs/PERF.md`).
-#[cfg(feature = "fast-math")]
-#[inline]
-fn added_weight(gw: &[f64], mrow: &[usize], col: usize) -> f64 {
-    let mut lane0 = -0.0f64;
-    let mut lane1 = 0.0f64;
-    let mut pairs = mrow.chunks_exact(2);
-    for pair in &mut pairs {
-        lane0 += gw[pair[0] + col];
-        lane1 += gw[pair[1] + col];
-    }
-    if let [ro] = pairs.remainder() {
-        lane0 += gw[*ro + col];
-    }
-    lane0 + lane1
 }
 
 /// One branch-and-bound node of the wide fallback path. Depth `d` owns

@@ -25,12 +25,6 @@
 //!   reproduces it bit-for-bit (same cliques, same tie-breaks, same
 //!   `truncated` flags, byte-identical partitions), and the clique
 //!   benchmarks publish the kernel's speedup against it.
-//!
-//! With the `fast-math` feature the kernel's tie-break weight accumulation
-//! is reassociated for speed and the bit-for-bit guarantee against the
-//! reference is **waived** (clique sizes stay exact; only equal-size
-//! weight tie-breaks may differ at ULP scale). The feature is off by
-//! default and excluded from the parity suite.
 
 mod kernel;
 pub mod reference;

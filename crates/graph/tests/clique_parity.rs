@@ -3,11 +3,6 @@
 //! identical member vertices, identical size/weight tie-breaks, identical
 //! `truncated` flags under node budgets, and byte-identical
 //! `clique_partition` output (weight sums compared via `f64::to_bits`).
-//!
-//! The whole suite is compiled out under the `fast-math` feature, which
-//! reassociates the kernel's weight accumulation and explicitly waives
-//! the bit-for-bit guarantee (see `docs/PERF.md`).
-#![cfg(not(feature = "fast-math"))]
 
 use proptest::prelude::*;
 

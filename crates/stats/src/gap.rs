@@ -212,9 +212,10 @@ struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Checks the run's parameters and draws the reference sets once, to be
-    /// reused across `k` as Tibshirani prescribes (it reduces Monte-Carlo
-    /// noise between adjacent `k`). Counts one gap run.
+    /// Checks the run's parameters and points, then draws the reference
+    /// sets once, to be reused across `k` as Tibshirani prescribes (it
+    /// reduces Monte-Carlo noise between adjacent `k`). Counts one gap run
+    /// once the parameters pass.
     fn new(
         points: &[Vec<f64>],
         k_max: usize,
@@ -237,6 +238,12 @@ impl<'a> Evaluator<'a> {
             });
         }
         s3_obs::global().counter(&RUNS).inc();
+        // The data, then the restart count — the order in which the first
+        // fit reports a bad input — before the reference draw, which
+        // indexes every point by the first one's dimension and needs
+        // finite coordinates for the PCA frame.
+        let data = Points::new(points, 1)?;
+        kmeans::check_restarts(&config.kmeans)?;
         let b = config.reference_sets;
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
         let references: Vec<Vec<Vec<f64>>> = match config.reference_method {
@@ -253,10 +260,6 @@ impl<'a> Evaluator<'a> {
                     .collect()
             }
         };
-        // The data, the restart count, then each reference set: the order
-        // in which the first fits report a bad input.
-        let data = Points::new(points, 1)?;
-        kmeans::check_restarts(&config.kmeans)?;
         let references = references
             .iter()
             .map(|reference| Points::new(reference, 1))
@@ -495,6 +498,49 @@ mod tests {
             ..GapConfig::default()
         };
         assert!(gap_statistic(&pts, 2, &bad, 0).is_err());
+    }
+
+    #[test]
+    fn bad_points_are_errors_under_both_reference_methods() {
+        // A shorter later point would index past its end in the reference
+        // draw, and a NaN breaks the PCA frame's eigendecomposition: the
+        // points are checked before either runs.
+        let ragged = vec![vec![0.0, 1.0], vec![1.0], vec![2.0, 0.0]];
+        let nan = vec![vec![0.0, 1.0], vec![f64::NAN, 2.0], vec![1.0, 0.0]];
+        let flat: Vec<Vec<f64>> = vec![Vec::new(), Vec::new()];
+        let bad_dim = |detail: &str| StatsError::BadParameter {
+            what: "kmeans",
+            detail: detail.to_string(),
+        };
+        for method in [ReferenceMethod::BoundingBox, ReferenceMethod::PcaAligned] {
+            let config = GapConfig {
+                reference_method: method,
+                ..GapConfig::default()
+            };
+            let cases = [
+                (&ragged, bad_dim("point 1 has dimension 1 (expected 2)")),
+                (
+                    &nan,
+                    StatsError::InvalidSample {
+                        what: "kmeans",
+                        index: 1,
+                    },
+                ),
+                (&flat, bad_dim("points must have positive dimension")),
+            ];
+            for (points, expected) in cases {
+                assert_eq!(
+                    gap_statistic(points, 2, &config, 1).unwrap_err(),
+                    expected,
+                    "{method:?}"
+                );
+                assert_eq!(
+                    choose_k(points, 2, &config, 1).unwrap_err(),
+                    expected,
+                    "{method:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,19 +53,11 @@ pub use tracing::{
     check_log, trace_header, CheckReport, InvariantClass, TraceEvent, TraceSink, Violation,
 };
 
-use s3_obs::{Desc, Stability, Unit};
 use s3_trace::{SessionDemand, SessionRecord};
 use s3_types::TimeDelta;
 
 use crate::selector::ApSelector;
 use crate::topology::Topology;
-
-static UNSORTED_RECOVERIES: Desc = Desc {
-    name: "wlan.engine.unsorted_recoveries",
-    help: "Replay inputs that arrived out of order and were re-sorted",
-    unit: Unit::Count,
-    stability: Stability::Stable,
-};
 
 /// Online-rebalancer settings (the migrating baseline).
 #[derive(Debug, Clone, PartialEq)]
@@ -147,29 +139,8 @@ impl SimEngine {
         &self.topology
     }
 
-    /// [`SimEngine::run`] for demand streams that may be out of arrival
-    /// order — e.g. recovered leniently from a clock-skewed or
-    /// fault-injected log. When a resort is needed the demands are copied,
-    /// sorted by `(arrive, user)` (the canonical deterministic order) and
-    /// the recovery is counted in `wlan.engine.unsorted_recoveries`;
-    /// already-sorted input delegates directly with no copy.
-    pub fn run_unsorted(
-        &self,
-        demands: &[SessionDemand],
-        selector: &mut dyn ApSelector,
-    ) -> SimResult {
-        if demands.windows(2).all(|w| w[0].arrive <= w[1].arrive) {
-            return self.run(demands, selector);
-        }
-        s3_obs::global().counter(&UNSORTED_RECOVERIES).inc();
-        let mut sorted = demands.to_vec();
-        sorted.sort_by_key(|d| (d.arrive, d.user));
-        self.run(&sorted, selector)
-    }
-
     /// Replays `demands` (must be sorted by arrival time) under `selector`.
-    /// Use [`SimEngine::run_unsorted`] for streams of unknown order and
-    /// [`SimEngine::run_streamed`] for traces that do not fit in memory.
+    /// Use [`SimEngine::run_streamed`] for traces that do not fit in memory.
     ///
     /// # Panics
     ///
@@ -226,7 +197,7 @@ impl SimEngine {
     ///
     /// Each shard needs its own selector value because selectors are
     /// stateful; build N equivalent instances (for trained policies,
-    /// train once and clone the model).
+    /// train once and let every instance share the trained model).
     ///
     /// Without the rebalancer, records arrive globally sorted by
     /// `(connect, user, ap)`. With it, each segment is emitted when it
@@ -389,32 +360,6 @@ mod tests {
         let engine = tiny_engine();
         let demands = vec![demand(1, 0, 500, 600, 1), demand(2, 0, 100, 200, 1)];
         let _ = engine.run(&demands, &mut LeastLoadedFirst::new());
-    }
-
-    #[test]
-    fn run_unsorted_delegation_and_recovery_counter() {
-        // Satellite coverage for run_unsorted through the DemandSource
-        // path: sorted input takes the no-copy fast path (no recovery
-        // counted); skewed input is re-sorted once and counted. Both
-        // checks live in one test so the process-wide counter delta is
-        // race-free under the parallel test runner.
-        let recoveries = s3_obs::global().counter(&UNSORTED_RECOVERIES);
-        let engine = tiny_engine();
-        let sorted = vec![demand(2, 0, 100, 200, 1), demand(1, 0, 500, 600, 1)];
-
-        let before = recoveries.get();
-        let a = engine.run_unsorted(&sorted, &mut LeastLoadedFirst::new());
-        assert_eq!(
-            recoveries.get(),
-            before,
-            "sorted input must take the fast path without a recovery"
-        );
-
-        let shuffled = vec![sorted[1].clone(), sorted[0].clone()];
-        let before = recoveries.get();
-        let b = engine.run_unsorted(&shuffled, &mut LeastLoadedFirst::new());
-        assert_eq!(recoveries.get(), before + 1, "skew must count one recovery");
-        assert_eq!(a, b, "recovery must reproduce the sorted replay exactly");
     }
 
     /// A selector that records how many users it saw per batch call.

@@ -26,8 +26,8 @@ pub enum EngineError {
     Sink(io::Error),
     /// The source yielded a demand arriving before its predecessor. The
     /// streaming engine cannot re-sort (that would require materializing
-    /// the trace); re-sort the file or use the in-memory
-    /// [`crate::SimEngine::run_unsorted`] path.
+    /// the trace); re-sort the file, or sort the demands in memory and
+    /// replay them from a [`SliceSource`].
     Unsorted {
         /// Arrival second of the preceding demand.
         prev: u64,

@@ -2,10 +2,12 @@
 //!
 //! Every evaluation number in the paper is a function of the normalized
 //! balance index computed over per-AP loads inside a controller domain,
-//! sampled per time bin. These helpers turn a [`TraceStore`] into those
-//! series.
+//! sampled per time bin. One accumulator, [`StreamingBalance`], bins the
+//! served volume and turns it into those samples; the [`TraceStore`]
+//! helpers feed it the store's records, and `s3wlan replay` feeds it the
+//! engine's records as they are emitted.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use s3_obs::{Desc, Stability, Unit};
 use s3_stats::balance::{normalized_balance_index, user_count_balance_index};
@@ -13,9 +15,8 @@ use s3_trace::{SessionRecord, TraceStore};
 use s3_types::{ApId, Bytes, ControllerId, TimeDelta, Timestamp};
 
 // Balance-sampling metrics (documented in docs/METRICS.md). Recorded in
-// exactly one place — [`balance_samples`] — so the aggregate helpers below
-// (`mean_active_balance*`), which call it internally, never double-count a
-// bin.
+// exactly one place — [`StreamingBalance::samples`] — which every helper
+// below calls once per computation, so no bin is ever double-counted.
 static BALANCE_SAMPLES: Desc = Desc {
     name: "wlan.metrics.balance_samples",
     help: "(controller, bin) balance-index samples computed",
@@ -56,41 +57,11 @@ pub struct BalanceSample {
 ///
 /// Panics if `bin` is zero.
 pub fn balance_samples(store: &TraceStore, bin: TimeDelta) -> Vec<BalanceSample> {
-    assert!(!bin.is_zero(), "bin width must be positive");
-    let Some((first_day, last_day)) = store.day_range() else {
-        return Vec::new();
-    };
-    let start = Timestamp::from_secs(first_day * s3_types::SECS_PER_DAY);
-    let end = Timestamp::from_secs((last_day + 1) * s3_types::SECS_PER_DAY);
-    let mut out = Vec::new();
-    for controller in store.controllers() {
-        let mut t = start;
-        while t < end {
-            let to = t + bin;
-            let volumes = store.ap_volumes_in(controller, t, to);
-            if volumes.len() >= 2 {
-                let loads: Vec<f64> = volumes.iter().map(|&(_, v)| v.as_f64()).collect();
-                let total: f64 = loads.iter().sum();
-                let value = normalized_balance_index(&loads).expect("loads are finite");
-                out.push(BalanceSample {
-                    controller,
-                    start: t,
-                    value,
-                    active: total > 0.0,
-                });
-            }
-            t = to;
-        }
-    }
-    let registry = s3_obs::global();
-    registry.counter(&BALANCE_SAMPLES).add(out.len() as u64);
-    let active = out.iter().filter(|s| s.active).count() as u64;
-    registry.counter(&ACTIVE_BINS).add(active);
-    registry.counter(&IDLE_BINS).add(out.len() as u64 - active);
-    out
+    StreamingBalance::of_store(store, bin).samples()
 }
 
-/// Traffic balance-index time series for a single controller.
+/// Traffic balance-index time series for a single controller over an
+/// arbitrary window (Fig. 4), sampled straight from the store.
 ///
 /// # Panics
 ///
@@ -143,25 +114,14 @@ pub fn user_balance_series(
     out
 }
 
-/// Mean normalized balance index over all active `(controller, bin)` pairs
-/// — the headline scalar compared between S³ and LLF. Returns `None` when
-/// no bin was active.
-pub fn mean_active_balance(store: &TraceStore, bin: TimeDelta) -> Option<f64> {
-    let samples = balance_samples(store, bin);
-    let active: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.active)
-        .map(|s| s.value)
-        .collect();
-    if active.is_empty() {
-        None
-    } else {
-        Some(active.iter().sum::<f64>() / active.len() as f64)
-    }
-}
-
-/// Like [`mean_active_balance`] but restricted to bins whose start hour
-/// satisfies `hour_filter` (peak hours, leave-peak hours, …).
+/// Mean normalized balance index over the active `(controller, bin)` pairs
+/// whose start hour satisfies `hour_filter` (daytime, peak hours, …) — the
+/// headline scalar compared between S³ and LLF. Returns `None` when no
+/// such bin was active.
+///
+/// # Panics
+///
+/// Panics if `bin` is zero.
 pub fn mean_active_balance_filtered<F>(
     store: &TraceStore,
     bin: TimeDelta,
@@ -170,46 +130,33 @@ pub fn mean_active_balance_filtered<F>(
 where
     F: Fn(u64) -> bool,
 {
-    let samples = balance_samples(store, bin);
-    let active: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.active && hour_filter(s.start.hour_of_day()))
-        .map(|s| s.value)
-        .collect();
-    if active.is_empty() {
-        None
-    } else {
-        Some(active.iter().sum::<f64>() / active.len() as f64)
-    }
+    StreamingBalance::of_store(store, bin).finish(hour_filter)
 }
 
-/// Incremental equivalent of [`balance_samples`] +
-/// [`mean_active_balance_filtered`] for record streams that never
-/// materialize a [`TraceStore`] — the `s3wlan replay --stream` path.
+/// The balance-index accumulator: bins the served volume of a record
+/// stream and turns it into per-`(controller, bin)` samples.
 ///
-/// Feed every emitted record through [`StreamingBalance::observe`] (in
-/// nondecreasing connect order — the order the streaming engine emits),
-/// then call [`StreamingBalance::finish`] once. The accumulator reproduces
-/// the store-backed computation *exactly*: per-bin volumes are the same
-/// integer [`SessionRecord::volume_within`] attributions, controllers and
-/// APs iterate in the same ascending-id order, and the sample mean sums in
-/// the same (controller-major, bin-minor) order — so both the published
-/// `wlan.metrics.*` counters and the reported mean are byte-identical to
-/// what [`mean_active_balance_filtered`] over the full log would give.
+/// Feed every record through [`StreamingBalance::observe`] in nondecreasing
+/// connect order (the order a [`TraceStore`] holds them and the streaming
+/// engine emits them), then call [`StreamingBalance::samples`] or
+/// [`StreamingBalance::finish`] once. Bins are aligned to the midnight
+/// of the first record's day and run to the end of the last day any
+/// record touches; per-bin volumes are integer
+/// [`SessionRecord::volume_within`] attributions, so they do not depend
+/// on the order records arrive in within that constraint.
 ///
-/// Memory is `O(controllers × APs × bins-with-traffic)` — it scales with
-/// the campus and the day span, never with the record count.
+/// Memory is one volume per bin up to each AP's last bin with traffic:
+/// it scales with the campus and the day span, never with the record
+/// count.
 #[derive(Debug)]
 pub struct StreamingBalance {
     bin: TimeDelta,
-    /// Start of the first record's day — the bin grid origin (the
-    /// store-backed path aligns bins to the first day's midnight).
+    /// Start of the first record's day — the bin grid origin.
     origin: Option<u64>,
     last_day: u64,
-    /// APs observed per controller over the whole stream.
-    aps: BTreeMap<ControllerId, BTreeSet<ApId>>,
-    /// Served volume per `(controller, ap, bin index)`.
-    volumes: HashMap<(ControllerId, ApId, u64), Bytes>,
+    /// Served volume per bin index, for every AP observed under each
+    /// controller over the whole stream (both maps ascend by id).
+    volumes: BTreeMap<ControllerId, BTreeMap<ApId, Vec<Bytes>>>,
 }
 
 impl StreamingBalance {
@@ -224,9 +171,17 @@ impl StreamingBalance {
             bin,
             origin: None,
             last_day: 0,
-            aps: BTreeMap::new(),
-            volumes: HashMap::new(),
+            volumes: BTreeMap::new(),
         }
+    }
+
+    /// An accumulator that has observed every record of `store`.
+    fn of_store(store: &TraceStore, bin: TimeDelta) -> Self {
+        let mut balance = StreamingBalance::new(bin);
+        for record in store.records() {
+            balance.observe(record);
+        }
+        balance
     }
 
     /// Folds one record into the per-bin volume table.
@@ -244,10 +199,12 @@ impl StreamingBalance {
             "records must be observed in nondecreasing connect order"
         );
         self.last_day = self.last_day.max(record.disconnect.day());
-        self.aps
+        let row = self
+            .volumes
             .entry(record.controller)
             .or_default()
-            .insert(record.ap);
+            .entry(record.ap)
+            .or_default();
         if record.duration().is_zero() {
             return; // attributes zero volume to every bin
         }
@@ -259,64 +216,74 @@ impl StreamingBalance {
             let to = Timestamp::from_secs(origin + (b + 1) * width);
             let v = record.volume_within(from, to);
             if !v.is_zero() {
-                *self
-                    .volumes
-                    .entry((record.controller, record.ap, b))
-                    .or_insert(Bytes::ZERO) += v;
+                let b = b as usize;
+                if row.len() <= b {
+                    row.resize(b + 1, Bytes::ZERO);
+                }
+                row[b] += v;
             }
         }
     }
 
-    /// Publishes the `wlan.metrics.*` sample counters and returns the mean
-    /// active balance index over bins whose start hour passes
-    /// `hour_filter` — exactly [`mean_active_balance_filtered`]. When no
-    /// record was observed nothing is published (the store-backed path
-    /// returns before publishing on an empty log); when records exist but
-    /// no active bin passes the filter, counters publish and the mean is
-    /// `None`.
-    pub fn finish<F>(self, hour_filter: F) -> Option<f64>
-    where
-        F: Fn(u64) -> bool,
-    {
-        let origin = self.origin?;
+    /// The normalized traffic balance index of every `(controller, bin)`
+    /// pair whose controller has at least two APs, controller-major and
+    /// bin-minor, with each bin's loads in ascending AP order. Publishes
+    /// the `wlan.metrics.*` sample counters, except when no record was
+    /// observed: then there are no samples and nothing is published.
+    pub fn samples(self) -> Vec<BalanceSample> {
+        let Some(origin) = self.origin else {
+            return Vec::new();
+        };
         let width = self.bin.as_secs();
         let end = (self.last_day + 1) * s3_types::SECS_PER_DAY;
-        let mut samples = 0u64;
-        let mut active_bins = 0u64;
-        let (mut sum, mut n) = (0.0f64, 0u64);
-        for (controller, aps) in &self.aps {
+        let mut out = Vec::new();
+        let mut loads = Vec::new();
+        for (&controller, aps) in &self.volumes {
             if aps.len() < 2 {
                 continue;
             }
             let mut t = origin;
-            let mut b = 0u64;
+            let mut b = 0usize;
             while t < end {
-                let loads: Vec<f64> = aps
-                    .iter()
-                    .map(|&ap| {
-                        self.volumes
-                            .get(&(*controller, ap, b))
-                            .map_or(0.0, |v| v.as_f64())
-                    })
-                    .collect();
+                loads.clear();
+                loads.extend(
+                    aps.values()
+                        .map(|row| row.get(b).map_or(0.0, |v| v.as_f64())),
+                );
                 let total: f64 = loads.iter().sum();
-                let value = normalized_balance_index(&loads).expect("loads are finite");
-                samples += 1;
-                if total > 0.0 {
-                    active_bins += 1;
-                    if hour_filter(Timestamp::from_secs(t).hour_of_day()) {
-                        sum += value;
-                        n += 1;
-                    }
-                }
+                out.push(BalanceSample {
+                    controller,
+                    start: Timestamp::from_secs(t),
+                    value: normalized_balance_index(&loads).expect("loads are finite"),
+                    active: total > 0.0,
+                });
                 t += width;
                 b += 1;
             }
         }
+        let active = out.iter().filter(|s| s.active).count() as u64;
         let registry = s3_obs::global();
-        registry.counter(&BALANCE_SAMPLES).add(samples);
-        registry.counter(&ACTIVE_BINS).add(active_bins);
-        registry.counter(&IDLE_BINS).add(samples - active_bins);
+        registry.counter(&BALANCE_SAMPLES).add(out.len() as u64);
+        registry.counter(&ACTIVE_BINS).add(active);
+        registry.counter(&IDLE_BINS).add(out.len() as u64 - active);
+        out
+    }
+
+    /// Publishes the sample counters (see [`StreamingBalance::samples`])
+    /// and returns the mean index over the active samples whose start hour
+    /// passes `hour_filter`, summed in sample order; `None` when no such
+    /// sample exists.
+    pub fn finish<F>(self, hour_filter: F) -> Option<f64>
+    where
+        F: Fn(u64) -> bool,
+    {
+        let (mut sum, mut n) = (0.0f64, 0u64);
+        for s in self.samples() {
+            if s.active && hour_filter(s.start.hour_of_day()) {
+                sum += s.value;
+                n += 1;
+            }
+        }
         (n > 0).then(|| sum / n as f64)
     }
 }
@@ -373,6 +340,7 @@ mod tests {
 
     #[test]
     fn samples_flag_idle_bins() {
+        let _guard = counter_lock();
         let store = TraceStore::new(vec![rec(1, 0, 0, 0, 600, 10), rec(2, 1, 0, 0, 600, 10)]);
         let samples = balance_samples(&store, TimeDelta::hours(6));
         assert_eq!(samples.len(), 4, "four 6h bins in day 0");
@@ -385,7 +353,10 @@ mod tests {
     fn single_ap_domains_are_skipped() {
         let store = TraceStore::new(vec![rec(1, 0, 0, 0, 600, 10)]);
         assert!(balance_samples(&store, TimeDelta::hours(1)).is_empty());
-        assert_eq!(mean_active_balance(&store, TimeDelta::hours(1)), None);
+        assert_eq!(
+            mean_active_balance_filtered(&store, TimeDelta::hours(1), |_| true),
+            None
+        );
     }
 
     #[test]
@@ -407,6 +378,7 @@ mod tests {
 
     #[test]
     fn filtered_mean_restricts_hours() {
+        let _guard = counter_lock();
         // Balanced traffic at 10:00, unbalanced at 03:00.
         let store = TraceStore::new(vec![
             rec(1, 0, 0, 10 * 3_600, 10 * 3_600 + 600, 10),
@@ -418,7 +390,7 @@ mod tests {
         assert!((peak - 1.0).abs() < 1e-9);
         assert!(night.abs() < 1e-9);
         assert!(mean_active_balance_filtered(&store, TimeDelta::hours(1), |h| h == 20).is_none());
-        let overall = mean_active_balance(&store, TimeDelta::hours(1)).unwrap();
+        let overall = mean_active_balance_filtered(&store, TimeDelta::hours(1), |_| true).unwrap();
         assert!((overall - 0.5).abs() < 1e-9);
     }
 
@@ -426,6 +398,16 @@ mod tests {
     fn empty_store_yields_no_samples() {
         let store = TraceStore::new(vec![]);
         assert!(balance_samples(&store, TimeDelta::hours(1)).is_empty());
+    }
+
+    /// Serializes the tests that publish the sample counters, so each
+    /// delta assertion sees only its own samples.
+    static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        COUNTER_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Reads the three sample counters (for delta assertions).
@@ -438,8 +420,77 @@ mod tests {
         )
     }
 
+    /// Runs `f` and returns its result with the sample-counter deltas it
+    /// published.
+    fn with_counter_delta<T>(f: impl FnOnce() -> T) -> (T, (u64, u64, u64)) {
+        let before = sample_counters();
+        let out = f();
+        let after = sample_counters();
+        (
+            out,
+            (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+        )
+    }
+
+    /// FNV-1a over every sample's `(controller, start, value bits,
+    /// active)`, in order.
+    fn digest(samples: &[BalanceSample]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for s in samples {
+            let mut bytes = Vec::with_capacity(21);
+            bytes.extend_from_slice(&s.controller.raw().to_le_bytes());
+            bytes.extend_from_slice(&s.start.as_secs().to_le_bytes());
+            bytes.extend_from_slice(&s.value.to_bits().to_le_bytes());
+            bytes.push(u8::from(s.active));
+            for b in bytes {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Checks the store path and a stream fed `records` in order against
+    /// values recorded when the store path was a separate implementation
+    /// that the accumulator matched bit for bit: sample count and digest,
+    /// the filtered mean's bits, and the counter deltas of each call.
+    fn assert_recorded(
+        records: &[SessionRecord],
+        hour_filter: fn(u64) -> bool,
+        samples_len: usize,
+        samples_digest: u64,
+        mean_bits: u64,
+        deltas: (u64, u64, u64),
+    ) {
+        let bin = TimeDelta::minutes(10);
+        let _guard = counter_lock();
+        let store = TraceStore::new(records.to_vec());
+        let (samples, delta) = with_counter_delta(|| balance_samples(&store, bin));
+        assert_eq!(samples.len(), samples_len);
+        assert_eq!(digest(&samples), samples_digest);
+        assert_eq!(delta, deltas);
+        let (mean, delta) =
+            with_counter_delta(|| mean_active_balance_filtered(&store, bin, hour_filter));
+        assert_eq!(mean.map(f64::to_bits), Some(mean_bits));
+        assert_eq!(delta, deltas);
+
+        let stream = || {
+            let mut balance = StreamingBalance::new(bin);
+            for r in records {
+                balance.observe(r);
+            }
+            balance
+        };
+        let (samples, delta) = with_counter_delta(|| stream().samples());
+        assert_eq!(digest(&samples), samples_digest);
+        assert_eq!(delta, deltas);
+        let (mean, delta) = with_counter_delta(|| stream().finish(hour_filter));
+        assert_eq!(mean.map(f64::to_bits), Some(mean_bits));
+        assert_eq!(delta, deltas);
+    }
+
     #[test]
-    fn streaming_balance_matches_the_store_backed_path_exactly() {
+    fn balance_on_a_replayed_campus_matches_recorded_values() {
         use crate::selector::LeastLoadedFirst;
         use crate::{SimConfig, SimEngine, Topology};
         use s3_trace::generator::{CampusConfig, CampusGenerator};
@@ -453,36 +504,21 @@ mod tests {
         let records = engine
             .run(&campus.demands, &mut LeastLoadedFirst::new())
             .records;
-        assert!(!records.is_empty());
-
-        let bin = TimeDelta::minutes(10);
-        let daytime = |h: u64| h >= 8;
-
-        let before = sample_counters();
-        let store = TraceStore::new(records.clone());
-        let store_mean = mean_active_balance_filtered(&store, bin, daytime);
-        let mid = sample_counters();
-
-        let mut streaming = StreamingBalance::new(bin);
-        for r in &records {
-            streaming.observe(r);
-        }
-        let stream_mean = streaming.finish(daytime);
-        let after = sample_counters();
-
-        // Bit-exact mean and identical counter deltas.
-        assert_eq!(store_mean, stream_mean);
-        assert!(store_mean.is_some());
-        let store_delta = (mid.0 - before.0, mid.1 - before.1, mid.2 - before.2);
-        let stream_delta = (after.0 - mid.0, after.1 - mid.1, after.2 - mid.2);
-        assert_eq!(store_delta, stream_delta);
-        assert!(store_delta.0 > 0, "the log must produce samples");
+        assert_eq!(records.len(), 169);
+        assert_recorded(
+            &records,
+            |h| h >= 8,
+            864,
+            0xc7d0_d04c_2a69_2d56,
+            0x3fd1_1e88_121b_c9a8,
+            (864, 456, 408),
+        );
     }
 
     #[test]
-    fn streaming_balance_handles_edge_records_like_the_store() {
+    fn balance_on_edge_records_matches_recorded_values() {
         // Zero-duration sessions, sessions spanning many bins, idle gaps
-        // and a single-AP controller (skipped by both paths).
+        // and a single-AP controller (which yields no samples).
         let records = vec![
             rec(1, 0, 0, 0, 600, 6),
             rec(2, 1, 0, 0, 0, 5), // zero duration: volume lands nowhere
@@ -490,14 +526,14 @@ mod tests {
             rec(4, 9, 3, 400, 500, 4), // controller 3 has one AP: no samples
             rec(5, 0, 0, 86_000, 86_500, 2), // crosses midnight into day 1
         ];
-        let bin = TimeDelta::minutes(10);
-        let store_mean =
-            mean_active_balance_filtered(&TraceStore::new(records.clone()), bin, |_| true);
-        let mut streaming = StreamingBalance::new(bin);
-        for r in &records {
-            streaming.observe(r);
-        }
-        assert_eq!(streaming.finish(|_| true), store_mean);
+        assert_recorded(
+            &records,
+            |_| true,
+            288,
+            0x2dee_52b0_6b92_12d6,
+            0x3f89_4003_fbdc_2adb,
+            (288, 14, 274),
+        );
     }
 
     #[test]

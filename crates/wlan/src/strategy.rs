@@ -12,9 +12,9 @@
 //! # Capability flags
 //!
 //! * `needs_training` — the factory requires a trained artifact (the S³
-//!   social model) passed through [`BuildContext::artifact`]. Consumers
-//!   that train (the CLI, the bench harness) do so once and hand the
-//!   model to every shard's factory call.
+//!   compiled social model) passed through [`BuildContext::artifact`].
+//!   Consumers that train (the CLI, the bench harness) do so once and
+//!   hand the same artifact to every shard's factory call.
 //! * `shardable` — the strategy is deterministic under the sharded
 //!   engine: byte-identical output at any `--shards`. Strategies whose
 //!   decisions consume a shared sequential RNG stream (the `random`
