@@ -16,7 +16,7 @@ use s3_trace::ingest::{
 };
 use s3_trace::{csv, SessionDemand, SessionRecord, TraceStore};
 use s3_types::{TimeDelta, Timestamp, UserId};
-use s3_wlan::engine::{check_log, trace_header, CollectSink, SliceSource, TraceSink};
+use s3_wlan::engine::{check_log, trace_header, CollectSink, SliceSource, TraceChecker, TraceSink};
 use s3_wlan::metrics::{mean_active_balance_filtered, StreamingBalance};
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst};
 use s3_wlan::{
@@ -852,11 +852,7 @@ fn compare<W: Write>(
 ) -> Result<(), CliError> {
     let demands = load_demands(path)?;
     let span = demands.last().expect("non-empty").arrive.day() + 1;
-    let train_days = if train_days == 0 {
-        (span * 7) / 10
-    } else {
-        train_days
-    };
+    let train_days = effective_train_days(train_days, span);
     if train_days >= span {
         return Err(CliError::Invalid(format!(
             "train days {train_days} must leave evaluation days (trace spans {span} days)"
@@ -991,100 +987,15 @@ fn check_trace<W: Write>(path: &Path, out: &mut W) -> Result<(), CliError> {
     )))
 }
 
-/// Mirror of the engine's load clamp ([`s3_types::BitsPerSec`]): negative
-/// or non-finite loads floor at zero.
-fn load_clamp(v: f64) -> f64 {
-    if v.is_finite() && v > 0.0 {
-        v
-    } else {
-        0.0
-    }
-}
-
-/// Engine state reconstructed by the step debugger, folded record by
-/// record from the decision log.
-struct StepState {
-    /// Per-AP load in bits/sec.
-    loads: Vec<f64>,
-    /// Per-AP associated-user count.
-    users: Vec<usize>,
-    /// Live sessions: sid -> (user, ap, rate).
-    live: std::collections::HashMap<u32, (u32, u32, f64)>,
-    placed: u64,
-    rejected: u64,
-    departed: u64,
-    migrations: u64,
-}
-
-impl StepState {
-    fn new(aps: usize) -> Self {
-        StepState {
-            loads: vec![0.0; aps],
-            users: vec![0; aps],
-            live: std::collections::HashMap::new(),
-            placed: 0,
-            rejected: 0,
-            departed: 0,
-            migrations: 0,
-        }
-    }
-
-    /// Folds one record into the reconstructed state.
-    fn apply(&mut self, rec: &DecisionRecord) {
-        match *rec {
-            DecisionRecord::Select {
-                sid,
-                user,
-                ap,
-                rate_bps,
-                ..
-            } => {
-                if let Some(load) = self.loads.get_mut(ap as usize) {
-                    *load += rate_bps;
-                    self.users[ap as usize] += 1;
-                }
-                self.live.insert(sid, (user, ap, rate_bps));
-                self.placed += 1;
-            }
-            DecisionRecord::Reject { .. } => self.rejected += 1,
-            DecisionRecord::Depart { sid, .. } => {
-                if let Some((_, ap, rate)) = self.live.remove(&sid) {
-                    if let Some(load) = self.loads.get_mut(ap as usize) {
-                        *load = load_clamp(*load - rate);
-                        self.users[ap as usize] = self.users[ap as usize].saturating_sub(1);
-                    }
-                    self.departed += 1;
-                }
-            }
-            DecisionRecord::Move { sid, to, .. } => {
-                if let Some(entry) = self.live.get_mut(&sid) {
-                    let (from, rate) = (entry.1 as usize, entry.2);
-                    entry.1 = to;
-                    if from < self.loads.len() {
-                        self.loads[from] = load_clamp(self.loads[from] - rate);
-                        self.users[from] = self.users[from].saturating_sub(1);
-                    }
-                    if let Some(load) = self.loads.get_mut(to as usize) {
-                        *load += rate;
-                        self.users[to as usize] += 1;
-                    }
-                    self.migrations += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Whether `rec` mentions `user` (the breakpoint test).
-    fn mentions(rec: &DecisionRecord, user: u32) -> bool {
-        match rec {
-            DecisionRecord::Batch { users, .. } => users.contains(&user),
-            DecisionRecord::Select { user: u, .. }
-            | DecisionRecord::Reject { user: u, .. }
-            | DecisionRecord::Move { user: u, .. }
-            | DecisionRecord::Depart { user: u, .. } => *u == user,
-            _ => false,
-        }
+/// Whether `rec` mentions `user` (the debugger's breakpoint test).
+fn mentions(rec: &DecisionRecord, user: u32) -> bool {
+    match rec {
+        DecisionRecord::Batch { users, .. } => users.contains(&user),
+        DecisionRecord::Select { user: u, .. }
+        | DecisionRecord::Reject { user: u, .. }
+        | DecisionRecord::Move { user: u, .. }
+        | DecisionRecord::Depart { user: u, .. } => *u == user,
+        _ => false,
     }
 }
 
@@ -1156,15 +1067,17 @@ commands:
 /// `replay --step`: interactive debugger over a recorded decision log.
 ///
 /// Commands arrive one per line on `cmds` (stdin in the CLI, a buffer in
-/// tests); a transcript is written to `out`. The debugger replays the log
-/// only — it never re-runs the engine — so stepping is instant and the
-/// printed AP state is exactly what the checker's replay reconstructs.
+/// tests); a transcript is written to `out`. The debugger never re-runs
+/// the engine: it feeds each record to the [`TraceChecker`] that
+/// `check-trace` runs, so stepping is instant and the printed AP state and
+/// tallies are exactly what the checker has reconstructed. A line that
+/// does not parse ends the session with an error naming the line.
 fn step_debug<W: Write, R: BufRead>(path: &Path, mut cmds: R, out: &mut W) -> Result<(), CliError> {
     let file = File::open(path)?;
     let mut log = DecisionLogReader::new(BufReader::new(file))
         .map_err(|e| CliError::Invalid(format!("{}: {e}", path.display())))?;
-    let header = log.header().clone();
-    let mut state = StepState::new(header.ap_capacity_bps.len());
+    let mut checker = TraceChecker::new(log.header().clone());
+    let header = log.header();
     let mut breaks: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
     writeln!(
         out,
@@ -1175,16 +1088,17 @@ fn step_debug<W: Write, R: BufRead>(path: &Path, mut cmds: R, out: &mut W) -> Re
         header.ap_capacity_bps.len()
     )?;
 
-    let mut advance = |state: &mut StepState| -> Result<Option<(u64, DecisionRecord)>, CliError> {
-        match log.next() {
-            None => Ok(None),
-            Some(Err(e)) => Err(CliError::Invalid(format!("{}: {e}", path.display()))),
-            Some(Ok((line, rec))) => {
-                state.apply(&rec);
-                Ok(Some((line, rec)))
+    let mut advance =
+        |checker: &mut TraceChecker| -> Result<Option<(u64, DecisionRecord)>, CliError> {
+            match log.next() {
+                None => Ok(None),
+                Some(Err(e)) => Err(CliError::Invalid(format!("{}: {e}", path.display()))),
+                Some(Ok((line, rec))) => {
+                    checker.feed(line, &rec);
+                    Ok(Some((line, rec)))
+                }
             }
-        }
-    };
+        };
 
     loop {
         write!(out, "(s3dbg) ")?;
@@ -1209,7 +1123,7 @@ fn step_debug<W: Write, R: BufRead>(path: &Path, mut cmds: R, out: &mut W) -> Re
             "s" | "step" => {
                 let n: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(1);
                 for _ in 0..n {
-                    match advance(&mut state)? {
+                    match advance(&mut checker)? {
                         Some((line, rec)) => {
                             writeln!(out, "line {line}: {}", render_record(&rec))?;
                         }
@@ -1223,7 +1137,7 @@ fn step_debug<W: Write, R: BufRead>(path: &Path, mut cmds: R, out: &mut W) -> Re
             "e" | "epoch" => {
                 let mut stepped = 0u64;
                 loop {
-                    match advance(&mut state)? {
+                    match advance(&mut checker)? {
                         Some((line, rec)) => {
                             stepped += 1;
                             if matches!(rec, DecisionRecord::Tick { .. }) {
@@ -1249,10 +1163,10 @@ fn step_debug<W: Write, R: BufRead>(path: &Path, mut cmds: R, out: &mut W) -> Re
                 }
                 let mut stepped = 0u64;
                 loop {
-                    match advance(&mut state)? {
+                    match advance(&mut checker)? {
                         Some((line, rec)) => {
                             stepped += 1;
-                            if breaks.iter().any(|&u| StepState::mentions(&rec, u)) {
+                            if breaks.iter().any(|&u| mentions(&rec, u)) {
                                 writeln!(
                                     out,
                                     "line {line}: {} (after {stepped} records)",
@@ -1270,23 +1184,24 @@ fn step_debug<W: Write, R: BufRead>(path: &Path, mut cmds: R, out: &mut W) -> Re
             }
             "p" | "aps" => {
                 writeln!(out, "ap   load-bps     users  capacity-bps")?;
-                for (i, (&load, &users)) in state.loads.iter().zip(&state.users).enumerate() {
-                    writeln!(
-                        out,
-                        "{i:<4} {load:<12} {users:<6} {}",
-                        header.ap_capacity_bps[i]
-                    )?;
+                let caps = &checker.header().ap_capacity_bps;
+                let aps = checker.loads().iter().zip(checker.users()).zip(caps);
+                for (i, ((load, users), cap)) in aps.enumerate() {
+                    writeln!(out, "{i:<4} {load:<12} {users:<6} {cap}")?;
                 }
             }
-            "i" | "info" => writeln!(
-                out,
-                "placed {} | rejected {} | departed {} | migrations {} | active {}",
-                state.placed,
-                state.rejected,
-                state.departed,
-                state.migrations,
-                state.live.len()
-            )?,
+            "i" | "info" => {
+                let t = checker.tallies();
+                writeln!(
+                    out,
+                    "placed {} | rejected {} | departed {} | migrations {} | active {}",
+                    t.placed,
+                    t.rejected,
+                    t.departed,
+                    t.migrations,
+                    checker.active()
+                )?;
+            }
             other => writeln!(out, "unknown command {other:?} (try help)")?,
         }
     }

@@ -171,3 +171,86 @@ fn step_debugger_runs_scripted_over_stdin() {
     assert!(stdout.contains("capacity-bps"), "{stdout}");
     assert!(stdout.contains("placed "), "{stdout}");
 }
+
+/// Runs `s3wlan` with `stdin` piped in; returns its exit code, stdout and
+/// stderr.
+fn s3wlan_status(args: &[&str], stdin: &[u8]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_s3wlan"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("launch s3wlan");
+    child.stdin.take().unwrap().write_all(stdin).unwrap();
+    let output = child.wait_with_output().expect("collect output");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn hostile_json_is_a_structured_error_for_every_json_reader() {
+    let dir = std::env::temp_dir().join("s3_cli_hostile_json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = "[".repeat(1_000_000);
+    let header = "{\"format\":\"s3-dtrace/1\",\"seed\":1,\"threads\":1,\"shards\":1,\
+                  \"strategy\":\"llf\",\"config\":\"0000000000000000\",\"caps\":[100000000]}";
+    // (name, line 2 of a decision log, a metrics snapshot)
+    let inputs: [(&str, Vec<u8>, Vec<u8>); 3] = [
+        (
+            "deep",
+            format!("{{\"k\":\"batch\",\"t\":1,\"seq\":0,\"users\":{deep}").into_bytes(),
+            format!("{{\"schema\":{deep}").into_bytes(),
+        ),
+        ("not_an_object", b"[1,2,3]".to_vec(), b"[1,2,3]".to_vec()),
+        (
+            "invalid_utf8",
+            b"{\"k\":\"tick\",\"t\":1,\"seq\":0,\"x\":\"\xff\xfe\"}".to_vec(),
+            b"{\"schema\":\"\xff\xfe\",\"metrics\":[]}".to_vec(),
+        ),
+    ];
+    for (name, line, snapshot) in inputs {
+        let log = dir.join(format!("{name}.jsonl"));
+        let mut text = format!("{header}\n").into_bytes();
+        text.extend_from_slice(&line);
+        text.push(b'\n');
+        std::fs::write(&log, text).unwrap();
+        let metrics = dir.join(format!("{name}.json"));
+        std::fs::write(&metrics, snapshot).unwrap();
+        let log = log.display().to_string();
+        let metrics = metrics.display().to_string();
+
+        let runs = [
+            (
+                "check-trace",
+                s3wlan_status(&["check-trace", "--trace", &log], b""),
+            ),
+            (
+                "replay --step",
+                s3wlan_status(&["replay", "--step", "--trace", &log], b"step\ninfo\n"),
+            ),
+            (
+                "summary",
+                s3wlan_status(&["summary", "--metrics", &metrics], b""),
+            ),
+        ];
+        for (command, (code, stdout, stderr)) in runs {
+            assert_eq!(code, Some(2), "{name}: {command} must exit 2: {stderr}");
+            for word in ["panicked", "overflow"] {
+                assert!(!stderr.contains(word), "{name}: {command}: {stderr}");
+            }
+            let report = match command {
+                "check-trace" => "line 2: [format]",
+                "replay --step" => "line 2: ",
+                _ => continue,
+            };
+            assert!(
+                stdout.contains(report) || stderr.contains(report),
+                "{name}: {command} must name the line: {stdout}{stderr}"
+            );
+        }
+    }
+}

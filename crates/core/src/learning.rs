@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 use s3_stats::gap::{choose_k, GapConfig};
-use s3_stats::kmeans::{self, KMeansConfig};
+use s3_stats::kmeans::{self, KMeansConfig, KMeansResult};
 use s3_trace::events::{
     coleave_given_encounter, extract_coleavings_par, extract_encounters_par, UserPair,
 };
@@ -277,29 +277,10 @@ impl SocialModel {
             threads,
             ..KMeansConfig::default()
         };
-        let Ok(fit) = kmeans::fit(&points, k, &kmeans_config, seed) else {
-            return (HashMap::new(), Vec::new());
-        };
-        let assignments: HashMap<UserId, usize> = users
-            .iter()
-            .zip(&fit.assignments)
-            .map(|(&u, &a)| (u, a))
-            .collect();
-        // With temporal features the centroid has 14 dimensions; the
-        // reported AppMix keeps the application block (zip truncates) and
-        // renormalizes it.
-        let centroids: Vec<AppMix> = fit
-            .centroids
-            .iter()
-            .map(|c| {
-                let mut arr = [0.0; s3_types::APP_CATEGORY_COUNT];
-                for (slot, &x) in arr.iter_mut().zip(c) {
-                    *slot = x.max(0.0);
-                }
-                AppMix::from_volumes(arr).unwrap_or_default()
-            })
-            .collect();
-        (assignments, centroids)
+        match kmeans::fit(&points, k, &kmeans_config, seed) {
+            Ok(fit) => typed_clusters(&users, &fit),
+            Err(_) => (HashMap::new(), Vec::new()),
+        }
     }
 
     fn estimate_type_matrix(
@@ -439,6 +420,33 @@ impl SocialModel {
     pub fn is_trivial(&self) -> bool {
         self.pair_probability.is_empty()
     }
+}
+
+/// The user types a k-means `fit` over `users`' feature points describes:
+/// each user's cluster, and each centroid as an [`AppMix`]. With temporal
+/// features a centroid has 14 dimensions; the mix keeps the application
+/// block (`zip` truncates) and renormalizes it.
+pub(crate) fn typed_clusters(
+    users: &[UserId],
+    fit: &KMeansResult,
+) -> (HashMap<UserId, usize>, Vec<AppMix>) {
+    let assignments = users
+        .iter()
+        .zip(&fit.assignments)
+        .map(|(&u, &a)| (u, a))
+        .collect();
+    let centroids = fit
+        .centroids
+        .iter()
+        .map(|c| {
+            let mut arr = [0.0; s3_types::APP_CATEGORY_COUNT];
+            for (slot, &x) in arr.iter_mut().zip(c) {
+                *slot = x.max(0.0);
+            }
+            AppMix::from_volumes(arr).unwrap_or_default()
+        })
+        .collect();
+    (assignments, centroids)
 }
 
 #[cfg(test)]

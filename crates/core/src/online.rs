@@ -18,11 +18,11 @@
 use std::collections::{HashMap, VecDeque};
 
 use s3_stats::kmeans::{self, KMeansConfig};
-use s3_trace::events::{extract_coleavings, extract_encounters, UserPair};
+use s3_trace::events::{coleave_given_encounter, extract_coleavings, extract_encounters, UserPair};
 use s3_trace::TraceStore;
 use s3_types::{AppMix, BitsPerSec, UserId, APP_CATEGORY_COUNT};
 
-use crate::learning::SocialModel;
+use crate::learning::{typed_clusters, SocialModel};
 use crate::profile::median_demand;
 use crate::S3Config;
 
@@ -151,15 +151,8 @@ impl IncrementalLearner {
     /// re-run the gap statistic) and builds the type matrix. The model is
     /// marked stale while the learner [`is_warming_up`](Self::is_warming_up).
     pub fn build_model(&self) -> SocialModel {
-        // P(L|E) with the same clamping as the batch path.
-        let mut pair_probability = HashMap::with_capacity(self.encounters.len());
-        for (&pair, &enc) in &self.encounters {
-            if enc == 0 {
-                continue;
-            }
-            let co = self.coleavings.get(&pair).copied().unwrap_or(0);
-            pair_probability.insert(pair, (co as f64 / enc as f64).min(1.0));
-        }
+        // P(L|E) exactly as the batch path computes it.
+        let pair_probability = coleave_given_encounter(&self.encounters, &self.coleavings);
 
         // Cluster the current window profiles.
         let mut users: Vec<UserId> = self
@@ -182,25 +175,7 @@ impl IncrementalLearner {
         let k = self.config.fixed_k.unwrap_or(4).min(points.len());
         let (user_type, centroids) = if points.len() >= 2 && k >= 1 {
             match kmeans::fit(&points, k, &KMeansConfig::default(), self.seed) {
-                Ok(fit) => {
-                    let assignments: HashMap<UserId, usize> = users
-                        .iter()
-                        .zip(&fit.assignments)
-                        .map(|(&u, &a)| (u, a))
-                        .collect();
-                    let centroids: Vec<AppMix> = fit
-                        .centroids
-                        .iter()
-                        .map(|c| {
-                            let mut arr = [0.0; APP_CATEGORY_COUNT];
-                            for (slot, &x) in arr.iter_mut().zip(c) {
-                                *slot = x.max(0.0);
-                            }
-                            AppMix::from_volumes(arr).unwrap_or_default()
-                        })
-                        .collect();
-                    (assignments, centroids)
-                }
+                Ok(fit) => typed_clusters(&users, &fit),
                 Err(_) => (HashMap::new(), Vec::new()),
             }
         } else {

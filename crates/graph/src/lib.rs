@@ -43,7 +43,6 @@
 mod bitset;
 pub mod clique;
 pub mod coloring;
-pub mod degeneracy;
 mod error;
 pub mod partition;
 mod social_graph;

@@ -1,9 +1,16 @@
-//! Minimal JSON reader used by [`crate::Snapshot::parse_json`].
+//! The workspace's one JSON reader: [`crate::Snapshot::parse_json`] reads
+//! metrics snapshots with it, and `s3_trace::decision_log` reads every
+//! `s3-dtrace/1` line with it.
 //!
 //! Numbers keep their raw source token so callers can parse them as `u64`
-//! without a lossy round-trip through `f64`. Only what the snapshot codec
-//! needs is implemented; malformed input yields an error string, never a
-//! panic.
+//! without a lossy round-trip through `f64`. Only what those two codecs
+//! need is implemented; malformed input — including nesting too deep to
+//! recurse safely — yields an error string, never a panic.
+
+/// Deepest array/object nesting [`parse`] accepts. The repository writes
+/// at most 5 levels (a snapshot histogram bucket); the bound keeps hostile
+/// input from recursing the reader off the stack.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +75,7 @@ impl Value {
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -82,17 +89,23 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(_) => parse_num(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_num(bytes, pos),
+        Some(_) => Err(format!("expected a value at byte {pos}", pos = *pos)),
     }
 }
 
@@ -105,18 +118,39 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<V
     }
 }
 
+/// Scans JSON's number grammar, `-? digits (. digits)? ([eE] [+-]? digits)?`
+/// (leading zeros tolerated), without converting the token: callers parse
+/// it as the type they need.
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    if bytes[*pos] == b'-' {
         *pos += 1;
     }
-    let tok = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    if tok.is_empty() || tok.parse::<f64>().is_err() {
+    let mut valid = digits(pos);
+    if valid && bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        valid = digits(pos);
+    }
+    if valid && matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        valid = digits(pos);
+    }
+    // The token is ASCII by construction.
+    let tok = String::from_utf8_lossy(&bytes[start..*pos]);
+    if !valid {
         return Err(format!("invalid number {tok:?} at byte {start}"));
     }
-    Ok(Value::Num(tok.to_string()))
+    Ok(Value::Num(tok.into_owned()))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -157,18 +191,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or escape in one step.
+                // Both delimiters are ASCII, so the run is whole scalars of
+                // the (valid UTF-8) input and each byte is checked once.
+                let len = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let run =
+                    std::str::from_utf8(&bytes[*pos..*pos + len]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -177,7 +216,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -190,7 +229,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -209,7 +248,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        fields.push((key, parse_value(bytes, pos)?));
+        fields.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -265,11 +304,50 @@ mod tests {
         assert!(parse("{\"a\": ").is_err());
         assert!(parse("[1, ]").is_err());
         assert!(parse("").is_err());
+        assert!(parse("\"unterminated αβ").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_obj = format!("{{\"schema\":{deep}");
+        assert!(parse(&deep_obj).is_err());
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "+5",
+            ".5",
+            "[+5]",
+            "{\"t\":.5}",
+            "e5",
+            "Infinity",
+            "-",
+            "1.",
+            "1e",
+            "1e+",
+            "1-2",
+            "[1.2.3]",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(parse("-5").unwrap(), Value::Num("-5".into()));
+        assert_eq!(parse("0.5e-3").unwrap().as_f64(), Some(0.5e-3));
+        assert_eq!(parse("9E+9").unwrap().as_f64(), Some(9e9));
+        assert_eq!(parse("[1e8,-0.25]").unwrap().as_arr().unwrap().len(), 2);
     }
 
     #[test]
     fn escape_round_trips() {
-        let nasty = "quote\" slash\\ newline\n tab\t ctrl\u{1} unicode\u{3b1}";
+        let nasty = "quote\" slash\\ newline\n tab\t ctrl\u{1} unicode\u{3b1} — δ\u{1F600}";
         let mut body = String::new();
         escape_into(&mut body, nasty);
         let doc = format!("\"{body}\"");

@@ -31,7 +31,8 @@
 //! 3. **Zero dependencies.** Like `s3-par`, the crate uses only `std`:
 //!    atomics for cells, a mutex-guarded `BTreeMap` for the registry (so
 //!    snapshots iterate in name order), and a hand-rolled JSON
-//!    writer/parser for the snapshot codec.
+//!    writer/parser for the snapshot codec ([`json`], which also reads
+//!    the decision logs of `s3_trace::decision_log`).
 //!
 //! # Example
 //!
@@ -72,7 +73,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod json;
+pub mod json;
 mod registry;
 mod snapshot;
 

@@ -19,12 +19,15 @@
 //!   with its 1-based line number, so validators report violations the way
 //!   the ingestion layer reports malformed CSV rows: `line N: …`.
 //!
-//! The writer/reader pair is dependency-free: the JSON codec is
-//! hand-rolled like the rest of the repository's I/O (`csv`, the metrics
-//! snapshots).
+//! Lines are read with the workspace's one JSON reader, [`s3_obs::json`]
+//! (the metrics snapshots use it too), and strings are escaped with its
+//! [`escape_into`](s3_obs::json::escape_into). The fixed-key-order encoder
+//! stays here: it alone defines the byte layout of a log.
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
+
+use s3_obs::json::{self, Value};
 
 /// Format tag written as the `format` field of every header line.
 pub const DTRACE_FORMAT: &str = "s3-dtrace/1";
@@ -263,39 +266,19 @@ fn push_f64_array(out: &mut String, vals: &[f64]) {
     out.push(']');
 }
 
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                write!(out, "\\u{:04x}", c as u32).expect("string write is infallible");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Encodes the header as its wire line (no trailing newline).
 pub fn encode_header(header: &TraceHeader) -> String {
-    let mut s = String::new();
-    s.push_str("{\"format\":");
-    push_str(&mut s, DTRACE_FORMAT);
     use fmt::Write as _;
+    let mut s = String::new();
     write!(
         s,
-        ",\"seed\":{},\"threads\":{},\"shards\":{}",
+        "{{\"format\":\"{DTRACE_FORMAT}\",\"seed\":{},\"threads\":{},\"shards\":{},\"strategy\":\"",
         header.seed, header.threads, header.shards
     )
     .expect("string write is infallible");
-    s.push_str(",\"strategy\":");
-    push_str(&mut s, &header.strategy);
-    write!(s, ",\"config\":\"{:016x}\"", header.config_hash).expect("string write is infallible");
-    s.push_str(",\"caps\":");
+    json::escape_into(&mut s, &header.strategy);
+    write!(s, "\",\"config\":\"{:016x}\",\"caps\":", header.config_hash)
+        .expect("string write is infallible");
     push_f64_array(&mut s, &header.ap_capacity_bps);
     s.push('}');
     s
@@ -394,196 +377,23 @@ pub fn encode_record(record: &DecisionRecord) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding — a minimal JSON-object parser (strings, numbers, bools, null,
-// flat arrays of numbers). Exactly what the format emits, nothing more.
+// Decoding — typed field access over a line parsed by `s3_obs::json`.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Null,
-    Bool(bool),
-    /// Numbers keep their raw text so integers parse exactly as `u64`.
-    Num(String),
-    Str(String),
-    Arr(Vec<Val>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let start = self.pos;
-                    let width = match b {
-                        _ if b < 0x80 => 1,
-                        _ if b >> 5 == 0b110 => 2,
-                        _ if b >> 4 == 0b1110 => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + width)
-                        .ok_or("truncated UTF-8")?;
-                    s.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                    self.pos += width;
-                }
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Val, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Val::Str(self.parse_string()?)),
-            Some(b'[') => {
-                self.expect(b'[')?;
-                let mut vals = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Val::Arr(vals));
-                }
-                loop {
-                    vals.push(self.parse_value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Val::Arr(vals));
-                        }
-                        other => return Err(format!("bad array separator {other:?}")),
-                    }
-                }
-            }
-            Some(b't') => self.parse_lit("true", Val::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Val::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Val::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                self.pos += 1;
-                while self.bytes.get(self.pos).is_some_and(|&b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.pos += 1;
-                }
-                let raw =
-                    std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number slice");
-                Ok(Val::Num(raw.to_string()))
-            }
-            other => Err(format!("unexpected token {other:?}")),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, val: Val) -> Result<Val, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(val)
-        } else {
-            Err(format!("expected literal {lit:?}"))
-        }
-    }
-
-    /// Parses a full `{...}` object and requires end-of-input after it.
-    fn parse_object(&mut self) -> Result<Vec<(String, Val)>, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.parse_string()?;
-                self.expect(b':')?;
-                let val = self.parse_value()?;
-                fields.push((key, val));
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    other => return Err(format!("bad object separator {other:?}")),
-                }
-            }
-        }
-        if self.peek().is_some() {
-            return Err("trailing garbage after object".into());
-        }
-        Ok(fields)
-    }
-}
-
-struct Fields(Vec<(String, Val)>);
+/// One line, which must parse as a JSON object.
+struct Fields(Value);
 
 impl Fields {
-    fn get(&self, key: &str) -> Result<&Val, String> {
+    fn parse(line: &str) -> Result<Self, String> {
+        match json::parse(line)? {
+            obj @ Value::Obj(_) => Ok(Fields(obj)),
+            _ => Err("line is not a JSON object".into()),
+        }
+    }
+
+    fn get(&self, key: &str) -> Result<&Value, String> {
         self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+            .get(key)
             .ok_or_else(|| format!("missing field {key:?}"))
     }
 
@@ -591,7 +401,7 @@ impl Fields {
     /// fields added to the format after logs already existed (a present
     /// field with the wrong type is still an error).
     fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        if self.0.iter().any(|(k, _)| k == key) {
+        if self.0.get(key).is_some() {
             self.u64(key)
         } else {
             Ok(default)
@@ -600,7 +410,7 @@ impl Fields {
 
     fn u64(&self, key: &str) -> Result<u64, String> {
         match self.get(key)? {
-            Val::Num(raw) => raw
+            Value::Num(raw) => raw
                 .parse::<u64>()
                 .map_err(|_| format!("field {key:?} is not an unsigned integer: {raw:?}")),
             other => Err(format!("field {key:?} is not a number: {other:?}")),
@@ -614,7 +424,7 @@ impl Fields {
 
     fn f64(&self, key: &str) -> Result<f64, String> {
         match self.get(key)? {
-            Val::Num(raw) => raw
+            Value::Num(raw) => raw
                 .parse::<f64>()
                 .map_err(|_| format!("field {key:?} is not a number: {raw:?}")),
             other => Err(format!("field {key:?} is not a number: {other:?}")),
@@ -623,32 +433,32 @@ impl Fields {
 
     fn bool(&self, key: &str) -> Result<bool, String> {
         match self.get(key)? {
-            Val::Bool(b) => Ok(*b),
+            Value::Bool(b) => Ok(*b),
             other => Err(format!("field {key:?} is not a bool: {other:?}")),
         }
     }
 
     fn str(&self, key: &str) -> Result<&str, String> {
         match self.get(key)? {
-            Val::Str(s) => Ok(s),
+            Value::Str(s) => Ok(s),
             other => Err(format!("field {key:?} is not a string: {other:?}")),
         }
     }
 
     fn opt_u32(&self, key: &str) -> Result<Option<u32>, String> {
         match self.get(key)? {
-            Val::Null => Ok(None),
-            Val::Num(_) => Ok(Some(self.u32(key)?)),
+            Value::Null => Ok(None),
+            Value::Num(_) => Ok(Some(self.u32(key)?)),
             other => Err(format!("field {key:?} is not a number or null: {other:?}")),
         }
     }
 
     fn arr_u32(&self, key: &str) -> Result<Vec<u32>, String> {
         match self.get(key)? {
-            Val::Arr(vals) => vals
+            Value::Arr(vals) => vals
                 .iter()
                 .map(|v| match v {
-                    Val::Num(raw) => raw
+                    Value::Num(raw) => raw
                         .parse::<u32>()
                         .map_err(|_| format!("array {key:?} holds a non-u32: {raw:?}")),
                     other => Err(format!("array {key:?} holds a non-number: {other:?}")),
@@ -660,10 +470,10 @@ impl Fields {
 
     fn arr_f64(&self, key: &str) -> Result<Vec<f64>, String> {
         match self.get(key)? {
-            Val::Arr(vals) => vals
+            Value::Arr(vals) => vals
                 .iter()
                 .map(|v| match v {
-                    Val::Num(raw) => raw
+                    Value::Num(raw) => raw
                         .parse::<f64>()
                         .map_err(|_| format!("array {key:?} holds a non-number: {raw:?}")),
                     other => Err(format!("array {key:?} holds a non-number: {other:?}")),
@@ -681,7 +491,7 @@ impl Fields {
 /// Returns the parse failure as a `String` detail; callers attach the line
 /// number.
 pub fn parse_header(line: &str) -> Result<TraceHeader, String> {
-    let fields = Fields(Parser::new(line).parse_object()?);
+    let fields = Fields::parse(line)?;
     let format = fields.str("format")?;
     if format != DTRACE_FORMAT {
         return Err(format!(
@@ -708,7 +518,7 @@ pub fn parse_header(line: &str) -> Result<TraceHeader, String> {
 /// Returns the parse failure as a `String` detail; callers attach the line
 /// number.
 pub fn parse_record(line: &str) -> Result<DecisionRecord, String> {
-    let fields = Fields(Parser::new(line).parse_object()?);
+    let fields = Fields::parse(line)?;
     match fields.str("k")? {
         "batch" => Ok(DecisionRecord::Batch {
             at: fields.u64("t")?,
@@ -1079,6 +889,33 @@ mod tests {
         assert_eq!(config_hash(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(config_hash("policy=llf"), config_hash("policy=llf"));
         assert_ne!(config_hash("policy=llf"), config_hash("policy=s3"));
+    }
+
+    #[test]
+    fn lines_must_be_json_objects_with_json_numbers() {
+        for line in ["[1,2]", "\"k\"", "7", "null"] {
+            let err = parse_record(line).unwrap_err();
+            assert!(err.contains("not a JSON object"), "{line}: {err}");
+        }
+        // A number starts with '-' or a digit, as JSON requires.
+        for t in ["+5", ".5"] {
+            let line = format!("{{\"k\":\"tick\",\"t\":{t},\"seq\":0}}");
+            assert!(parse_record(&line).is_err(), "{line}");
+        }
+        let tick = parse_record("{\"k\":\"tick\",\"t\":5,\"seq\":0}").unwrap();
+        assert_eq!(tick, DecisionRecord::Tick { at: 5, seq: 0 });
+    }
+
+    #[test]
+    fn strategy_names_are_escaped_and_round_trip() {
+        let mut h = header();
+        h.strategy = "odd \"name\" \\ with\nbreaks".into();
+        let line = encode_header(&h);
+        assert!(
+            line.contains(r#""strategy":"odd \"name\" \\ with\nbreaks""#),
+            "{line}"
+        );
+        assert_eq!(parse_header(&line).unwrap(), h);
     }
 
     #[test]

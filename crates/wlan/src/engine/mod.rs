@@ -50,7 +50,8 @@ pub mod tracing;
 pub use runner::RunTotals;
 pub use source::{CollectSink, DemandSource, EngineError, RecordSink, SliceSource, StreamSource};
 pub use tracing::{
-    check_log, trace_header, CheckReport, InvariantClass, TraceEvent, TraceSink, Violation,
+    check_log, trace_header, CheckReport, InvariantClass, Tallies, TraceChecker, TraceEvent,
+    TraceSink, Violation,
 };
 
 use s3_trace::{SessionDemand, SessionRecord};

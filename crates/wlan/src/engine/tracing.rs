@@ -14,11 +14,13 @@
 //!   threads only parallelize training and shard steps, never the order of
 //!   emission), so the emitted log is byte-identical at any thread or
 //!   shard count.
-//! * [`check_log`] — the invariant checker behind `s3wlan check-trace`:
-//!   a sequential replay of a log against the paper's steadiness
-//!   guarantees (event ordering, capacity, no hidden migrations,
-//!   candidate membership, conservation of arrivals), reporting every
-//!   violation with its 1-based line number.
+//! * [`TraceChecker`] — the invariant checker: an incremental replay of
+//!   a log against the paper's steadiness guarantees (event ordering,
+//!   capacity, no hidden migrations, candidate membership, conservation
+//!   of arrivals), reporting every violation with its 1-based line
+//!   number. [`check_log`] feeds it a whole log for `s3wlan check-trace`;
+//!   `s3wlan replay --step` feeds it one step at a time and prints the
+//!   state it reconstructs.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -382,16 +384,6 @@ impl CheckReport {
     }
 }
 
-/// Mirrors [`BitsPerSec::new`]'s clamp so the checker's load replay is
-/// bit-for-bit the engine's arithmetic.
-fn bps_clamp(v: f64) -> f64 {
-    if v.is_finite() && v > 0.0 {
-        v
-    } else {
-        0.0
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct LiveSession {
     user: u32,
@@ -399,62 +391,123 @@ struct LiveSession {
     rate: f64,
 }
 
-/// Sequentially replays a decision log against the invariant catalogue.
-///
-/// Reports every violation with its 1-based line number; malformed record
-/// lines are collected as [`InvariantClass::Format`] violations rather
-/// than aborting, so one bad line does not hide later ones. The count of
-/// violations is also published to `wlan.trace.check_violations`.
-///
-/// # Errors
-///
-/// [`DecisionLogError`] only when the *header* (line 1) is unreadable —
-/// without it no invariant is checkable.
-pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> {
-    let reader = DecisionLogReader::new(input)?;
-    let header = reader.header().clone();
-    let caps = header.ap_capacity_bps.clone();
-    let n_aps = caps.len();
+/// Run tallies of the records a [`TraceChecker`] has been fed: one count
+/// per record kind, whether or not the record was well-formed enough to
+/// change the reconstructed state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tallies {
+    /// `select` records.
+    pub placed: u64,
+    /// `reject` records.
+    pub rejected: u64,
+    /// `depart` records.
+    pub departed: u64,
+    /// `move` records.
+    pub migrations: u64,
+}
 
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut records: u64 = 0;
+/// The incremental invariant checker: the one replay of a decision log.
+///
+/// Built from the log's header and fed the log's lines in order — each
+/// parsed record through [`TraceChecker::feed`], each unparsable line
+/// through [`TraceChecker::malformed`]. Between lines it exposes the engine
+/// state it has reconstructed (per-AP loads and user counts, live
+/// sessions) and its [`Tallies`]; [`TraceChecker::finish`] closes the log
+/// into a [`CheckReport`]. [`check_log`] is the loop that feeds a whole
+/// log; `s3wlan replay --step` feeds it one debugger step at a time.
+#[derive(Debug)]
+pub struct TraceChecker {
+    header: TraceHeader,
+    records: u64,
+    violations: Vec<Violation>,
 
-    // Reconstructed engine state.
-    let mut loads = vec![0.0f64; n_aps];
-    let mut sessions: HashMap<u32, LiveSession> = HashMap::new();
-    let mut seen_seqs: HashSet<u64> = HashSet::new();
+    // Reconstructed engine state. The load arithmetic is the engine's:
+    // placements add the raw rate, releases clamp at zero through
+    // `BitsPerSec::new`, so loads compare bit for bit with reports.
+    loads: Vec<f64>,
+    users: Vec<u64>,
+    sessions: HashMap<u32, LiveSession>,
+    seen_seqs: HashSet<u64>,
 
     // Event-order state: global time floor plus the per-drain-cycle key
     // (cycles end right after a batch record — the engine's drain stops
     // there, so deferred departures may legally restart at a lower rank).
-    let mut last_time: u64 = 0;
-    let mut cycle_key: Option<(u64, u8, u64)> = None;
+    last_time: u64,
+    cycle_key: Option<(u64, u8, u64)>,
 
     // Scope state: the open batch's pending arrivals / the open tick.
-    let mut batch_pending: HashMap<u32, usize> = HashMap::new();
-    let mut batch_open: Option<(u64, u64)> = None; // (line, at)
-    let mut tick_open: Option<u64> = None; // at
+    batch_pending: HashMap<u32, usize>,
+    batch_open: Option<(u64, u64)>, // (line, at)
+    tick_open: Option<u64>,         // at
 
-    // Conservation tallies.
-    let (mut placed, mut rejected, mut departed) = (0u64, 0u64, 0u64);
-    let mut end_line: Option<u64> = None;
+    tallies: Tallies,
+    end_line: Option<u64>,
+}
 
-    for item in reader {
-        records += 1;
-        let (line, record) = match item {
-            Ok(ok) => ok,
-            Err(e) => {
-                violations.push(Violation {
-                    line: e.line,
-                    class: InvariantClass::Format,
-                    detail: e.detail,
-                });
-                continue;
-            }
-        };
+impl TraceChecker {
+    /// A checker for the log whose line 1 is `header`.
+    pub fn new(header: TraceHeader) -> Self {
+        let n_aps = header.ap_capacity_bps.len();
+        TraceChecker {
+            header,
+            records: 0,
+            violations: Vec::new(),
+            loads: vec![0.0; n_aps],
+            users: vec![0; n_aps],
+            sessions: HashMap::new(),
+            seen_seqs: HashSet::new(),
+            last_time: 0,
+            cycle_key: None,
+            batch_pending: HashMap::new(),
+            batch_open: None,
+            tick_open: None,
+            tallies: Tallies::default(),
+            end_line: None,
+        }
+    }
 
-        if let Some(end) = end_line {
-            violations.push(Violation {
+    /// The log's header.
+    pub fn header(&self) -> &TraceHeader {
+        &self.header
+    }
+
+    /// Reconstructed live load per AP in bits/sec, indexed by AP id.
+    pub fn loads(&self) -> &[f64] {
+        &self.loads
+    }
+
+    /// Reconstructed associated-user count per AP, indexed by AP id.
+    pub fn users(&self) -> &[u64] {
+        &self.users
+    }
+
+    /// Sessions placed and not yet departed.
+    pub fn active(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Record counts so far.
+    pub fn tallies(&self) -> Tallies {
+        self.tallies
+    }
+
+    /// Records an unparsable record line as a [`InvariantClass::Format`]
+    /// violation, so one bad line does not hide later ones.
+    pub fn malformed(&mut self, error: DecisionLogError) {
+        self.records += 1;
+        self.violations.push(Violation {
+            line: error.line,
+            class: InvariantClass::Format,
+            detail: error.detail,
+        });
+    }
+
+    /// Checks record `record`, read from 1-based line `line`, against the
+    /// invariant catalogue and folds it into the reconstructed state.
+    pub fn feed(&mut self, line: u64, record: &DecisionRecord) {
+        self.records += 1;
+        if let Some(end) = self.end_line {
+            self.violations.push(Violation {
                 line,
                 class: InvariantClass::Conservation,
                 detail: format!(
@@ -462,49 +515,38 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                     record.kind()
                 ),
             });
-            continue;
+            return;
         }
+        let n_aps = self.loads.len();
 
         // Queue-event records carry the (t, rank, seq) key: close the open
         // scopes and check the ordering contract.
         if let Some(key) = record.queue_key() {
-            if let Some((batch_line, _)) = batch_open.take() {
-                let undecided: usize = batch_pending.values().sum();
-                if undecided > 0 {
-                    violations.push(Violation {
-                        line: batch_line,
-                        class: InvariantClass::Conservation,
-                        detail: format!(
-                            "{undecided} arrival(s) of this batch never reached a \
-                             select/reject decision"
-                        ),
-                    });
-                }
-                batch_pending.clear();
-            }
-            tick_open = None;
+            self.close_batch();
+            self.tick_open = None;
 
             let (t, _rank, seq) = key;
-            if t < last_time {
-                violations.push(Violation {
+            if t < self.last_time {
+                self.violations.push(Violation {
                     line,
                     class: InvariantClass::EventOrder,
                     detail: format!(
-                        "event time {t} runs backwards (previous event at {last_time})"
+                        "event time {t} runs backwards (previous event at {})",
+                        self.last_time
                     ),
                 });
             }
-            last_time = last_time.max(t);
-            if !seen_seqs.insert(seq) {
-                violations.push(Violation {
+            self.last_time = self.last_time.max(t);
+            if !self.seen_seqs.insert(seq) {
+                self.violations.push(Violation {
                     line,
                     class: InvariantClass::EventOrder,
                     detail: format!("event sequence {seq} reused (queue sequences are unique)"),
                 });
             }
-            if let Some(prev) = cycle_key {
+            if let Some(prev) = self.cycle_key {
                 if key <= prev {
-                    violations.push(Violation {
+                    self.violations.push(Violation {
                         line,
                         class: InvariantClass::EventOrder,
                         detail: format!(
@@ -516,18 +558,18 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                 }
             }
             // A batch ends the drain cycle; anything else extends it.
-            cycle_key = match record {
+            self.cycle_key = match record {
                 DecisionRecord::Batch { .. } => None,
                 _ => Some(key),
             };
         }
 
-        match record {
-            DecisionRecord::Batch { at, users, .. } => {
-                batch_open = Some((line, at));
-                batch_pending.clear();
-                for u in users {
-                    *batch_pending.entry(u).or_insert(0) += 1;
+        match *record {
+            DecisionRecord::Batch { at, ref users, .. } => {
+                self.batch_open = Some((line, at));
+                self.batch_pending.clear();
+                for &u in users {
+                    *self.batch_pending.entry(u).or_insert(0) += 1;
                 }
             }
             DecisionRecord::Select {
@@ -539,24 +581,24 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                 ref candidates,
                 ..
             } => {
-                placed += 1;
-                match batch_open {
-                    None => violations.push(Violation {
+                self.tallies.placed += 1;
+                match self.batch_open {
+                    None => self.violations.push(Violation {
                         line,
                         class: InvariantClass::Conservation,
                         detail: format!("select of user {user} outside an arrival batch"),
                     }),
                     Some((_, batch_at)) => {
                         if at != batch_at {
-                            violations.push(Violation {
+                            self.violations.push(Violation {
                                 line,
                                 class: InvariantClass::EventOrder,
                                 detail: format!("select at t={at} inside a batch at t={batch_at}"),
                             });
                         }
-                        match batch_pending.get_mut(&user) {
+                        match self.batch_pending.get_mut(&user) {
                             Some(n) if *n > 0 => *n -= 1,
-                            _ => violations.push(Violation {
+                            _ => self.violations.push(Violation {
                                 line,
                                 class: InvariantClass::Conservation,
                                 detail: format!(
@@ -568,7 +610,7 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                     }
                 }
                 if !candidates.contains(&ap) {
-                    violations.push(Violation {
+                    self.violations.push(Violation {
                         line,
                         class: InvariantClass::Candidate,
                         detail: format!(
@@ -577,35 +619,34 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                     });
                 }
                 if (ap as usize) >= n_aps {
-                    violations.push(Violation {
+                    self.violations.push(Violation {
                         line,
                         class: InvariantClass::Format,
                         detail: format!("AP id {ap} out of range (header has {n_aps} APs)"),
                     });
                 } else {
-                    loads[ap as usize] += rate_bps;
-                    if loads[ap as usize] > caps[ap as usize] {
-                        violations.push(Violation {
+                    let (load, cap) = (
+                        &mut self.loads[ap as usize],
+                        self.header.ap_capacity_bps[ap as usize],
+                    );
+                    *load += rate_bps;
+                    self.users[ap as usize] += 1;
+                    if *load > cap {
+                        self.violations.push(Violation {
                             line,
                             class: InvariantClass::Capacity,
                             detail: format!(
-                                "AP {ap} live load {} bps exceeds capacity W(i) = {} bps",
-                                loads[ap as usize], caps[ap as usize]
+                                "AP {ap} live load {load} bps exceeds capacity W(i) = {cap} bps"
                             ),
                         });
                     }
-                    if sessions
-                        .insert(
-                            sid,
-                            LiveSession {
-                                user,
-                                ap,
-                                rate: rate_bps,
-                            },
-                        )
-                        .is_some()
-                    {
-                        violations.push(Violation {
+                    let session = LiveSession {
+                        user,
+                        ap,
+                        rate: rate_bps,
+                    };
+                    if self.sessions.insert(sid, session).is_some() {
+                        self.violations.push(Violation {
                             line,
                             class: InvariantClass::Conservation,
                             detail: format!("session id {sid} placed twice"),
@@ -614,16 +655,16 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                 }
             }
             DecisionRecord::Reject { user, .. } => {
-                rejected += 1;
-                match batch_open {
-                    None => violations.push(Violation {
+                self.tallies.rejected += 1;
+                match self.batch_open {
+                    None => self.violations.push(Violation {
                         line,
                         class: InvariantClass::Conservation,
                         detail: format!("reject of user {user} outside an arrival batch"),
                     }),
-                    Some(_) => match batch_pending.get_mut(&user) {
+                    Some(_) => match self.batch_pending.get_mut(&user) {
                         Some(n) if *n > 0 => *n -= 1,
-                        _ => violations.push(Violation {
+                        _ => self.violations.push(Violation {
                             line,
                             class: InvariantClass::Conservation,
                             detail: format!(
@@ -634,7 +675,7 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                 }
             }
             DecisionRecord::Tick { at, .. } => {
-                tick_open = Some(at);
+                self.tick_open = Some(at);
             }
             DecisionRecord::Move {
                 at,
@@ -642,61 +683,68 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                 user,
                 from,
                 to,
-            } => match tick_open {
-                None => violations.push(Violation {
-                    line,
-                    class: InvariantClass::Migration,
-                    detail: format!(
-                        "mid-session migration of user {user} outside a rebalance epoch"
-                    ),
-                }),
-                Some(tick_at) => {
-                    if at != tick_at {
-                        violations.push(Violation {
-                            line,
-                            class: InvariantClass::EventOrder,
-                            detail: format!("move at t={at} inside a tick at t={tick_at}"),
-                        });
-                    }
-                    if (from as usize) >= n_aps || (to as usize) >= n_aps {
-                        violations.push(Violation {
-                            line,
-                            class: InvariantClass::Format,
-                            detail: format!(
-                                "AP id out of range in move {from}->{to} (header has {n_aps} APs)"
-                            ),
-                        });
-                    } else {
-                        match sessions.get_mut(&sid) {
-                            None => violations.push(Violation {
+            } => {
+                self.tallies.migrations += 1;
+                match self.tick_open {
+                    None => self.violations.push(Violation {
+                        line,
+                        class: InvariantClass::Migration,
+                        detail: format!(
+                            "mid-session migration of user {user} outside a rebalance epoch"
+                        ),
+                    }),
+                    Some(tick_at) => {
+                        if at != tick_at {
+                            self.violations.push(Violation {
                                 line,
-                                class: InvariantClass::Migration,
-                                detail: format!("move of unknown session {sid}"),
-                            }),
-                            Some(s) => {
-                                if s.user != user || s.ap != from {
-                                    violations.push(Violation {
-                                        line,
-                                        class: InvariantClass::Migration,
-                                        detail: format!(
-                                            "move says user {user} leaves AP {from}, but session \
-                                             {sid} is user {} on AP {}",
-                                            s.user, s.ap
-                                        ),
-                                    });
+                                class: InvariantClass::EventOrder,
+                                detail: format!("move at t={at} inside a tick at t={tick_at}"),
+                            });
+                        }
+                        if (from as usize) >= n_aps || (to as usize) >= n_aps {
+                            self.violations.push(Violation {
+                                line,
+                                class: InvariantClass::Format,
+                                detail: format!(
+                                    "AP id out of range in move {from}->{to} (header has {n_aps} APs)"
+                                ),
+                            });
+                        } else {
+                            match self.sessions.get_mut(&sid) {
+                                None => self.violations.push(Violation {
+                                    line,
+                                    class: InvariantClass::Migration,
+                                    detail: format!("move of unknown session {sid}"),
+                                }),
+                                Some(s) => {
+                                    if s.user != user || s.ap != from {
+                                        self.violations.push(Violation {
+                                            line,
+                                            class: InvariantClass::Migration,
+                                            detail: format!(
+                                                "move says user {user} leaves AP {from}, but \
+                                                 session {sid} is user {} on AP {}",
+                                                s.user, s.ap
+                                            ),
+                                        });
+                                    }
+                                    let rate = s.rate;
+                                    s.ap = to;
+                                    let (from, to) = (from as usize, to as usize);
+                                    self.loads[from] =
+                                        BitsPerSec::new(self.loads[from] - rate).as_f64();
+                                    self.users[from] = self.users[from].saturating_sub(1);
+                                    self.loads[to] += rate;
+                                    self.users[to] += 1;
                                 }
-                                let rate = s.rate;
-                                s.ap = to;
-                                loads[from as usize] = bps_clamp(loads[from as usize] - rate);
-                                loads[to as usize] += rate;
                             }
                         }
                     }
                 }
-            },
+            }
             DecisionRecord::Report { ref loads_bps, .. } => {
                 if loads_bps.len() != n_aps {
-                    violations.push(Violation {
+                    self.violations.push(Violation {
                         line,
                         class: InvariantClass::Format,
                         detail: format!(
@@ -705,9 +753,9 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                         ),
                     });
                 } else {
-                    for (ap, (&got, &want)) in loads_bps.iter().zip(&loads).enumerate() {
+                    for (ap, (&got, &want)) in loads_bps.iter().zip(&self.loads).enumerate() {
                         if got.to_bits() != want.to_bits() {
-                            violations.push(Violation {
+                            self.violations.push(Violation {
                                 line,
                                 class: InvariantClass::Conservation,
                                 detail: format!(
@@ -720,16 +768,16 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                 }
             }
             DecisionRecord::Depart { sid, user, ap, .. } => {
-                departed += 1;
-                match sessions.remove(&sid) {
-                    None => violations.push(Violation {
+                self.tallies.departed += 1;
+                match self.sessions.remove(&sid) {
+                    None => self.violations.push(Violation {
                         line,
                         class: InvariantClass::Conservation,
                         detail: format!("departure of unknown session {sid}"),
                     }),
                     Some(s) => {
                         if s.user != user || s.ap != ap {
-                            violations.push(Violation {
+                            self.violations.push(Violation {
                                 line,
                                 class: InvariantClass::Migration,
                                 detail: format!(
@@ -739,9 +787,10 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                                 ),
                             });
                         }
-                        if (s.ap as usize) < n_aps {
-                            loads[s.ap as usize] = bps_clamp(loads[s.ap as usize] - s.rate);
-                        }
+                        // Sessions enter the map only with in-range APs.
+                        let ap = s.ap as usize;
+                        self.loads[ap] = BitsPerSec::new(self.loads[ap] - s.rate).as_f64();
+                        self.users[ap] = self.users[ap].saturating_sub(1);
                     }
                 }
             }
@@ -751,10 +800,16 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                 departed: d,
                 active: a,
             } => {
-                end_line = Some(line);
-                let live = sessions.len() as u64;
+                self.end_line = Some(line);
+                let Tallies {
+                    placed,
+                    rejected,
+                    departed,
+                    ..
+                } = self.tallies;
+                let live = self.sessions.len() as u64;
                 if (p, r, d) != (placed, rejected, departed) {
-                    violations.push(Violation {
+                    self.violations.push(Violation {
                         line,
                         class: InvariantClass::Conservation,
                         detail: format!(
@@ -764,7 +819,7 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                     });
                 }
                 if a != live {
-                    violations.push(Violation {
+                    self.violations.push(Violation {
                         line,
                         class: InvariantClass::Conservation,
                         detail: format!(
@@ -773,7 +828,7 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
                     });
                 }
                 if p != d + a {
-                    violations.push(Violation {
+                    self.violations.push(Violation {
                         line,
                         class: InvariantClass::Conservation,
                         detail: format!(
@@ -786,34 +841,70 @@ pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> 
         }
     }
 
-    if let Some((batch_line, _)) = batch_open {
-        let undecided: usize = batch_pending.values().sum();
-        if undecided > 0 {
-            violations.push(Violation {
-                line: batch_line,
-                class: InvariantClass::Conservation,
-                detail: format!(
-                    "{undecided} arrival(s) of this batch never reached a select/reject decision"
-                ),
-            });
+    /// Flags the open batch's arrivals that never reached a decision, and
+    /// closes the batch.
+    fn close_batch(&mut self) {
+        if let Some((batch_line, _)) = self.batch_open.take() {
+            let undecided: usize = self.batch_pending.values().sum();
+            if undecided > 0 {
+                self.violations.push(Violation {
+                    line: batch_line,
+                    class: InvariantClass::Conservation,
+                    detail: format!(
+                        "{undecided} arrival(s) of this batch never reached a select/reject \
+                         decision"
+                    ),
+                });
+            }
+            self.batch_pending.clear();
         }
     }
-    if end_line.is_none() {
-        violations.push(Violation {
-            line: records + 1,
-            class: InvariantClass::Conservation,
-            detail: "log has no end record (truncated trace)".into(),
-        });
-    }
 
-    s3_obs::global()
-        .counter(&CHECK_VIOLATIONS)
-        .add(violations.len() as u64);
-    Ok(CheckReport {
-        header,
-        records,
-        violations,
-    })
+    /// Ends the log: flags an unclosed batch and a missing `end` record,
+    /// publishes the violation count to `wlan.trace.check_violations`, and
+    /// returns the report.
+    pub fn finish(mut self) -> CheckReport {
+        self.close_batch();
+        if self.end_line.is_none() {
+            self.violations.push(Violation {
+                line: self.records + 1,
+                class: InvariantClass::Conservation,
+                detail: "log has no end record (truncated trace)".into(),
+            });
+        }
+        s3_obs::global()
+            .counter(&CHECK_VIOLATIONS)
+            .add(self.violations.len() as u64);
+        CheckReport {
+            header: self.header,
+            records: self.records,
+            violations: self.violations,
+        }
+    }
+}
+
+/// Sequentially replays a decision log against the invariant catalogue:
+/// the loop that feeds a [`TraceChecker`] every line of `input`.
+///
+/// Reports every violation with its 1-based line number; malformed record
+/// lines are collected as [`InvariantClass::Format`] violations rather
+/// than aborting, so one bad line does not hide later ones. The count of
+/// violations is also published to `wlan.trace.check_violations`.
+///
+/// # Errors
+///
+/// [`DecisionLogError`] only when the *header* (line 1) is unreadable —
+/// without it no invariant is checkable.
+pub fn check_log<R: BufRead>(input: R) -> Result<CheckReport, DecisionLogError> {
+    let reader = DecisionLogReader::new(input)?;
+    let mut checker = TraceChecker::new(reader.header().clone());
+    for item in reader {
+        match item {
+            Ok((line, record)) => checker.feed(line, &record),
+            Err(e) => checker.malformed(e),
+        }
+    }
+    Ok(checker.finish())
 }
 
 #[cfg(test)]
@@ -857,6 +948,40 @@ mod tests {
         );
         assert!(report.records > 0);
         assert_eq!(report.header.strategy, "llf");
+    }
+
+    #[test]
+    fn incremental_checker_exposes_the_state_it_reconstructs() {
+        let log = traced_log(7);
+        let reader = DecisionLogReader::new(BufReader::new(log.as_slice())).unwrap();
+        let mut checker = TraceChecker::new(reader.header().clone());
+        let mut end = None;
+        for item in reader {
+            let (line, record) = item.unwrap();
+            checker.feed(line, &record);
+            // On a clean log every live session is counted on one AP.
+            assert_eq!(checker.users().iter().sum::<u64>(), checker.active() as u64);
+            if let DecisionRecord::End {
+                placed,
+                rejected,
+                departed,
+                active,
+            } = record
+            {
+                end = Some((placed, rejected, departed, active));
+            }
+        }
+        let t = checker.tallies();
+        assert_eq!(
+            Some((t.placed, t.rejected, t.departed, checker.active() as u64)),
+            end
+        );
+        let report = checker.finish();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(
+            report.records,
+            check_log(BufReader::new(log.as_slice())).unwrap().records
+        );
     }
 
     #[test]
