@@ -8,7 +8,72 @@
 
 use std::path::PathBuf;
 
+use crate::commands::MAX_APS;
 use crate::CliError;
+
+/// The flags `replay` and `trace` share: the demand trace, the policy and
+/// everything that shapes its replay. `compare` takes `--demands`,
+/// `--seed`, `--train-days`, `--aps-per-building` and `--threads`, and
+/// fixes the rest: policy `s3`, no rebalancer, one shard, strict input.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayArgs {
+    /// Input demand CSV.
+    pub demands: PathBuf,
+    /// Policy to replay (a registered strategy name).
+    pub policy: String,
+    /// Seed (random policy, S³ clustering).
+    pub seed: u64,
+    /// Days of the trace used to train S³ (0 = the first 70 %; ignored by
+    /// policies that do not train).
+    pub train_days: u64,
+    /// Enable the online rebalancer.
+    pub rebalance: bool,
+    /// APs per building of the replayed topology.
+    pub aps_per_building: usize,
+    /// Worker threads (0 = auto); output is identical for any value.
+    pub threads: usize,
+    /// Controller-domain shards (1 = in-thread); output is identical for
+    /// any value.
+    pub shards: usize,
+    /// Skip malformed rows (with a report) instead of aborting.
+    pub lenient: bool,
+}
+
+/// `--metrics-out` and `--metrics-full`, taken by `replay`, `analyze` and
+/// `compare`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct MetricsArgs {
+    /// Optional metrics-snapshot destination (`.json` or `.csv`).
+    pub out: Option<PathBuf>,
+    /// Include volatile (timing) metrics in the snapshot.
+    pub full: bool,
+}
+
+/// The flags of `generate`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GenerateArgs {
+    /// Output CSV path.
+    pub out: PathBuf,
+    /// Generator seed.
+    pub seed: u64,
+    /// Users in the campus.
+    pub users: usize,
+    /// Buildings (one controller each).
+    pub buildings: usize,
+    /// APs per building.
+    pub aps_per_building: usize,
+    /// Simulated days.
+    pub days: u64,
+    /// Adversarial-scenario spec (see `ScenarioSpec::parse`), applied to the
+    /// demand stream before it is written.
+    pub scenario: Option<String>,
+    /// Fault-injection spec (see `FaultSpec::parse`), applied to the CSV
+    /// text after generation with the same seed.
+    pub faults: Option<String>,
+    /// Worker threads (0 = auto); the trace is identical for any value
+    /// (per-entity seed streams).
+    pub threads: usize,
+}
 
 /// A parsed subcommand.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,59 +81,18 @@ pub enum Command {
     /// Print usage.
     Help,
     /// Generate a demand trace.
-    Generate {
-        /// Output CSV path.
-        out: PathBuf,
-        /// Generator seed.
-        seed: u64,
-        /// Users in the campus.
-        users: usize,
-        /// Buildings (one controller each).
-        buildings: usize,
-        /// APs per building.
-        aps_per_building: usize,
-        /// Simulated days.
-        days: u64,
-        /// Adversarial-scenario spec (see `ScenarioSpec::parse`), applied
-        /// to the demand stream before it is written.
-        scenario: Option<String>,
-        /// Fault-injection spec (see `FaultSpec::parse`), applied to the
-        /// CSV text after generation with the same seed.
-        faults: Option<String>,
-        /// Worker threads (0 = auto); the trace is identical for any
-        /// value (per-entity seed streams).
-        threads: usize,
-    },
-    /// Replay a demand trace under a policy.
+    Generate(GenerateArgs),
+    /// Replay a demand trace under a policy into a session CSV.
     Replay {
-        /// Input demand CSV.
-        demands: PathBuf,
-        /// Policy to evaluate (a registered strategy name).
-        policy: String,
+        /// The demand trace and its replay.
+        run: ReplayArgs,
         /// Output session CSV.
         out: PathBuf,
-        /// Seed (random policy, S³ clustering).
-        seed: u64,
-        /// Days of the trace used to train S³ (ignored by other policies).
-        train_days: u64,
-        /// Enable the online rebalancer.
-        rebalance: bool,
-        /// APs per building of the replayed topology.
-        aps_per_building: usize,
-        /// Worker threads (0 = auto); results are identical for any value.
-        threads: usize,
-        /// Controller-domain shards (1 = in-thread); session CSVs
-        /// are byte-identical for any value.
-        shards: usize,
-        /// Optional metrics-snapshot destination (`.json` or `.csv`).
-        metrics_out: Option<PathBuf>,
-        /// Include volatile (timing) metrics in the snapshot.
-        metrics_full: bool,
-        /// Skip malformed rows (with a report) instead of aborting.
-        lenient: bool,
         /// Stream demands straight off disk (constant memory; requires a
         /// `(arrive, user)`-sorted file and no `--rebalance`).
         stream: bool,
+        /// The metrics snapshot.
+        metrics: MetricsArgs,
     },
     /// Measurement study over a session log.
     Analyze {
@@ -78,12 +102,10 @@ pub enum Command {
         seed: u64,
         /// Worker threads (0 = auto); results are identical for any value.
         threads: usize,
-        /// Optional metrics-snapshot destination (`.json` or `.csv`).
-        metrics_out: Option<PathBuf>,
-        /// Include volatile (timing) metrics in the snapshot.
-        metrics_full: bool,
         /// Skip malformed rows (with a report) instead of aborting.
         lenient: bool,
+        /// The metrics snapshot.
+        metrics: MetricsArgs,
     },
     /// Convert a foreign session CSV (string ids, epoch timestamps) into
     /// the canonical format, writing id-mapping files alongside.
@@ -100,20 +122,10 @@ pub enum Command {
     },
     /// End-to-end S³-vs-LLF comparison.
     Compare {
-        /// Input demand CSV.
-        demands: PathBuf,
-        /// Seed.
-        seed: u64,
-        /// Training days.
-        train_days: u64,
-        /// APs per building of the replayed topology.
-        aps_per_building: usize,
-        /// Worker threads (0 = auto); results are identical for any value.
-        threads: usize,
-        /// Optional metrics-snapshot destination (`.json` or `.csv`).
-        metrics_out: Option<PathBuf>,
-        /// Include volatile (timing) metrics in the snapshot.
-        metrics_full: bool,
+        /// The demand trace and the S³ replay (see [`ReplayArgs`]).
+        run: ReplayArgs,
+        /// The metrics snapshot.
+        metrics: MetricsArgs,
     },
     /// Render a metrics snapshot (written by `--metrics-out`) as a table.
     Summary {
@@ -123,28 +135,10 @@ pub enum Command {
     /// Replay a demand trace under a policy while recording every engine
     /// decision to an `s3-dtrace/1` JSONL log.
     Trace {
-        /// Input demand CSV.
-        demands: PathBuf,
-        /// Policy to trace (a registered strategy name).
-        policy: String,
+        /// The demand trace and its replay.
+        run: ReplayArgs,
         /// Output decision-log path (JSONL).
         out: PathBuf,
-        /// Seed (random policy, S³ clustering).
-        seed: u64,
-        /// Days of the trace used to train S³ (ignored by other policies).
-        train_days: u64,
-        /// Enable the online rebalancer (adds tick/move records).
-        rebalance: bool,
-        /// APs per building of the replayed topology.
-        aps_per_building: usize,
-        /// Worker threads (0 = auto); the log body is identical for any
-        /// value.
-        threads: usize,
-        /// Controller-domain shards (1 = in-thread); the log body
-        /// is identical for any value.
-        shards: usize,
-        /// Skip malformed rows (with a report) instead of aborting.
-        lenient: bool,
     },
     /// Validate a decision log against the engine invariants.
     CheckTrace {
@@ -175,22 +169,21 @@ impl<'a> Cursor<'a> {
         self.next()
             .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
     }
-}
 
-fn parse_u64(flag: &str, value: &str) -> Result<u64, CliError> {
-    value
-        .parse()
-        .map_err(|_| CliError::Usage(format!("{flag} must be an unsigned integer, got {value:?}")))
-}
-
-fn parse_shards(value: &str) -> Result<usize, CliError> {
-    let shards = parse_u64("--shards", value)? as usize;
-    if shards == 0 {
-        return Err(CliError::Usage(
-            "--shards must be at least 1 (1 = one in-thread shard)".into(),
-        ));
+    fn path_for(&mut self, flag: &str) -> Result<PathBuf, CliError> {
+        self.value_for(flag).map(PathBuf::from)
     }
-    Ok(shards)
+
+    fn u64_for(&mut self, flag: &str) -> Result<u64, CliError> {
+        let value = self.value_for(flag)?;
+        value.parse().map_err(|_| {
+            CliError::Usage(format!("{flag} must be an unsigned integer, got {value:?}"))
+        })
+    }
+
+    fn usize_for(&mut self, flag: &str) -> Result<usize, CliError> {
+        self.u64_for(flag).map(|v| v as usize)
+    }
 }
 
 /// Validates a `--policy` value against the strategy registry, so unknown
@@ -251,144 +244,8 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     };
     match sub {
         "-h" | "--help" | "help" => Ok(Command::Help),
-        "generate" => {
-            let mut out = None;
-            let mut seed = 42u64;
-            let mut scale = None;
-            // Explicit flags override the preset field-by-field, wherever
-            // they appear relative to --scale.
-            let mut users = None;
-            let mut buildings = None;
-            let mut aps = None;
-            let mut days = None;
-            let mut scenario = None;
-            let mut faults = None;
-            let mut threads = 0usize;
-            while let Some(flag) = cursor.next() {
-                match flag {
-                    "--out" => out = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--seed" => seed = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--scale" => scale = Some(scale_preset(cursor.value_for(flag)?)?),
-                    "--users" => users = Some(parse_u64(flag, cursor.value_for(flag)?)? as usize),
-                    "--buildings" => {
-                        buildings = Some(parse_u64(flag, cursor.value_for(flag)?)? as usize)
-                    }
-                    "--aps-per-building" => {
-                        aps = Some(parse_u64(flag, cursor.value_for(flag)?)? as usize)
-                    }
-                    "--days" => days = Some(parse_u64(flag, cursor.value_for(flag)?)?),
-                    "--scenario" => scenario = Some(cursor.value_for(flag)?.to_string()),
-                    "--faults" => faults = Some(cursor.value_for(flag)?.to_string()),
-                    "--threads" => threads = parse_u64(flag, cursor.value_for(flag)?)? as usize,
-                    other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-                }
-            }
-            let out = out.ok_or_else(|| CliError::Usage("generate requires --out".into()))?;
-            let base = scale.unwrap_or_else(|| scale_preset("campus").expect("known preset"));
-            let users = users.unwrap_or(base.0);
-            let buildings = buildings.unwrap_or(base.1);
-            let aps = aps.unwrap_or(base.2);
-            let days = days.unwrap_or(base.3);
-            if users == 0 || buildings == 0 || aps == 0 || days == 0 {
-                return Err(CliError::Usage("counts must be positive".into()));
-            }
-            Ok(Command::Generate {
-                out,
-                seed,
-                users,
-                buildings,
-                aps_per_building: aps,
-                days,
-                scenario,
-                faults,
-                threads,
-            })
-        }
-        "replay" => {
-            let mut demands = None;
-            let mut policy = None;
-            let mut out = None;
-            let mut seed = 42u64;
-            let mut train_days = 0u64;
-            let mut rebalance = false;
-            let mut aps_per_building = 8usize;
-            let mut threads = 0usize;
-            let mut shards = 1usize;
-            let mut metrics_out = None;
-            let mut metrics_full = false;
-            let mut lenient = false;
-            let mut stream = false;
-            let mut step = false;
-            let mut trace = None;
-            while let Some(flag) = cursor.next() {
-                match flag {
-                    "--demands" => demands = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--stream" => stream = true,
-                    "--step" => step = true,
-                    "--trace" => trace = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--aps-per-building" => {
-                        aps_per_building = parse_u64(flag, cursor.value_for(flag)?)? as usize
-                    }
-                    "--threads" => threads = parse_u64(flag, cursor.value_for(flag)?)? as usize,
-                    "--shards" => shards = parse_shards(cursor.value_for(flag)?)?,
-                    "--metrics-out" => metrics_out = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--metrics-full" => metrics_full = true,
-                    "--lenient" => lenient = true,
-                    "--policy" => policy = Some(parse_policy(cursor.value_for(flag)?)?),
-                    "--out" => out = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--seed" => seed = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--train-days" => train_days = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--rebalance" => rebalance = true,
-                    other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-                }
-            }
-            if step {
-                let trace = trace.ok_or_else(|| {
-                    CliError::Usage("replay --step requires --trace <decision log>".into())
-                })?;
-                return Ok(Command::Step { trace });
-            }
-            if trace.is_some() {
-                return Err(CliError::Usage(
-                    "--trace only applies to replay --step (record logs with \
-                     the trace subcommand)"
-                        .into(),
-                ));
-            }
-            let demands =
-                demands.ok_or_else(|| CliError::Usage("replay requires --demands".into()))?;
-            let policy =
-                policy.ok_or_else(|| CliError::Usage("replay requires --policy".into()))?;
-            let out = out.ok_or_else(|| CliError::Usage("replay requires --out".into()))?;
-            if aps_per_building == 0 {
-                return Err(CliError::Usage(
-                    "--aps-per-building must be positive".into(),
-                ));
-            }
-            if stream && rebalance {
-                return Err(CliError::Usage(
-                    "--stream does not support --rebalance (migration segments \
-                     need the full session log in memory)"
-                        .into(),
-                ));
-            }
-            reject_unshardable(&policy, shards)?;
-            Ok(Command::Replay {
-                demands,
-                policy,
-                out,
-                seed,
-                train_days,
-                rebalance,
-                aps_per_building,
-                threads,
-                shards,
-                metrics_out,
-                metrics_full,
-                lenient,
-                stream,
-            })
-        }
+        "generate" => parse_generate(&mut cursor),
+        "replay" | "trace" | "compare" => parse_replay(sub, &mut cursor),
         "convert" => {
             let mut input = None;
             let mut out = None;
@@ -396,9 +253,9 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             let mut lenient = false;
             while let Some(flag) = cursor.next() {
                 match flag {
-                    "--in" => input = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--out" => out = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--maps-dir" => maps_dir = PathBuf::from(cursor.value_for(flag)?),
+                    "--in" => input = Some(cursor.path_for(flag)?),
+                    "--out" => out = Some(cursor.path_for(flag)?),
+                    "--maps-dir" => maps_dir = cursor.path_for(flag)?,
                     "--lenient" => lenient = true,
                     other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
                 }
@@ -416,16 +273,15 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             let mut sessions = None;
             let mut seed = 42u64;
             let mut threads = 0usize;
-            let mut metrics_out = None;
-            let mut metrics_full = false;
             let mut lenient = false;
+            let mut metrics = MetricsArgs::default();
             while let Some(flag) = cursor.next() {
                 match flag {
-                    "--sessions" => sessions = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--seed" => seed = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--threads" => threads = parse_u64(flag, cursor.value_for(flag)?)? as usize,
-                    "--metrics-out" => metrics_out = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--metrics-full" => metrics_full = true,
+                    "--sessions" => sessions = Some(cursor.path_for(flag)?),
+                    "--seed" => seed = cursor.u64_for(flag)?,
+                    "--threads" => threads = cursor.usize_for(flag)?,
+                    "--metrics-out" => metrics.out = Some(cursor.path_for(flag)?),
+                    "--metrics-full" => metrics.full = true,
                     "--lenient" => lenient = true,
                     other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
                 }
@@ -436,106 +292,15 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
                 sessions,
                 seed,
                 threads,
-                metrics_out,
-                metrics_full,
                 lenient,
-            })
-        }
-        "compare" => {
-            let mut demands = None;
-            let mut seed = 42u64;
-            let mut train_days = 0u64;
-            let mut aps_per_building = 8usize;
-            let mut threads = 0usize;
-            let mut metrics_out = None;
-            let mut metrics_full = false;
-            while let Some(flag) = cursor.next() {
-                match flag {
-                    "--demands" => demands = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--seed" => seed = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--train-days" => train_days = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--aps-per-building" => {
-                        aps_per_building = parse_u64(flag, cursor.value_for(flag)?)? as usize
-                    }
-                    "--threads" => threads = parse_u64(flag, cursor.value_for(flag)?)? as usize,
-                    "--metrics-out" => metrics_out = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--metrics-full" => metrics_full = true,
-                    other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-                }
-            }
-            let demands =
-                demands.ok_or_else(|| CliError::Usage("compare requires --demands".into()))?;
-            if aps_per_building == 0 {
-                return Err(CliError::Usage(
-                    "--aps-per-building must be positive".into(),
-                ));
-            }
-            Ok(Command::Compare {
-                demands,
-                seed,
-                train_days,
-                aps_per_building,
-                threads,
-                metrics_out,
-                metrics_full,
-            })
-        }
-        "trace" => {
-            let mut demands = None;
-            let mut policy = None;
-            let mut out = None;
-            let mut seed = 42u64;
-            let mut train_days = 0u64;
-            let mut rebalance = false;
-            let mut aps_per_building = 8usize;
-            let mut threads = 0usize;
-            let mut shards = 1usize;
-            let mut lenient = false;
-            while let Some(flag) = cursor.next() {
-                match flag {
-                    "--demands" => demands = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--out" => out = Some(PathBuf::from(cursor.value_for(flag)?)),
-                    "--seed" => seed = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--train-days" => train_days = parse_u64(flag, cursor.value_for(flag)?)?,
-                    "--rebalance" => rebalance = true,
-                    "--aps-per-building" => {
-                        aps_per_building = parse_u64(flag, cursor.value_for(flag)?)? as usize
-                    }
-                    "--threads" => threads = parse_u64(flag, cursor.value_for(flag)?)? as usize,
-                    "--shards" => shards = parse_shards(cursor.value_for(flag)?)?,
-                    "--lenient" => lenient = true,
-                    "--policy" => policy = Some(parse_policy(cursor.value_for(flag)?)?),
-                    other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
-                }
-            }
-            let demands =
-                demands.ok_or_else(|| CliError::Usage("trace requires --demands".into()))?;
-            let policy = policy.ok_or_else(|| CliError::Usage("trace requires --policy".into()))?;
-            let out = out.ok_or_else(|| CliError::Usage("trace requires --out".into()))?;
-            if aps_per_building == 0 {
-                return Err(CliError::Usage(
-                    "--aps-per-building must be positive".into(),
-                ));
-            }
-            reject_unshardable(&policy, shards)?;
-            Ok(Command::Trace {
-                demands,
-                policy,
-                out,
-                seed,
-                train_days,
-                rebalance,
-                aps_per_building,
-                threads,
-                shards,
-                lenient,
+                metrics,
             })
         }
         "check-trace" => {
             let mut trace = None;
             while let Some(flag) = cursor.next() {
                 match flag {
-                    "--trace" => trace = Some(PathBuf::from(cursor.value_for(flag)?)),
+                    "--trace" => trace = Some(cursor.path_for(flag)?),
                     other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
                 }
             }
@@ -547,7 +312,7 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
             let mut metrics = None;
             while let Some(flag) = cursor.next() {
                 match flag {
-                    "--metrics" => metrics = Some(PathBuf::from(cursor.value_for(flag)?)),
+                    "--metrics" => metrics = Some(cursor.path_for(flag)?),
                     other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
                 }
             }
@@ -559,12 +324,177 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
     }
 }
 
+fn parse_generate(cursor: &mut Cursor<'_>) -> Result<Command, CliError> {
+    let mut out = None;
+    let mut seed = 42u64;
+    let mut scale = None;
+    // Explicit flags override the preset field-by-field, wherever they
+    // appear relative to --scale.
+    let mut users = None;
+    let mut buildings = None;
+    let mut aps = None;
+    let mut days = None;
+    let mut scenario = None;
+    let mut faults = None;
+    let mut threads = 0usize;
+    while let Some(flag) = cursor.next() {
+        match flag {
+            "--out" => out = Some(cursor.path_for(flag)?),
+            "--seed" => seed = cursor.u64_for(flag)?,
+            "--scale" => scale = Some(scale_preset(cursor.value_for(flag)?)?),
+            "--users" => users = Some(cursor.usize_for(flag)?),
+            "--buildings" => buildings = Some(cursor.usize_for(flag)?),
+            "--aps-per-building" => aps = Some(cursor.usize_for(flag)?),
+            "--days" => days = Some(cursor.u64_for(flag)?),
+            "--scenario" => scenario = Some(cursor.value_for(flag)?.to_string()),
+            "--faults" => faults = Some(cursor.value_for(flag)?.to_string()),
+            "--threads" => threads = cursor.usize_for(flag)?,
+            other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
+        }
+    }
+    let out = out.ok_or_else(|| CliError::Usage("generate requires --out".into()))?;
+    let base = scale.unwrap_or_else(|| scale_preset("campus").expect("known preset"));
+    let users = users.unwrap_or(base.0);
+    let buildings = buildings.unwrap_or(base.1);
+    let aps_per_building = aps.unwrap_or(base.2);
+    let days = days.unwrap_or(base.3);
+    if users == 0 || buildings == 0 || aps_per_building == 0 || days == 0 {
+        return Err(CliError::Usage("counts must be positive".into()));
+    }
+    // Every generated trace must replay: its topology stays in bounds.
+    if buildings
+        .checked_mul(aps_per_building)
+        .is_none_or(|aps| aps > MAX_APS)
+    {
+        return Err(CliError::Usage(format!(
+            "--buildings x --aps-per-building must not exceed {MAX_APS} APs"
+        )));
+    }
+    Ok(Command::Generate(GenerateArgs {
+        out,
+        seed,
+        users,
+        buildings,
+        aps_per_building,
+        days,
+        scenario,
+        faults,
+        threads,
+    }))
+}
+
+/// Parses `replay`, `trace` and `compare`: the nine flags of
+/// [`ReplayArgs`] (of which `compare` takes five) and each subcommand's
+/// own.
+fn parse_replay(sub: &str, cursor: &mut Cursor<'_>) -> Result<Command, CliError> {
+    let mut run = ReplayArgs {
+        demands: PathBuf::new(),
+        // `compare`'s fixed policy; `replay` and `trace` require --policy.
+        policy: "s3".into(),
+        seed: 42,
+        train_days: 0,
+        rebalance: false,
+        aps_per_building: 8,
+        threads: 0,
+        shards: 1,
+        lenient: false,
+    };
+    let (mut demands, mut policy, mut out, mut trace) = (None, None, None, None);
+    let (mut stream, mut step) = (false, false);
+    let mut metrics = MetricsArgs::default();
+    while let Some(flag) = cursor.next() {
+        match (sub, flag) {
+            (_, "--demands") => demands = Some(cursor.path_for(flag)?),
+            (_, "--seed") => run.seed = cursor.u64_for(flag)?,
+            (_, "--train-days") => run.train_days = cursor.u64_for(flag)?,
+            (_, "--aps-per-building") => run.aps_per_building = cursor.usize_for(flag)?,
+            (_, "--threads") => run.threads = cursor.usize_for(flag)?,
+            ("replay" | "trace", "--policy") => {
+                policy = Some(parse_policy(cursor.value_for(flag)?)?)
+            }
+            ("replay" | "trace", "--out") => out = Some(cursor.path_for(flag)?),
+            ("replay" | "trace", "--rebalance") => run.rebalance = true,
+            ("replay" | "trace", "--shards") => {
+                run.shards = cursor.usize_for(flag)?;
+                if run.shards == 0 {
+                    return Err(CliError::Usage(
+                        "--shards must be at least 1 (1 = one in-thread shard)".into(),
+                    ));
+                }
+            }
+            ("replay" | "trace", "--lenient") => run.lenient = true,
+            ("replay" | "compare", "--metrics-out") => metrics.out = Some(cursor.path_for(flag)?),
+            ("replay" | "compare", "--metrics-full") => metrics.full = true,
+            ("replay", "--stream") => stream = true,
+            ("replay", "--step") => step = true,
+            ("replay", "--trace") => trace = Some(cursor.path_for(flag)?),
+            (_, other) => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
+        }
+    }
+    if step {
+        let trace = trace.ok_or_else(|| {
+            CliError::Usage("replay --step requires --trace <decision log>".into())
+        })?;
+        return Ok(Command::Step { trace });
+    }
+    if trace.is_some() {
+        return Err(CliError::Usage(
+            "--trace only applies to replay --step (record logs with the trace subcommand)".into(),
+        ));
+    }
+    let missing = |flag: &str| CliError::Usage(format!("{sub} requires {flag}"));
+    run.demands = demands.ok_or_else(|| missing("--demands"))?;
+    let out = if sub == "compare" {
+        None
+    } else {
+        run.policy = policy.ok_or_else(|| missing("--policy"))?;
+        Some(out.ok_or_else(|| missing("--out"))?)
+    };
+    if run.aps_per_building == 0 {
+        return Err(CliError::Usage(
+            "--aps-per-building must be positive".into(),
+        ));
+    }
+    if stream && run.rebalance {
+        return Err(CliError::Usage(
+            "--stream does not support --rebalance (migration segments need the full session \
+             log in memory)"
+                .into(),
+        ));
+    }
+    reject_unshardable(&run.policy, run.shards)?;
+    Ok(match (sub, out) {
+        ("replay", Some(out)) => Command::Replay {
+            run,
+            out,
+            stream,
+            metrics,
+        },
+        (_, Some(out)) => Command::Trace { run, out },
+        _ => Command::Compare { run, metrics },
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn generate_args(cmdline: &str) -> GenerateArgs {
+        match parse(&argv(cmdline)).unwrap() {
+            Command::Generate(args) => args,
+            other => panic!("wrong command: {other:?}"),
+        }
+    }
+
+    fn replay_args(cmdline: &str) -> ReplayArgs {
+        match parse(&argv(cmdline)).unwrap() {
+            Command::Replay { run, .. } | Command::Trace { run, .. } => run,
+            other => panic!("wrong command: {other:?}"),
+        }
     }
 
     #[test]
@@ -576,46 +506,85 @@ mod tests {
 
     #[test]
     fn generate_defaults_and_overrides() {
-        let cmd = parse(&argv("generate --out x.csv")).unwrap();
-        match cmd {
-            Command::Generate {
-                users,
-                buildings,
-                days,
-                seed,
-                ..
-            } => {
-                assert_eq!(users, 2_000);
-                assert_eq!(buildings, 8);
-                assert_eq!(days, 31);
-                assert_eq!(seed, 42);
+        assert_eq!(
+            generate_args("generate --out x.csv"),
+            GenerateArgs {
+                out: PathBuf::from("x.csv"),
+                seed: 42,
+                users: 2_000,
+                buildings: 8,
+                aps_per_building: 8,
+                days: 31,
+                scenario: None,
+                faults: None,
+                threads: 0,
             }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let cmd = parse(&argv("generate --out x.csv --users 100 --days 5 --seed 9")).unwrap();
-        match cmd {
-            Command::Generate {
-                users, days, seed, ..
-            } => {
-                assert_eq!(users, 100);
-                assert_eq!(days, 5);
-                assert_eq!(seed, 9);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        );
+        let args = generate_args("generate --out x.csv --users 100 --days 5 --seed 9");
+        assert_eq!((args.users, args.days, args.seed), (100, 5, 9));
     }
 
     #[test]
     fn generate_threads_flag_parses() {
-        match parse(&argv("generate --out x.csv --threads 8")).unwrap() {
-            Command::Generate { threads, .. } => assert_eq!(threads, 8),
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse(&argv("generate --out x.csv")).unwrap() {
-            Command::Generate { threads, .. } => assert_eq!(threads, 0, "0 = auto"),
-            other => panic!("wrong command: {other:?}"),
-        }
+        assert_eq!(generate_args("generate --out x.csv --threads 8").threads, 8);
         assert!(parse(&argv("generate --out x.csv --threads")).is_err());
+    }
+
+    #[test]
+    fn replay_analyze_and_convert_defaults() {
+        let run = |demands: &str, policy: &str| ReplayArgs {
+            demands: PathBuf::from(demands),
+            policy: policy.to_string(),
+            seed: 42,
+            train_days: 0,
+            rebalance: false,
+            aps_per_building: 8,
+            threads: 0,
+            shards: 1,
+            lenient: false,
+        };
+        assert_eq!(
+            parse(&argv("replay --demands d.csv --policy llf --out s.csv")).unwrap(),
+            Command::Replay {
+                run: run("d.csv", "llf"),
+                out: PathBuf::from("s.csv"),
+                stream: false,
+                metrics: MetricsArgs::default(),
+            }
+        );
+        assert_eq!(
+            parse(&argv("trace --demands d.csv --policy mab --out t.jsonl")).unwrap(),
+            Command::Trace {
+                run: run("d.csv", "mab"),
+                out: PathBuf::from("t.jsonl"),
+            }
+        );
+        assert_eq!(
+            parse(&argv("compare --demands d.csv")).unwrap(),
+            Command::Compare {
+                run: run("d.csv", "s3"),
+                metrics: MetricsArgs::default(),
+            }
+        );
+        assert_eq!(
+            parse(&argv("analyze --sessions s.csv")).unwrap(),
+            Command::Analyze {
+                sessions: PathBuf::from("s.csv"),
+                seed: 42,
+                threads: 0,
+                lenient: false,
+                metrics: MetricsArgs::default(),
+            }
+        );
+        assert_eq!(
+            parse(&argv("convert --in f.csv --out s.csv")).unwrap(),
+            Command::Convert {
+                input: PathBuf::from("f.csv"),
+                out: PathBuf::from("s.csv"),
+                maps_dir: PathBuf::from("."),
+                lenient: false,
+            }
+        );
     }
 
     #[test]
@@ -625,24 +594,30 @@ mod tests {
     }
 
     #[test]
-    fn replay_full_form() {
-        let cmd = parse(&argv(
-            "replay --demands d.csv --policy s3 --out s.csv --train-days 7 --rebalance",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Replay {
-                policy,
-                train_days,
-                rebalance,
-                ..
-            } => {
-                assert_eq!(policy, "s3");
-                assert_eq!(train_days, 7);
-                assert!(rebalance);
-            }
-            other => panic!("wrong command: {other:?}"),
+    fn generate_refuses_topologies_past_the_ap_bound() {
+        let at_bound = format!(
+            "generate --out x.csv --buildings 1024 --aps-per-building {}",
+            MAX_APS / 1024
+        );
+        assert!(parse(&argv(&at_bound)).is_ok());
+        for cmdline in [
+            "generate --out x.csv --buildings 1025 --aps-per-building 1024",
+            "generate --out x.csv --buildings 18446744073709551615 --aps-per-building 2",
+        ] {
+            let err = parse(&argv(cmdline)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert!(err.to_string().contains("1048576 APs"), "{err}");
         }
+    }
+
+    #[test]
+    fn replay_full_form() {
+        let run = replay_args(
+            "replay --demands d.csv --policy s3 --out s.csv --train-days 7 --rebalance",
+        );
+        assert_eq!(run.policy, "s3");
+        assert_eq!(run.train_days, 7);
+        assert!(run.rebalance);
     }
 
     #[test]
@@ -676,26 +651,23 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Replay {
-                metrics_out,
-                metrics_full,
-                ..
-            } => {
-                assert_eq!(metrics_out, Some(PathBuf::from("m.json")));
-                assert!(metrics_full);
-            }
+            Command::Replay { metrics, .. } => assert_eq!(
+                metrics,
+                MetricsArgs {
+                    out: Some(PathBuf::from("m.json")),
+                    full: true
+                }
+            ),
             other => panic!("wrong command: {other:?}"),
         }
-        let cmd = parse(&argv("analyze --sessions s.csv --metrics-out m.csv")).unwrap();
-        match cmd {
-            Command::Analyze {
-                metrics_out,
-                metrics_full,
-                ..
-            } => {
-                assert_eq!(metrics_out, Some(PathBuf::from("m.csv")));
-                assert!(!metrics_full);
-            }
+        match parse(&argv("analyze --sessions s.csv --metrics-out m.csv")).unwrap() {
+            Command::Analyze { metrics, .. } => assert_eq!(
+                metrics,
+                MetricsArgs {
+                    out: Some(PathBuf::from("m.csv")),
+                    full: false
+                }
+            ),
             other => panic!("wrong command: {other:?}"),
         }
         assert!(parse(&argv("compare --demands d.csv --metrics-out")).is_err());
@@ -703,27 +675,12 @@ mod tests {
 
     #[test]
     fn faults_and_lenient_flags_parse() {
-        let cmd = parse(&argv("generate --out x.csv --faults corrupt=3,truncate")).unwrap();
-        match cmd {
-            Command::Generate { faults, .. } => {
-                assert_eq!(faults.as_deref(), Some("corrupt=3,truncate"));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let args = generate_args("generate --out x.csv --faults corrupt=3,truncate");
+        assert_eq!(args.faults.as_deref(), Some("corrupt=3,truncate"));
         assert!(parse(&argv("generate --out x.csv --faults")).is_err());
 
-        for (cmdline, want) in [
-            (
-                "replay --demands d.csv --policy llf --out s.csv --lenient",
-                true,
-            ),
-            ("replay --demands d.csv --policy llf --out s.csv", false),
-        ] {
-            match parse(&argv(cmdline)).unwrap() {
-                Command::Replay { lenient, .. } => assert_eq!(lenient, want),
-                other => panic!("wrong command: {other:?}"),
-            }
-        }
+        assert!(replay_args("replay --demands d.csv --policy llf --out s.csv --lenient").lenient);
+        assert!(!replay_args("replay --demands d.csv --policy llf --out s.csv").lenient);
         match parse(&argv("analyze --sessions s.csv --lenient")).unwrap() {
             Command::Analyze { lenient, .. } => assert!(lenient),
             other => panic!("wrong command: {other:?}"),
@@ -744,10 +701,6 @@ mod tests {
             Command::Replay { stream, .. } => assert!(stream),
             other => panic!("wrong command: {other:?}"),
         }
-        match parse(&argv("replay --demands d.csv --policy llf --out s.csv")).unwrap() {
-            Command::Replay { stream, .. } => assert!(!stream),
-            other => panic!("wrong command: {other:?}"),
-        }
         let err = parse(&argv(
             "replay --demands d.csv --policy llf --out s.csv --stream --rebalance",
         ))
@@ -757,26 +710,14 @@ mod tests {
 
     #[test]
     fn shards_flag_parses_and_guards() {
-        for (cmdline, want) in [
-            ("replay --demands d.csv --policy llf --out s.csv", 1usize),
-            (
-                "replay --demands d.csv --policy llf --out s.csv --shards 4",
-                4,
-            ),
-        ] {
-            match parse(&argv(cmdline)).unwrap() {
-                Command::Replay { shards, .. } => assert_eq!(shards, want),
-                other => panic!("wrong command: {other:?}"),
-            }
-        }
-        match parse(&argv(
-            "trace --demands d.csv --policy s3 --out t.jsonl --shards 8",
-        ))
-        .unwrap()
-        {
-            Command::Trace { shards, .. } => assert_eq!(shards, 8),
-            other => panic!("wrong command: {other:?}"),
-        }
+        assert_eq!(
+            replay_args("replay --demands d.csv --policy llf --out s.csv --shards 4").shards,
+            4
+        );
+        assert_eq!(
+            replay_args("trace --demands d.csv --policy s3 --out t.jsonl --shards 8").shards,
+            8
+        );
         let err = parse(&argv(
             "replay --demands d.csv --policy llf --out s.csv --shards 0",
         ))
@@ -810,30 +751,17 @@ mod tests {
 
     #[test]
     fn generate_scale_presets_and_overrides() {
-        match parse(&argv("generate --out x.csv --scale city")).unwrap() {
-            Command::Generate {
-                users,
-                buildings,
-                aps_per_building,
-                days,
-                ..
-            } => {
-                assert_eq!(users, 1_000_000);
-                assert_eq!(buildings * aps_per_building, 10_000, "city = 10^4 APs");
-                assert_eq!(days, 1);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let city = generate_args("generate --out x.csv --scale city");
+        assert_eq!(city.users, 1_000_000);
+        assert_eq!(
+            city.buildings * city.aps_per_building,
+            10_000,
+            "city = 10^4 APs"
+        );
+        assert_eq!(city.days, 1);
         // Explicit flags override preset fields regardless of order.
-        match parse(&argv("generate --out x.csv --users 5 --scale district")).unwrap() {
-            Command::Generate {
-                users, buildings, ..
-            } => {
-                assert_eq!(users, 5);
-                assert_eq!(buildings, 64);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let district = generate_args("generate --out x.csv --users 5 --scale district");
+        assert_eq!((district.users, district.buildings), (5, 64));
         let err = parse(&argv("generate --out x.csv --scale galaxy")).unwrap_err();
         assert!(err.to_string().contains("unknown --scale"), "{err}");
     }
@@ -853,30 +781,16 @@ mod tests {
 
     #[test]
     fn trace_parses_like_replay() {
-        let cmd = parse(&argv(
+        let run = replay_args(
             "trace --demands d.csv --policy s3 --out d.trace --train-days 4 \
              --rebalance --aps-per-building 3 --threads 2 --seed 9",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Trace {
-                policy,
-                train_days,
-                rebalance,
-                aps_per_building,
-                threads,
-                seed,
-                ..
-            } => {
-                assert_eq!(policy, "s3");
-                assert_eq!(train_days, 4);
-                assert!(rebalance);
-                assert_eq!(aps_per_building, 3);
-                assert_eq!(threads, 2);
-                assert_eq!(seed, 9);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        );
+        assert_eq!(run.policy, "s3");
+        assert_eq!(run.train_days, 4);
+        assert!(run.rebalance);
+        assert_eq!(run.aps_per_building, 3);
+        assert_eq!(run.threads, 2);
+        assert_eq!(run.seed, 9);
         assert!(parse(&argv("trace --demands d.csv --policy llf")).is_err());
         assert!(parse(&argv("trace --demands d.csv --out t.jsonl")).is_err());
         assert!(parse(&argv("trace --demands d.csv --policy llf --out t --stream")).is_err());
@@ -915,30 +829,16 @@ mod tests {
     fn every_registered_policy_parses() {
         for name in s3_core::strategy_registry().names() {
             let cmdline = format!("replay --demands d.csv --policy {name} --out s.csv");
-            match parse(&argv(&cmdline)).unwrap() {
-                Command::Replay { policy, .. } => assert_eq!(policy, name),
-                other => panic!("wrong command: {other:?}"),
-            }
+            assert_eq!(replay_args(&cmdline).policy, name);
         }
         assert!(parse_policy("nope").is_err());
     }
 
     #[test]
     fn generate_scenario_flag_parses() {
-        match parse(&argv(
-            "generate --out x.csv --scenario flash-crowd,caps=tiered",
-        ))
-        .unwrap()
-        {
-            Command::Generate { scenario, .. } => {
-                assert_eq!(scenario.as_deref(), Some("flash-crowd,caps=tiered"));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse(&argv("generate --out x.csv")).unwrap() {
-            Command::Generate { scenario, .. } => assert_eq!(scenario, None),
-            other => panic!("wrong command: {other:?}"),
-        }
+        let args = generate_args("generate --out x.csv --scenario flash-crowd,caps=tiered");
+        assert_eq!(args.scenario.as_deref(), Some("flash-crowd,caps=tiered"));
+        assert_eq!(generate_args("generate --out x.csv").scenario, None);
         assert!(parse(&argv("generate --out x.csv --scenario")).is_err());
     }
 }

@@ -1,4 +1,11 @@
 //! Execution of the parsed subcommands.
+//!
+//! `replay`, `replay --stream`, `trace` and `compare` are one pipeline:
+//! the input stage (`read_csv`) reads the demand trace, `set_up`
+//! builds the engine over the topology the trace implies and one selector
+//! per shard through the strategy registry (training S³ once when the
+//! policy needs it), and the commands differ only in where demands come
+//! from and where the run's output goes.
 
 use std::any::Any;
 use std::fs::File;
@@ -6,25 +13,26 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use s3_core::{strategy_registry, CompiledModel, S3Config, S3Selector, SocialModel};
+use s3_core::{strategy_registry, CompiledModel, S3Config, SocialModel};
 use s3_trace::decision_log::{config_hash, DecisionLogReader, DecisionRecord};
 use s3_trace::generator::{
     apply_scenario, inject_csv_faults, CampusConfig, CampusGenerator, FaultSpec, ScenarioSpec,
 };
-use s3_trace::ingest::{
-    read_demands_lenient, read_sessions_lenient, DemandReader, IngestMode, IngestReport, RowFault,
-};
+use s3_trace::ingest::{IngestMode, IngestRow, RowError, StreamingReader};
+use s3_trace::interner::IdInterner;
 use s3_trace::{csv, SessionDemand, SessionRecord, TraceStore};
-use s3_types::{TimeDelta, Timestamp, UserId};
-use s3_wlan::engine::{check_log, trace_header, CollectSink, SliceSource, TraceChecker, TraceSink};
+use s3_types::{ApId, ControllerId, TimeDelta, Timestamp, UserId};
+use s3_wlan::engine::{
+    check_log, trace_header, CollectSink, RunTotals, SliceSource, TraceChecker, TraceSink,
+};
 use s3_wlan::metrics::{mean_active_balance_filtered, StreamingBalance};
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst};
 use s3_wlan::{
     EngineError, RebalanceConfig, RecordSink, SimConfig, SimEngine, StreamSource, Topology,
 };
 
-use crate::args::Command;
-use crate::{CliError, USAGE};
+use crate::args::{Command, GenerateArgs, MetricsArgs, ReplayArgs};
+use crate::{usage, CliError};
 
 /// The metric bin and hour filter every CLI report uses.
 const REPORT_BIN_MINUTES: u64 = 10;
@@ -33,6 +41,15 @@ fn daytime(hour: u64) -> bool {
     hour >= 8
 }
 
+/// The most APs a replayed (or generated) topology may have.
+///
+/// The topology a trace implies has one building per building id up to
+/// the largest one, so without a bound a single row's id, not the size of
+/// the data, would set what a replay allocates — and the engine refreshes
+/// per-AP state at every load report. 2²⁰ is about 100× the 10⁴ APs of
+/// `generate --scale city`.
+pub(crate) const MAX_APS: usize = 1 << 20;
+
 /// Runs one parsed command, writing human-readable output to `out`.
 ///
 /// # Errors
@@ -40,143 +57,54 @@ fn daytime(hour: u64) -> bool {
 /// Any [`CliError`] raised by I/O, CSV decoding or invalid inputs.
 pub fn execute<W: Write>(command: Command, out: &mut W) -> Result<(), CliError> {
     match command {
-        Command::Help => {
-            writeln!(out, "{USAGE}")?;
-            Ok(())
-        }
-        Command::Generate {
-            out: path,
-            seed,
-            users,
-            buildings,
-            aps_per_building,
-            days,
-            scenario,
-            faults,
-            threads,
-        } => generate(
-            &path,
-            seed,
-            users,
-            buildings,
-            aps_per_building,
-            days,
-            scenario.as_deref(),
-            faults.as_deref(),
-            threads,
-            out,
-        ),
+        Command::Help => writeln!(out, "{}", usage())?,
+        Command::Generate(args) => generate(&args, out)?,
         Command::Replay {
-            demands,
-            policy,
+            run,
             out: path,
-            seed,
-            train_days,
-            rebalance,
-            aps_per_building,
-            threads,
-            shards,
-            metrics_out,
-            metrics_full,
-            lenient,
             stream,
+            metrics,
         } => {
-            if stream {
-                replay_streamed(
-                    &demands,
-                    &policy,
-                    &path,
-                    seed,
-                    train_days,
-                    aps_per_building,
-                    threads,
-                    shards,
-                    lenient,
-                    out,
-                )?;
-            } else {
-                replay(
-                    &demands,
-                    &policy,
-                    &path,
-                    seed,
-                    train_days,
-                    rebalance,
-                    aps_per_building,
-                    threads,
-                    shards,
-                    lenient,
-                    out,
-                )?;
-            }
-            write_metrics(metrics_out.as_deref(), metrics_full, out)
+            replay(&run, &path, stream, out)?;
+            write_metrics(&metrics, out)?;
         }
         Command::Convert {
             input,
             out: path,
             maps_dir,
             lenient,
-        } => convert(&input, &path, &maps_dir, lenient, out),
+        } => convert(&input, &path, &maps_dir, lenient, out)?,
         Command::Analyze {
             sessions,
             seed,
             threads,
-            metrics_out,
-            metrics_full,
             lenient,
+            metrics,
         } => {
             analyze(&sessions, seed, threads, lenient, out)?;
-            write_metrics(metrics_out.as_deref(), metrics_full, out)
+            write_metrics(&metrics, out)?;
         }
-        Command::Compare {
-            demands,
-            seed,
-            train_days,
-            aps_per_building,
-            threads,
-            metrics_out,
-            metrics_full,
-        } => {
-            compare(&demands, seed, train_days, aps_per_building, threads, out)?;
-            write_metrics(metrics_out.as_deref(), metrics_full, out)
+        Command::Compare { run, metrics } => {
+            compare(&run, out)?;
+            write_metrics(&metrics, out)?;
         }
-        Command::Summary { metrics } => summary(&metrics, out),
-        Command::Trace {
-            demands,
-            policy,
-            out: path,
-            seed,
-            train_days,
-            rebalance,
-            aps_per_building,
-            threads,
-            shards,
-            lenient,
-        } => trace(
-            &demands,
-            &policy,
-            &path,
-            seed,
-            train_days,
-            rebalance,
-            aps_per_building,
-            threads,
-            shards,
-            lenient,
-            out,
-        ),
-        Command::CheckTrace { trace } => check_trace(&trace, out),
-        Command::Step { trace } => step_debug(&trace, std::io::stdin().lock(), out),
+        Command::Summary { metrics } => summary(&metrics, out)?,
+        Command::Trace { run, out: path } => trace(&run, &path, out)?,
+        Command::CheckTrace { trace } => check_trace(&trace, out)?,
+        Command::Step { trace } => step_debug(&trace, std::io::stdin().lock(), out)?,
     }
+    Ok(())
 }
 
-/// Dumps the global metrics registry to `path` (when given), stable metrics
-/// only unless `full`. Runs after the command body so the snapshot covers
-/// the whole run.
-fn write_metrics<W: Write>(path: Option<&Path>, full: bool, out: &mut W) -> Result<(), CliError> {
-    let Some(path) = path else { return Ok(()) };
+/// Dumps the global metrics registry to `--metrics-out` (when given),
+/// stable metrics only unless `--metrics-full`. Runs after the command
+/// body so the snapshot covers the whole run.
+fn write_metrics<W: Write>(metrics: &MetricsArgs, out: &mut W) -> Result<(), CliError> {
+    let Some(path) = &metrics.out else {
+        return Ok(());
+    };
     let snapshot = s3_obs::global().snapshot();
-    let snapshot = if full {
+    let snapshot = if metrics.full {
         snapshot
     } else {
         snapshot.stable_only()
@@ -186,7 +114,11 @@ fn write_metrics<W: Write>(path: Option<&Path>, full: bool, out: &mut W) -> Resu
         out,
         "wrote {} metrics ({}) to {}",
         snapshot.metrics.len(),
-        if full { "stable + volatile" } else { "stable" },
+        if metrics.full {
+            "stable + volatile"
+        } else {
+            "stable"
+        },
         path.display()
     )?;
     Ok(())
@@ -200,40 +132,32 @@ fn summary<W: Write>(path: &Path, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn generate<W: Write>(
-    path: &Path,
-    seed: u64,
-    users: usize,
-    buildings: usize,
-    aps_per_building: usize,
-    days: u64,
-    scenario: Option<&str>,
-    faults: Option<&str>,
-    threads: usize,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let spec = faults
+fn generate<W: Write>(args: &GenerateArgs, out: &mut W) -> Result<(), CliError> {
+    let spec = args
+        .faults
+        .as_deref()
         .map(FaultSpec::parse)
         .transpose()
         .map_err(|e| CliError::Usage(format!("--faults: {e}")))?;
-    let scenario = scenario
-        .map(|s| ScenarioSpec::parse(s, days))
+    let scenario = args
+        .scenario
+        .as_deref()
+        .map(|s| ScenarioSpec::parse(s, args.days))
         .transpose()
         .map_err(|e| CliError::Usage(format!("--scenario: {e}")))?;
     let config = CampusConfig {
-        users,
-        buildings,
-        aps_per_building,
-        days,
+        users: args.users,
+        buildings: args.buildings,
+        aps_per_building: args.aps_per_building,
+        days: args.days,
         ..CampusConfig::campus()
     };
     // The parallel generator is byte-identical at any thread count
     // (per-entity seed streams), so the CLI always routes through it.
-    let effective_threads = s3_par::resolve_threads(Some(threads).filter(|&t| t > 0));
-    let mut campus = CampusGenerator::new(config, seed).generate_par(effective_threads);
+    let effective_threads = s3_par::resolve_threads(Some(args.threads).filter(|&t| t > 0));
+    let mut campus = CampusGenerator::new(config, args.seed).generate_par(effective_threads);
     if let Some(scenario) = scenario.filter(|s| !s.is_empty()) {
-        let log = apply_scenario(&mut campus.demands, &campus.config, &scenario, seed);
+        let log = apply_scenario(&mut campus.demands, &campus.config, &scenario, args.seed);
         writeln!(out, "{}", log.summary())?;
     }
     match spec {
@@ -241,97 +165,155 @@ fn generate<W: Write>(
             let mut buf = Vec::new();
             csv::write_demands(&mut buf, &campus.demands)?;
             let text = String::from_utf8(buf).expect("CSV output is UTF-8");
-            let (faulty, log) = inject_csv_faults(&text, &spec, seed);
-            std::fs::write(path, faulty)?;
+            let (faulty, log) = inject_csv_faults(&text, &spec, args.seed);
+            std::fs::write(&args.out, faulty)?;
             writeln!(out, "{}", log.summary())?;
         }
         _ => {
-            let file = File::create(path)?;
+            let file = File::create(&args.out)?;
             csv::write_demands(BufWriter::new(file), &campus.demands)?;
         }
     }
     writeln!(
         out,
-        "wrote {} demands ({} users, {} buildings x {} APs, {} days, seed {seed}) to {}",
+        "wrote {} demands ({} users, {} buildings x {} APs, {} days, seed {}) to {}",
         campus.demands.len(),
-        users,
-        buildings,
-        aps_per_building,
-        days,
-        path.display()
+        args.users,
+        args.buildings,
+        args.aps_per_building,
+        args.days,
+        args.seed,
+        args.out.display()
     )?;
     Ok(())
 }
 
-fn load_demands(path: &Path) -> Result<Vec<SessionDemand>, CliError> {
-    load_demands_report(path, false, &mut std::io::sink())
+/// A CSV file opened for streaming, row by row.
+type CsvRows<T> = StreamingReader<BufReader<File>, T>;
+
+/// Opens the CSV at `path` and checks its header. Strict reading aborts at
+/// the first malformed row with its line number; lenient reading skips and
+/// tallies malformed rows.
+fn open_csv<T: IngestRow>(path: &Path, lenient: bool) -> Result<CsvRows<T>, CliError> {
+    let mode = if lenient {
+        IngestMode::Lenient
+    } else {
+        IngestMode::Strict
+    };
+    Ok(StreamingReader::new(
+        BufReader::new(File::open(path)?),
+        mode,
+    )?)
 }
 
-/// Reads a demand CSV, strictly or leniently. In lenient mode malformed
-/// rows are skipped and the per-class [`IngestReport`] is printed to `out`
-/// (and published to the metrics registry by the reader).
-fn load_demands_report<W: Write>(
+/// The input stage of every CSV-reading command: hands each row of `rows`
+/// to `visit`, prints the `ingest:` report of a lenient read to `out`, and
+/// refuses a file without rows with the message `empty`.
+fn read_csv<T: IngestRow, W: Write>(
+    mut rows: CsvRows<T>,
+    empty: &str,
+    out: &mut W,
+    mut visit: impl FnMut(T) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    for row in rows.by_ref() {
+        visit(row?)?;
+    }
+    if rows.mode() == IngestMode::Lenient {
+        writeln!(out, "ingest: {}", rows.report().summary())?;
+    }
+    if rows.report().rows_ok == 0 {
+        return Err(CliError::Invalid(empty.to_string()));
+    }
+    Ok(())
+}
+
+/// What the set-up needs to know of a demand trace besides its rows.
+#[derive(Debug, Default)]
+struct Extent {
+    /// Demands read.
+    demands: usize,
+    /// The largest building id + 1: the buildings of the implied topology.
+    buildings: usize,
+    /// Days from day 0 through the last demand's arrival day.
+    span: u64,
+}
+
+impl Extent {
+    /// Counts one demand; demands come in `(arrive, user)` order.
+    fn observe(&mut self, demand: &SessionDemand) {
+        self.demands += 1;
+        self.buildings = self.buildings.max(demand.building.index() + 1);
+        self.span = demand.arrive.day() + 1;
+    }
+}
+
+/// Reads the demand trace of `replay`, `trace` or `compare` through the
+/// input stage: into memory, sorted by `(arrive, user)`; or, with
+/// `stream`, only scanned for its extent, refusing a file that is not in
+/// that order already (the order `generate` writes), so that both paths
+/// replay the same demand sequence. The scan does not publish the ingest
+/// metrics: the streamed replay reads the file again and publishes them.
+fn read_demands<W: Write>(
     path: &Path,
     lenient: bool,
+    stream: bool,
     out: &mut W,
-) -> Result<Vec<SessionDemand>, CliError> {
-    let file = File::open(path)?;
-    let mut demands = if lenient {
-        let (demands, report) = read_demands_lenient(BufReader::new(file))?;
-        writeln!(out, "ingest: {}", report.summary())?;
-        demands
+) -> Result<(Vec<SessionDemand>, Extent), CliError> {
+    let empty = format!("{} contains no demands", path.display());
+    let mut demands = Vec::new();
+    let mut extent = Extent::default();
+    if stream {
+        let mut last: Option<(Timestamp, UserId)> = None;
+        let rows = open_csv(path, lenient)?.without_publish();
+        read_csv(rows, &empty, out, |d: SessionDemand| {
+            let key = (d.arrive, d.user);
+            if last.is_some_and(|prev| key < prev) {
+                return Err(CliError::Invalid(format!(
+                    "{} is not sorted by (arrive, user); --stream replays the file \
+                     as-is — re-sort it, or drop --stream to sort in memory",
+                    path.display()
+                )));
+            }
+            last = Some(key);
+            extent.observe(&d);
+            Ok(())
+        })?;
     } else {
-        csv::read_demands(BufReader::new(file))?
-    };
-    if demands.is_empty() {
-        return Err(CliError::Invalid(format!(
-            "{} contains no demands",
-            path.display()
-        )));
+        read_csv(open_csv(path, lenient)?, &empty, out, |d: SessionDemand| {
+            demands.push(d);
+            Ok(())
+        })?;
+        demands.sort_by_key(|d| (d.arrive, d.user));
+        demands.iter().for_each(|d| extent.observe(d));
     }
-    demands.sort_by_key(|d| (d.arrive, d.user));
-    Ok(demands)
+    Ok((demands, extent))
 }
 
-fn topology_for(demands: &[SessionDemand], aps_per_building: usize) -> Topology {
-    let buildings = demands
+/// The demands that arrive before day `days`.
+fn arrivals_before(demands: &[SessionDemand], days: u64) -> Vec<SessionDemand> {
+    demands
         .iter()
-        .map(|d| d.building.index() + 1)
-        .max()
-        .unwrap_or(1);
-    let config = CampusConfig {
+        .filter(|d| d.arrive.day() < days)
+        .cloned()
+        .collect()
+}
+
+/// The topology a trace implies: `buildings` buildings (one controller
+/// each) of `aps_per_building` APs, refused above [`MAX_APS`] APs.
+fn topology_for(buildings: usize, aps_per_building: usize) -> Result<Topology, CliError> {
+    let aps = buildings as u128 * aps_per_building as u128;
+    if aps > MAX_APS as u128 {
+        return Err(CliError::Invalid(format!(
+            "building id {} implies {aps} APs at --aps-per-building {aps_per_building}, \
+             more than the {MAX_APS} a replay supports",
+            buildings - 1
+        )));
+    }
+    Ok(Topology::from_campus(&CampusConfig {
         buildings,
         aps_per_building,
         ..CampusConfig::campus()
-    };
-    Topology::from_campus(&config)
-}
-
-/// The paper-default S³ configuration with the CLI's thread request
-/// (`0` = auto) applied.
-fn s3_config(threads: usize) -> S3Config {
-    S3Config {
-        threads,
-        ..S3Config::default()
-    }
-}
-
-/// Trains S³ on the first `train_days` days of the demand stream, replayed
-/// under LLF (the "collected log" convention of the paper).
-fn train_s3(
-    demands: &[SessionDemand],
-    engine: &SimEngine,
-    train_days: u64,
-    seed: u64,
-    threads: usize,
-) -> SocialModel {
-    let history: Vec<SessionDemand> = demands
-        .iter()
-        .filter(|d| d.arrive.day() < train_days)
-        .cloned()
-        .collect();
-    let log = TraceStore::new(engine.run(&history, &mut LeastLoadedFirst::new()).records);
-    SocialModel::learn(&log, &s3_config(threads), seed)
+    }))
 }
 
 /// The S³ training span: `--train-days`, defaulting to the first 70 % of
@@ -344,99 +326,223 @@ fn effective_train_days(train_days: u64, span_days: u64) -> u64 {
     }
 }
 
-/// Builds one equivalent selector per shard for a replay-style run by
-/// looking `policy` up in the [`strategy_registry`] — the single
-/// policy-name → selector code path shared by plain, sharded and traced
-/// replays. Policies whose capability flags declare `needs_training` get
-/// an S³ model trained on the first `effective_train_days` of `training`,
-/// compiled once and passed down as the build-context artifact; every
-/// shard's selector shares that one compiled model. Returns the selectors
-/// together with the effective training-day count (`0` for untrained
-/// policies), which parameterizes the decision-trace config hash.
-#[allow(clippy::too_many_arguments)]
-fn build_selectors<W: Write>(
-    training: &[SessionDemand],
-    engine: &SimEngine,
-    policy: &str,
-    seed: u64,
-    train_days: u64,
-    span_days: u64,
-    threads: usize,
-    shards: usize,
-    out: &mut W,
-) -> Result<(Vec<Box<dyn ApSelector + Send>>, u64), CliError> {
-    let registry = strategy_registry();
-    let entry = registry
-        .get(policy)
-        .ok_or_else(|| CliError::Usage(registry.unknown(policy).to_string()))?;
-    let (model, trained) = if entry.caps().needs_training {
-        let effective = effective_train_days(train_days, span_days);
-        let model = train_s3(training, engine, effective, seed, threads);
-        writeln!(
-            out,
-            "trained S3 on the first {effective} days: {} known pairs, {} types",
-            model.known_pairs(),
-            model.type_count()
-        )?;
-        (Some(Arc::new(CompiledModel::compile(&model))), effective)
-    } else {
-        (None, 0)
-    };
-    let artifact = model.as_ref().map(|m| m as &(dyn Any + Send + Sync));
-    let selectors = registry
-        .build_shards(policy, shards, seed, threads, artifact)
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-    Ok((selectors, trained))
+/// The paper-default S³ configuration with the CLI's thread request
+/// (`0` = auto) applied.
+fn s3_config(threads: usize) -> S3Config {
+    S3Config {
+        threads,
+        ..S3Config::default()
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replay<W: Write>(
-    demands_path: &Path,
-    policy: &str,
-    out_path: &Path,
-    seed: u64,
-    train_days: u64,
-    rebalance: bool,
-    aps_per_building: usize,
-    threads: usize,
-    shards: usize,
-    lenient: bool,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let demands = load_demands_report(demands_path, lenient, out)?;
-    let topology = topology_for(&demands, aps_per_building);
+/// What S³ training produced, for the run's report.
+#[derive(Debug)]
+struct Trained {
+    /// The effective training span in days.
+    days: u64,
+    known_pairs: usize,
+    types: usize,
+}
+
+/// An engine and its selectors, ready to replay a trace.
+struct Setup {
+    engine: SimEngine,
+    /// One selector per shard.
+    selectors: Vec<Box<dyn ApSelector + Send>>,
+    /// `None` for policies that do not train.
+    trained: Option<Trained>,
+}
+
+/// The one set-up of `replay`, `replay --stream`, `trace` and `compare`:
+/// the engine over the topology of `extent` (with the rebalancer when
+/// asked), and one selector per shard built through the
+/// [`strategy_registry`]. When the registry says the policy
+/// `needs_training`, S³ is trained once on the demands `history` returns
+/// for the effective training span in days, replayed under LLF (the
+/// "collected log" convention of the paper), compiled once, and every
+/// shard's selector shares that compiled model.
+fn set_up(
+    run: &ReplayArgs,
+    extent: &Extent,
+    history: impl FnOnce(u64) -> Result<Vec<SessionDemand>, CliError>,
+) -> Result<Setup, CliError> {
+    let topology = topology_for(extent.buildings, run.aps_per_building)?;
     let sim_config = SimConfig {
-        rebalance: rebalance.then(RebalanceConfig::default),
+        rebalance: run.rebalance.then(RebalanceConfig::default),
         ..SimConfig::default()
     };
     let engine = SimEngine::new(topology, sim_config);
-    let span = demands.last().map_or(0, |d| d.arrive.day() + 1);
-    let (mut selectors, _) = build_selectors(
-        &demands, &engine, policy, seed, train_days, span, threads, shards, out,
-    )?;
+    let registry = strategy_registry();
+    let needs_training = registry
+        .get(&run.policy)
+        .is_some_and(|entry| entry.caps().needs_training);
+    let (model, trained) = if needs_training {
+        let days = effective_train_days(run.train_days, extent.span);
+        let history = history(days)?;
+        let log = TraceStore::new(engine.run(&history, &mut LeastLoadedFirst::new()).records);
+        let model = SocialModel::learn(&log, &s3_config(run.threads), run.seed);
+        let trained = Trained {
+            days,
+            known_pairs: model.known_pairs(),
+            types: model.type_count(),
+        };
+        (
+            Some(Arc::new(CompiledModel::compile(&model))),
+            Some(trained),
+        )
+    } else {
+        (None, None)
+    };
+    let artifact = model.as_ref().map(|m| m as &(dyn Any + Send + Sync));
+    let selectors = registry
+        .build_shards(&run.policy, run.shards, run.seed, run.threads, artifact)
+        .map_err(|e| CliError::Usage(e.to_string()))?;
+    Ok(Setup {
+        engine,
+        selectors,
+        trained,
+    })
+}
 
-    let mut source = SliceSource::new(&demands);
-    let mut sink = CollectSink::with_capacity(demands.len());
-    let totals = engine
-        .run_shards(&mut source, &mut selectors, &mut sink)
-        .map_err(engine_err)?;
-    let result = sink.into_result(totals);
-    let file = File::create(out_path)?;
-    csv::write_sessions(BufWriter::new(file), &result.records)?;
+/// `replay` or `trace`, set up and ready to run.
+struct Prepared<'a> {
+    run: &'a ReplayArgs,
+    /// The sorted trace; empty when it streams off disk.
+    demands: Vec<SessionDemand>,
+    stream: bool,
+    extent: Extent,
+    setup: Setup,
+}
 
-    // `into_result` sorts by connect, the order the accumulator needs.
-    let mut balance = StreamingBalance::new(TimeDelta::minutes(REPORT_BIN_MINUTES));
-    for record in &result.records {
-        balance.observe(record);
+/// Reads the demand trace of `replay` or `trace` (streamed off disk with
+/// `stream`), sets it up and reports the training.
+///
+/// A streamed trace is read up to three times, so that memory is bounded
+/// by the live sessions and, for S³, the training prefix: the extent scan,
+/// the training prefix (policies that train only), and the replay itself,
+/// the one pass that publishes the `trace.ingest.*` metrics.
+fn prepare<'a, W: Write>(
+    run: &'a ReplayArgs,
+    stream: bool,
+    out: &mut W,
+) -> Result<Prepared<'a>, CliError> {
+    let (demands, extent) = read_demands(&run.demands, run.lenient, stream, out)?;
+    let setup = set_up(run, &extent, |days| {
+        if !stream {
+            return Ok(arrivals_before(&demands, days));
+        }
+        // The file is arrive-sorted, so the prefix read stops early.
+        let rows = open_csv::<SessionDemand>(&run.demands, run.lenient)?.without_publish();
+        Ok(rows
+            .take_while(|row| !matches!(row, Ok(d) if d.arrive.day() >= days))
+            .collect::<Result<_, _>>()?)
+    })?;
+    if let Some(t) = &setup.trained {
+        writeln!(
+            out,
+            "trained S3 on the first {} days: {} known pairs, {} types",
+            t.days, t.known_pairs, t.types
+        )?;
     }
+    Ok(Prepared {
+        run,
+        demands,
+        stream,
+        extent,
+        setup,
+    })
+}
+
+impl Prepared<'_> {
+    /// Replays the trace into `sink`.
+    fn run(&mut self, sink: &mut dyn RecordSink) -> Result<RunTotals, CliError> {
+        let Setup {
+            engine, selectors, ..
+        } = &mut self.setup;
+        let totals = if self.stream {
+            let rows = open_csv(&self.run.demands, self.run.lenient)?;
+            engine.run_shards(&mut StreamSource::new(rows), selectors, sink)
+        } else {
+            engine.run_shards(&mut SliceSource::new(&self.demands), selectors, sink)
+        };
+        totals.map_err(|e| match e {
+            EngineError::Source(e) => CliError::Csv(e),
+            EngineError::Sink(e) => CliError::Io(e),
+            other => CliError::Invalid(other.to_string()),
+        })
+    }
+}
+
+/// The session-CSV sink of `replay`: writes each record as the engine
+/// emits it and folds it into the balance index. Under `--rebalance`,
+/// migrations close segments out of connect order, so it collects the
+/// records and writes them sorted when the run ends.
+struct SessionSink<W: Write> {
+    writer: W,
+    balance: StreamingBalance,
+    /// The records of a rebalanced run, written by `finish`.
+    collected: Option<CollectSink>,
+}
+
+impl<W: Write> SessionSink<W> {
+    fn new(mut writer: W, rebalance: bool) -> std::io::Result<Self> {
+        csv::write_session_header(&mut writer)?;
+        Ok(SessionSink {
+            writer,
+            balance: StreamingBalance::new(TimeDelta::minutes(REPORT_BIN_MINUTES)),
+            collected: rebalance.then(CollectSink::default),
+        })
+    }
+
+    fn write(&mut self, record: &SessionRecord) -> std::io::Result<()> {
+        self.balance.observe(record);
+        csv::write_session_row(&mut self.writer, record)
+    }
+
+    /// Writes what the run collected, flushes, and hands back the balance
+    /// accumulator.
+    fn finish(mut self, totals: RunTotals) -> std::io::Result<StreamingBalance> {
+        if let Some(collected) = self.collected.take() {
+            for record in &collected.into_result(totals).records {
+                self.write(record)?;
+            }
+        }
+        self.writer.flush()?;
+        Ok(self.balance)
+    }
+}
+
+impl<W: Write> RecordSink for SessionSink<W> {
+    fn emit(&mut self, record: SessionRecord) -> std::io::Result<()> {
+        match &mut self.collected {
+            Some(collected) => collected.emit(record),
+            None => self.write(&record),
+        }
+    }
+}
+
+/// `replay`: replays the demand trace under its policy into a session CSV
+/// and reports the mean daytime balance index. Output is byte-identical
+/// with and without `stream`.
+fn replay<W: Write>(
+    run: &ReplayArgs,
+    out_path: &Path,
+    stream: bool,
+    out: &mut W,
+) -> Result<(), CliError> {
+    let mut replay = prepare(run, stream, out)?;
+    let mut sink = SessionSink::new(BufWriter::new(File::create(out_path)?), run.rebalance)?;
+    let totals = replay.run(&mut sink)?;
+    let balance = sink.finish(totals)?;
     writeln!(
         out,
-        "replayed {} demands under {} -> {} session records ({} migrations) to {}",
-        demands.len(),
-        policy,
-        result.records.len(),
-        result.migrations,
-        out_path.display()
+        "replayed {} demands under {} -> {} session records ({} migrations) to {}{}",
+        replay.extent.demands,
+        run.policy,
+        totals.records,
+        totals.migrations,
+        out_path.display(),
+        if stream { " (streamed)" } else { "" }
     )?;
     if let Some(b) = balance.finish(daytime) {
         writeln!(out, "mean daytime balance index: {b:.4}")?;
@@ -444,169 +550,126 @@ fn replay<W: Write>(
     Ok(())
 }
 
-fn engine_err(e: EngineError) -> CliError {
-    match e {
-        EngineError::Source(e) => CliError::Csv(e),
-        EngineError::Sink(e) => CliError::Io(e),
-        other => CliError::Invalid(other.to_string()),
-    }
-}
-
-/// [`RecordSink`] of the streaming replay: writes each record straight to
-/// the session CSV and folds it into the balance accumulator, so no record
-/// is ever held after emission.
-struct StreamingReplaySink<W: Write> {
-    writer: W,
-    balance: StreamingBalance,
-}
-
-impl<W: Write> RecordSink for StreamingReplaySink<W> {
-    fn emit(&mut self, record: SessionRecord) -> std::io::Result<()> {
-        self.balance.observe(&record);
-        csv::write_session_row(&mut self.writer, &record)
-    }
-}
-
-/// `replay --stream`: replays the demand CSV straight off disk, writing
-/// each session record as it is placed. Peak memory is bounded by the live
-/// session table, the balance accumulator and (for S³) the training
-/// prefix — never by the trace length.
-///
-/// Three passes over the file, publishing `trace.ingest.*` exactly once:
-///
-/// 1. a metrics-silenced scan for the trace extent (demand count, building
-///    count, day span) that also enforces the `(arrive, user)` sort order
-///    the in-memory path would impose by sorting — the contract that makes
-///    both paths replay the identical demand sequence;
-/// 2. for training policies only (per the registry's capability flags), a
-///    metrics-silenced read of the first `--train-days` days (the training
-///    prefix is the only trace slice ever materialized);
-/// 3. the replay itself, which publishes the ingest metrics.
-///
-/// Output — the session CSV, the stable metrics snapshot and the balance
-/// index — is byte-identical to the in-memory path on the same file.
-#[allow(clippy::too_many_arguments)]
-fn replay_streamed<W: Write>(
-    demands_path: &Path,
-    policy: &str,
-    out_path: &Path,
-    seed: u64,
-    train_days: u64,
-    aps_per_building: usize,
-    threads: usize,
-    shards: usize,
-    lenient: bool,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let mode = if lenient {
-        IngestMode::Lenient
-    } else {
-        IngestMode::Strict
-    };
-    let open = |path: &Path| -> Result<DemandReader<BufReader<File>>, CliError> {
-        Ok(DemandReader::new(BufReader::new(File::open(path)?), mode)?)
-    };
-
-    // Pass 1: extent scan (metrics silenced) + sort-order contract.
-    let mut scan = open(demands_path)?.without_publish();
-    let mut count = 0usize;
-    let mut buildings = 0usize;
-    let mut last_day = 0u64;
-    let mut last_key: Option<(Timestamp, UserId)> = None;
-    for row in scan.by_ref() {
-        let d = row?;
-        let key = (d.arrive, d.user);
-        if last_key.is_some_and(|prev| key < prev) {
-            return Err(CliError::Invalid(format!(
-                "{} is not sorted by (arrive, user); --stream replays the file \
-                 as-is — re-sort it, or drop --stream to sort in memory",
-                demands_path.display()
-            )));
-        }
-        last_key = Some(key);
-        count += 1;
-        buildings = buildings.max(d.building.index() + 1);
-        last_day = d.arrive.day();
-    }
-    if lenient {
-        writeln!(out, "ingest: {}", scan.report().summary())?;
-    }
-    if count == 0 {
-        return Err(CliError::Invalid(format!(
-            "{} contains no demands",
-            demands_path.display()
-        )));
-    }
-
-    let config = CampusConfig {
-        buildings,
-        aps_per_building,
-        ..CampusConfig::campus()
-    };
-    let engine = SimEngine::new(Topology::from_campus(&config), SimConfig::default());
-
-    // One selector per shard; `--shards 1` (the default) runs in the
-    // calling thread. Unshardable policies are single-shard only
-    // (enforced at parse time via the registry's capability flags).
-    let span = last_day + 1;
-    let registry = strategy_registry();
-    let needs_training = registry
-        .get(policy)
-        .ok_or_else(|| CliError::Usage(registry.unknown(policy).to_string()))?
-        .caps()
-        .needs_training;
-    // Pass 2 (training policies only, metrics silenced): the training
-    // prefix. The file is arrive-sorted, so the prefix read can stop early.
-    let mut history: Vec<SessionDemand> = Vec::new();
-    if needs_training {
-        let effective = effective_train_days(train_days, span);
-        for row in open(demands_path)?.without_publish() {
-            let d = row?;
-            if d.arrive.day() >= effective {
-                break;
-            }
-            history.push(d);
-        }
-    }
-    let (mut selectors, _) = build_selectors(
-        &history, &engine, policy, seed, train_days, span, threads, shards, out,
-    )?;
-
-    // Pass 3: the replay — the one pass that publishes trace.ingest.*.
-    let mut source = StreamSource::new(open(demands_path)?);
-    let mut sink = StreamingReplaySink {
-        writer: BufWriter::new(File::create(out_path)?),
-        balance: StreamingBalance::new(TimeDelta::minutes(REPORT_BIN_MINUTES)),
-    };
-    csv::write_session_header(&mut sink.writer)?;
-    let totals = engine
-        .run_shards(&mut source, &mut selectors, &mut sink)
-        .map_err(engine_err)?;
-    let StreamingReplaySink {
-        mut writer,
-        balance,
-    } = sink;
-    writer.flush()?;
+/// `trace`: replays a demand CSV exactly like `replay`, but records every
+/// engine decision to an `s3-dtrace/1` JSONL log instead of a session CSV.
+fn trace<W: Write>(run: &ReplayArgs, out_path: &Path, out: &mut W) -> Result<(), CliError> {
+    let mut replay = prepare(run, false, out)?;
+    // The canonical run-configuration string behind the header's config
+    // hash: everything that shapes decisions, and nothing that does not
+    // (the thread and shard counts are provenance, recorded in their own
+    // header fields — log bodies are byte-identical across both).
+    let canonical = format!(
+        "policy={};seed={};train-days={};rebalance={};aps-per-building={};demands={}",
+        run.policy,
+        run.seed,
+        replay.setup.trained.as_ref().map_or(0, |t| t.days),
+        u8::from(run.rebalance),
+        run.aps_per_building,
+        replay.extent.demands,
+    );
+    let header = trace_header(
+        replay.setup.engine.topology(),
+        run.seed,
+        run.threads as u64,
+        run.shards as u64,
+        &run.policy,
+        config_hash(&canonical),
+    );
+    let mut sink = TraceSink::new(BufWriter::new(File::create(out_path)?), &header)?;
+    let totals = replay.run(&mut sink)?;
+    let records = sink.records_written();
+    sink.finish()?.flush()?;
 
     writeln!(
         out,
-        "replayed {count} demands under {} -> {} session records ({} migrations) to {} (streamed)",
-        policy,
-        totals.records,
+        "traced {} demands under {} -> {} decision records \
+         ({} placed, {} rejected, {} migrations) to {}",
+        replay.extent.demands,
+        run.policy,
+        records,
+        totals.placed,
+        totals.rejected,
         totals.migrations,
         out_path.display()
     )?;
-    if let Some(b) = balance.finish(daytime) {
-        writeln!(out, "mean daytime balance index: {b:.4}")?;
-    }
     Ok(())
 }
 
-/// Expected header of a foreign session CSV: same columns as the canonical
-/// format, but `user`/`ap`/`controller` may be arbitrary strings (hashed
-/// MACs, AP names) and timestamps arbitrary epoch seconds.
-const FOREIGN_HEADER: &str = "user,ap,controller,connect,disconnect,im,p2p,music,email,video,web";
+/// `compare`: trains S³ on the first `--train-days` of the trace, then
+/// replays the remaining days under LLF and under S³ and reports both
+/// mean daytime balance indices.
+fn compare<W: Write>(run: &ReplayArgs, out: &mut W) -> Result<(), CliError> {
+    let (demands, extent) = read_demands(&run.demands, run.lenient, false, out)?;
+    let span = extent.span;
+    let train_days = effective_train_days(run.train_days, span);
+    if train_days >= span {
+        return Err(CliError::Invalid(format!(
+            "train days {train_days} must leave evaluation days (trace spans {span} days)"
+        )));
+    }
+    let mut setup = set_up(run, &extent, |days| Ok(arrivals_before(&demands, days)))?;
+    let trained = setup.trained.as_ref().expect("s3 trains");
+    writeln!(
+        out,
+        "trained on days 0..{train_days}: {} known pairs, {} types",
+        trained.known_pairs, trained.types
+    )?;
 
+    let eval: Vec<SessionDemand> = demands
+        .iter()
+        .filter(|d| d.arrive.day() >= train_days)
+        .cloned()
+        .collect();
+    let bin = TimeDelta::minutes(REPORT_BIN_MINUTES);
+    let engine = &setup.engine;
+    let llf_log = TraceStore::new(engine.run(&eval, &mut LeastLoadedFirst::new()).records);
+    let s3_log = TraceStore::new(engine.run(&eval, &mut *setup.selectors[0]).records);
+    let llf = mean_active_balance_filtered(&llf_log, bin, daytime)
+        .ok_or_else(|| CliError::Invalid("no active evaluation bins".into()))?;
+    let s3b = mean_active_balance_filtered(&s3_log, bin, daytime)
+        .ok_or_else(|| CliError::Invalid("no active evaluation bins".into()))?;
+    writeln!(
+        out,
+        "evaluation (days {train_days}..{span}): LLF {llf:.4} | S3 {s3b:.4} | gain {:+.1}%",
+        (s3b - llf) / llf * 100.0
+    )?;
+    Ok(())
+}
+
+/// One row of a foreign session CSV: the canonical columns, but `user`,
+/// `ap` and `controller` may be arbitrary strings (hashed MACs, AP names)
+/// and the timestamps arbitrary epoch seconds.
+struct ForeignRow {
+    user: String,
+    ap: String,
+    controller: String,
+    /// The numeric columns, under placeholder ids.
+    session: SessionRecord,
+}
+
+impl IngestRow for ForeignRow {
+    const HEADER: &'static str = SessionRecord::HEADER;
+
+    fn parse_row(fields: &[&str]) -> Result<(Self, u64), RowError> {
+        // The canonical parser reads the numeric columns once the string
+        // ids are out of its way.
+        let mut numeric = fields.to_vec();
+        numeric[..3].fill("0");
+        let (session, connect) = SessionRecord::parse_row(&numeric)?;
+        let row = ForeignRow {
+            user: fields[0].trim().to_string(),
+            ap: fields[1].trim().to_string(),
+            controller: fields[2].trim().to_string(),
+            session,
+        };
+        Ok((row, connect))
+    }
+}
+
+/// `convert`: reads a foreign session CSV, interns its string ids to
+/// dense ones (writing the reverse maps) and rebases time so that day 0
+/// is the first session's midnight, which preserves the day/hour
+/// structure the analyses depend on.
 fn convert<W: Write>(
     input: &Path,
     out_path: &Path,
@@ -614,117 +677,32 @@ fn convert<W: Write>(
     lenient: bool,
     out: &mut W,
 ) -> Result<(), CliError> {
-    use s3_trace::interner::IdInterner;
-    use s3_types::{ApId, Bytes, ControllerId, Timestamp, UserId};
-    use std::io::BufRead as _;
-
-    let file = File::open(input)?;
-    let reader = BufReader::new(file);
-    let mut lines = reader.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| CliError::Invalid("empty input (missing header)".into()))??;
-    if header.trim() != FOREIGN_HEADER {
-        return Err(CliError::Invalid(format!(
-            "unexpected header {header:?} (expected {FOREIGN_HEADER:?}; fields must not contain commas)"
-        )));
-    }
-    struct Raw {
-        user: String,
-        ap: String,
-        controller: String,
-        connect: u64,
-        disconnect: u64,
-        volumes: [u64; 6],
-    }
-    // Parses one data row, classifying failures so lenient mode can count
-    // them per fault class while strict mode reports the same message.
-    fn parse_raw(fields: &[&str]) -> Result<Raw, (RowFault, String)> {
-        if fields.len() != 11 {
-            return Err((
-                RowFault::FieldCount,
-                format!(
-                    "expected 11 fields, got {} (commas inside fields are not supported)",
-                    fields.len()
-                ),
-            ));
-        }
-        let parse = |s: &str, what: &str| -> Result<u64, (RowFault, String)> {
-            s.trim()
-                .parse::<u64>()
-                .map_err(|e| (RowFault::BadInt, format!("bad {what} {s:?}: {e}")))
-        };
-        let connect = parse(fields[3], "connect")?;
-        let disconnect = parse(fields[4], "disconnect")?;
-        if disconnect < connect {
-            return Err((RowFault::Inverted, "disconnect precedes connect".into()));
-        }
-        let mut volumes = [0u64; 6];
-        for (slot, f) in volumes.iter_mut().zip(&fields[5..]) {
-            *slot = parse(f, "volume")?;
-        }
-        Ok(Raw {
-            user: fields[0].trim().to_string(),
-            ap: fields[1].trim().to_string(),
-            controller: fields[2].trim().to_string(),
-            connect,
-            disconnect,
-            volumes,
-        })
-    }
-
-    let mut report = IngestReport::new();
-    let mut raw_rows: Vec<Raw> = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        report.rows_read += 1;
-        let fields: Vec<&str> = line.split(',').collect();
-        match parse_raw(&fields) {
-            Ok(raw) => {
-                report.rows_ok += 1;
-                raw_rows.push(raw);
-            }
-            Err((fault, _)) if lenient => report.note(fault),
-            Err((_, detail)) => {
-                return Err(CliError::Invalid(format!("line {line_no}: {detail}")));
-            }
-        }
-    }
-    if lenient {
-        writeln!(out, "ingest: {}", report.summary())?;
-        report.publish();
-    }
-    if raw_rows.is_empty() {
-        return Err(CliError::Invalid("input contains no sessions".into()));
-    }
-
-    // Rebase time so day 0 is the first session's midnight (preserves the
-    // day/hour structure the analyses depend on).
-    let min_connect = raw_rows.iter().map(|r| r.connect).min().expect("non-empty");
-    let base = min_connect / 86_400 * 86_400;
+    let mut rows: Vec<ForeignRow> = Vec::new();
+    read_csv(
+        open_csv(input, lenient)?,
+        "input contains no sessions",
+        out,
+        |row| {
+            rows.push(row);
+            Ok(())
+        },
+    )?;
+    let min_connect = rows.iter().map(|r| r.session.connect).min();
+    let base = min_connect.expect("non-empty").as_secs() / 86_400 * 86_400;
+    let rebase = |t: Timestamp| Timestamp::from_secs(t.as_secs() - base);
 
     let mut users = IdInterner::new();
     let mut aps = IdInterner::new();
     let mut controllers = IdInterner::new();
-    let records: Vec<s3_trace::SessionRecord> = raw_rows
+    let records: Vec<SessionRecord> = rows
         .iter()
-        .map(|r| s3_trace::SessionRecord {
+        .map(|r| SessionRecord {
             user: UserId::new(users.intern(&r.user)),
             ap: ApId::new(aps.intern(&r.ap)),
             controller: ControllerId::new(controllers.intern(&r.controller)),
-            connect: Timestamp::from_secs(r.connect - base),
-            disconnect: Timestamp::from_secs(r.disconnect - base),
-            volume_by_app: {
-                let mut v = [Bytes::ZERO; 6];
-                for (slot, &b) in v.iter_mut().zip(&r.volumes) {
-                    *slot = Bytes::new(b);
-                }
-                v
-            },
+            connect: rebase(r.session.connect),
+            disconnect: rebase(r.session.disconnect),
+            volume_by_app: r.session.volume_by_app,
         })
         .collect();
 
@@ -763,20 +741,12 @@ fn analyze<W: Write>(
     lenient: bool,
     out: &mut W,
 ) -> Result<(), CliError> {
-    let file = File::open(path)?;
-    let records = if lenient {
-        let (records, report) = read_sessions_lenient(BufReader::new(file))?;
-        writeln!(out, "ingest: {}", report.summary())?;
-        records
-    } else {
-        csv::read_sessions(BufReader::new(file))?
-    };
-    if records.is_empty() {
-        return Err(CliError::Invalid(format!(
-            "{} contains no sessions",
-            path.display()
-        )));
-    }
+    let mut records = Vec::new();
+    let empty = format!("{} contains no sessions", path.display());
+    read_csv(open_csv(path, lenient)?, &empty, out, |record| {
+        records.push(record);
+        Ok(())
+    })?;
     let store = TraceStore::new(records);
     let (_, last_day) = store.day_range().expect("non-empty store");
     let summary = s3_trace::summary::TraceSummary::of(&store);
@@ -839,122 +809,6 @@ fn analyze<W: Write>(
     } else {
         writeln!(out, "too few active users for profile clustering")?;
     }
-    Ok(())
-}
-
-fn compare<W: Write>(
-    path: &Path,
-    seed: u64,
-    train_days: u64,
-    aps_per_building: usize,
-    threads: usize,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let demands = load_demands(path)?;
-    let span = demands.last().expect("non-empty").arrive.day() + 1;
-    let train_days = effective_train_days(train_days, span);
-    if train_days >= span {
-        return Err(CliError::Invalid(format!(
-            "train days {train_days} must leave evaluation days (trace spans {span} days)"
-        )));
-    }
-    let topology = topology_for(&demands, aps_per_building);
-    let engine = SimEngine::new(topology, SimConfig::default());
-    let model = train_s3(&demands, &engine, train_days, seed, threads);
-    writeln!(
-        out,
-        "trained on days 0..{train_days}: {} known pairs, {} types",
-        model.known_pairs(),
-        model.type_count()
-    )?;
-
-    let eval: Vec<SessionDemand> = demands
-        .iter()
-        .filter(|d| d.arrive.day() >= train_days)
-        .cloned()
-        .collect();
-    let bin = TimeDelta::minutes(REPORT_BIN_MINUTES);
-    let llf_log = TraceStore::new(engine.run(&eval, &mut LeastLoadedFirst::new()).records);
-    let mut s3 = S3Selector::new(model, s3_config(threads));
-    let s3_log = TraceStore::new(engine.run(&eval, &mut s3).records);
-    let llf = mean_active_balance_filtered(&llf_log, bin, daytime)
-        .ok_or_else(|| CliError::Invalid("no active evaluation bins".into()))?;
-    let s3b = mean_active_balance_filtered(&s3_log, bin, daytime)
-        .ok_or_else(|| CliError::Invalid("no active evaluation bins".into()))?;
-    writeln!(
-        out,
-        "evaluation (days {train_days}..{span}): LLF {llf:.4} | S3 {s3b:.4} | gain {:+.1}%",
-        (s3b - llf) / llf * 100.0
-    )?;
-    Ok(())
-}
-
-/// `trace`: replays a demand CSV exactly like `replay`, but records every
-/// engine decision to an `s3-dtrace/1` JSONL log instead of a session CSV.
-#[allow(clippy::too_many_arguments)]
-fn trace<W: Write>(
-    demands_path: &Path,
-    policy: &str,
-    out_path: &Path,
-    seed: u64,
-    train_days: u64,
-    rebalance: bool,
-    aps_per_building: usize,
-    threads: usize,
-    shards: usize,
-    lenient: bool,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let demands = load_demands_report(demands_path, lenient, out)?;
-    let topology = topology_for(&demands, aps_per_building);
-    let sim_config = SimConfig {
-        rebalance: rebalance.then(RebalanceConfig::default),
-        ..SimConfig::default()
-    };
-    let engine = SimEngine::new(topology, sim_config);
-    let span = demands.last().map_or(0, |d| d.arrive.day() + 1);
-    let (mut selectors, trained_days) = build_selectors(
-        &demands, &engine, policy, seed, train_days, span, threads, shards, out,
-    )?;
-
-    // The canonical run-configuration string behind the header's config
-    // hash: everything that shapes decisions, and nothing that does not
-    // (the thread and shard counts are provenance, recorded in their own
-    // header fields — log bodies are byte-identical across both).
-    let canonical = format!(
-        "policy={policy};seed={seed};train-days={trained_days};rebalance={};\
-         aps-per-building={aps_per_building};demands={}",
-        u8::from(rebalance),
-        demands.len(),
-    );
-    let header = trace_header(
-        engine.topology(),
-        seed,
-        threads as u64,
-        shards as u64,
-        policy,
-        config_hash(&canonical),
-    );
-    let mut sink = TraceSink::new(BufWriter::new(File::create(out_path)?), &header)?;
-    let mut source = SliceSource::new(&demands);
-    let totals = engine
-        .run_shards(&mut source, &mut selectors, &mut sink)
-        .map_err(engine_err)?;
-    let records = sink.records_written();
-    sink.finish()?.flush()?;
-
-    writeln!(
-        out,
-        "traced {} demands under {} -> {} decision records \
-         ({} placed, {} rejected, {} migrations) to {}",
-        demands.len(),
-        policy,
-        records,
-        totals.placed,
-        totals.rejected,
-        totals.migrations,
-        out_path.display()
-    )?;
     Ok(())
 }
 
@@ -1234,6 +1088,12 @@ mod tests {
         let output = run_str("help").unwrap();
         assert!(output.contains("USAGE"));
         assert!(output.contains("s3wlan generate"));
+        // The POLICIES block is the registry: every strategy with its
+        // summary.
+        for strategy in strategy_registry().entries() {
+            let line = format!("  {:<12} {}", strategy.name(), strategy.summary());
+            assert!(output.lines().any(|l| l == line), "{output} lacks {line:?}");
+        }
     }
 
     #[test]

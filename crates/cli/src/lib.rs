@@ -1,10 +1,12 @@
 //! Implementation of the `s3wlan` command-line tool.
 //!
-//! Four subcommands cover the full workflow:
+//! Its subcommands cover the full workflow:
 //!
 //! * `generate` — synthesize a campus demand trace to CSV;
 //! * `replay`   — replay a demand CSV under a policy, writing session CSV
 //!   (or, with `--step --trace`, debug a recorded decision log);
+//! * `convert`  — convert a foreign session CSV (string ids, epoch
+//!   timestamps) into the canonical format;
 //! * `analyze`  — measurement study over a session CSV (balance, events,
 //!   typing);
 //! * `compare`  — end-to-end S³-vs-LLF evaluation on one demand trace;
@@ -91,8 +93,22 @@ pub fn run<W: std::io::Write>(argv: &[String], out: &mut W) -> Result<(), CliErr
     commands::execute(command, out)
 }
 
-/// The usage text printed by `--help` and on usage errors.
-pub const USAGE: &str = "\
+/// The usage text printed by `--help` and on usage errors: the fixed text
+/// followed by every strategy in the registry with its summary.
+pub fn usage() -> String {
+    let mut text = USAGE_TEXT.to_string();
+    text.push_str("\nPOLICIES (the strategy registry; see docs/STRATEGIES.md):\n");
+    for strategy in s3_core::strategy_registry().entries() {
+        text.push_str(&format!(
+            "  {:<12} {}\n",
+            strategy.name(),
+            strategy.summary()
+        ));
+    }
+    text
+}
+
+const USAGE_TEXT: &str = "\
 s3wlan — social-aware WLAN load balancing toolkit
 
 USAGE:
@@ -101,14 +117,14 @@ USAGE:
                   [--scenario <spec>] [--faults <spec>] [--threads N]
   s3wlan replay   --demands <demands.csv> --policy <name> (see POLICIES)
                   --out <sessions.csv> [--seed N] [--train-days N] [--rebalance]
-                  [--stream] [--threads N] [--shards N]
+                  [--stream] [--threads N] [--shards N] [--aps-per-building N]
                   [--metrics-out <m.json|m.csv>] [--metrics-full] [--lenient]
   s3wlan convert  --in <foreign.csv> --out <sessions.csv> [--maps-dir <dir>]
                   [--lenient]
   s3wlan analyze  --sessions <sessions.csv> [--seed N] [--threads N]
                   [--metrics-out <m.json|m.csv>] [--metrics-full] [--lenient]
   s3wlan compare  --demands <demands.csv> [--seed N] [--train-days N] [--threads N]
-                  [--metrics-out <m.json|m.csv>] [--metrics-full]
+                  [--aps-per-building N] [--metrics-out <m.json|m.csv>] [--metrics-full]
   s3wlan summary  --metrics <m.json>
   s3wlan trace    --demands <demands.csv> --policy <name> (see POLICIES)
                   --out <decisions.jsonl> [--seed N] [--train-days N]
@@ -174,17 +190,4 @@ METRICS:
   of run. The default snapshot holds only stable metrics and is
   byte-identical across thread counts for a fixed seed; --metrics-full
   adds volatile timing metrics. See docs/METRICS.md for every metric.
-
-POLICIES (the strategy registry; see docs/STRATEGIES.md):
-  llf          least traffic load first (the incumbent)
-  least-users  least associated users first
-  rssi         strongest signal (802.11 default)
-  random       uniform random (single-shard only)
-  s3           the social-aware scheme (trains on the first --train-days
-               days of the trace, replayed under LLF)
-  flow-lb      flow-level balancing: max headroom per flow (Li et al.)
-  mab          per-user epsilon-greedy bandit over the candidate APs
-               (Carrascosa & Bellalta)
-  workload     demand-class routing: heavy flows by headroom, light by
-               RSSI (Sandholm & Huberman)
 ";

@@ -7,7 +7,7 @@ fn main() {
     if let Err(e) = s3_cli::run(&argv, &mut stdout) {
         eprintln!("error: {e}");
         if matches!(e, s3_cli::CliError::Usage(_)) {
-            eprintln!("\n{}", s3_cli::USAGE);
+            eprintln!("\n{}", s3_cli::usage());
         }
         std::process::exit(2);
     }

@@ -35,7 +35,6 @@ pub fn default_registry() -> StrategyRegistry {
         StrategyCaps {
             needs_training: true,
             shardable: true,
-            produces_meta: true,
         },
         Box::new(|ctx| {
             let model = ctx
@@ -88,7 +87,7 @@ mod tests {
     fn s3_needs_a_model_artifact() {
         let reg = strategy_registry();
         let caps = reg.get("s3").unwrap().caps();
-        assert!(caps.needs_training && caps.shardable && caps.produces_meta);
+        assert!(caps.needs_training && caps.shardable);
         let err = reg
             .build("s3", &BuildContext::new(1, 0))
             .err()

@@ -5,19 +5,14 @@
 //! and the figure sweeps — is embarrassingly parallel, but the repository
 //! guarantees **bit-for-bit reproducibility**: for a fixed seed, every
 //! experiment binary must write byte-identical CSVs regardless of thread
-//! count. This crate provides the only two primitives those paths need,
-//! built on [`std::thread::scope`] (zero dependencies), with determinism as
-//! a structural property rather than a convention:
+//! count. This crate provides the primitive those paths need, built on
+//! [`std::thread::scope`] (zero dependencies), with determinism as a
+//! structural property rather than a convention: [`par_map`] is an
+//! order-preserving map — the output vector is ordered by input index, no
+//! matter which worker computed which element.
 //!
-//! * [`par_map`] — order-preserving map: the output vector is ordered by
-//!   input index, no matter which worker computed which element;
-//! * [`par_chunk_fold`] — fold over **fixed-size** chunks, merged in chunk
-//!   order. Chunk boundaries depend only on `chunk_size`, never on the
-//!   thread count, so floating-point reductions associate identically at
-//!   `threads = 1` and `threads = 64`.
-//!
-//! At `threads <= 1` both helpers run sequentially on the caller's thread
-//! (no spawn); callers therefore need no separate sequential code path.
+//! At `threads <= 1` it runs sequentially on the caller's thread (no
+//! spawn); callers therefore need no separate sequential code path.
 //!
 //! # Thread-count resolution
 //!
@@ -42,12 +37,6 @@ use s3_obs::{Desc, Stability, Unit};
 static MAP_CALLS: Desc = Desc {
     name: "par.map_calls",
     help: "par_map invocations",
-    unit: Unit::Count,
-    stability: Stability::Stable,
-};
-static FOLD_CALLS: Desc = Desc {
-    name: "par.fold_calls",
-    help: "par_chunk_fold invocations",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
@@ -138,88 +127,6 @@ where
     out
 }
 
-/// Deterministic parallel fold: splits `items` into chunks of exactly
-/// `chunk_size` (the last may be shorter), folds each chunk sequentially
-/// with `fold`, and merges the per-chunk accumulators **in chunk order**
-/// with `merge`.
-///
-/// Because chunk boundaries depend only on `chunk_size`, the association
-/// order of `merge` — and hence any floating-point rounding — is identical
-/// for every thread count, including 1. Returns `init()` for empty input.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_chunk_fold<T, A, F, G, M>(
-    items: &[T],
-    threads: usize,
-    chunk_size: usize,
-    init: G,
-    fold: F,
-    mut merge: M,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    G: Fn() -> A + Sync,
-    F: Fn(A, usize, &T) -> A + Sync,
-    M: FnMut(A, A) -> A,
-{
-    assert!(chunk_size > 0, "par_chunk_fold needs a positive chunk size");
-    s3_obs::global().counter(&FOLD_CALLS).inc();
-    if items.is_empty() {
-        return init();
-    }
-    let fold_chunk = |chunk_index: usize, chunk: &[T]| {
-        let base = chunk_index * chunk_size;
-        let mut acc = init();
-        for (offset, item) in chunk.iter().enumerate() {
-            acc = fold(acc, base + offset, item);
-        }
-        acc
-    };
-    let partials: Vec<A> = if threads <= 1 || items.len() <= chunk_size {
-        items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| fold_chunk(ci, chunk))
-            .collect()
-    } else {
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        // One worker per contiguous run of chunks; each returns its chunks'
-        // accumulators in order.
-        let nested = std::thread::scope(|scope| {
-            let ranges = split_ranges(chunks.len(), threads.clamp(1, MAX_THREADS));
-            s3_obs::global()
-                .counter(&WORKERS_SPAWNED)
-                .add(ranges.len() as u64);
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|range| {
-                    let fold_chunk = &fold_chunk;
-                    let my_chunks = &chunks[range.clone()];
-                    let base = range.start;
-                    scope.spawn(move || {
-                        my_chunks
-                            .iter()
-                            .enumerate()
-                            .map(|(i, chunk)| fold_chunk(base + i, chunk))
-                            .collect::<Vec<A>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("par_chunk_fold worker panicked"))
-                .collect::<Vec<Vec<A>>>()
-        });
-        nested.into_iter().flatten().collect()
-    };
-    let mut iter = partials.into_iter();
-    let first = iter.next().expect("non-empty input has a first chunk");
-    iter.fold(first, &mut merge)
-}
-
 /// Splits `0..len` into `parts` contiguous, near-equal, non-empty ranges.
 fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     let parts = parts.min(len).max(1);
@@ -281,66 +188,6 @@ mod tests {
     fn par_map_handles_small_inputs() {
         assert_eq!(par_map::<u8, u8, _>(&[], 8, |_, &x| x), Vec::<u8>::new());
         assert_eq!(par_map(&[5u8], 8, |_, &x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn chunk_fold_float_sum_is_thread_count_invariant() {
-        // Adversarial magnitudes: naive reassociation visibly changes the
-        // result, so equality across thread counts is a real check.
-        let items: Vec<f64> = (0..10_000)
-            .map(|i| {
-                if i % 3 == 0 {
-                    1e16
-                } else {
-                    1.0 + i as f64 * 1e-7
-                }
-            })
-            .collect();
-        let reference = par_chunk_fold(
-            &items,
-            1,
-            256,
-            || 0.0f64,
-            |acc, _, &x| acc + x,
-            |a, b| a + b,
-        );
-        for threads in [2, 3, 4, 8, 61] {
-            let got = par_chunk_fold(
-                &items,
-                threads,
-                256,
-                || 0.0f64,
-                |acc, _, &x| acc + x,
-                |a, b| a + b,
-            );
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn chunk_fold_passes_global_indices() {
-        let items = vec![10u64; 100];
-        let sum_of_indices = par_chunk_fold(
-            &items,
-            4,
-            7,
-            || 0u64,
-            |acc, i, _| acc + i as u64,
-            |a, b| a + b,
-        );
-        assert_eq!(sum_of_indices, (0..100).sum::<u64>());
-    }
-
-    #[test]
-    fn chunk_fold_empty_input_returns_init() {
-        let out = par_chunk_fold::<u8, _, _, _, _>(&[], 4, 16, || 41, |acc, _, _| acc, |a, _| a);
-        assert_eq!(out, 41);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive chunk size")]
-    fn chunk_fold_rejects_zero_chunk() {
-        let _ = par_chunk_fold(&[1], 2, 0, || 0, |a, _, _| a, |a, _| a);
     }
 
     #[test]

@@ -187,9 +187,9 @@ pub struct RowError {
 
 /// Per-class tallies of one ingest pass.
 ///
-/// Produced by the streaming readers and by the CLI's foreign-trace
-/// converter; rendered with [`IngestReport::summary`] and published to the
-/// `trace.ingest.*` metrics via [`IngestReport::publish`].
+/// Produced by the streaming readers; rendered with
+/// [`IngestReport::summary`] and published to the `trace.ingest.*` metrics
+/// via [`IngestReport::publish`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestReport {
     /// Non-blank data rows examined (header excluded).
@@ -261,8 +261,7 @@ impl IngestReport {
     /// Adds the tallies to the process-wide `trace.ingest.*` counters.
     ///
     /// The streaming readers call this once per EOF-completed pass; call it
-    /// directly only for reports assembled by hand (as the CLI converter
-    /// does).
+    /// directly only for reports assembled by hand.
     pub fn publish(&self) {
         let registry = s3_obs::global();
         registry.counter(&ROWS_READ).add(self.rows_read);
@@ -276,8 +275,9 @@ impl IngestReport {
 
 /// A CSV row type the streaming reader knows how to parse.
 ///
-/// Implemented for [`SessionRecord`] and [`SessionDemand`]; the trait only
-/// exists so the two readers can share one iterator implementation.
+/// Implemented for [`SessionRecord`] and [`SessionDemand`], and by callers
+/// for their own row formats (the CLI's foreign session rows), so every
+/// reader shares one iterator implementation.
 pub trait IngestRow: Sized {
     /// The exact header line of this row type's file format.
     const HEADER: &'static str;

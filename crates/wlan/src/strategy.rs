@@ -21,9 +21,6 @@
 //!   baseline) are not; strategies whose state and randomness key off
 //!   shard-stable ids (the ε-greedy MAB) are. [`StrategyRegistry::build_shards`]
 //!   enforces the flag, which is also surfaced at CLI parse time.
-//! * `produces_meta` — [`crate::ApSelector::last_batch_meta`] returns
-//!   per-decision metadata (clique ids, degraded flags) that the
-//!   decision-trace harness records.
 //!
 //! The registry in this crate only knows the training-free strategies; the
 //! `s3-core` crate layers the S³ strategy on top (it owns the model type)
@@ -44,8 +41,6 @@ pub struct StrategyCaps {
     /// Byte-identical output at any `--shards`; enforced by
     /// [`StrategyRegistry::build_shards`].
     pub shardable: bool,
-    /// [`crate::ApSelector::last_batch_meta`] yields decision metadata.
-    pub produces_meta: bool,
 }
 
 /// Everything a strategy factory may consume.
