@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use s3_bench::{fmt, write_csv, EVAL_DAYS};
-use s3_core::{strategy_registry, CompiledModel, S3Config, SocialModel};
+use s3_core::{strategy_registry, S3Config, SocialModel};
 use s3_trace::generator::{apply_scenario, CampusConfig, CampusGenerator, ScenarioSpec};
 use s3_trace::{SessionDemand, TraceStore};
 use s3_types::{TimeDelta, Timestamp, SECS_PER_DAY};
@@ -141,9 +141,9 @@ impl World {
     }
 
     /// Trains the S³ model the way the CLI does — the pre-evaluation days
-    /// replayed under LLF stand in for the collected log — and compiles
-    /// it once for the registry's `s3` factory.
-    fn train_s3(&self, threads: usize, seed: u64) -> Arc<CompiledModel> {
+    /// replayed under LLF stand in for the collected log — once, shared
+    /// by every selector the registry's `s3` factory builds.
+    fn train_s3(&self, threads: usize, seed: u64) -> Arc<SocialModel> {
         let first_eval = self.days.saturating_sub(EVAL_DAYS);
         let cut = Timestamp::from_secs(first_eval * SECS_PER_DAY);
         let history: Vec<SessionDemand> = self
@@ -161,8 +161,7 @@ impl World {
             threads,
             ..S3Config::default()
         };
-        let model = SocialModel::learn(&log, &config, seed);
-        Arc::new(CompiledModel::compile(&model))
+        Arc::new(SocialModel::learn(&log, &config, seed))
     }
 }
 

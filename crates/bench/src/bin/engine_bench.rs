@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use s3_core::{CompiledModel, S3Config, S3Selector, SocialModel};
+use s3_core::{S3Config, S3Selector, SocialModel};
 use s3_obs::MetricValue;
 use s3_trace::generator::{CampusConfig, CampusGenerator};
 use s3_trace::{SessionDemand, SessionRecord, TraceStore};
@@ -115,11 +115,11 @@ struct Cell {
     best: Option<Sample>,
 }
 
-/// The S³ model, compiled once, with the configuration its selectors run.
-type S3Artifact = (Arc<CompiledModel>, S3Config);
+/// The S³ model, trained once, with the configuration its selectors run.
+type S3Artifact = (Arc<SocialModel>, S3Config);
 
 /// Boxed per-shard selectors for `policy`. Every S³ shard shares the one
-/// compiled model — construction stays outside the timed region.
+/// model — construction stays outside the timed region.
 fn build_selectors(
     policy: &str,
     shards: usize,
@@ -130,7 +130,7 @@ fn build_selectors(
             "llf" => Box::new(LeastLoadedFirst::new()) as Box<dyn ApSelector + Send>,
             "s3" => {
                 let (model, config) = s3.expect("s3 model trained before the sweep");
-                Box::new(S3Selector::from_compiled(Arc::clone(model), config.clone()))
+                Box::new(S3Selector::new(Arc::clone(model), config.clone()))
                     as Box<dyn ApSelector + Send>
             }
             other => {
@@ -259,8 +259,7 @@ fn main() {
 
     let engine = SimEngine::new(Topology::from_campus(&campus.config), SimConfig::default());
 
-    // Train and compile S³ once, outside every timed region, if the sweep
-    // needs it.
+    // Train S³ once, outside every timed region, if the sweep needs it.
     let s3_artifact: Option<S3Artifact> = if policies.contains(&"s3") {
         let train_start = Instant::now();
         let llf = engine.run(&demands, &mut LeastLoadedFirst::new());
@@ -269,7 +268,7 @@ fn main() {
             threads,
             ..S3Config::default()
         };
-        let model = CompiledModel::compile(&SocialModel::learn(&log, &s3_config, seed));
+        let model = SocialModel::learn(&log, &s3_config, seed);
         eprintln!(
             "engine_bench: s3 model trained in {:.1}s (untimed)",
             train_start.elapsed().as_secs_f64()

@@ -1,21 +1,21 @@
-//! Machine-readable selector micro-benchmark: hashed vs compiled δ-probes,
-//! slot-cost scans, the distribution search for a beam-sized and an
-//! enumerated clique, and end-to-end `select_batch` throughput.
+//! Machine-readable selector micro-benchmark: δ-probes by user id and by
+//! dense id, slot-cost scans, the clique partition, the distribution
+//! search for a beam-sized and an enumerated clique, and end-to-end
+//! `select_batch` throughput.
 //!
-//! Criterion (`benches/delta_lookup.rs`) is the statistically careful
-//! interactive view; this binary is the CI-friendly one — it runs the same
-//! shapes with hand-rolled median-of-repeats timing and writes one JSON
-//! document so the numbers can be archived as a build artifact and diffed
-//! across commits:
+//! It times each shape with hand-rolled median-of-repeats timing and
+//! writes one JSON document, so the numbers can be archived as a build
+//! artifact and diffed across commits:
 //!
 //! ```text
 //! selector_bench [--out results/BENCH_selector.json] [--iters N] [--repeats N]
 //! ```
 //!
 //! The checked-in `results/BENCH_selector.json` is a reference measurement
-//! (see `docs/PERF.md`); CI regenerates it as `BENCH_selector.ci.json` and
-//! uploads it without comparing — wall-clock numbers from shared runners
-//! are for trend-watching, not gating.
+//! (see `docs/PERF.md`); CI regenerates it as `BENCH_selector.ci.json`,
+//! checks that its keys match the reference's, and uploads it without
+//! comparing numbers — wall-clock numbers from shared runners are for
+//! trend-watching, not gating.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use s3_bench::Scenario;
 use s3_core::batch::{assign_clique, build_social_graph, ApSlot};
-use s3_core::{CompiledModel, S3Config, SocialModel};
+use s3_core::{S3Config, SocialModel};
 use s3_graph::clique::{reference, CliqueBudget, CliqueWorkspace};
 use s3_graph::partition::clique_partition_in;
 use s3_trace::generator::CampusConfig;
@@ -149,16 +149,14 @@ fn main() {
 
     let s = scenario();
     let (model, ids) = trained(&s);
-    let compiled = CompiledModel::compile(&model);
     let probe: Vec<UserId> = ids.iter().copied().take(PROBE).collect();
-    let dense: Vec<u32> = probe
-        .iter()
-        .map(|&u| compiled.dense_or_unknown(u))
-        .collect();
+    let dense: Vec<u32> = probe.iter().map(|&u| model.dense_or_unknown(u)).collect();
     let probes = (probe.len() * probe.len()) as f64;
 
-    // Tier 1: δ probes over every ordered pair of the probe slice.
-    let hashed_ns = time_ns(iters, repeats, || {
+    // Tier 1: δ probes over every ordered pair of the probe slice, by user
+    // id (two interning searches each) and by dense id (what the selector
+    // does once its arrivals and residents are interned).
+    let user_id_ns = time_ns(iters, repeats, || {
         let mut acc = 0.0;
         for &u in &probe {
             for &v in &probe {
@@ -167,36 +165,23 @@ fn main() {
         }
         acc
     }) / probes;
-    let compiled_ns = time_ns(iters, repeats, || {
-        let mut acc = 0.0;
-        for &u in &probe {
-            for &v in &probe {
-                acc += compiled.delta(u, v);
-            }
-        }
-        acc
-    }) / probes;
     let dense_ns = time_ns(iters, repeats, || {
         let mut acc = 0.0;
         for &i in &dense {
             for &j in &dense {
-                acc += compiled.delta_dense(i, j);
+                acc += model.delta_dense(i, j);
             }
         }
         acc
     }) / probes;
 
     // Tier 2: slot-cost scan of one arrival against a member list.
-    let arrival = ids[0];
-    let arrival_dense = compiled.dense_or_unknown(arrival);
+    let arrival_dense = model.dense_or_unknown(ids[0]);
     let member_ids: Vec<UserId> = ids.iter().copied().skip(1).take(MEMBERS).collect();
     let mut member_dense = Vec::new();
-    compiled.extend_dense(member_ids.iter().copied(), &mut member_dense);
-    let slot_hashed_ns = time_ns(iters * 16, repeats, || {
-        member_ids.iter().map(|&w| model.delta(arrival, w)).sum()
-    });
-    let slot_compiled_ns = time_ns(iters * 16, repeats, || {
-        compiled.slot_cost(arrival_dense, &member_dense)
+    model.extend_dense(member_ids.iter().copied(), &mut member_dense);
+    let slot_ns = time_ns(iters * 16, repeats, || {
+        model.slot_cost(arrival_dense, &member_dense)
     });
 
     // Tier 2.5: clique partition of the trained social graph over the
@@ -228,10 +213,10 @@ fn main() {
     let table: Vec<f64> = pool
         .iter()
         .flat_map(|&i| pool.iter().map(move |&j| (i, j)))
-        .map(|(i, j)| compiled.delta_dense(i, j))
+        .map(|(i, j)| model.delta_dense(i, j))
         .collect();
     let local_delta = |a: UserId, b: UserId| table[a.raw() as usize * n + b.raw() as usize];
-    let local_demand = |u: UserId| compiled.demand_dense(pool[u.raw() as usize]);
+    let local_demand = |u: UserId| model.demand_dense(pool[u.raw() as usize]);
     let search_slots: Vec<ApSlot> = (0..SEARCH_SLOTS)
         .map(|s| ApSlot {
             load: s as f64 * 0.4e6,
@@ -250,7 +235,7 @@ fn main() {
     let beam_ns = search_ns(BEAM_CLIQUE);
     let enum_ns = search_ns(ENUM_CLIQUE);
 
-    // Tier 3: full batch decision through the compiled selector scratch.
+    // Tier 3: full batch decision through the selector's scratch.
     let mut s3 = s.default_s3(2);
     let cands = candidates(8, 12);
     let views = views_of(&cands);
@@ -270,27 +255,10 @@ fn main() {
     json_section(
         &mut doc,
         "delta_probe_ns",
-        &[
-            ("hashed", hashed_ns),
-            ("compiled", compiled_ns),
-            ("compiled_dense", dense_ns),
-            ("speedup_compiled_vs_hashed", hashed_ns / compiled_ns),
-            ("speedup_dense_vs_hashed", hashed_ns / dense_ns),
-        ],
+        &[("user_id", user_id_ns), ("dense_id", dense_ns)],
     );
     doc.push_str(",\n");
-    json_section(
-        &mut doc,
-        "slot_cost_ns",
-        &[
-            ("hashed", slot_hashed_ns),
-            ("compiled", slot_compiled_ns),
-            (
-                "speedup_compiled_vs_hashed",
-                slot_hashed_ns / slot_compiled_ns,
-            ),
-        ],
-    );
+    json_section(&mut doc, "slot_cost_ns", &[("dense_id", slot_ns)]);
     doc.push_str(",\n");
     json_section(
         &mut doc,
@@ -331,8 +299,8 @@ fn main() {
     }
     fs::write(&out, &doc).expect("write benchmark json");
     println!(
-        "selector_bench delta hashed={hashed_ns:.1}ns compiled={compiled_ns:.1}ns \
-         dense={dense_ns:.1}ns slot hashed={slot_hashed_ns:.1}ns compiled={slot_compiled_ns:.1}ns \
+        "selector_bench delta user_id={user_id_ns:.1}ns dense_id={dense_ns:.1}ns \
+         slot={slot_ns:.1}ns \
          partition ref={partition_reference_ns:.0}ns kernel={partition_kernel_ns:.0}ns \
          search beam12={beam_ns:.0}ns enum4={enum_ns:.0}ns batch={batch_ns:.0}ns wrote={}",
         out.display()

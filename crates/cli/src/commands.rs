@@ -13,7 +13,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use s3_core::{strategy_registry, CompiledModel, S3Config, SocialModel};
+use s3_core::{strategy_registry, S3Config, SocialModel};
 use s3_trace::decision_log::{config_hash, DecisionLogReader, DecisionRecord};
 use s3_trace::generator::{
     apply_scenario, inject_csv_faults, CampusConfig, CampusGenerator, FaultSpec, ScenarioSpec,
@@ -359,8 +359,8 @@ struct Setup {
 /// [`strategy_registry`]. When the registry says the policy
 /// `needs_training`, S³ is trained once on the demands `history` returns
 /// for the effective training span in days, replayed under LLF (the
-/// "collected log" convention of the paper), compiled once, and every
-/// shard's selector shares that compiled model.
+/// "collected log" convention of the paper), and every shard's selector
+/// shares that one model.
 fn set_up(
     run: &ReplayArgs,
     extent: &Extent,
@@ -386,10 +386,7 @@ fn set_up(
             known_pairs: model.known_pairs(),
             types: model.type_count(),
         };
-        (
-            Some(Arc::new(CompiledModel::compile(&model))),
-            Some(trained),
-        )
+        (Some(Arc::new(model)), Some(trained))
     } else {
         (None, None)
     };

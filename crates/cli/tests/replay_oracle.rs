@@ -1,8 +1,9 @@
-//! Recorded-oracle test: replays the stored demand trace in
+//! Recorded-oracle test: replays the stored demand traces in
 //! `tests/fixtures/replay_oracle/` and diffs every output — session CSVs,
 //! stable metrics snapshots and `s3-dtrace/1` bodies — byte for byte
-//! against outputs recorded by an independent, earlier engine loop (see
-//! the fixture README). The recorded logs are also checked and stepped:
+//! against outputs recorded by an independent, earlier engine loop (`llf`,
+//! `mab`) or by an earlier S³ model representation (`s3`, and `compare`'s
+//! stdout and snapshot; see the fixture README). The recorded logs are also checked and stepped:
 //! `check-trace` reports on them and on seeded corruptions of them, and a
 //! scripted `replay --step` session over them, must match recordings too.
 //! One process per run: the metrics registry is process-wide.
@@ -29,9 +30,22 @@ fn s3wlan(args: &[String]) {
     );
 }
 
+/// The policies with a recording: the engine's loop is pinned by `llf`
+/// and `mab`, the S³ model by `s3`.
+const POLICIES: [&str; 3] = ["llf", "mab", "s3"];
+
+/// The recorded trace `policy` replays: S³ needs a third day, so that it
+/// trains on two and places a multi-member clique.
+fn demands(policy: &str) -> PathBuf {
+    match policy {
+        "s3" => fixture("demands_s3.csv"),
+        _ => fixture("demands.csv"),
+    }
+}
+
 /// The arguments every recorded run shared, plus `extra`.
 fn args(command: &str, policy: &str, shards: usize, extra: &[&str]) -> Vec<String> {
-    let demands = fixture("demands.csv").display().to_string();
+    let demands = demands(policy).display().to_string();
     let shards = shards.to_string();
     let mut args = vec![
         command,
@@ -67,7 +81,7 @@ fn temp_dir(name: &str) -> PathBuf {
 #[test]
 fn replays_match_the_recorded_oracle() {
     let dir = temp_dir("s3_cli_replay_oracle");
-    for policy in ["llf", "mab"] {
+    for policy in POLICIES {
         for shards in [1, 2] {
             // `--stream` must reproduce the in-memory recording exactly.
             for flag in [None, Some("--stream"), Some("--rebalance")] {
@@ -98,7 +112,7 @@ fn replays_match_the_recorded_oracle() {
 fn trace_bodies_match_the_recorded_oracle() {
     let dir = temp_dir("s3_cli_trace_oracle");
     let body = |log: String| log.split_once('\n').expect("header line").1.to_string();
-    for policy in ["llf", "mab"] {
+    for policy in POLICIES {
         let recorded = fixture(&format!("trace_{policy}_rebalance.jsonl"));
         let recorded = body(std::fs::read_to_string(recorded).unwrap());
         for shards in [1, 2] {
@@ -112,6 +126,32 @@ fn trace_bodies_match_the_recorded_oracle() {
             );
         }
     }
+}
+
+#[test]
+fn compare_matches_the_recorded_oracle() {
+    let dir = temp_dir("s3_cli_compare_oracle");
+    let metrics = dir.join("metrics_compare_s3.json").display().to_string();
+    let demands = demands("s3").display().to_string();
+    let output = Command::new(env!("CARGO_BIN_EXE_s3wlan"))
+        .args(["compare", "--demands", &demands, "--metrics-out", &metrics])
+        .args(["--seed", "17", "--threads", "1", "--aps-per-building", "3"])
+        .output()
+        .expect("launch s3wlan");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // The `wrote … to <path>` line names a per-machine path.
+    let stdout: String = String::from_utf8(output.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with("wrote "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_recorded(&stdout, "compare_s3.txt");
+    assert_same(&metrics, "metrics_compare_s3.json", "compare");
 }
 
 /// Runs `s3wlan` in `dir` with `stdin` piped in; returns whether it exited

@@ -18,7 +18,7 @@
 //! scored distribution is a `Leaf` naming its enumeration code or beam
 //! position, and only the winner is decoded into an assignment. Every
 //! buffer, the cost tables included, lives in a `SearchWorkspace` the
-//! compiled selector reuses from clique to clique (`docs/PERF.md`,
+//! selector reuses from clique to clique (`docs/PERF.md`,
 //! "The distribution search").
 
 use std::cmp::Ordering;
@@ -29,8 +29,7 @@ use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 use s3_stats::balance::normalized_balance_index;
 use s3_types::UserId;
 
-use crate::compiled::CompiledModel;
-use crate::S3Config;
+use crate::{S3Config, SocialModel};
 
 #[cfg(test)]
 mod reference;
@@ -114,10 +113,10 @@ pub struct ApSlot {
 }
 
 /// The identity-free projection of an [`ApSlot`] the scoring search needs:
-/// load, capacity, and member count. The compiled selector keeps these in a
+/// load, capacity, and member count. The selector keeps these in a
 /// reusable scratch instead of cloning member lists per request; member
-/// *identities* live in the cost tables (hashed path) or the dense member
-/// buffers (compiled path), never in the search state.
+/// *identities* live in the cost tables (closure-driven path) or the dense
+/// member buffers (the selector's path), never in the search state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SlotState {
     /// Current load, bits/s.
@@ -171,12 +170,12 @@ where
     graph
 }
 
-/// [`build_social_graph`] over dense ids from a compiled model: same strict
+/// [`build_social_graph`] over dense ids of `model`: same strict
 /// `δ > threshold` edge rule, same weights, but every δ is a CSR probe and
 /// the edges go in through the bulk [`SocialGraph::from_pairwise`]
 /// constructor instead of per-edge validation.
-pub(crate) fn build_social_graph_compiled(
-    model: &CompiledModel,
+pub(crate) fn build_social_graph_dense(
+    model: &SocialModel,
     users: &[u32],
     threshold: f64,
 ) -> SocialGraph {
@@ -252,16 +251,16 @@ impl CliqueCost {
         }
     }
 
-    /// [`CliqueCost::new`] against the compiled data plane, refilling this
-    /// table's buffers in place: the clique and the per-slot member lists
-    /// are dense ids, every table cell comes from a CSR scan
-    /// ([`CompiledModel::slot_cost`]) or probe instead of hash lookups, and
-    /// the pair table is bulk-filled with u's CSR row and type hoisted per
-    /// row ([`CompiledModel::fill_pair_table`]).
+    /// [`CliqueCost::new`] against the model's dense tables, refilling
+    /// this table's buffers in place: the clique and the per-slot member
+    /// lists are dense ids, every slot-entry cell is a CSR scan
+    /// ([`SocialModel::slot_cost`]), and the pair table is bulk-filled with
+    /// u's CSR row and type hoisted per row
+    /// ([`SocialModel::fill_pair_table`]).
     /// Metric accounting is identical — `core.cost.delta_evals` counts one
-    /// eval per (member, slot-resident) pair exactly as the hashed path
+    /// eval per (member, slot-resident) pair exactly as [`CliqueCost::new`]
     /// does, so the counter keeps measuring work saved by the table.
-    fn fill_compiled(&mut self, model: &CompiledModel, clique: &[u32], members: &[Vec<u32>]) {
+    fn fill_dense(&mut self, model: &SocialModel, clique: &[u32], members: &[Vec<u32>]) {
         self.slot_entry.clear();
         for &user in clique {
             for row in members {
@@ -489,8 +488,8 @@ where
     search_distribution(&mut ws, config).to_vec()
 }
 
-/// [`assign_clique`] against the compiled data plane: `clique` and the
-/// per-slot `members` rows are dense ids (including [`crate::compiled::NO_USER`]
+/// [`assign_clique`] against the model's dense tables: `clique` and the
+/// per-slot `members` rows are dense ids (including [`crate::NO_USER`]
 /// for unknown arrivals), `states` carries the identity-free slot loads,
 /// and `ws` is the caller's reusable search workspace. Same search, same
 /// metrics, same answers — bit for bit.
@@ -499,8 +498,8 @@ where
 ///
 /// Panics if `states` is empty while `clique` is not, or when `members` and
 /// `states` disagree on the slot count.
-pub(crate) fn assign_clique_compiled<'w>(
-    model: &CompiledModel,
+pub(crate) fn assign_clique_dense<'w>(
+    model: &SocialModel,
     clique: &[u32],
     members: &[Vec<u32>],
     states: &[SlotState],
@@ -512,7 +511,7 @@ pub(crate) fn assign_clique_compiled<'w>(
     }
     assert!(!states.is_empty(), "cannot assign a clique to zero APs");
     assert_eq!(members.len(), states.len(), "one member row per slot");
-    ws.cost.fill_compiled(model, clique, members);
+    ws.cost.fill_dense(model, clique, members);
     ws.slots.fill(states);
     search_distribution(ws, config)
 }

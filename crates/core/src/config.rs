@@ -2,6 +2,8 @@
 
 use s3_types::TimeDelta;
 
+use crate::learning::MAX_TYPES;
+
 /// All knobs of the S³ pipeline. `Default` reproduces the configuration
 /// the paper settles on after its parameter study (Section V-B): α = 0.3,
 /// a five-minute co-leaving extraction window, a 15-day look-back, and the
@@ -21,10 +23,11 @@ pub struct S3Config {
     /// Fraction of lowest-social-cost distributions short-listed before the
     /// balance-index tie-break.
     pub top_fraction: f64,
-    /// Largest `k` the gap statistic explores; `None` fixes `k` instead.
+    /// Largest `k` the gap statistic explores, in `1..=254` (a model
+    /// stores a user's type in one byte); ignored when `fixed_k` is set.
     pub k_max: usize,
-    /// Fixed number of user types; when `Some(k)` the gap statistic is
-    /// skipped.
+    /// Fixed number of user types, in `1..=254`; when `Some(k)` the gap
+    /// statistic is skipped.
     pub fixed_k: Option<usize>,
     /// EWMA weight of the most recent session in the demand estimate.
     pub demand_ewma: f64,
@@ -104,10 +107,18 @@ impl S3Config {
             "demand_ewma must be in (0,1]"
         );
         assert!(self.beam_width > 0, "beam_width must be positive");
+        // A user type is stored in one byte.
         if let Some(k) = self.fixed_k {
-            assert!(k > 0, "fixed_k must be positive");
+            assert!(
+                (1..=MAX_TYPES).contains(&k),
+                "fixed_k must be in 1..={MAX_TYPES}, got {k}"
+            );
         } else {
-            assert!(self.k_max > 0, "k_max must be positive");
+            assert!(
+                (1..=MAX_TYPES).contains(&self.k_max),
+                "k_max must be in 1..={MAX_TYPES}, got {}",
+                self.k_max
+            );
         }
     }
 }
@@ -152,6 +163,26 @@ mod tests {
     fn rejects_zero_top_fraction() {
         S3Config {
             top_fraction: 0.0,
+            ..S3Config::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "fixed_k must be in 1..=254, got 255")]
+    fn rejects_fixed_k_above_the_type_store() {
+        S3Config {
+            fixed_k: Some(255),
+            ..S3Config::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "k_max must be in 1..=254, got 255")]
+    fn rejects_k_max_above_the_type_store() {
+        S3Config {
+            k_max: 255,
             ..S3Config::default()
         }
         .validate();

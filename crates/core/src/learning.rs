@@ -10,6 +10,10 @@
 //!   between users of the two types (Table I);
 //! * the social relation index is
 //!   `δ(u,v) = P(L|E)(u,v) + α·T(type_u, type_v)`.
+//!
+//! The learned [`SocialModel`] is stored in the dense form the selector
+//! decides on (dense user ids, a CSR `P(L|E)` adjacency and a flat `T`;
+//! see `docs/PERF.md`).
 
 use std::collections::HashMap;
 
@@ -44,6 +48,30 @@ static KNOWN_PAIRS: Desc = Desc {
 static TYPES: Desc = Desc {
     name: "core.model.types",
     help: "User types (clusters), summed over all learned models",
+    unit: Unit::Count,
+    stability: Stability::Stable,
+};
+// Dense-table sizes, counted once per model built (by `learn` or by the
+// incremental learner's `build_model`), so a model shared by several
+// shard selectors counts once. Names and help strings stay as they are,
+// so snapshots stay stable; `degraded_models` keeps its `core.selector`
+// prefix.
+static COMPILED_USERS: Desc = Desc {
+    name: "core.model.compiled_users",
+    help: "Users interned to dense ids by compiled social models, summed over all compiles",
+    unit: Unit::Count,
+    stability: Stability::Stable,
+};
+static CSR_EDGES: Desc = Desc {
+    name: "core.model.csr_edges",
+    help:
+        "Directed CSR adjacency entries across compiled models (twice the undirected known pairs)",
+    unit: Unit::Count,
+    stability: Stability::Stable,
+};
+static DEGRADED_MODELS: Desc = Desc {
+    name: "core.selector.degraded_models",
+    help: "Compiled S3 models that are stale or trivially empty (their selectors fall back to LLF)",
     unit: Unit::Count,
     stability: Stability::Stable,
 };
@@ -119,21 +147,55 @@ impl TypeMatrix {
     }
 }
 
-/// Everything S³ learned from history. Query with [`SocialModel::delta`].
+/// Dense-id sentinel for a user the model has never seen. Every query
+/// treats it as "no relations, no type, fallback demand".
+pub const NO_USER: u32 = u32::MAX;
+
+/// Type sentinel for a user the clustering never assigned.
+const NO_TYPE: u8 = u8::MAX;
+
+/// The most user types a model stores: a type is one byte per user, and
+/// [`NO_TYPE`] is reserved. [`S3Config::validate`] holds `fixed_k` and
+/// `k_max` to it.
+pub(crate) const MAX_TYPES: usize = NO_TYPE as usize - 1;
+
+/// Everything S³ learned from history, stored in the dense form every
+/// selection reads. Query by [`UserId`] with [`SocialModel::delta`], or,
+/// on the selection hot path, by dense id ([`SocialModel::dense_id`],
+/// [`SocialModel::delta_dense`], [`SocialModel::slot_cost`]).
+///
+/// * Every user the model knows anything about (a type, a demand estimate
+///   or a learned pair) is **interned** to a dense `u32`, its position in
+///   the sorted raw ids, so the tables never depend on hash-map iteration
+///   order. Unknown users map to [`NO_USER`].
+/// * Types (`u8`) and demand estimates (`f64`, pre-filled with the
+///   population-median fallback) are arrays indexed by dense id.
+/// * The learned `P(L|E)` entries form a **CSR adjacency**: one row per
+///   user, sorted by neighbor dense id, holding every pair in both of its
+///   users' rows. The pair term of `δ` is a binary search over a short
+///   row, and the per-AP cost `Σ_{w∈S(AP)} δ(u,w)` is a scan of the AP's
+///   members against u's row, with no hashing and no allocation.
 #[derive(Debug, Clone)]
 pub struct SocialModel {
-    /// `P(L|E)` per pair (pairs that encountered at least once).
-    pair_probability: HashMap<UserPair, f64>,
-    /// Cluster assignment per user.
-    user_type: HashMap<UserId, usize>,
-    /// The type matrix.
+    /// Sorted raw user ids; a user's dense id is its index here.
+    users: Vec<u32>,
+    /// Type per dense user ([`NO_TYPE`] when unclustered).
+    user_type: Vec<u8>,
+    /// Demand estimate `w(u)` in bits/s per dense user.
+    demand: Vec<f64>,
+    /// Demand of users the model has never seen: the population median.
+    fallback_demand: f64,
+    /// The type matrix (Table I).
     type_matrix: TypeMatrix,
     /// Cluster centroids in realm space (for inspection / Fig. 8).
     centroids: Vec<AppMix>,
-    /// Per-user demand estimates `w(u)`.
-    demand: HashMap<UserId, BitsPerSec>,
-    /// Fallback demand for unseen users.
-    fallback_demand: BitsPerSec,
+    /// CSR row bounds: user `i`'s neighbors live at
+    /// `neighbors[row_start[i]..row_start[i + 1]]`.
+    row_start: Vec<u32>,
+    /// Concatenated neighbor rows, each sorted by dense id.
+    neighbors: Vec<u32>,
+    /// `P(L|E)` parallel to `neighbors`.
+    pair_prob: Vec<f64>,
     /// The α used by `delta`.
     alpha: f64,
     /// Whether the producer judged the model under-trained (see
@@ -142,42 +204,103 @@ pub struct SocialModel {
 }
 
 impl SocialModel {
-    /// Assembles a model from already-computed parts — the back door used
-    /// by the incremental learner ([`crate::online::IncrementalLearner`]),
-    /// which maintains the statistics itself across days. `stale` marks a
-    /// model whose ingested history is shorter than the configured
-    /// look-back window.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        pair_probability: HashMap<UserPair, f64>,
-        user_type: HashMap<UserId, usize>,
-        type_matrix: TypeMatrix,
+    /// Builds the model from mined statistics: `P(L|E)` per pair, each
+    /// typed user's cluster, the cluster centroids and each user's demand
+    /// estimate. Derives the type matrix and the fallback demand from
+    /// them. Both learners ([`SocialModel::learn`] and
+    /// [`crate::online::IncrementalLearner`]) end here; `stale` marks a
+    /// model whose ingested history is shorter than the look-back window.
+    ///
+    /// The tables are deterministic: users are interned in sorted-id order
+    /// and the CSR rows are sorted, whatever the maps' iteration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`MAX_TYPES`] centroids.
+    pub(crate) fn new(
+        pairs: &HashMap<UserPair, f64>,
+        types: &HashMap<UserId, usize>,
         centroids: Vec<AppMix>,
-        demand: HashMap<UserId, BitsPerSec>,
-        fallback_demand: BitsPerSec,
+        demands: &HashMap<UserId, BitsPerSec>,
         alpha: f64,
         stale: bool,
     ) -> SocialModel {
+        let k = centroids.len();
+        assert!(
+            k <= MAX_TYPES,
+            "a social model stores at most {MAX_TYPES} user types, got {k}"
+        );
+        let type_matrix = Self::estimate_type_matrix(k, types, pairs);
+        let fallback_demand = median_demand(demands).as_f64();
+
+        let mut users: Vec<u32> = Vec::with_capacity(types.len() + demands.len() + pairs.len() * 2);
+        users.extend(types.keys().map(|u| u.raw()));
+        users.extend(demands.keys().map(|u| u.raw()));
+        for pair in pairs.keys() {
+            users.push(pair.0.raw());
+            users.push(pair.1.raw());
+        }
+        users.sort_unstable();
+        users.dedup();
+        let n = users.len();
+        assert!(n < NO_USER as usize, "social model: dense id overflow");
+        let dense = |raw: u32| -> usize {
+            users
+                .binary_search(&raw)
+                .expect("every referenced user was collected")
+        };
+
+        let mut user_type = vec![NO_TYPE; n];
+        for (&user, &t) in types {
+            debug_assert!(t < k, "type index {t} out of range for k = {k}");
+            user_type[dense(user.raw())] = t as u8;
+        }
+        let mut demand = vec![fallback_demand; n];
+        for (&user, &d) in demands {
+            demand[dense(user.raw())] = d.as_f64();
+        }
+
+        // Both directions of every pair. The (row, col) keys are unique,
+        // so the unstable sort is deterministic despite the map order.
+        let mut entries: Vec<(u32, u32, f64)> = Vec::with_capacity(pairs.len() * 2);
+        for (pair, &p) in pairs {
+            let (a, b) = (dense(pair.0.raw()) as u32, dense(pair.1.raw()) as u32);
+            entries.push((a, b, p));
+            entries.push((b, a, p));
+        }
+        assert!(
+            entries.len() < u32::MAX as usize,
+            "social model: CSR overflow"
+        );
+        entries.sort_unstable_by_key(|x| (x.0, x.1));
+        let mut row_start = vec![0u32; n + 1];
+        for &(row, _, _) in &entries {
+            row_start[row as usize + 1] += 1;
+        }
+        for i in 0..n {
+            row_start[i + 1] += row_start[i];
+        }
+
+        let registry = s3_obs::global();
+        registry.counter(&COMPILED_USERS).add(n as u64);
+        registry.counter(&CSR_EDGES).add(entries.len() as u64);
+        if entries.is_empty() || stale {
+            registry.counter(&DEGRADED_MODELS).inc();
+        }
+
         SocialModel {
-            pair_probability,
+            users,
             user_type,
-            type_matrix,
-            centroids,
             demand,
             fallback_demand,
+            type_matrix,
+            centroids,
+            row_start,
+            neighbors: entries.iter().map(|e| e.1).collect(),
+            pair_prob: entries.iter().map(|e| e.2).collect(),
             alpha,
             stale,
         }
-    }
-
-    /// Estimates the type matrix from assignments and pair probabilities —
-    /// exposed within the crate for the incremental learner.
-    pub(crate) fn type_matrix_from(
-        k: usize,
-        user_type: &HashMap<UserId, usize>,
-        pair_probability: &HashMap<UserPair, f64>,
-    ) -> TypeMatrix {
-        Self::estimate_type_matrix(k, user_type, pair_probability)
     }
 
     /// Learns the model from `store` under `config`. `seed` drives the
@@ -196,33 +319,26 @@ impl SocialModel {
 
         let last_day = store.day_range().map(|(_, last)| last).unwrap_or(0);
         let profiles = all_window_profiles(store, last_day, config.lookback_days);
-
         let (user_type, centroids) = Self::cluster_users(store, &profiles, last_day, config, seed);
-        let k = centroids.len();
-        let type_matrix = Self::estimate_type_matrix(k, &user_type, &pair_probability);
-
         let demand = demand_estimates(store, config.demand_ewma);
-        let fallback_demand = median_demand(&demand);
 
+        // Batch learning sees whatever history the caller chose to train
+        // on; only the incremental path tracks ingested days against the
+        // look-back window.
+        let model = SocialModel::new(
+            &pair_probability,
+            &user_type,
+            centroids,
+            &demand,
+            config.alpha,
+            false,
+        );
         registry.counter(&LEARNS).inc();
         registry
             .counter(&KNOWN_PAIRS)
-            .add(pair_probability.len() as u64);
-        registry.counter(&TYPES).add(k as u64);
-
-        SocialModel {
-            pair_probability,
-            user_type,
-            type_matrix,
-            centroids,
-            demand,
-            fallback_demand,
-            alpha: config.alpha,
-            // Batch learning sees whatever history the caller chose to
-            // train on; only the incremental path tracks ingested days
-            // against the look-back window.
-            stale: false,
-        }
+            .add(model.known_pairs() as u64);
+        registry.counter(&TYPES).add(model.type_count() as u64);
+        model
     }
 
     fn cluster_users(
@@ -325,47 +441,21 @@ impl SocialModel {
         matrix
     }
 
-    /// The full learned pair-probability table — the input the compiled
-    /// data plane freezes into CSR form ([`crate::CompiledModel`]).
-    pub(crate) fn pair_probabilities(&self) -> &HashMap<UserPair, f64> {
-        &self.pair_probability
-    }
-
-    /// The full user → type assignment map.
-    pub(crate) fn user_types(&self) -> &HashMap<UserId, usize> {
-        &self.user_type
-    }
-
-    /// The full user → demand-estimate map.
-    pub(crate) fn demands(&self) -> &HashMap<UserId, BitsPerSec> {
-        &self.demand
-    }
-
-    /// The population-median fallback demand for unseen users.
-    pub(crate) fn fallback_demand(&self) -> BitsPerSec {
-        self.fallback_demand
-    }
-
     /// The social relation index
     /// `δ(u,v) = P(L(u,v)|E(u,v)) + α·T(type_u, type_v)`.
     ///
     /// Unknown pairs contribute only the type term; users without a type
-    /// contribute only the pair term; both unknown → 0 (no relation).
+    /// contribute only the pair term; a user with itself, or an unknown
+    /// user with anyone, is 0 (no relation). Interns both ids first; the
+    /// selector interns once and calls [`SocialModel::delta_dense`].
     pub fn delta(&self, u: UserId, v: UserId) -> f64 {
-        let Some(pair) = UserPair::new(u, v) else {
-            return 0.0;
-        };
-        let pair_term = self.pair_probability.get(&pair).copied().unwrap_or(0.0);
-        let type_term = match (self.user_type.get(&u), self.user_type.get(&v)) {
-            (Some(&ti), Some(&tj)) => self.type_matrix.get(ti, tj),
-            _ => 0.0,
-        };
-        pair_term + self.alpha * type_term
+        self.delta_dense(self.dense_or_unknown(u), self.dense_or_unknown(v))
     }
 
     /// The learned type of `user`, if any.
     pub fn user_type(&self, user: UserId) -> Option<usize> {
-        self.user_type.get(&user).copied()
+        let t = self.user_type[self.dense_id(user)? as usize];
+        (t != NO_TYPE).then_some(usize::from(t))
     }
 
     /// Number of learned types (0 when clustering was impossible).
@@ -385,16 +475,13 @@ impl SocialModel {
 
     /// Number of pairs with a learned `P(L|E)`.
     pub fn known_pairs(&self) -> usize {
-        self.pair_probability.len()
+        self.neighbors.len() / 2
     }
 
     /// The demand estimate `w(user)`, falling back to the population
     /// median for unseen users.
     pub fn estimated_demand(&self, user: UserId) -> BitsPerSec {
-        self.demand
-            .get(&user)
-            .copied()
-            .unwrap_or(self.fallback_demand)
+        BitsPerSec::new(self.demand_dense(self.dense_or_unknown(user)))
     }
 
     /// The α this model applies in [`SocialModel::delta`].
@@ -418,7 +505,142 @@ impl SocialModel {
     /// all-zero too. `delta` is identically zero and social scoring would
     /// silently degenerate; the selector short-circuits to LLF.
     pub fn is_trivial(&self) -> bool {
-        self.pair_probability.is_empty()
+        self.neighbors.is_empty()
+    }
+
+    /// The dense id of `user`, if the model knows it (a binary search over
+    /// the sorted intern table).
+    pub fn dense_id(&self, user: UserId) -> Option<u32> {
+        self.users.binary_search(&user.raw()).ok().map(|i| i as u32)
+    }
+
+    /// The dense id of `user`, or [`NO_USER`] when unknown.
+    pub fn dense_or_unknown(&self, user: UserId) -> u32 {
+        self.dense_id(user).unwrap_or(NO_USER)
+    }
+
+    /// Appends the dense id of each of `users` to `out` ([`NO_USER`] for
+    /// unknown users): the scratch-filling helper of the selector.
+    pub fn extend_dense(&self, users: impl IntoIterator<Item = UserId>, out: &mut Vec<u32>) {
+        out.extend(users.into_iter().map(|u| self.dense_or_unknown(u)));
+    }
+
+    /// The social relation index by dense id: [`SocialModel::delta`]
+    /// without the interning. [`NO_USER`] on either side, or `i == j`,
+    /// is 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a non-sentinel id is out of range; dense ids must come
+    /// from [`SocialModel::dense_id`] on the same model.
+    #[inline]
+    pub fn delta_dense(&self, i: u32, j: u32) -> f64 {
+        if i == j || i == NO_USER || j == NO_USER {
+            return 0.0;
+        }
+        Self::pair_term(self.row(i), j)
+            + self.alpha * self.type_term(self.user_type[i as usize], self.user_type[j as usize])
+    }
+
+    /// The demand estimate for dense user `i` in bits/s ([`NO_USER`] gets
+    /// the population-median fallback).
+    #[inline]
+    pub fn demand_dense(&self, i: u32) -> f64 {
+        if i == NO_USER {
+            self.fallback_demand
+        } else {
+            self.demand[i as usize]
+        }
+    }
+
+    /// The added social cost of placing dense user `u` on an AP whose
+    /// member list is `members`: `Σ_{w∈members} δ(u, w)`, with no hashing
+    /// and no allocation.
+    ///
+    /// Contributions accumulate **in member order**, so the result is
+    /// bit-identical to `members.iter().map(|&w| delta_dense(u, w)).sum()`,
+    /// including std's float `Sum` quirk of folding from `-0.0` (the IEEE
+    /// additive identity): an empty member list yields `-0.0`, and the
+    /// first member — even one contributing `+0.0`, like a [`NO_USER`]
+    /// sentinel or `u` itself — flips the accumulator to `+0.0` (every δ
+    /// is non-negative, so `-0.0` can never reappear).
+    pub fn slot_cost(&self, u: u32, members: &[u32]) -> f64 {
+        if u == NO_USER {
+            // Every member contributes +0.0.
+            return if members.is_empty() { -0.0 } else { 0.0 };
+        }
+        let row = self.row(u);
+        let tu = self.user_type[u as usize];
+        let mut cost = -0.0f64;
+        for &w in members {
+            cost += if w == u || w == NO_USER {
+                0.0
+            } else {
+                Self::pair_term(row, w)
+                    + self.alpha * self.type_term(tu, self.user_type[w as usize])
+            };
+        }
+        cost
+    }
+
+    /// Fills `out` with the flat `c × c` pairwise δ table of `clique`
+    /// (row-major, symmetric, zero diagonal): cell `i·c + j` is
+    /// bit-identical to `delta_dense(clique[i], clique[j])`, but u's CSR
+    /// row and type are looked up once per row instead of once per pair.
+    /// Sentinel ([`NO_USER`]) and duplicate entries leave their cells at
+    /// the exact `0.0` `delta_dense` returns for them.
+    pub(crate) fn fill_pair_table(&self, clique: &[u32], out: &mut Vec<f64>) {
+        let c = clique.len();
+        out.clear();
+        out.resize(c * c, 0.0);
+        for i in 0..c {
+            let u = clique[i];
+            if u == NO_USER {
+                continue;
+            }
+            let row = self.row(u);
+            let tu = self.user_type[u as usize];
+            for j in i + 1..c {
+                let v = clique[j];
+                if v == NO_USER || v == u {
+                    continue;
+                }
+                let d = Self::pair_term(row, v)
+                    + self.alpha * self.type_term(tu, self.user_type[v as usize]);
+                out[i * c + j] = d;
+                out[j * c + i] = d;
+            }
+        }
+    }
+
+    /// Dense user `i`'s CSR row: its neighbors and their `P(L|E)`.
+    #[inline]
+    fn row(&self, i: u32) -> (&[u32], &[f64]) {
+        let (start, end) = (
+            self.row_start[i as usize] as usize,
+            self.row_start[i as usize + 1] as usize,
+        );
+        (&self.neighbors[start..end], &self.pair_prob[start..end])
+    }
+
+    /// `P(L|E)` of the row's owner with `j`: a binary search over the
+    /// row, 0 when the pair was never learned.
+    #[inline]
+    fn pair_term((neighbors, probs): (&[u32], &[f64]), j: u32) -> f64 {
+        match neighbors.binary_search(&j) {
+            Ok(pos) => probs[pos],
+            Err(_) => 0.0,
+        }
+    }
+
+    /// `T(ti, tj)`, 0 when either user is untyped.
+    #[inline]
+    fn type_term(&self, ti: u8, tj: u8) -> f64 {
+        if ti == NO_TYPE || tj == NO_TYPE {
+            0.0
+        } else {
+            self.type_matrix.values[ti as usize * self.type_matrix.k + tj as usize]
+        }
     }
 }
 
@@ -690,6 +912,37 @@ mod tests {
         assert_eq!(t1, t2, "morning pair together");
         assert_eq!(t3, t4, "night pair together");
         assert_ne!(t1, t3, "temporal features must split the day shifts");
+    }
+
+    #[test]
+    fn interning_is_sorted_and_invertible() {
+        let model = SocialModel::learn(&social_store(), &config(), 1);
+        assert!(model.users.len() >= 4);
+        assert!(model.users.windows(2).all(|w| w[0] < w[1]), "sorted ids");
+        for (i, &raw) in model.users.iter().enumerate() {
+            assert_eq!(model.dense_id(UserId::new(raw)), Some(i as u32));
+        }
+        assert_eq!(model.user_type.len(), model.users.len());
+        assert_eq!(model.demand.len(), model.users.len());
+        assert_eq!(model.dense_id(UserId::new(12_345)), None);
+        assert_eq!(model.dense_or_unknown(UserId::new(12_345)), NO_USER);
+    }
+
+    #[test]
+    fn csr_rows_are_sorted_and_symmetric() {
+        let model = SocialModel::learn(&social_store(), &config(), 1);
+        assert!(model.known_pairs() > 0);
+        assert_eq!(model.row_start.len(), model.users.len() + 1);
+        assert_eq!(model.neighbors.len(), 2 * model.known_pairs());
+        for i in 0..model.users.len() as u32 {
+            let (row, probs) = model.row(i);
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {i} sorted");
+            for (&j, &p) in row.iter().zip(probs) {
+                let (back, back_probs) = model.row(j);
+                let pos = back.binary_search(&i).expect("symmetric entry");
+                assert_eq!(back_probs[pos].to_bits(), p.to_bits());
+            }
+        }
     }
 
     #[test]

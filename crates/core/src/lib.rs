@@ -18,7 +18,9 @@
 //!    statistic, and the empirical co-leave probability matrix
 //!    `T(typeᵢ, typeⱼ)` (Table I);
 //! 4. **Social relation index** — `δ(u,v) = P(L|E) + α·T(type_u, type_v)`
-//!    ([`SocialModel::delta`]);
+//!    ([`SocialModel::delta`]). The model is stored in the dense form
+//!    selection reads: users interned to dense ids, `P(L|E)` as a sorted
+//!    CSR adjacency, one-byte types and a flat `T`;
 //! 5. **AP selection** — the online [`S3Selector`]: for each arrival (or
 //!    batch of simultaneous arrivals), place users so the added social
 //!    affinity per AP is minimal, subject to `Σ w(u) ≤ W(i)`, breaking
@@ -52,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod compiled;
 mod config;
 mod learning;
 pub mod online;
@@ -60,9 +61,8 @@ pub mod profile;
 pub mod registry;
 mod selector;
 
-pub use compiled::CompiledModel;
 pub use config::S3Config;
-pub use learning::{SocialModel, TypeMatrix};
+pub use learning::{SocialModel, TypeMatrix, NO_USER};
 pub use online::IncrementalLearner;
 pub use registry::{default_registry, strategy_registry};
 pub use selector::S3Selector;

@@ -23,7 +23,6 @@ use s3_trace::TraceStore;
 use s3_types::{AppMix, BitsPerSec, UserId, APP_CATEGORY_COUNT};
 
 use crate::learning::{typed_clusters, SocialModel};
-use crate::profile::median_demand;
 use crate::S3Config;
 
 /// Rolling per-user profile window: one volume vector per ingested day.
@@ -148,8 +147,9 @@ impl IncrementalLearner {
 
     /// Assembles the current model: computes `P(L|E)`, clusters the rolled
     /// profiles (fixed `k` from the config, else 4 — a nightly job does not
-    /// re-run the gap statistic) and builds the type matrix. The model is
-    /// marked stale while the learner [`is_warming_up`](Self::is_warming_up).
+    /// re-run the gap statistic) and builds the model's tables, the type
+    /// matrix among them. The model is marked stale while the learner
+    /// [`is_warming_up`](Self::is_warming_up).
     pub fn build_model(&self) -> SocialModel {
         // P(L|E) exactly as the batch path computes it.
         let pair_probability = coleave_given_encounter(&self.encounters, &self.coleavings);
@@ -182,23 +182,16 @@ impl IncrementalLearner {
             (HashMap::new(), Vec::new())
         };
 
-        let type_matrix =
-            SocialModel::type_matrix_from(centroids.len(), &user_type, &pair_probability);
-
         let demand: HashMap<UserId, BitsPerSec> = self
             .demand
             .iter()
             .map(|(&u, &w)| (u, BitsPerSec::new(w)))
             .collect();
-        let fallback = median_demand(&demand);
-
-        SocialModel::from_parts(
-            pair_probability,
-            user_type,
-            type_matrix,
+        SocialModel::new(
+            &pair_probability,
+            &user_type,
             centroids,
-            demand,
-            fallback,
+            &demand,
             self.config.alpha,
             self.is_warming_up(),
         )

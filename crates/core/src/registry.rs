@@ -8,12 +8,12 @@
 //! Consumers (the CLI, the ablation grid) call [`strategy_registry`] and
 //! never hard-code a policy list.
 //!
-//! The S³ factory is `needs_training`: callers train a
-//! [`SocialModel`](crate::SocialModel) once (an LLF replay of the training
-//! prefix), compile it once, and pass the `Arc<CompiledModel>` through
+//! The S³ factory is `needs_training`: callers train a [`SocialModel`]
+//! once (an LLF replay of the training prefix) and pass it as an
+//! `Arc<SocialModel>` through
 //! [`s3_wlan::strategy::BuildContext::artifact`]; each shard's factory
 //! call clones only the `Arc`, so every shard's [`S3Selector`] queries the
-//! same compiled tables.
+//! same tables.
 
 use std::sync::{Arc, OnceLock};
 
@@ -21,7 +21,7 @@ use s3_wlan::strategy::{
     register_baselines, register_contenders, StrategyCaps, StrategyError, StrategyRegistry,
 };
 
-use crate::{CompiledModel, S3Config, S3Selector};
+use crate::{S3Config, S3Selector, SocialModel};
 
 /// Builds a fresh copy of the default registry (every strategy the
 /// workspace ships). Prefer [`strategy_registry`] unless the registry is
@@ -38,16 +38,13 @@ pub fn default_registry() -> StrategyRegistry {
         },
         Box::new(|ctx| {
             let model = ctx
-                .artifact::<Arc<CompiledModel>>()
+                .artifact::<Arc<SocialModel>>()
                 .ok_or(StrategyError::MissingArtifact("s3"))?;
             let config = S3Config {
                 threads: ctx.threads,
                 ..S3Config::default()
             };
-            Ok(Box::new(S3Selector::from_compiled(
-                Arc::clone(model),
-                config,
-            )))
+            Ok(Box::new(S3Selector::new(Arc::clone(model), config)))
         }),
     );
     register_contenders(&mut reg);
@@ -97,20 +94,19 @@ mod tests {
 
     #[test]
     fn s3_builds_from_a_trained_model() {
-        use crate::SocialModel;
         use s3_trace::TraceStore;
         let model = SocialModel::learn(&TraceStore::new(Vec::new()), &S3Config::default(), 1);
-        let compiled = Arc::new(CompiledModel::compile(&model));
+        let shared = Arc::new(model.clone());
         let ctx = BuildContext {
             seed: 1,
             shard: 0,
             threads: 1,
-            artifact: Some(&compiled),
+            artifact: Some(&shared),
         };
         let selector = strategy_registry().build("s3", &ctx).unwrap();
         assert_eq!(selector.name(), "s3");
-        // The hashed model itself is not an S³ artifact: the factory
-        // takes the shared compiled model only.
+        // A bare model is not an S³ artifact: the factory takes the
+        // shared `Arc` only, so no shard copies the model.
         let err = strategy_registry()
             .build(
                 "s3",
@@ -120,24 +116,23 @@ mod tests {
                 },
             )
             .err()
-            .expect("a SocialModel artifact must be refused");
+            .expect("a bare SocialModel artifact must be refused");
         assert_eq!(err, StrategyError::MissingArtifact("s3"));
     }
 
     #[test]
-    fn s3_shards_share_one_compiled_model() {
-        use crate::SocialModel;
+    fn s3_shards_share_one_model() {
         use s3_trace::TraceStore;
         let model = SocialModel::learn(&TraceStore::new(Vec::new()), &S3Config::default(), 1);
-        let compiled = Arc::new(CompiledModel::compile(&model));
+        let shared = Arc::new(model);
         let selectors = strategy_registry()
-            .build_shards("s3", 4, 1, 1, Some(&compiled))
+            .build_shards("s3", 4, 1, 1, Some(&shared))
             .unwrap();
         assert_eq!(selectors.len(), 4);
         // Four shard selectors, one model: the artifact's `Arc` plus one
         // clone per selector.
-        assert_eq!(Arc::strong_count(&compiled), 5);
+        assert_eq!(Arc::strong_count(&shared), 5);
         drop(selectors);
-        assert_eq!(Arc::strong_count(&compiled), 1);
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 }

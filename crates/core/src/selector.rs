@@ -9,18 +9,16 @@
 //!
 //! Simultaneous arrivals (class start) run the full Algorithm 1: build the
 //! δ-threshold graph over the batch, peel maximum cliques, and distribute
-//! each clique via [`crate::batch::assign_clique`].
+//! each clique over dense ids with the distribution search of
+//! [`crate::batch`].
 //!
-//! Every decision runs on the **compiled data plane** (see
-//! [`crate::compiled`] and `docs/PERF.md`): the selector queries a shared
-//! [`CompiledModel`] — one per trained [`SocialModel`], however many
-//! shard selectors serve it — and keeps its own reusable [`Scratch`] of
-//! dense member buffers, slot states, clique working vectors and the
-//! distribution search's workspace — so the hot path does no hashing and,
-//! after the first request warms the buffers, the distribution search
-//! allocates nothing (the social graph and the clique partition still
-//! allocate per batch). The answers are bit-identical to the hashed path
-//! (enforced by `tests/compiled_props.rs`).
+//! Every decision reads the [`SocialModel`]'s dense tables (see
+//! `docs/PERF.md`). Every shard selector of a run shares the one model,
+//! and each keeps its own reusable [`Scratch`] of dense member buffers,
+//! slot states, clique working vectors and the distribution search's
+//! workspace — so the hot path does no hashing and, after the first
+//! request warms the buffers, the distribution search allocates nothing
+//! (the social graph and the clique partition still allocate per batch).
 
 use std::sync::Arc;
 
@@ -31,15 +29,12 @@ use s3_wlan::selector::{
     ApSelector, ApView, ArrivalUser, DecisionMeta, LeastLoadedFirst, SelectionContext,
 };
 
-use crate::batch::{
-    assign_clique_compiled, build_social_graph_compiled, SearchWorkspace, SlotState,
-};
-use crate::compiled::CompiledModel;
+use crate::batch::{assign_clique_dense, build_social_graph_dense, SearchWorkspace, SlotState};
 use crate::{S3Config, SocialModel};
 
 // Degradation metric (documented in docs/METRICS.md): a selector running
 // on an unusable model must be *visible*, never a silent mis-score. The
-// degraded models themselves are counted where they are compiled.
+// degraded models themselves are counted where they are built.
 static DEGRADED_SELECTIONS: Desc = Desc {
     name: "core.selector.degraded_selections",
     help: "Selection requests (single or batch) answered by the LLF fallback of a degraded S3 selector",
@@ -47,9 +42,9 @@ static DEGRADED_SELECTIONS: Desc = Desc {
     stability: Stability::Stable,
 };
 
-/// The S³ policy. Construct with a trained [`SocialModel`]
-/// ([`S3Selector::new`]), or share one compiled model between several
-/// selectors ([`S3Selector::from_compiled`]).
+/// The S³ policy. Construct with a trained [`SocialModel`], or with an
+/// `Arc` of one to share it between several selectors
+/// ([`S3Selector::new`]).
 ///
 /// A model that cannot be trusted — trivially empty
 /// ([`SocialModel::is_trivial`]) or stale
@@ -62,9 +57,8 @@ static DEGRADED_SELECTIONS: Desc = Desc {
 /// promoted to a whole-model guard.
 #[derive(Debug, Clone)]
 pub struct S3Selector {
-    /// The model in dense query form, shared by every selector built
-    /// from the same compile.
-    compiled: Arc<CompiledModel>,
+    /// The model, shared by every selector built from the same `Arc`.
+    model: Arc<SocialModel>,
     config: S3Config,
     degraded: bool,
     /// The LLF fallback policy, constructed once (degraded requests are a
@@ -103,28 +97,19 @@ struct Scratch {
 }
 
 impl S3Selector {
-    /// Creates the selector from a trained model, compiling it into the
-    /// dense data plane ([`CompiledModel`]) the hot path runs on.
+    /// Creates the selector from a trained model, or from an `Arc` of one:
+    /// selectors built from clones of one `Arc` share the model's tables,
+    /// and each keeps its own scratch buffers.
     ///
     /// # Panics
     ///
     /// Panics when `config` fails validation (see [`S3Config::validate`]).
-    pub fn new(model: SocialModel, config: S3Config) -> Self {
-        S3Selector::from_compiled(Arc::new(CompiledModel::compile(&model)), config)
-    }
-
-    /// Creates a selector over an already compiled model. Selectors built
-    /// from clones of one `Arc` share the model's tables; each keeps its
-    /// own scratch buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` fails validation (see [`S3Config::validate`]).
-    pub fn from_compiled(compiled: Arc<CompiledModel>, config: S3Config) -> Self {
+    pub fn new(model: impl Into<Arc<SocialModel>>, config: S3Config) -> Self {
         config.validate();
-        let degraded = compiled.is_trivial() || compiled.is_stale();
+        let model = model.into();
+        let degraded = model.is_trivial() || model.is_stale();
         S3Selector {
-            compiled,
+            model,
             config,
             degraded,
             fallback: LeastLoadedFirst::new(),
@@ -138,9 +123,9 @@ impl S3Selector {
         self.degraded
     }
 
-    /// The compiled view the hot path queries.
-    pub fn compiled_model(&self) -> &CompiledModel {
-        &self.compiled
+    /// The model the selector decides on.
+    pub fn compiled_model(&self) -> &SocialModel {
+        &self.model
     }
 
     /// The configuration in force.
@@ -151,16 +136,15 @@ impl S3Selector {
     // S³ scores mutate slot membership clique by clique; the scratch holds
     // one dense member buffer per slot (association order preserved) plus
     // the identity-free SlotState rows, refilled — not reallocated — per
-    // request. This replaces the per-request owned `ApSlot` collection the
-    // hashed path paid for.
+    // request.
     fn prepare_slots(&mut self, candidates: &[ApView<'_>]) {
-        let compiled = &self.compiled;
+        let model = &self.model;
         let scratch = &mut self.scratch;
         scratch.members.resize_with(candidates.len(), Vec::new);
         scratch.states.clear();
         for (row, view) in scratch.members.iter_mut().zip(candidates) {
             row.clear();
-            compiled.extend_dense(view.associated(), row);
+            model.extend_dense(view.associated(), row);
             scratch.states.push(SlotState {
                 load: view.load.as_f64(),
                 capacity: view.capacity.as_f64(),
@@ -181,10 +165,10 @@ impl ApSelector for S3Selector {
             return self.fallback.select(ctx);
         }
         self.prepare_slots(ctx.candidates);
-        let arrival = [self.compiled.dense_or_unknown(ctx.arrival.user)];
+        let arrival = [self.model.dense_or_unknown(ctx.arrival.user)];
         let scratch = &mut self.scratch;
-        assign_clique_compiled(
-            &self.compiled,
+        assign_clique_dense(
+            &self.model,
             &arrival,
             &scratch.members,
             &scratch.states,
@@ -217,19 +201,18 @@ impl ApSelector for S3Selector {
         self.prepare_slots(candidates);
         self.last_meta.clear();
         self.last_meta.resize(users.len(), DecisionMeta::default());
-        let compiled = &self.compiled;
+        let model = &self.model;
         let scratch = &mut self.scratch;
         scratch.arrivals.clear();
         scratch.demands.clear();
         for user in users {
-            let dense = compiled.dense_or_unknown(user.user);
+            let dense = model.dense_or_unknown(user.user);
             scratch.arrivals.push(dense);
             // Demand is evaluated once per arrival and reused for both the
             // cost tables and the projected-load updates below.
-            scratch.demands.push(compiled.demand_dense(dense));
+            scratch.demands.push(model.demand_dense(dense));
         }
-        let graph =
-            build_social_graph_compiled(compiled, &scratch.arrivals, self.config.edge_threshold);
+        let graph = build_social_graph_dense(model, &scratch.arrivals, self.config.edge_threshold);
         // Cliques come out largest/heaviest first; isolated users trail as
         // singletons — the paper's processing order. The workspace keeps the
         // kernel's adjacency/candidate/weight buffers warm across batches.
@@ -241,8 +224,8 @@ impl ApSelector for S3Selector {
             for &vertex in &clique.vertices {
                 scratch.clique.push(scratch.arrivals[vertex]);
             }
-            let assignment = assign_clique_compiled(
-                compiled,
+            let assignment = assign_clique_dense(
+                model,
                 &scratch.clique,
                 &scratch.members,
                 &scratch.states,

@@ -1,16 +1,24 @@
-//! Property tests pinning the compiled data plane to the hashed one.
+//! Property tests pinning the learned model to the paper's formulas.
 //!
-//! The whole point of [`CompiledModel`] is that it is a pure
-//! representation change: over models learned from *arbitrary* traces —
-//! including empty ones, single-user ones, and traces touching ids at the
-//! very top of the `u32` range — every `delta` and `estimated_demand`
-//! must be **bit-equal** (`f64::to_bits`) to the hashed [`SocialModel`],
-//! for known, unknown, self, and overflow-id query pairs alike. Anything
-//! weaker would let the byte-identical-CSV contract rot silently.
+//! Over models learned from *arbitrary* traces — including empty ones,
+//! single-user ones, sessions with no traffic, and traces touching ids at
+//! the very top of the `u32` range — every answer of [`SocialModel`]'s
+//! dense tables must be **bit-equal** (`f64::to_bits`) to the quantity it
+//! stands for:
+//! `δ(u,v) = P(L|E)(u,v) + α·T(type_u, type_v)` with `P` mined straight
+//! from the trace (§IV), the demand estimate `w(u)` from
+//! [`s3_core::profile`], and the per-AP cost `Σ_{w∈S(AP)} δ(u,w)` summed
+//! in member order, for known, unknown, self, and overflow-id queries
+//! alike. Anything weaker would let the byte-identical-CSV contract rot
+//! silently.
 
 use proptest::prelude::*;
 
-use s3_core::{CompiledModel, IncrementalLearner, S3Config, S3Selector, SocialModel};
+use std::collections::HashMap;
+
+use s3_core::profile::{demand_estimates, median_demand};
+use s3_core::{IncrementalLearner, S3Config, S3Selector, SocialModel, NO_USER};
+use s3_trace::events::{coleave_given_encounter, extract_coleavings, extract_encounters, UserPair};
 use s3_trace::{SessionRecord, TraceStore};
 use s3_types::{ApId, Bytes, ControllerId, Timestamp, UserId};
 
@@ -30,7 +38,7 @@ fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
             0u64..4,       // day
             0u64..7_200,   // connect offset within the day
             60u64..10_000, // duration
-            0usize..6,     // dominant app realm
+            0usize..7,     // dominant app realm; 6 is a session with no traffic
         ),
         0..40,
     )
@@ -38,8 +46,12 @@ fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
         rows.into_iter()
             .map(|(user, ap, day, offset, duration, realm)| {
                 let connect = day * 86_400 + 28_800 + offset;
+                // A user whose sessions carry no traffic has pairs but
+                // neither a type nor a demand estimate.
                 let mut volume_by_app = [Bytes::ZERO; 6];
-                volume_by_app[realm] = Bytes::megabytes(5);
+                if let Some(volume) = volume_by_app.get_mut(realm) {
+                    *volume = Bytes::megabytes(5);
+                }
                 SessionRecord {
                     user: UserId::new(user),
                     ap: ApId::new(ap),
@@ -69,20 +81,44 @@ fn query_ids(records: &[SessionRecord]) -> Vec<UserId> {
     ids.into_iter().map(UserId::new).collect()
 }
 
+/// `P(L|E)` per pair, mined from `store` as §IV defines it.
+fn mined_pairs(store: &TraceStore, config: &S3Config) -> HashMap<UserPair, f64> {
+    coleave_given_encounter(
+        &extract_encounters(store, config.encounter_min_overlap),
+        &extract_coleavings(store, config.coleave_window),
+    )
+}
+
+/// `δ(u,v) = P(L|E)(u,v) + α·T(type_u, type_v)`: `P` is 0 for a pair never
+/// mined, `T` is 0 when either user is untyped, and a user has no relation
+/// with itself.
+fn paper_delta(model: &SocialModel, pairs: &HashMap<UserPair, f64>, u: UserId, v: UserId) -> f64 {
+    let Some(pair) = UserPair::new(u, v) else {
+        return 0.0;
+    };
+    let p = pairs.get(&pair).copied().unwrap_or(0.0);
+    let t = match (model.user_type(u), model.user_type(v)) {
+        (Some(tu), Some(tv)) => model.type_matrix().get(tu, tv),
+        _ => 0.0,
+    };
+    p + model.alpha() * t
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn delta_bit_equals_hashed_model(records in records_strategy(), seed in 0u64..8) {
-        let model = SocialModel::learn(&TraceStore::new(records.clone()), &config(), seed);
-        let compiled = CompiledModel::compile(&model);
+    fn delta_is_the_paper_formula(records in records_strategy(), seed in 0u64..8) {
+        let store = TraceStore::new(records.clone());
+        let model = SocialModel::learn(&store, &config(), seed);
+        let pairs = mined_pairs(&store, &config());
         let ids = query_ids(&records);
         for &u in &ids {
             for &v in &ids {
                 // Includes self pairs (u == v) and unknown/overflow ids.
                 prop_assert_eq!(
-                    compiled.delta(u, v).to_bits(),
                     model.delta(u, v).to_bits(),
+                    paper_delta(&model, &pairs, u, v).to_bits(),
                     "delta({}, {}) diverged", u, v
                 );
             }
@@ -90,13 +126,25 @@ proptest! {
     }
 
     #[test]
-    fn demand_bit_equals_hashed_model(records in records_strategy(), seed in 0u64..8) {
-        let model = SocialModel::learn(&TraceStore::new(records.clone()), &config(), seed);
-        let compiled = CompiledModel::compile(&model);
+    fn known_pairs_counts_the_mined_pairs(records in records_strategy(), seed in 0u64..4) {
+        let store = TraceStore::new(records);
+        let model = SocialModel::learn(&store, &config(), seed);
+        let pairs = mined_pairs(&store, &config());
+        prop_assert_eq!(model.known_pairs(), pairs.len());
+        prop_assert_eq!(model.is_trivial(), pairs.is_empty());
+    }
+
+    #[test]
+    fn estimated_demand_is_the_mined_estimate(records in records_strategy(), seed in 0u64..8) {
+        let store = TraceStore::new(records.clone());
+        let model = SocialModel::learn(&store, &config(), seed);
+        let demands = demand_estimates(&store, config().demand_ewma);
+        let fallback = median_demand(&demands);
         for &u in &query_ids(&records) {
+            let expected = demands.get(&u).copied().unwrap_or(fallback);
             prop_assert_eq!(
-                compiled.estimated_demand(u).as_f64().to_bits(),
                 model.estimated_demand(u).as_f64().to_bits(),
+                expected.as_f64().to_bits(),
                 "estimated_demand({}) diverged", u
             );
         }
@@ -113,41 +161,30 @@ proptest! {
         seed in 0u64..4,
     ) {
         let model = SocialModel::learn(&TraceStore::new(records.clone()), &config(), seed);
-        let compiled = CompiledModel::compile(&model);
         let member_ids: Vec<UserId> = members.into_iter().map(UserId::new).collect();
         let mut dense = Vec::new();
-        compiled.extend_dense(member_ids.iter().copied(), &mut dense);
+        model.extend_dense(member_ids.iter().copied(), &mut dense);
+        // std's float `Sum` folds from -0.0, so an empty list sums to -0.0.
         for &u in &query_ids(&records) {
-            let hashed: f64 = member_ids.iter().map(|&w| model.delta(u, w)).sum();
-            let fast = compiled.slot_cost(compiled.dense_or_unknown(u), &dense);
-            prop_assert_eq!(fast.to_bits(), hashed.to_bits(), "slot cost for {}", u);
+            let summed: f64 = member_ids.iter().map(|&w| model.delta(u, w)).sum();
+            let cost = model.slot_cost(model.dense_or_unknown(u), &dense);
+            prop_assert_eq!(cost.to_bits(), summed.to_bits(), "slot cost for {}", u);
         }
-    }
-
-    #[test]
-    fn compiled_size_metrics_match_model(records in records_strategy(), seed in 0u64..4) {
-        let model = SocialModel::learn(&TraceStore::new(records), &config(), seed);
-        let compiled = CompiledModel::compile(&model);
-        prop_assert_eq!(compiled.csr_entries(), model.known_pairs() * 2);
-        prop_assert_eq!(compiled.alpha().to_bits(), model.alpha().to_bits());
-        prop_assert_eq!(compiled.is_trivial(), model.is_trivial());
-        prop_assert_eq!(compiled.is_stale(), model.is_stale());
-        prop_assert_eq!(compiled.type_count(), model.type_count());
+        let unknown: f64 = member_ids.iter().map(|&w| model.delta(UserId::new(500), w)).sum();
+        prop_assert_eq!(model.slot_cost(NO_USER, &dense).to_bits(), unknown.to_bits());
+        prop_assert_eq!(model.slot_cost(NO_USER, &[]).to_bits(), (-0.0f64).to_bits());
     }
 }
 
-/// Compiling a trivial (empty) model preserves the degradation flags, and
-/// the selector built over it still engages the LLF fallback — compilation
-/// must never "launder" an unusable model into a trusted one.
+/// A trivial (empty) model engages the selector's LLF fallback: an
+/// unusable model is never trusted.
 #[test]
-fn trivial_model_survives_compilation_and_keeps_llf_fallback() {
+fn trivial_model_keeps_llf_fallback() {
     let model = SocialModel::learn(&TraceStore::new(vec![]), &config(), 0);
     assert!(model.is_trivial());
-    let compiled = CompiledModel::compile(&model);
-    assert!(compiled.is_trivial());
-    assert!(!compiled.is_stale());
-    assert_eq!(compiled.user_count(), 0);
-    assert_eq!(compiled.csr_entries(), 0);
+    assert!(!model.is_stale());
+    assert_eq!(model.known_pairs(), 0);
+    assert_eq!(model.delta(UserId::new(1), UserId::new(2)), 0.0);
     let selector = S3Selector::new(model, config());
     assert!(
         selector.is_degraded(),
@@ -159,7 +196,7 @@ fn trivial_model_survives_compilation_and_keeps_llf_fallback() {
 /// Same for a stale model from the incremental learner: one ingested day
 /// against the default 15-day look-back.
 #[test]
-fn stale_model_survives_compilation_and_keeps_llf_fallback() {
+fn stale_model_keeps_llf_fallback() {
     let mut records = Vec::new();
     for user in 1..=3u32 {
         let mut volume_by_app = [Bytes::ZERO; 6];
@@ -182,9 +219,6 @@ fn stale_model_survives_compilation_and_keeps_llf_fallback() {
     let model = learner.build_model();
     assert!(model.is_stale());
     assert!(!model.is_trivial());
-    let compiled = CompiledModel::compile(&model);
-    assert!(compiled.is_stale());
-    assert!(!compiled.is_trivial());
     let selector = S3Selector::new(model, config);
     assert!(selector.is_degraded(), "stale model must fall back to LLF");
 }

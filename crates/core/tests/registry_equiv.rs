@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use s3_core::{strategy_registry, CompiledModel, S3Config, S3Selector, SocialModel};
+use s3_core::{strategy_registry, S3Config, S3Selector, SocialModel};
 use s3_trace::generator::{CampusConfig, CampusGenerator};
 use s3_trace::TraceStore;
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst, LeastUsers, RandomSelector, StrongestRssi};
@@ -19,10 +19,7 @@ fn campus() -> (SimEngine, Vec<s3_trace::SessionDemand>) {
     (engine, campus.demands)
 }
 
-fn registry_run(
-    policy: &str,
-    artifact: Option<&Arc<CompiledModel>>,
-) -> Vec<s3_trace::SessionRecord> {
+fn registry_run(policy: &str, artifact: Option<&Arc<SocialModel>>) -> Vec<s3_trace::SessionRecord> {
     let (engine, demands) = campus();
     let mut selector = strategy_registry()
         .build(
@@ -78,8 +75,8 @@ fn random_matches_direct_construction() {
 #[test]
 fn s3_matches_direct_construction() {
     // Train once the way the CLI does (LLF replay of the first day), then
-    // compare a registry-built S³ over the shared compiled model against
-    // a hand-built one compiling its own copy.
+    // compare a registry-built S³ over the shared model against a
+    // hand-built one owning its own copy.
     let (engine, demands) = campus();
     let history: Vec<_> = demands
         .iter()
@@ -93,7 +90,7 @@ fn s3_matches_direct_construction() {
     };
     let model = SocialModel::learn(&log, &config, SEED);
 
-    let compiled = Arc::new(CompiledModel::compile(&model));
+    let shared = Arc::new(model.clone());
     let mut direct = S3Selector::new(model, config);
-    assert_eq!(registry_run("s3", Some(&compiled)), direct_run(&mut direct));
+    assert_eq!(registry_run("s3", Some(&shared)), direct_run(&mut direct));
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use std::sync::Arc;
 
-use s3_core::{strategy_registry, CompiledModel, S3Config, SocialModel};
+use s3_core::{strategy_registry, S3Config, SocialModel};
 use s3_trace::generator::CampusConfig;
 use s3_trace::{SessionDemand, TraceStore};
 use s3_types::{AppCategory, BuildingId, Bytes, ControllerId, Timestamp, UserId};
@@ -47,12 +47,15 @@ fn arbitrary_demands() -> impl Strategy<Value = Vec<SessionDemand>> {
     })
 }
 
-/// An S³ model trained on an empty log and compiled — structurally valid,
+/// An S³ model trained on an empty log, shared — structurally valid,
 /// all-default social indices — so the `needs_training` entry can run
 /// over arbitrary demands too.
-fn empty_model() -> Arc<CompiledModel> {
-    let model = SocialModel::learn(&TraceStore::new(Vec::new()), &S3Config::default(), 1);
-    Arc::new(CompiledModel::compile(&model))
+fn empty_model() -> Arc<SocialModel> {
+    Arc::new(SocialModel::learn(
+        &TraceStore::new(Vec::new()),
+        &S3Config::default(),
+        1,
+    ))
 }
 
 proptest! {
