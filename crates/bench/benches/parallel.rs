@@ -1,9 +1,8 @@
-//! Sequential vs parallel wall-clock for the four hot paths the
+//! Sequential vs parallel wall-clock for the three hot paths the
 //! deterministic execution layer covers: encounter extraction, the gap
-//! statistic, the clique distribution search, and a fig10-style parameter
-//! sweep. Each group benchmarks the same call at 1 and N threads; the
-//! outputs are bit-identical by construction, so the comparison is pure
-//! speedup.
+//! statistic, and a fig10-style parameter sweep. Each group benchmarks the
+//! same call at 1 and N threads; the outputs are bit-identical by
+//! construction, so the comparison is pure speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -11,7 +10,6 @@ use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
 use s3_bench::Scenario;
-use s3_core::batch::{assign_clique, ApSlot};
 use s3_core::{S3Config, S3Selector};
 use s3_stats::gap::{gap_statistic, GapConfig};
 use s3_stats::rng::dirichlet_symmetric;
@@ -106,37 +104,6 @@ fn bench_gap(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_clique_search(c: &mut Criterion) {
-    let mut group = c.benchmark_group("par_assign_clique_c6_m5");
-    // 5^6 = 15_625 candidates: inside the default enumeration limit.
-    let clique: Vec<UserId> = (0..6).map(UserId::new).collect();
-    let slots: Vec<ApSlot> = (0..5)
-        .map(|s| ApSlot {
-            load: s as f64 * 1e6,
-            capacity: 1e8,
-            members: (0..10).map(|w| UserId::new(100 + s * 10 + w)).collect(),
-        })
-        .collect();
-    let delta = |a: UserId, b: UserId| {
-        let (lo, hi) = (a.raw().min(b.raw()), a.raw().max(b.raw()));
-        ((lo * 31 + hi * 17) % 100) as f64 / 100.0
-    };
-    for threads in thread_counts() {
-        let config = S3Config {
-            threads,
-            ..S3Config::default()
-        };
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &config,
-            |b, config| {
-                b.iter(|| black_box(assign_clique(&clique, &slots, delta, |_| 1e4, config)))
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("par_fig10_style_sweep_tiny");
     group.sample_size(10);
@@ -171,11 +138,5 @@ fn bench_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_encounters,
-    bench_gap,
-    bench_clique_search,
-    bench_sweep
-);
+criterion_group!(benches, bench_encounters, bench_gap, bench_sweep);
 criterion_main!(benches);

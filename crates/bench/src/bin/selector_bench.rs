@@ -1,7 +1,8 @@
 //! Machine-readable selector micro-benchmark: δ-probes by user id and by
 //! dense id, slot-cost scans, the clique partition, the distribution
-//! search for a beam-sized and an enumerated clique, and end-to-end
-//! `select_batch` throughput.
+//! search for a beam-sized and an enumerated clique, end-to-end
+//! `select_batch` throughput, and the latency of a one-arrival
+//! `select_batch` shaped like the replay's median decision.
 //!
 //! It times each shape with hand-rolled median-of-repeats timing and
 //! writes one JSON document, so the numbers can be archived as a build
@@ -51,6 +52,11 @@ const SEARCH_RESIDENTS: usize = 12;
 const BEAM_CLIQUE: usize = 12;
 /// Enumerated clique: 8⁴ = 4 096 distributions, each scored.
 const ENUM_CLIQUE: usize = 4;
+/// APs and residents per AP of the one-arrival `select_batch`: the median
+/// replay decision places one user on a controller of 8 APs (the campus
+/// replay interns 426 200 residents over 13 600 batches, about 4 per AP).
+const MEDIAN_APS: usize = 8;
+const MEDIAN_RESIDENTS: u32 = 4;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -243,6 +249,17 @@ fn main() {
     let batch_ns = time_ns(iters.min(50), repeats, || {
         s3.select_batch(&users, &views).len() as f64
     });
+    // One trained arrival, not resident anywhere, on the median decision's
+    // controller.
+    let median_cands = candidates(MEDIAN_APS, MEDIAN_RESIDENTS);
+    let median_views = views_of(&median_cands);
+    let one = [ArrivalUser {
+        user: *ids.last().expect("the scenario has users"),
+        ..arrivals(1, MEDIAN_APS).remove(0)
+    }];
+    let one_arrival_ns = time_ns(iters * 16, repeats, || {
+        s3.select_batch(&one, &median_views).len() as f64
+    });
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -292,6 +309,16 @@ fn main() {
             ("users_per_sec", BATCH as f64 * 1e9 / batch_ns),
         ],
     );
+    doc.push_str(",\n");
+    json_section(
+        &mut doc,
+        "select_batch_one_arrival",
+        &[
+            ("aps", MEDIAN_APS as f64),
+            ("residents_per_ap", f64::from(MEDIAN_RESIDENTS)),
+            ("ns_per_call", one_arrival_ns),
+        ],
+    );
     doc.push_str("\n}\n");
 
     if let Some(dir) = out.parent() {
@@ -302,7 +329,8 @@ fn main() {
         "selector_bench delta user_id={user_id_ns:.1}ns dense_id={dense_ns:.1}ns \
          slot={slot_ns:.1}ns \
          partition ref={partition_reference_ns:.0}ns kernel={partition_kernel_ns:.0}ns \
-         search beam12={beam_ns:.0}ns enum4={enum_ns:.0}ns batch={batch_ns:.0}ns wrote={}",
+         search beam12={beam_ns:.0}ns enum4={enum_ns:.0}ns batch={batch_ns:.0}ns \
+         one_arrival={one_arrival_ns:.0}ns wrote={}",
         out.display()
     );
 }

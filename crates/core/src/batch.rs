@@ -12,20 +12,21 @@
 //! top-fraction-then-balance selection either way (documented deviation in
 //! DESIGN.md).
 //!
-//! The search creates no heap object per candidate or per beam child. The
-//! beam lives in flat arenas (one `u32` slot per member of each prefix plus
-//! one cost per prefix), a child is a `(cost, parent·m + slot)` pair, a
-//! scored distribution is a `Leaf` naming its enumeration code or beam
-//! position, and only the winner is decoded into an assignment. Every
+//! The search runs on the calling thread and creates no heap object per
+//! candidate or per beam child. The beam lives in flat arenas (one `u32`
+//! slot per member of each prefix plus one cost per prefix); a child and a
+//! capacity-feasible distribution (a leaf) are each one integer ranking
+//! `(cost, generation index)`. Every candidate pays only its social cost
+//! and capacity check: the balance index is computed for the short-listed
+//! leaves alone, and only the winner is decoded into an assignment. Every
 //! buffer, the cost tables included, lives in a `SearchWorkspace` the
 //! selector reuses from clique to clique (`docs/PERF.md`,
 //! "The distribution search").
 
-use std::cmp::Ordering;
-use std::sync::{Mutex, PoisonError};
+use std::sync::OnceLock;
 
 use s3_graph::SocialGraph;
-use s3_obs::{Desc, HistogramDesc, Stability, Unit};
+use s3_obs::{Counter, Desc, Histogram, HistogramDesc, Stability, Unit};
 use s3_stats::balance::normalized_balance_index;
 use s3_types::UserId;
 
@@ -34,71 +35,103 @@ use crate::{S3Config, SocialModel};
 #[cfg(test)]
 mod reference;
 
+/// A metric descriptor with its handle in the process-wide registry. The
+/// handle is fetched, which registers the metric, on first use and then
+/// kept: a registry lookup takes its mutex and walks its name map, while
+/// [`s3_obs::Registry::reset`] zeroes cells in place, so a kept handle
+/// stays live.
+struct Metric<D, H> {
+    desc: D,
+    handle: OnceLock<H>,
+}
+
+impl<D, H> Metric<D, H> {
+    const fn new(desc: D) -> Self {
+        Metric {
+            desc,
+            handle: OnceLock::new(),
+        }
+    }
+}
+
+impl Metric<Desc, Counter> {
+    fn get(&'static self) -> &'static Counter {
+        self.handle
+            .get_or_init(|| s3_obs::global().counter(&self.desc))
+    }
+}
+
+impl Metric<HistogramDesc, Histogram> {
+    fn get(&'static self) -> &'static Histogram {
+        self.handle
+            .get_or_init(|| s3_obs::global().histogram(&self.desc))
+    }
+}
+
 // Batch-selector metrics (documented in docs/METRICS.md). Hot-loop tallies
-// are accumulated locally and added once per enumeration block / beam
-// level, so the counter traffic is negligible and the totals are identical
-// for every thread count (every block scans the same code range).
-static CLIQUES_ASSIGNED: Desc = Desc {
+// are accumulated locally and added once per enumeration, beam level and
+// final beam scoring, so the counter traffic is negligible.
+static CLIQUES_ASSIGNED: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.batch.cliques_assigned",
     help: "Cliques placed by the batch distribution search",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static CLIQUE_SIZE: HistogramDesc = HistogramDesc {
+});
+static CLIQUE_SIZE: Metric<HistogramDesc, Histogram> = Metric::new(HistogramDesc {
     name: "core.batch.clique_size",
     help: "Members per assigned clique",
     unit: Unit::Count,
     stability: Stability::Stable,
     bounds: &[1, 2, 3, 4, 6, 8, 12, 16],
-};
-static CANDIDATES_ENUMERATED: Desc = Desc {
+});
+static CANDIDATES_ENUMERATED: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.batch.candidates_enumerated",
     help: "Candidate distributions decoded and scored (exhaustive and beam leaves)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static CAPACITY_REJECTIONS: Desc = Desc {
+});
+static CAPACITY_REJECTIONS: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.batch.capacity_rejections",
     help: "Candidate distributions discarded for violating AP capacity",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static BEAM_EXPANSIONS: Desc = Desc {
+});
+static BEAM_EXPANSIONS: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.batch.beam_expansions",
     help: "Partial assignments expanded by the beam search",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static BEAM_PRUNES: Desc = Desc {
+});
+static BEAM_PRUNES: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.batch.beam_prunes",
     help: "Partial assignments cut when truncating each beam level to beam_width",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static FALLBACKS: Desc = Desc {
+});
+static FALLBACKS: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.batch.fallbacks",
     help: "Cliques placed by least-loaded fallback (every distribution violated capacity)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static COST_TABLE_BUILDS: Desc = Desc {
+});
+static COST_TABLE_BUILDS: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.cost.table_builds",
     help: "CliqueCost tables built (one per clique placement)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static COST_DELTA_EVALS: Desc = Desc {
+});
+static COST_DELTA_EVALS: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.cost.delta_evals",
     help: "Fresh delta(u, w) evaluations while building CliqueCost tables (cache misses)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static COST_LOOKUPS: Desc = Desc {
+});
+static COST_LOOKUPS: Metric<Desc, Counter> = Metric::new(Desc {
     name: "core.cost.lookups",
     help: "Table-cell reads served from CliqueCost during candidate scoring (cache hits)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
+});
 
 /// A projected AP state during batch assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,16 +170,41 @@ impl SlotState {
     }
 }
 
-/// One scored, capacity-feasible distribution. `index` is its generation
-/// index: the enumeration code, or the position in the final beam. Leaves
-/// are produced in ascending `index` order, so ordering them by
-/// `(cost, index)` is the stable sort by cost Algorithm 1's short-list
-/// needs.
-#[derive(Debug, Clone, Copy)]
-struct Leaf {
-    index: usize,
-    cost: f64,
-    balance: f64,
+/// A `(cost, generation index)` pair packed into one integer that orders
+/// like the pair: the cost's bits above the index. A beam child's index is
+/// `parent·m + slot`; a leaf's (a capacity-feasible distribution) is its
+/// enumeration code or final-beam position. Both are generated in
+/// ascending index order, so ranking them is the stable sort by cost that
+/// the beam levels and Algorithm 1's short-list need.
+///
+/// The bits of an `f64` in `[+0.0, +∞]` ascend with its value, so on those
+/// costs the integer order is the `partial_cmp` order. Every cost the
+/// search ranks lies there: it is `+0.0` plus non-negative δ sums, and
+/// `+0.0 + −0.0` is `+0.0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Ranked(u128);
+
+impl Ranked {
+    /// # Panics
+    ///
+    /// Panics when `cost` is NaN or negative (`−0.0` included): its bits
+    /// would not rank by value.
+    fn new(cost: f64, index: usize) -> Ranked {
+        let bits = cost.to_bits();
+        assert!(
+            bits <= f64::INFINITY.to_bits(),
+            "social costs lie in [+0.0, +inf], got {cost}"
+        );
+        Ranked(u128::from(bits) << 64 | index as u128)
+    }
+
+    fn cost(self) -> f64 {
+        f64::from_bits((self.0 >> 64) as u64)
+    }
+
+    fn index(self) -> usize {
+        self.0 as u64 as usize
+    }
 }
 
 /// Builds the Section-IV social graph over `users`: vertices are indices
@@ -199,13 +257,12 @@ const MEMBER_EPSILON_BPS: f64 = 1.0;
 /// The search evaluates up to `enumeration_limit` candidates, each of which
 /// previously re-derived every `δ(u, w)` from scratch; building the tables
 /// once turns scoring into pure table lookups (`O(c·(m̄ + c))` δ calls total
-/// instead of per candidate) and makes candidate scoring a pure function —
-/// the prerequisite for fanning the search across threads.
+/// instead of per candidate).
 ///
 /// Both tables are flat row-major arrays (no per-row `Vec`), so scoring a
 /// candidate walks contiguous memory: `slot_entry[u·m + s]` and
 /// `pair[i·c + j]`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct CliqueCost {
     /// `slot_entry[u·m + s]` = Σ δ(clique[u], w) over slot `s`'s members.
     slot_entry: Vec<f64>,
@@ -277,38 +334,27 @@ impl CliqueCost {
     }
 
     fn record_build(c: usize, member_total: usize) {
-        let registry = s3_obs::global();
-        registry.counter(&COST_TABLE_BUILDS).inc();
-        registry
-            .counter(&COST_DELTA_EVALS)
+        COST_TABLE_BUILDS.get().inc();
+        COST_DELTA_EVALS
+            .get()
             .add((c * member_total + c * (c.saturating_sub(1)) / 2) as u64);
     }
 
-    /// Table cells a single [`CliqueCost::score`] call reads: one
+    /// Table cells a single [`CliqueCost::cost`] call reads: one
     /// `slot_entry` cell per member plus every ordered pair of members.
-    fn lookups_per_score(&self) -> u64 {
+    fn lookups_per_cost(&self) -> u64 {
         let c = self.demands.len();
         (c + c * (c.saturating_sub(1)) / 2) as u64
     }
 
-    /// Social cost + projected balance of a full assignment; the cost is
-    /// `+∞` when a slot's bandwidth constraint would break. `scratch` is
-    /// cleared and refilled — callers hold one per scoring run so the hot
-    /// loop performs no per-candidate allocation. Arithmetic (accumulation
-    /// order, capacity test, epsilon mix-in) is unchanged from the nested
-    /// `Vec` version, so scores are bit-identical.
-    fn score(
-        &self,
-        assignment: &[usize],
-        slots: &SlotArrays,
-        scratch: &mut ScoreScratch,
-    ) -> (f64, f64) {
+    /// Social cost of a full assignment, `+∞` when a slot's bandwidth
+    /// constraint would break. `scratch` is cleared and refilled, so the
+    /// scoring loop allocates nothing per candidate.
+    fn cost(&self, assignment: &[usize], slots: &SlotArrays, scratch: &mut ScoreScratch) -> f64 {
         let m = self.slots;
         let c = self.demands.len();
         scratch.added_demand.clear();
         scratch.added_demand.resize(m, 0.0);
-        scratch.added_members.clear();
-        scratch.added_members.resize(m, 0);
         let mut cost = 0.0;
         // Social cost: each placed user pays δ to existing members of its
         // slot and to clique members already placed on the same slot.
@@ -320,30 +366,46 @@ impl CliqueCost {
                 }
             }
             scratch.added_demand[slot] += self.demands[idx];
-            scratch.added_members[slot] += 1;
         }
         // Bandwidth constraint: any overloaded slot poisons the distribution.
-        scratch.loads.clear();
         for s in 0..m {
             let add = scratch.added_demand[s];
-            let load = slots.load[s] + add;
-            if load > slots.capacity[s] && add > 0.0 {
-                return (f64::INFINITY, 0.0);
+            if slots.load[s] + add > slots.capacity[s] && add > 0.0 {
+                return f64::INFINITY;
             }
+        }
+        cost
+    }
+
+    /// Normalized balance index of the loads a capacity-feasible
+    /// assignment projects: each slot's load plus the demand placed on it,
+    /// plus [`MEMBER_EPSILON_BPS`] per member after placement. Demands are
+    /// summed in member order, as [`CliqueCost::cost`] sums them.
+    fn balance(&self, assignment: &[usize], slots: &SlotArrays, scratch: &mut ScoreScratch) -> f64 {
+        let m = self.slots;
+        scratch.added_demand.clear();
+        scratch.added_demand.resize(m, 0.0);
+        scratch.added_members.clear();
+        scratch.added_members.resize(m, 0);
+        for (idx, &slot) in assignment.iter().enumerate() {
+            scratch.added_demand[slot] += self.demands[idx];
+            scratch.added_members[slot] += 1;
+        }
+        scratch.loads.clear();
+        for s in 0..m {
+            let load = slots.load[s] + scratch.added_demand[s];
             scratch.loads.push(
                 load + (slots.member_count[s] + scratch.added_members[s]) as f64
                     * MEMBER_EPSILON_BPS,
             );
         }
-        let balance = normalized_balance_index(&scratch.loads).unwrap_or(0.0);
-        (cost, balance)
+        normalized_balance_index(&scratch.loads).unwrap_or(0.0)
     }
 }
 
-/// Reusable per-candidate buffers for [`CliqueCost::score`]: the added
-/// demand / member tallies and the projected load vector. One lives in
-/// each work block of the [`SearchWorkspace`], so steady-state scoring
-/// allocates nothing per candidate.
+/// Reusable per-candidate buffers for [`CliqueCost::cost`] and
+/// [`CliqueCost::balance`]: the added demand / member tallies and the
+/// projected load vector.
 #[derive(Debug, Clone, Default)]
 struct ScoreScratch {
     added_demand: Vec<f64>,
@@ -355,7 +417,7 @@ struct ScoreScratch {
 /// three parallel arrays instead of a struct per slot, so the capacity
 /// check and load projection stream through contiguous f64s. Refilled
 /// once per clique placement.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SlotArrays {
     load: Vec<f64>,
     capacity: Vec<f64>,
@@ -375,12 +437,11 @@ impl SlotArrays {
 }
 
 /// Reusable working memory of the distribution search: the clique's cost
-/// tables and slot arrays, the beam arenas, the scored leaves and one
-/// buffer per fixed-size work block of the parallel fan-out. Every buffer
-/// is cleared before use, so a workspace carries no state from one search
-/// to the next; it only keeps their capacity. Cloning yields an empty
-/// workspace.
-#[derive(Debug, Default)]
+/// tables and slot arrays, the beam arenas, the ranked children and leaves
+/// and the scoring buffers. Every buffer is cleared before use, so a
+/// workspace carries no state from one search to the next; it only keeps
+/// their capacity.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SearchWorkspace {
     cost: CliqueCost,
     slots: SlotArrays,
@@ -392,68 +453,17 @@ pub(crate) struct SearchWorkspace {
     /// The next beam level, built from the survivors and then swapped in.
     next_prefixes: Vec<u32>,
     next_costs: Vec<f64>,
-    /// One beam level's children as `(cost, parent·m + slot)`: the second
-    /// field is the child's generation index.
-    children: Vec<(f64, usize)>,
-    /// Capacity-feasible scored distributions, in generation order.
-    leaves: Vec<Leaf>,
-    /// Per-block output and scratch. A block is only touched by the one
-    /// `par_map` work item that owns it, so its lock is never contended.
-    blocks: Vec<Mutex<Block>>,
-    /// The winning assignment, one slot per clique member.
-    assignment: Vec<usize>,
-}
-
-impl Clone for SearchWorkspace {
-    fn clone(&self) -> Self {
-        SearchWorkspace::default()
-    }
-}
-
-/// The buffers of one work block: the children or leaves it produces and
-/// the scratch it scores with.
-#[derive(Debug, Default)]
-struct Block {
-    children: Vec<(f64, usize)>,
-    leaves: Vec<Leaf>,
+    /// One beam level's children, ranked by `(cost, parent·m + slot)`.
+    children: Vec<Ranked>,
     /// A parent's added cost per slot while expanding a beam level.
     added: Vec<f64>,
-    /// The assignment being scored.
+    /// Capacity-feasible distributions ranked by `(cost, generation
+    /// index)`, pushed in generation order.
+    leaves: Vec<Ranked>,
+    /// The assignment being scored, and at the end the winner: one slot
+    /// per clique member.
     assignment: Vec<usize>,
     score: ScoreScratch,
-}
-
-impl Block {
-    /// Locks a block. Every user clears the buffers it reads, so a block
-    /// left behind by a panicked search is still valid to reuse.
-    fn lock(cell: &Mutex<Block>) -> std::sync::MutexGuard<'_, Block> {
-        cell.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn get_mut(cell: &mut Mutex<Block>) -> &mut Block {
-        cell.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// `blocks[..n]`, growing the pool to `n` blocks first.
-fn blocks(pool: &mut Vec<Mutex<Block>>, n: usize) -> &[Mutex<Block>] {
-    if pool.len() < n {
-        pool.resize_with(n, Mutex::default);
-    }
-    &pool[..n]
-}
-
-/// The order a stable sort by cost leaves candidates in when they were
-/// generated in ascending `index` order: cost under `partial_cmp`, then
-/// generation index.
-fn cost_order(a: (f64, usize), b: (f64, usize)) -> Ordering {
-    a.0.partial_cmp(&b.0)
-        .expect("finite costs")
-        .then(a.1.cmp(&b.1))
-}
-
-fn leaf_order(a: &Leaf, b: &Leaf) -> Ordering {
-    cost_order((a.cost, a.index), (b.cost, b.index))
 }
 
 /// Assigns every member of `clique` to a slot index, implementing the
@@ -463,7 +473,9 @@ fn leaf_order(a: &Leaf, b: &Leaf) -> Ordering {
 ///
 /// # Panics
 ///
-/// Panics if `slots` is empty while `clique` is not.
+/// Panics if `slots` is empty while `clique` is not, or if `delta` returns
+/// a negative or NaN social affinity (the search ranks costs by their
+/// bits).
 pub fn assign_clique<D, W>(
     clique: &[UserId],
     slots: &[ApSlot],
@@ -517,52 +529,48 @@ pub(crate) fn assign_clique_dense<'w>(
 }
 
 /// The enumerate-or-beam + top-fraction + balance search both entry points
-/// share once the workspace holds their cost tables and slot arrays.
+/// share once the workspace holds their cost tables and slot arrays. It
+/// runs on the calling thread, whatever `config.threads` says.
 fn search_distribution<'w>(ws: &'w mut SearchWorkspace, config: &S3Config) -> &'w [usize] {
-    let registry = s3_obs::global();
-    registry.counter(&CLIQUES_ASSIGNED).inc();
+    CLIQUES_ASSIGNED.get().inc();
     let c = ws.cost.demands.len();
-    registry.histogram(&CLIQUE_SIZE).observe(c as u64);
+    CLIQUE_SIZE.get().observe(c as u64);
     let m = ws.slots.load.len();
-    let threads = config.effective_threads();
 
     let space: Option<usize> = m
         .checked_pow(c as u32)
         .filter(|&s| s <= config.enumeration_limit);
     match space {
-        Some(total) => enumerate_all(ws, total, threads),
-        None => beam_search(ws, config.beam_width, threads),
+        Some(total) => enumerate_all(ws, total),
+        None => beam_search(ws, config.beam_width),
     }
 
-    let winner = select_best(&mut ws.leaves, config.top_fraction);
-    ws.assignment.clear();
+    let SearchWorkspace {
+        cost,
+        slots,
+        prefixes,
+        leaves,
+        assignment,
+        score,
+        ..
+    } = ws;
+    let enumerated = space.is_some();
+    assignment.clear();
+    assignment.resize(c, 0);
+    let winner = select_best(leaves, config.top_fraction, |leaf| {
+        write_leaf(enumerated, leaf, m, prefixes, assignment);
+        cost.balance(assignment, slots, score)
+    });
     match winner {
-        Some(code) if space.is_some() => {
-            ws.assignment.resize(c, 0);
-            decode(code, m, &mut ws.assignment);
-        }
-        Some(leaf) => ws.assignment.extend(
-            ws.prefixes[leaf * c..(leaf + 1) * c]
-                .iter()
-                .map(|&s| s as usize),
-        ),
+        Some(leaf) => write_leaf(enumerated, leaf, m, prefixes, assignment),
         None => {
-            registry.counter(&FALLBACKS).inc();
-            fallback_least_loaded(&ws.cost.demands, &ws.slots, &mut ws.assignment);
+            FALLBACKS.get().inc();
+            assignment.clear();
+            fallback_least_loaded(&cost.demands, slots, assignment);
         }
     }
-    &ws.assignment
+    assignment
 }
-
-/// Fixed number of codes (or final beam entries) each scoring work item
-/// decodes and scores. A constant block size keeps the work split — and
-/// hence the leaf order after the in-order gather — independent of the
-/// thread count.
-const ENUM_BLOCK: usize = 512;
-
-/// Fixed number of beam parents each expansion work item turns into
-/// children, for the same reason.
-const BEAM_BLOCK: usize = 64;
 
 /// Writes code `code`'s assignment: member `i` takes base-`m` digit `i`.
 fn decode(code: usize, m: usize, assignment: &mut [usize]) {
@@ -573,44 +581,42 @@ fn decode(code: usize, m: usize, assignment: &mut [usize]) {
     }
 }
 
-/// Scores every code in `0..total` into `ws.leaves`, in code order.
-fn enumerate_all(ws: &mut SearchWorkspace, total: usize, threads: usize) {
-    let registry = s3_obs::global();
-    let enumerated = registry.counter(&CANDIDATES_ENUMERATED);
-    let rejected = registry.counter(&CAPACITY_REJECTIONS);
-    let lookups = registry.counter(&COST_LOOKUPS);
-    let (table, slots) = (&ws.cost, &ws.slots);
-    let c = table.demands.len();
-    let m = slots.load.len();
-    let per_score = table.lookups_per_score();
-    let n = total.div_ceil(ENUM_BLOCK);
-    s3_par::par_map(blocks(&mut ws.blocks, n), threads, |b, cell| {
-        let mut guard = Block::lock(cell);
-        let block = &mut *guard;
-        let start = b * ENUM_BLOCK;
-        let end = (start + ENUM_BLOCK).min(total);
-        block.leaves.clear();
-        block.assignment.clear();
-        block.assignment.resize(c, 0);
-        for code in start..end {
-            decode(code, m, &mut block.assignment);
-            let (cost, balance) = table.score(&block.assignment, slots, &mut block.score);
-            if cost.is_finite() {
-                block.leaves.push(Leaf {
-                    index: code,
-                    cost,
-                    balance,
-                });
-            }
+/// Writes leaf `leaf`'s assignment, one slot per member: enumeration code
+/// `leaf`, or prefix `leaf` of the final beam.
+fn write_leaf(enumerated: bool, leaf: usize, m: usize, prefixes: &[u32], assignment: &mut [usize]) {
+    if enumerated {
+        decode(leaf, m, assignment);
+    } else {
+        let c = assignment.len();
+        for (slot, &s) in assignment
+            .iter_mut()
+            .zip(&prefixes[leaf * c..(leaf + 1) * c])
+        {
+            *slot = s as usize;
         }
-        // One counter add per 512-code block, not per candidate, keeps the
-        // atomics out of the scoring loop.
-        let scored = (end - start) as u64;
-        enumerated.add(scored);
-        rejected.add(scored - block.leaves.len() as u64);
-        lookups.add(scored * per_score);
-    });
-    gather_leaves(ws, n);
+    }
+}
+
+/// Costs every code in `0..total` into `ws.leaves`, in code order.
+fn enumerate_all(ws: &mut SearchWorkspace, total: usize) {
+    let c = ws.cost.demands.len();
+    let m = ws.slots.load.len();
+    ws.leaves.clear();
+    ws.assignment.clear();
+    ws.assignment.resize(c, 0);
+    for code in 0..total {
+        decode(code, m, &mut ws.assignment);
+        let cost = ws.cost.cost(&ws.assignment, &ws.slots, &mut ws.score);
+        if cost.is_finite() {
+            ws.leaves.push(Ranked::new(cost, code));
+        }
+    }
+    let scored = total as u64;
+    CANDIDATES_ENUMERATED.get().add(scored);
+    CAPACITY_REJECTIONS
+        .get()
+        .add(scored - ws.leaves.len() as u64);
+    COST_LOOKUPS.get().add(scored * ws.cost.lookups_per_cost());
 }
 
 /// Beam search over member-by-member prefixes, leaving the final beam's
@@ -621,14 +627,11 @@ fn enumerate_all(ws: &mut SearchWorkspace, total: usize, threads: usize) {
 /// member's slot in prefix order. Each slot therefore receives the pair
 /// terms of the earlier members placed on it in prefix order, the same
 /// additions in the same order as a per-slot scan of the prefix, so child
-/// costs do not depend on the row trick. Children are `(cost, p·m + slot)`
-/// pairs, kept by `select_nth_unstable_by` under [`cost_order`] and the
-/// survivors sorted: exactly the prefix of a stable sort by cost over
-/// children in generation order.
-fn beam_search(ws: &mut SearchWorkspace, beam_width: usize, threads: usize) {
-    let registry = s3_obs::global();
-    let expansions = registry.counter(&BEAM_EXPANSIONS);
-    let prunes = registry.counter(&BEAM_PRUNES);
+/// costs do not depend on the row trick. Children are ranked by
+/// `(cost, p·m + slot)`, kept by `select_nth_unstable` and the survivors
+/// sorted: exactly the prefix of a stable sort by cost over children in
+/// generation order.
+fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
     let c = ws.cost.demands.len();
     let m = ws.slots.load.len();
     assert!(
@@ -640,128 +643,100 @@ fn beam_search(ws: &mut SearchWorkspace, beam_width: usize, threads: usize) {
     ws.costs.push(0.0);
     for idx in 0..c {
         let parents = ws.costs.len();
-        expansions.add(parents as u64);
-        let n = parents.div_ceil(BEAM_BLOCK);
-        let (table, prefixes, costs) = (&ws.cost, &ws.prefixes, &ws.costs);
-        let entry = &table.slot_entry[idx * m..(idx + 1) * m];
-        s3_par::par_map(blocks(&mut ws.blocks, n), threads, |b, cell| {
-            let mut guard = Block::lock(cell);
-            let Block {
-                children, added, ..
-            } = &mut *guard;
-            children.clear();
-            for p in b * BEAM_BLOCK..((b + 1) * BEAM_BLOCK).min(parents) {
-                added.clear();
-                added.extend_from_slice(entry);
-                for (prev, &slot) in prefixes[p * idx..(p + 1) * idx].iter().enumerate() {
-                    added[slot as usize] += table.pair[prev * c + idx];
-                }
-                let base = costs[p];
-                children.extend(
-                    added
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &a)| (base + a, p * m + slot)),
-                );
-            }
-        });
+        BEAM_EXPANSIONS.get().add(parents as u64);
+        let entry = &ws.cost.slot_entry[idx * m..(idx + 1) * m];
         ws.children.clear();
-        for cell in &mut ws.blocks[..n] {
-            ws.children
-                .extend_from_slice(&Block::get_mut(cell).children);
+        for p in 0..parents {
+            ws.added.clear();
+            ws.added.extend_from_slice(entry);
+            for (prev, &slot) in ws.prefixes[p * idx..(p + 1) * idx].iter().enumerate() {
+                ws.added[slot as usize] += ws.cost.pair[prev * c + idx];
+            }
+            let base = ws.costs[p];
+            ws.children.extend(
+                ws.added
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &a)| Ranked::new(base + a, p * m + slot)),
+            );
         }
-        prunes.add(ws.children.len().saturating_sub(beam_width) as u64);
-        let order = |a: &(f64, usize), b: &(f64, usize)| cost_order(*a, *b);
+        BEAM_PRUNES
+            .get()
+            .add(ws.children.len().saturating_sub(beam_width) as u64);
         if ws.children.len() > beam_width {
-            ws.children.select_nth_unstable_by(beam_width - 1, order);
+            ws.children.select_nth_unstable(beam_width - 1);
             ws.children.truncate(beam_width);
         }
-        ws.children.sort_unstable_by(order);
+        ws.children.sort_unstable();
         ws.next_prefixes.clear();
         ws.next_costs.clear();
-        for &(cost, child) in &ws.children {
-            let parent = child / m;
+        for &child in &ws.children {
+            let parent = child.index() / m;
             ws.next_prefixes
                 .extend_from_slice(&ws.prefixes[parent * idx..(parent + 1) * idx]);
-            ws.next_prefixes.push((child % m) as u32);
-            ws.next_costs.push(cost);
+            ws.next_prefixes.push((child.index() % m) as u32);
+            ws.next_costs.push(child.cost());
         }
         std::mem::swap(&mut ws.prefixes, &mut ws.next_prefixes);
         std::mem::swap(&mut ws.costs, &mut ws.next_costs);
     }
 
     let beam = ws.costs.len();
-    let enumerated = registry.counter(&CANDIDATES_ENUMERATED);
-    let rejected = registry.counter(&CAPACITY_REJECTIONS);
-    let lookups = registry.counter(&COST_LOOKUPS);
-    enumerated.add(beam as u64);
-    lookups.add(beam as u64 * ws.cost.lookups_per_score());
-    // Final scoring runs in fixed-size blocks like the exhaustive path. The
-    // leaf costs come from `score`, not from the beam's running `cost +
-    // added`: the two sums associate differently and may round apart.
-    let (table, slots, prefixes) = (&ws.cost, &ws.slots, &ws.prefixes);
-    let n = beam.div_ceil(ENUM_BLOCK);
-    s3_par::par_map(blocks(&mut ws.blocks, n), threads, |b, cell| {
-        let mut guard = Block::lock(cell);
-        let block = &mut *guard;
-        block.leaves.clear();
-        for leaf in b * ENUM_BLOCK..((b + 1) * ENUM_BLOCK).min(beam) {
-            block.assignment.clear();
-            block.assignment.extend(
-                prefixes[leaf * c..(leaf + 1) * c]
-                    .iter()
-                    .map(|&s| s as usize),
-            );
-            let (cost, balance) = table.score(&block.assignment, slots, &mut block.score);
-            if cost.is_finite() {
-                block.leaves.push(Leaf {
-                    index: leaf,
-                    cost,
-                    balance,
-                });
-            }
-        }
-    });
-    gather_leaves(ws, n);
-    rejected.add((beam - ws.leaves.len()) as u64);
-}
-
-/// Concatenates the leaves of `blocks[..n]` into `ws.leaves`, in block
-/// order: the order a sequential scan would have produced them in.
-fn gather_leaves(ws: &mut SearchWorkspace, n: usize) {
+    CANDIDATES_ENUMERATED.get().add(beam as u64);
+    COST_LOOKUPS
+        .get()
+        .add(beam as u64 * ws.cost.lookups_per_cost());
+    // The leaf costs come from `CliqueCost::cost`, not from the beam's
+    // running `cost + added`: the two sums associate differently and may
+    // round apart.
     ws.leaves.clear();
-    for cell in &mut ws.blocks[..n] {
-        ws.leaves.extend_from_slice(&Block::get_mut(cell).leaves);
+    ws.assignment.clear();
+    ws.assignment.resize(c, 0);
+    for leaf in 0..beam {
+        write_leaf(false, leaf, m, &ws.prefixes, &mut ws.assignment);
+        let cost = ws.cost.cost(&ws.assignment, &ws.slots, &mut ws.score);
+        if cost.is_finite() {
+            ws.leaves.push(Ranked::new(cost, leaf));
+        }
     }
+    CAPACITY_REJECTIONS
+        .get()
+        .add((beam - ws.leaves.len()) as u64);
 }
 
 /// Algorithm 1's pick: short-list the `⌈n·top_fraction⌉` cheapest leaves
 /// (plus any within 1e-12 of the cut-off cost, so a set of equal-cost
-/// distributions is never split arbitrarily), then take the best balance,
-/// the later leaf in `(cost, index)` order winning a tie. Returns the
-/// winner's generation index, or `None` when no leaf is feasible.
+/// distributions is never split arbitrarily), then take the best
+/// `balance(leaf index)`, the later leaf in `(cost, index)` order winning
+/// a tie. `balance` is called once per short-listed leaf and for no other.
+/// Returns the winner's generation index, or `None` when no leaf is
+/// feasible.
 ///
 /// This is the stable sort by cost, truncation and `max_by` over balance
 /// of the textbook form, without the sort: the short-list is every leaf
 /// whose cost is at most the cut-off leaf's cost plus 1e-12, and
 /// `max_by` returns the last of equal maxima in sorted order.
-fn select_best(leaves: &mut [Leaf], top_fraction: f64) -> Option<usize> {
+fn select_best(
+    leaves: &mut [Ranked],
+    top_fraction: f64,
+    mut balance: impl FnMut(usize) -> f64,
+) -> Option<usize> {
     if leaves.is_empty() {
         return None;
     }
     let keep = ((leaves.len() as f64 * top_fraction).ceil() as usize).clamp(1, leaves.len());
-    let (_, cut, _) = leaves.select_nth_unstable_by(keep - 1, leaf_order);
-    let bound = cut.cost + 1e-12;
+    let (_, cut, _) = leaves.select_nth_unstable(keep - 1);
+    let bound = cut.cost() + 1e-12;
     leaves
         .iter()
-        .filter(|leaf| leaf.cost <= bound)
+        .filter(|leaf| leaf.cost() <= bound)
+        .map(|&leaf| (balance(leaf.index()), leaf))
         .max_by(|a, b| {
-            a.balance
-                .partial_cmp(&b.balance)
+            a.0.partial_cmp(&b.0)
                 .expect("finite balance")
-                .then_with(|| leaf_order(a, b))
+                .then(a.1.cmp(&b.1))
         })
-        .map(|leaf| leaf.index)
+        .map(|(_, leaf)| leaf.index())
 }
 
 /// Places members one by one on the currently least-loaded slot (the first
@@ -782,6 +757,11 @@ fn fallback_least_loaded(demands: &[f64], slots: &SlotArrays, assignment: &mut V
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
     use super::*;
 
     fn user(i: u32) -> UserId {
@@ -923,7 +903,7 @@ mod tests {
         let mut arrays = SlotArrays::default();
         arrays.fill(&states);
         let mut scratch = ScoreScratch::default();
-        let mut cost = |assignment: &[usize]| cache.score(assignment, &arrays, &mut scratch).0;
+        let mut cost = |assignment: &[usize]| cache.cost(assignment, &arrays, &mut scratch);
         assert!((cost(&full) - cost(&beamed)).abs() < 1e-9);
     }
 
@@ -955,5 +935,163 @@ mod tests {
         assert!(!g.has_edge(0, 2));
         assert!(!g.has_edge(1, 2));
         assert_eq!(g.weight(0, 1), 0.8);
+    }
+
+    /// The comparator the beam levels and the short-list ranked with
+    /// before integer keys: cost under `partial_cmp`, then generation index.
+    fn cost_order(a: (f64, usize), b: (f64, usize)) -> Ordering {
+        a.0.partial_cmp(&b.0)
+            .expect("finite costs")
+            .then(a.1.cmp(&b.1))
+    }
+
+    #[test]
+    fn ranked_orders_like_cost_order() {
+        let costs = [
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let pairs: Vec<(f64, usize)> = costs
+            .iter()
+            .flat_map(|&cost| [0, 1, 2_047, usize::MAX].map(|index| (cost, index)))
+            .collect();
+        for &a in &pairs {
+            let ranked = Ranked::new(a.0, a.1);
+            assert_eq!(ranked.cost().to_bits(), a.0.to_bits());
+            assert_eq!(ranked.index(), a.1);
+            for &b in &pairs {
+                assert_eq!(
+                    ranked.cmp(&Ranked::new(b.0, b.1)),
+                    cost_order(a, b),
+                    "{a:?} against {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "social costs lie in [+0.0, +inf]")]
+    fn nan_child_cost_panics() {
+        let clique = vec![user(1), user(2)];
+        let mut slots = empty_slots(2);
+        slots[0].members.push(user(9));
+        let beam = S3Config {
+            enumeration_limit: 0,
+            ..config()
+        };
+        let _ = assign_clique(&clique, &slots, |_, _| f64::NAN, |_| 1e4, &beam);
+    }
+
+    /// Algorithm 1's pick as it was written before the balance index moved
+    /// into [`select_best`]: every leaf `(index, cost, balance)` scored, in
+    /// generation order, stable-sorted by cost, cut after
+    /// `⌈n·top_fraction⌉` plus the ties within 1e-12, last maximum balance.
+    fn full_scoring_pick(leaves: &[(usize, f64, f64)], top_fraction: f64) -> Option<usize> {
+        if leaves.is_empty() {
+            return None;
+        }
+        let mut sorted = leaves.to_vec();
+        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
+        let mut keep =
+            ((sorted.len() as f64 * top_fraction).ceil() as usize).clamp(1, sorted.len());
+        let boundary = sorted[keep - 1].1;
+        while keep < sorted.len() && sorted[keep].1 <= boundary + 1e-12 {
+            keep += 1;
+        }
+        sorted.truncate(keep);
+        sorted
+            .into_iter()
+            .max_by(|a, b| a.2.partial_cmp(&b.2).expect("finite balance"))
+            .map(|leaf| leaf.0)
+    }
+
+    /// [`select_best`] over the same leaves (`leaves[i]` has generation
+    /// index `i`), with the leaf indices its balance function was called
+    /// for, sorted.
+    fn short_list_pick(
+        leaves: &[(usize, f64, f64)],
+        top_fraction: f64,
+    ) -> (Option<usize>, Vec<usize>) {
+        let mut ranked: Vec<Ranked> = leaves
+            .iter()
+            .map(|&(index, cost, _)| Ranked::new(cost, index))
+            .collect();
+        let mut calls = Vec::new();
+        let winner = select_best(&mut ranked, top_fraction, |index| {
+            calls.push(index);
+            leaves[index].2
+        });
+        calls.sort_unstable();
+        (winner, calls)
+    }
+
+    #[test]
+    fn select_best_scores_balance_for_the_short_list_only() {
+        // Ten leaves keep three: the cut-off is leaf 2 at cost 2.0. Leaves
+        // 3 and 8 tie it exactly and leaf 4 sits 5e-13 above it, so all
+        // three are short-listed; leaf 5, 2e-12 above, is not, nor are the
+        // dearer leaves 7 (best balance of all) and 0 and 9.
+        let costs = [
+            3.0,
+            1.0,
+            2.0,
+            2.0,
+            2.0 + 5e-13,
+            2.0 + 2e-12,
+            0.5,
+            5.0,
+            2.0,
+            4.0,
+        ];
+        let balances = [0.1, 0.7, 0.9, 0.9, 0.2, 0.95, 0.3, 0.99, 0.9, 0.5];
+        let leaves: Vec<(usize, f64, f64)> = (0..costs.len())
+            .map(|i| (i, costs[i], balances[i]))
+            .collect();
+        let (winner, calls) = short_list_pick(&leaves, 0.3);
+        assert_eq!(calls, vec![1, 2, 3, 4, 6, 8]);
+        // Leaves 2, 3 and 8 tie on balance and cost; the last in
+        // generation order wins, as `max_by` after a stable sort picks it.
+        assert_eq!(winner, Some(8));
+        assert_eq!(winner, full_scoring_pick(&leaves, 0.3));
+        assert_eq!(short_list_pick(&[], 0.3), (None, Vec::new()));
+    }
+
+    #[test]
+    fn select_best_picks_what_full_scoring_picks() {
+        let costs = [0.0, 0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 2.0];
+        let balances = [0.1, 0.5, 0.9];
+        let mut rng = StdRng::seed_from_u64(11);
+        for case in 0..500 {
+            let n = rng.random_range(1..40usize);
+            let top_fraction = [0.1, 0.3, 1.0][rng.random_range(0..3usize)];
+            let leaves: Vec<(usize, f64, f64)> = (0..n)
+                .map(|i| {
+                    let cost = costs[rng.random_range(0..costs.len())];
+                    (i, cost, balances[rng.random_range(0..balances.len())])
+                })
+                .collect();
+            let mut sorted: Vec<f64> = leaves.iter().map(|leaf| leaf.1).collect();
+            sorted.sort_by(f64::total_cmp);
+            let keep = ((n as f64 * top_fraction).ceil() as usize).clamp(1, n);
+            let bound = sorted[keep - 1] + 1e-12;
+            let short_list: Vec<usize> = leaves
+                .iter()
+                .filter(|leaf| leaf.1 <= bound)
+                .map(|leaf| leaf.0)
+                .collect();
+            let (winner, calls) = short_list_pick(&leaves, top_fraction);
+            assert_eq!(calls, short_list, "case {case}: {leaves:?}");
+            assert_eq!(
+                winner,
+                full_scoring_pick(&leaves, top_fraction),
+                "case {case}: {leaves:?}"
+            );
+        }
     }
 }

@@ -1,13 +1,14 @@
 //! The exact-answer oracle for the distribution search: the original
 //! `Vec`-per-candidate enumeration, beam and selection, kept verbatim
-//! except that they publish no metrics, and a property test holding
-//! [`super::assign_clique`] to their answers.
+//! except that they publish no metrics and run sequentially, and a
+//! property test holding [`super::assign_clique`] to their answers.
 //!
 //! The reference clones an owned assignment into every candidate and every
-//! beam child and stable-sorts `(Vec, f64)` tuples, which is slow but
-//! obviously faithful to Algorithm 1's "sort by cost, keep the top
-//! fraction, take the best balance" wording. The production search must
-//! return the same assignment for every input, including every tie.
+//! beam child, scores every candidate's balance, and stable-sorts
+//! `(Vec, f64)` tuples, which is slow but obviously faithful to
+//! Algorithm 1's "sort by cost, keep the top fraction, take the best
+//! balance" wording. The production search must return the same
+//! assignment for every input, including every tie.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,17 +40,58 @@ fn assign(
     let states: Vec<SlotState> = slots.iter().map(SlotState::of).collect();
     let c = cache.demands.len();
     let m = states.len();
-    let threads = config.effective_threads();
     let mut slots = SlotArrays::default();
     slots.fill(&states);
     let space: Option<usize> = m
         .checked_pow(c as u32)
         .filter(|&s| s <= config.enumeration_limit);
     let candidates: Vec<Candidate> = match space {
-        Some(total) => enumerate_all(total, m, c, &cache, &slots, threads),
-        None => beam_search(m, c, &cache, &slots, config.beam_width, threads),
+        Some(total) => enumerate_all(total, m, c, &cache, &slots),
+        None => beam_search(m, c, &cache, &slots, config.beam_width),
     };
     select_best(candidates, config).unwrap_or_else(|| fallback_least_loaded(&cache.demands, &slots))
+}
+
+/// `CliqueCost::score` as it was before the search split it into
+/// [`CliqueCost::cost`] and [`CliqueCost::balance`]: social cost and
+/// projected balance of a full assignment, the cost `+∞` when a slot's
+/// bandwidth constraint would break.
+fn score(
+    cache: &CliqueCost,
+    assignment: &[usize],
+    slots: &SlotArrays,
+    scratch: &mut ScoreScratch,
+) -> (f64, f64) {
+    let m = cache.slots;
+    let c = cache.demands.len();
+    scratch.added_demand.clear();
+    scratch.added_demand.resize(m, 0.0);
+    scratch.added_members.clear();
+    scratch.added_members.resize(m, 0);
+    let mut cost = 0.0;
+    for (idx, &slot) in assignment.iter().enumerate() {
+        cost += cache.slot_entry[idx * m + slot];
+        for (prev_idx, &prev_slot) in assignment[..idx].iter().enumerate() {
+            if prev_slot == slot {
+                cost += cache.pair[prev_idx * c + idx];
+            }
+        }
+        scratch.added_demand[slot] += cache.demands[idx];
+        scratch.added_members[slot] += 1;
+    }
+    scratch.loads.clear();
+    for s in 0..m {
+        let add = scratch.added_demand[s];
+        let load = slots.load[s] + add;
+        if load > slots.capacity[s] && add > 0.0 {
+            return (f64::INFINITY, 0.0);
+        }
+        scratch.loads.push(
+            load + (slots.member_count[s] + scratch.added_members[s]) as f64 * MEMBER_EPSILON_BPS,
+        );
+    }
+    let balance = normalized_balance_index(&scratch.loads).unwrap_or(0.0);
+    (cost, balance)
 }
 
 fn enumerate_all(
@@ -58,34 +100,26 @@ fn enumerate_all(
     c: usize,
     cache: &CliqueCost,
     slots: &SlotArrays,
-    threads: usize,
 ) -> Vec<Candidate> {
-    let block_starts: Vec<usize> = (0..total).step_by(ENUM_BLOCK).collect();
-    let blocks = s3_par::par_map(&block_starts, threads, |_, &start| {
-        let end = (start + ENUM_BLOCK).min(total);
-        let mut out = Vec::new();
-        let mut assignment = vec![0usize; c];
-        let mut scratch = ScoreScratch::default();
-        for code in start..end {
-            let mut x = code;
-            for slot in assignment.iter_mut() {
-                *slot = x % m;
-                x /= m;
-            }
-            let (cost, balance) = cache.score(&assignment, slots, &mut scratch);
-            if cost.is_finite() {
-                out.push(Candidate {
-                    assignment: assignment.clone(),
-                    cost,
-                    balance,
-                });
-            }
+    let mut out = Vec::new();
+    let mut assignment = vec![0usize; c];
+    let mut scratch = ScoreScratch::default();
+    for code in 0..total {
+        let mut x = code;
+        for slot in assignment.iter_mut() {
+            *slot = x % m;
+            x /= m;
         }
-        out
-    });
-    // Blocks come back in ascending code order, so the candidate list is
-    // identical to a sequential scan over 0..total.
-    blocks.into_iter().flatten().collect()
+        let (cost, balance) = score(cache, &assignment, slots, &mut scratch);
+        if cost.is_finite() {
+            out.push(Candidate {
+                assignment: assignment.clone(),
+                cost,
+                balance,
+            });
+        }
+    }
+    out
 }
 
 fn beam_search(
@@ -94,61 +128,43 @@ fn beam_search(
     cache: &CliqueCost,
     slots: &SlotArrays,
     beam_width: usize,
-    threads: usize,
 ) -> Vec<Candidate> {
     // Partial state: assignment prefix and its social cost so far.
     let mut beam: Vec<(Vec<usize>, f64)> = vec![(Vec::new(), 0.0)];
     for idx in 0..c {
-        // Expanding a prefix touches nothing but the cache, so the beam
-        // fans out across threads; flattening in prefix order followed by a
-        // *stable* sort reproduces the sequential beam exactly.
-        let mut next: Vec<(Vec<usize>, f64)> =
-            s3_par::par_map(&beam, threads, |_, (prefix, cost)| {
-                let c = cache.demands.len();
-                let mut children = Vec::with_capacity(m);
-                for slot in 0..m {
-                    let mut added = cache.slot_entry[idx * m + slot];
-                    for (prev_idx, &prev_slot) in prefix.iter().enumerate() {
-                        if prev_slot == slot {
-                            added += cache.pair[prev_idx * c + idx];
-                        }
+        // Children in prefix order followed by a *stable* sort: ties keep
+        // their generation order.
+        let mut next: Vec<(Vec<usize>, f64)> = Vec::new();
+        for (prefix, cost) in &beam {
+            for slot in 0..m {
+                let mut added = cache.slot_entry[idx * m + slot];
+                for (prev_idx, &prev_slot) in prefix.iter().enumerate() {
+                    if prev_slot == slot {
+                        added += cache.pair[prev_idx * c + idx];
                     }
-                    let mut assignment = prefix.clone();
-                    assignment.push(slot);
-                    children.push((assignment, cost + added));
                 }
-                children
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+                let mut assignment = prefix.clone();
+                assignment.push(slot);
+                next.push((assignment, cost + added));
+            }
+        }
         next.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
         next.truncate(beam_width);
         beam = next;
     }
-    // Final scoring runs in fixed-size blocks like the exhaustive path, so
-    // each work item reuses one scratch across its block; blocks come back
-    // in beam order, preserving the sequential candidate list.
-    let block_starts: Vec<usize> = (0..beam.len()).step_by(ENUM_BLOCK).collect();
-    s3_par::par_map(&block_starts, threads, |_, &start| {
-        let end = (start + ENUM_BLOCK).min(beam.len());
-        let mut scratch = ScoreScratch::default();
-        let mut out = Vec::new();
-        for (assignment, _) in &beam[start..end] {
-            let (cost, balance) = cache.score(assignment, slots, &mut scratch);
-            if cost.is_finite() {
-                out.push(Candidate {
-                    assignment: assignment.clone(),
-                    cost,
-                    balance,
-                });
-            }
+    let mut scratch = ScoreScratch::default();
+    let mut out = Vec::new();
+    for (assignment, _) in &beam {
+        let (cost, balance) = score(cache, assignment, slots, &mut scratch);
+        if cost.is_finite() {
+            out.push(Candidate {
+                assignment: assignment.clone(),
+                cost,
+                balance,
+            });
         }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    }
+    out
 }
 
 fn select_best(mut candidates: Vec<Candidate>, config: &S3Config) -> Option<Vec<usize>> {
@@ -244,8 +260,69 @@ fn tied_delta(seed: u64, a: UserId, b: UserId) -> f64 {
     [0.0, 0.5, 1.0][(h % 3) as usize]
 }
 
+/// A search input whose loads, capacities, demands and δ are arbitrary
+/// doubles, so that reassociating a sum changes its low bits; some slots
+/// are idle, so that a projected load is the placed demand alone, and
+/// capacities sit near their loads often enough to reject some
+/// distributions.
+fn ragged_input(c: usize, m: usize, seed: u64) -> (CliqueCost, SlotArrays, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let clique: Vec<UserId> = (0..c as u32).map(UserId::new).collect();
+    let slots: Vec<ApSlot> = (0..m)
+        .map(|s| {
+            let load = [0.0, rng.random_range(0.0..5e7)][rng.random_range(0..2usize)];
+            ApSlot {
+                load,
+                capacity: load + rng.random_range(0.0..1e7),
+                members: (0..rng.random_range(0..4u32))
+                    .map(|j| UserId::new(100 + 10 * s as u32 + j))
+                    .collect(),
+            }
+        })
+        .collect();
+    let demands: Vec<f64> = (0..c).map(|_| rng.random_range(0.0..2e6)).collect();
+    let pair_seed = rng.random_range(0..u64::MAX);
+    let delta = |a: UserId, b: UserId| {
+        if a == b {
+            return 0.0;
+        }
+        let (lo, hi) = (a.raw().min(b.raw()) as u64, a.raw().max(b.raw()) as u64);
+        StdRng::seed_from_u64(pair_seed ^ (lo << 32) ^ hi).random_range(0.0..1.0)
+    };
+    let cache = CliqueCost::new(&clique, &slots, &delta, &|u: UserId| {
+        demands[u.raw() as usize]
+    });
+    let states: Vec<SlotState> = slots.iter().map(SlotState::of).collect();
+    let mut arrays = SlotArrays::default();
+    arrays.fill(&states);
+    let assignment = (0..c).map(|_| rng.random_range(0..m)).collect();
+    (cache, arrays, assignment)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn split_scoring_is_bit_equal_to_score(
+        c in 1usize..=8,
+        m in 1usize..=8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (cache, slots, assignment) = ragged_input(c, m, seed);
+        let mut scratch = ScoreScratch::default();
+        let (cost, balance) = score(&cache, &assignment, &slots, &mut scratch);
+        let loads: Vec<u64> = scratch.loads.iter().map(|l| l.to_bits()).collect();
+        let split = cache.cost(&assignment, &slots, &mut scratch);
+        prop_assert_eq!(split.to_bits(), cost.to_bits());
+        if cost.is_finite() {
+            let split = cache.balance(&assignment, &slots, &mut scratch);
+            prop_assert_eq!(split.to_bits(), balance.to_bits());
+            // The balance index absorbs most low-bit differences, so the
+            // projected loads it reads are compared too.
+            let split: Vec<u64> = scratch.loads.iter().map(|l| l.to_bits()).collect();
+            prop_assert_eq!(split, loads);
+        }
+    }
 
     #[test]
     fn search_returns_the_reference_assignment(

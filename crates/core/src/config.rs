@@ -40,10 +40,11 @@ pub struct S3Config {
     /// day) usage profile — the paper's future-work direction. Off by
     /// default to match the published pipeline.
     pub temporal_features: bool,
-    /// Worker threads for training (event mining, clustering) and the
-    /// batch distribution search; `0` means "auto" (resolved through
-    /// [`s3_par::resolve_threads`]). Every parallel path is deterministic,
-    /// so results are identical for any value.
+    /// Worker threads for training (event mining, clustering); `0` means
+    /// "auto" (resolved through [`s3_par::resolve_threads`]). Every
+    /// parallel path is deterministic, so results are identical for any
+    /// value. Selection, the batch distribution search included, always
+    /// runs on the calling thread.
     pub threads: usize,
 }
 

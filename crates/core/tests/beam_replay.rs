@@ -4,10 +4,11 @@
 //! arrival batch, so the clique partition hands the distribution search
 //! cliques of five or more members on eight APs: more than
 //! `enumeration_limit` distributions, so they take the beam. The test trains
-//! on week 1, replays week 2 under S³ at one and at four search threads,
-//! and compares FNV-1a digests of the session CSV and of the per-user
-//! [`DecisionMeta`] sequence against constants recorded from the
-//! `Vec`-per-child beam the flat-arena search replaced. Search state that
+//! on week 1, replays week 2 under S³ with `threads` set to 1 and to 4 (the
+//! search runs on the calling thread either way), and compares FNV-1a
+//! digests of the session CSV and of the per-user [`DecisionMeta`]
+//! sequence against constants recorded from the `Vec`-per-child beam the
+//! flat-arena search replaced. Search state that
 //! leaks from one clique or batch into the next changes an assignment and
 //! with it both digests.
 //!

@@ -1,11 +1,11 @@
 //! Deterministic parallel execution helpers.
 //!
-//! Every hot path of the S3 pipeline — pairwise event mining, k-means, the
-//! gap statistic's reference fits, Algorithm 1's `mᶜ` distribution search
-//! and the figure sweeps — is embarrassingly parallel, but the repository
-//! guarantees **bit-for-bit reproducibility**: for a fixed seed, every
-//! experiment binary must write byte-identical CSVs regardless of thread
-//! count. This crate provides the primitive those paths need, built on
+//! The S3 pipeline's training and analysis paths — pairwise event mining,
+//! k-means, the gap statistic's reference fits — and the figure sweeps are
+//! embarrassingly parallel, but the repository guarantees **bit-for-bit
+//! reproducibility**: for a fixed seed, every experiment binary must write
+//! byte-identical CSVs regardless of thread count. This crate provides the
+//! primitive those paths need, built on
 //! [`std::thread::scope`] (zero dependencies), with determinism as a
 //! structural property rather than a convention: [`par_map`] is an
 //! order-preserving map — the output vector is ordered by input index, no
