@@ -1,11 +1,10 @@
 //! Ablation (not a paper figure): S³ against the full baseline spectrum —
 //! strongest-RSSI (the 802.11 default), random, least-users, LLF — plus an
-//! S³ variant with α = 0 (pair term only) and an untrained S³ (no social
-//! model at all, isolating the demand-aware balance tie-break).
+//! S³ variant with α = 0 (pair term only). An untrained S³ is not a row:
+//! an empty model engages the selector's LLF fallback, so it replays LLF.
 
 use s3_bench::{fmt, write_csv, Args, Scenario};
-use s3_core::{S3Config, S3Selector, SocialModel};
-use s3_trace::TraceStore;
+use s3_core::{S3Config, S3Selector};
 use s3_types::TimeDelta;
 use s3_wlan::metrics::mean_active_balance_filtered;
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst, LeastUsers, RandomSelector, StrongestRssi};
@@ -23,17 +22,12 @@ fn main() {
     };
     let trained = scenario.train_s3(&default_config, args.seed);
     let trained_zero_alpha = scenario.train_s3(&zero_alpha, args.seed);
-    let untrained = SocialModel::learn(&TraceStore::new(vec![]), &default_config, args.seed);
 
     let mut policies: Vec<(&str, Box<dyn ApSelector>)> = vec![
         ("strongest-rssi", Box::new(StrongestRssi::new())),
         ("random", Box::new(RandomSelector::new(args.seed))),
         ("least-users", Box::new(LeastUsers::new())),
         ("llf", Box::new(LeastLoadedFirst::new())),
-        (
-            "s3-untrained",
-            Box::new(S3Selector::new(untrained, default_config.clone())),
-        ),
         (
             "s3-alpha0",
             Box::new(S3Selector::new(trained_zero_alpha, zero_alpha)),

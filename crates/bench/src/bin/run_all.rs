@@ -21,7 +21,6 @@ fn main() {
         "ablation_baselines",
         "ablation_staleness",
         "ablation_migration",
-        "ablation_features",
         "ablation_incremental",
         "ablation_saturation",
         "ablation_seeds",

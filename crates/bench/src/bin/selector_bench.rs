@@ -187,7 +187,7 @@ fn main() {
     let mut member_dense = Vec::new();
     model.extend_dense(member_ids.iter().copied(), &mut member_dense);
     let slot_ns = time_ns(iters * 16, repeats, || {
-        model.slot_cost(arrival_dense, &member_dense)
+        model.slot_cost(arrival_dense, &member_dense) as f64
     });
 
     // Tier 2.5: clique partition of the trained social graph over the

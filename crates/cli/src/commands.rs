@@ -25,7 +25,7 @@ use s3_types::{ApId, ControllerId, TimeDelta, Timestamp, UserId};
 use s3_wlan::engine::{
     check_log, trace_header, CollectSink, RunTotals, SliceSource, TraceChecker, TraceSink,
 };
-use s3_wlan::metrics::{mean_active_balance_filtered, StreamingBalance};
+use s3_wlan::metrics::{mean_active_balance_filtered, StreamingBalance, BALANCE_HORIZON_DAYS};
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst};
 use s3_wlan::{
     EngineError, RebalanceConfig, RecordSink, SimConfig, SimEngine, StreamSource, Topology,
@@ -541,6 +541,21 @@ fn replay<W: Write>(
         out_path.display(),
         if stream { " (streamed)" } else { "" }
     )?;
+    report_balance(balance, out)?;
+    Ok(())
+}
+
+/// Prints the mean daytime balance index `balance` accumulated, after the
+/// count of sessions it left out for ending past its horizon.
+fn report_balance<W: Write>(balance: StreamingBalance, out: &mut W) -> std::io::Result<()> {
+    let late = balance.past_horizon();
+    if late > 0 {
+        writeln!(
+            out,
+            "balance index: {late} sessions ending {BALANCE_HORIZON_DAYS} or more days after \
+             the first session's day left out"
+        )?;
+    }
     if let Some(b) = balance.finish(daytime) {
         writeln!(out, "mean daytime balance index: {b:.4}")?;
     }
@@ -757,9 +772,7 @@ fn analyze<W: Write>(
     }
 
     let bin = TimeDelta::minutes(REPORT_BIN_MINUTES);
-    if let Some(balance) = mean_active_balance_filtered(&store, bin, daytime) {
-        writeln!(out, "mean daytime balance index: {balance:.4}")?;
-    }
+    report_balance(StreamingBalance::of_store(&store, bin), out)?;
 
     let effective_threads = s3_par::resolve_threads(Some(threads).filter(|&t| t > 0));
 

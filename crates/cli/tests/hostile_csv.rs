@@ -3,7 +3,8 @@
 //! whose largest building id is 4·10⁹ must end each command with exit 0
 //! or 2 and a message — never a panic or an allocation abort. Replaying the
 //! building-id edit must be refused by name: the topology it implies holds
-//! 3.2·10¹⁰ APs.
+//! 3.2·10¹⁰ APs. A session timestamped near 2⁶⁴ s must be left out of the
+//! balance index, and counted.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -137,4 +138,64 @@ fn refused(args: &[&str]) {
         stderr.contains("building id 4000000000"),
         "{args:?}: {stderr}"
     );
+}
+
+/// One row's interval moved to 1.8·10¹⁹ s: `replay`, `replay --stream`
+/// (the edit on the last row, so the file stays sorted) and `analyze` (on
+/// the edit relabelled as a session CSV) finish, and say that the balance
+/// index left one session out.
+#[test]
+fn a_timestamp_near_2_64_is_left_out_of_the_balance_index() {
+    let dir = std::env::temp_dir().join("s3_cli_hostile_timestamps");
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.csv");
+    generate(&clean, None);
+    let text = std::fs::read_to_string(&clean).unwrap();
+    let far = |row: &str| {
+        let mut fields: Vec<&str> = row.split(',').collect();
+        fields[3] = "18000000000000000000";
+        fields[4] = "18000000000000000100";
+        fields.join(",")
+    };
+    let (middle, last, sessions) = (
+        dir.join("middle.csv"),
+        dir.join("last.csv"),
+        dir.join("s.csv"),
+    );
+    let edited = edit_line(&text, 50, far);
+    std::fs::write(&middle, &edited).unwrap();
+    std::fs::write(&last, edit_line(&text, text.lines().count(), far)).unwrap();
+    std::fs::write(
+        &sessions,
+        edit_line(&edited, 1, |_| SESSION_HEADER.to_string()),
+    )
+    .unwrap();
+    let out_csv = dir.join("out.csv").display().to_string();
+    let (middle, last, sessions) = (
+        middle.display().to_string(),
+        last.display().to_string(),
+        sessions.display().to_string(),
+    );
+    let replay = [
+        "replay",
+        "--policy",
+        "llf",
+        "--aps-per-building",
+        "3",
+        "--out",
+        &out_csv,
+    ];
+    for args in [
+        [&replay[..], &["--demands", &middle]].concat(),
+        [&replay[..], &["--demands", &last, "--stream"]].concat(),
+        vec!["analyze", "--sessions", &sessions],
+    ] {
+        let output = run(&args);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert_eq!(output.status.code(), Some(0), "{args:?}");
+        assert!(
+            stdout.contains("balance index: 1 sessions ending 366 or more days"),
+            "{args:?}: {stdout}"
+        );
+    }
 }

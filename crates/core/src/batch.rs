@@ -12,6 +12,10 @@
 //! top-fraction-then-balance selection either way (documented deviation in
 //! DESIGN.md).
 //!
+//! Social costs are exact: every δ enters the cost tables in units of
+//! `2⁻³²` ([`SocialModel::delta_dense`] is that value), so a cost is a
+//! `u64` sum that is the same in any order, and equal costs tie exactly.
+//!
 //! The search runs on the calling thread and creates no heap object per
 //! candidate or per beam child. The beam lives in flat arenas (one `u32`
 //! slot per member of each prefix plus one cost per prefix); a child and a
@@ -30,6 +34,7 @@ use s3_obs::{Counter, Desc, Histogram, HistogramDesc, Stability, Unit};
 use s3_stats::balance::normalized_balance_index;
 use s3_types::UserId;
 
+use crate::learning::to_fixed;
 use crate::{S3Config, SocialModel};
 
 #[cfg(test)]
@@ -171,35 +176,21 @@ impl SlotState {
 }
 
 /// A `(cost, generation index)` pair packed into one integer that orders
-/// like the pair: the cost's bits above the index. A beam child's index is
+/// like the pair: the cost above the index. A beam child's index is
 /// `parent·m + slot`; a leaf's (a capacity-feasible distribution) is its
 /// enumeration code or final-beam position. Both are generated in
 /// ascending index order, so ranking them is the stable sort by cost that
 /// the beam levels and Algorithm 1's short-list need.
-///
-/// The bits of an `f64` in `[+0.0, +∞]` ascend with its value, so on those
-/// costs the integer order is the `partial_cmp` order. Every cost the
-/// search ranks lies there: it is `+0.0` plus non-negative δ sums, and
-/// `+0.0 + −0.0` is `+0.0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ranked(u128);
 
 impl Ranked {
-    /// # Panics
-    ///
-    /// Panics when `cost` is NaN or negative (`−0.0` included): its bits
-    /// would not rank by value.
-    fn new(cost: f64, index: usize) -> Ranked {
-        let bits = cost.to_bits();
-        assert!(
-            bits <= f64::INFINITY.to_bits(),
-            "social costs lie in [+0.0, +inf], got {cost}"
-        );
-        Ranked(u128::from(bits) << 64 | index as u128)
+    fn new(cost: u64, index: usize) -> Ranked {
+        Ranked(u128::from(cost) << 64 | index as u128)
     }
 
-    fn cost(self) -> f64 {
-        f64::from_bits((self.0 >> 64) as u64)
+    fn cost(self) -> u64 {
+        (self.0 >> 64) as u64
     }
 
     fn index(self) -> usize {
@@ -252,7 +243,8 @@ const MEMBER_EPSILON_BPS: f64 = 1.0;
 
 /// Precomputed per-clique cost tables: the slot-entry cost `C(APᵢ)` of each
 /// member against each slot's existing population, the pairwise δ within
-/// the clique, and the per-member demand estimates.
+/// the clique (both in units of `2⁻³²`), and the per-member demand
+/// estimates.
 ///
 /// The search evaluates up to `enumeration_limit` candidates, each of which
 /// previously re-derived every `δ(u, w)` from scratch; building the tables
@@ -264,10 +256,11 @@ const MEMBER_EPSILON_BPS: f64 = 1.0;
 /// `pair[i·c + j]`.
 #[derive(Debug, Clone, Default)]
 struct CliqueCost {
-    /// `slot_entry[u·m + s]` = Σ δ(clique[u], w) over slot `s`'s members.
-    slot_entry: Vec<f64>,
-    /// `pair[i·c + j]` = δ(clique[i], clique[j]); symmetric, zero diagonal.
-    pair: Vec<f64>,
+    /// `slot_entry[u·m + s]` = Σ δ(clique[u], w)·2³² over slot `s`'s members.
+    slot_entry: Vec<u64>,
+    /// `pair[i·c + j]` = δ(clique[i], clique[j])·2³²; symmetric, zero
+    /// diagonal.
+    pair: Vec<u64>,
     /// Demand estimate per clique member.
     demands: Vec<f64>,
     /// Slot count `m` — the row stride of `slot_entry`.
@@ -286,13 +279,13 @@ impl CliqueCost {
         let mut slot_entry = Vec::with_capacity(c * m);
         for &user in clique {
             for slot in slots {
-                slot_entry.push(slot.members.iter().map(|&w| delta(user, w)).sum());
+                slot_entry.push(slot.members.iter().map(|&w| to_fixed(delta(user, w))).sum());
             }
         }
-        let mut pair = vec![0.0; c * c];
+        let mut pair = vec![0; c * c];
         for i in 0..c {
             for j in i + 1..c {
-                let d = delta(clique[i], clique[j]);
+                let d = to_fixed(delta(clique[i], clique[j]));
                 pair[i * c + j] = d;
                 pair[j * c + i] = d;
             }
@@ -347,17 +340,13 @@ impl CliqueCost {
         (c + c * (c.saturating_sub(1)) / 2) as u64
     }
 
-    /// Social cost of a full assignment, `+∞` when a slot's bandwidth
-    /// constraint would break. `scratch` is cleared and refilled, so the
-    /// scoring loop allocates nothing per candidate.
-    fn cost(&self, assignment: &[usize], slots: &SlotArrays, scratch: &mut ScoreScratch) -> f64 {
+    /// Social cost `Σᵢ C(APᵢ)` of a full assignment, in units of `2⁻³²`:
+    /// each placed user pays δ to the existing members of its slot and to
+    /// the clique members placed before it on the same slot.
+    fn cost(&self, assignment: &[usize]) -> u64 {
         let m = self.slots;
         let c = self.demands.len();
-        scratch.added_demand.clear();
-        scratch.added_demand.resize(m, 0.0);
-        let mut cost = 0.0;
-        // Social cost: each placed user pays δ to existing members of its
-        // slot and to clique members already placed on the same slot.
+        let mut cost = 0;
         for (idx, &slot) in assignment.iter().enumerate() {
             cost += self.slot_entry[idx * m + slot];
             for (prev_idx, &prev_slot) in assignment[..idx].iter().enumerate() {
@@ -365,22 +354,31 @@ impl CliqueCost {
                     cost += self.pair[prev_idx * c + idx];
                 }
             }
-            scratch.added_demand[slot] += self.demands[idx];
-        }
-        // Bandwidth constraint: any overloaded slot poisons the distribution.
-        for s in 0..m {
-            let add = scratch.added_demand[s];
-            if slots.load[s] + add > slots.capacity[s] && add > 0.0 {
-                return f64::INFINITY;
-            }
         }
         cost
+    }
+
+    /// The bandwidth constraint: false when a slot that receives demand
+    /// would exceed its capacity (the paper's `C(APᵢ) = ∞`). Demands are
+    /// summed in member order into `scratch`, which is cleared and
+    /// refilled, so the scoring loop allocates nothing per candidate.
+    fn fits(&self, assignment: &[usize], slots: &SlotArrays, scratch: &mut ScoreScratch) -> bool {
+        scratch.added_demand.clear();
+        scratch.added_demand.resize(self.slots, 0.0);
+        for (idx, &slot) in assignment.iter().enumerate() {
+            scratch.added_demand[slot] += self.demands[idx];
+        }
+        scratch
+            .added_demand
+            .iter()
+            .enumerate()
+            .all(|(s, &add)| !(slots.load[s] + add > slots.capacity[s] && add > 0.0))
     }
 
     /// Normalized balance index of the loads a capacity-feasible
     /// assignment projects: each slot's load plus the demand placed on it,
     /// plus [`MEMBER_EPSILON_BPS`] per member after placement. Demands are
-    /// summed in member order, as [`CliqueCost::cost`] sums them.
+    /// summed in member order, as [`CliqueCost::fits`] sums them.
     fn balance(&self, assignment: &[usize], slots: &SlotArrays, scratch: &mut ScoreScratch) -> f64 {
         let m = self.slots;
         scratch.added_demand.clear();
@@ -403,7 +401,7 @@ impl CliqueCost {
     }
 }
 
-/// Reusable per-candidate buffers for [`CliqueCost::cost`] and
+/// Reusable per-candidate buffers for [`CliqueCost::fits`] and
 /// [`CliqueCost::balance`]: the added demand / member tallies and the
 /// projected load vector.
 #[derive(Debug, Clone, Default)]
@@ -449,14 +447,14 @@ pub(crate) struct SearchWorkspace {
     /// `prefixes[p·idx .. (p+1)·idx]` (one slot per placed member) and its
     /// social cost so far is `costs[p]`.
     prefixes: Vec<u32>,
-    costs: Vec<f64>,
+    costs: Vec<u64>,
     /// The next beam level, built from the survivors and then swapped in.
     next_prefixes: Vec<u32>,
-    next_costs: Vec<f64>,
+    next_costs: Vec<u64>,
     /// One beam level's children, ranked by `(cost, parent·m + slot)`.
     children: Vec<Ranked>,
     /// A parent's added cost per slot while expanding a beam level.
-    added: Vec<f64>,
+    added: Vec<u64>,
     /// Capacity-feasible distributions ranked by `(cost, generation
     /// index)`, pushed in generation order.
     leaves: Vec<Ranked>,
@@ -471,11 +469,15 @@ pub(crate) struct SearchWorkspace {
 /// per member; when every distribution violates capacity the least-loaded
 /// slots are used anyway (users must be served).
 ///
+/// Each δ the closure returns is truncated to a multiple of `2⁻³²`, the
+/// unit the search sums social costs in, exactly as a learned model
+/// stores it.
+///
 /// # Panics
 ///
 /// Panics if `slots` is empty while `clique` is not, or if `delta` returns
-/// a negative or NaN social affinity (the search ranks costs by their
-/// bits).
+/// a social affinity that is NaN, negative or above 2 (`1 + α` at the
+/// largest α [`S3Config::validate`] accepts).
 pub fn assign_clique<D, W>(
     clique: &[UserId],
     slots: &[ApSlot],
@@ -597,7 +599,8 @@ fn write_leaf(enumerated: bool, leaf: usize, m: usize, prefixes: &[u32], assignm
     }
 }
 
-/// Costs every code in `0..total` into `ws.leaves`, in code order.
+/// Costs every capacity-feasible code in `0..total` into `ws.leaves`, in
+/// code order.
 fn enumerate_all(ws: &mut SearchWorkspace, total: usize) {
     let c = ws.cost.demands.len();
     let m = ws.slots.load.len();
@@ -606,17 +609,17 @@ fn enumerate_all(ws: &mut SearchWorkspace, total: usize) {
     ws.assignment.resize(c, 0);
     for code in 0..total {
         decode(code, m, &mut ws.assignment);
-        let cost = ws.cost.cost(&ws.assignment, &ws.slots, &mut ws.score);
-        if cost.is_finite() {
-            ws.leaves.push(Ranked::new(cost, code));
+        if ws.cost.fits(&ws.assignment, &ws.slots, &mut ws.score) {
+            ws.leaves
+                .push(Ranked::new(ws.cost.cost(&ws.assignment), code));
         }
     }
-    let scored = total as u64;
+    let (scored, feasible) = (total as u64, ws.leaves.len() as u64);
     CANDIDATES_ENUMERATED.get().add(scored);
-    CAPACITY_REJECTIONS
+    CAPACITY_REJECTIONS.get().add(scored - feasible);
+    COST_LOOKUPS
         .get()
-        .add(scored - ws.leaves.len() as u64);
-    COST_LOOKUPS.get().add(scored * ws.cost.lookups_per_cost());
+        .add(feasible * ws.cost.lookups_per_cost());
 }
 
 /// Beam search over member-by-member prefixes, leaving the final beam's
@@ -624,13 +627,11 @@ fn enumerate_all(ws: &mut SearchWorkspace, total: usize) {
 ///
 /// A level expands parent `p` by filling one `m`-wide row of added costs:
 /// the member's `slot_entry` row, plus `pair[prev·c + idx]` on each earlier
-/// member's slot in prefix order. Each slot therefore receives the pair
-/// terms of the earlier members placed on it in prefix order, the same
-/// additions in the same order as a per-slot scan of the prefix, so child
-/// costs do not depend on the row trick. Children are ranked by
-/// `(cost, p·m + slot)`, kept by `select_nth_unstable` and the survivors
-/// sorted: exactly the prefix of a stable sort by cost over children in
-/// generation order.
+/// member's slot. Children are ranked by `(cost, p·m + slot)`, kept by
+/// `select_nth_unstable` and the survivors sorted: exactly the prefix of a
+/// stable sort by cost over children in generation order. Costs are exact
+/// integer sums, so a final-beam prefix's running cost is its
+/// [`CliqueCost::cost`], and a leaf pays only the capacity test.
 fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
     let c = ws.cost.demands.len();
     let m = ws.slots.load.len();
@@ -640,7 +641,7 @@ fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
     );
     ws.prefixes.clear();
     ws.costs.clear();
-    ws.costs.push(0.0);
+    ws.costs.push(0);
     for idx in 0..c {
         let parents = ws.costs.len();
         BEAM_EXPANSIONS.get().add(parents as u64);
@@ -683,20 +684,13 @@ fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
 
     let beam = ws.costs.len();
     CANDIDATES_ENUMERATED.get().add(beam as u64);
-    COST_LOOKUPS
-        .get()
-        .add(beam as u64 * ws.cost.lookups_per_cost());
-    // The leaf costs come from `CliqueCost::cost`, not from the beam's
-    // running `cost + added`: the two sums associate differently and may
-    // round apart.
     ws.leaves.clear();
     ws.assignment.clear();
     ws.assignment.resize(c, 0);
     for leaf in 0..beam {
         write_leaf(false, leaf, m, &ws.prefixes, &mut ws.assignment);
-        let cost = ws.cost.cost(&ws.assignment, &ws.slots, &mut ws.score);
-        if cost.is_finite() {
-            ws.leaves.push(Ranked::new(cost, leaf));
+        if ws.cost.fits(&ws.assignment, &ws.slots, &mut ws.score) {
+            ws.leaves.push(Ranked::new(ws.costs[leaf], leaf));
         }
     }
     CAPACITY_REJECTIONS
@@ -705,7 +699,7 @@ fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
 }
 
 /// Algorithm 1's pick: short-list the `⌈n·top_fraction⌉` cheapest leaves
-/// (plus any within 1e-12 of the cut-off cost, so a set of equal-cost
+/// (plus every leaf that ties the cut-off cost, so a set of equal-cost
 /// distributions is never split arbitrarily), then take the best
 /// `balance(leaf index)`, the later leaf in `(cost, index)` order winning
 /// a tie. `balance` is called once per short-listed leaf and for no other.
@@ -714,8 +708,8 @@ fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
 ///
 /// This is the stable sort by cost, truncation and `max_by` over balance
 /// of the textbook form, without the sort: the short-list is every leaf
-/// whose cost is at most the cut-off leaf's cost plus 1e-12, and
-/// `max_by` returns the last of equal maxima in sorted order.
+/// whose cost is at most the cut-off leaf's, and `max_by` returns the
+/// last of equal maxima in sorted order.
 fn select_best(
     leaves: &mut [Ranked],
     top_fraction: f64,
@@ -726,7 +720,7 @@ fn select_best(
     }
     let keep = ((leaves.len() as f64 * top_fraction).ceil() as usize).clamp(1, leaves.len());
     let (_, cut, _) = leaves.select_nth_unstable(keep - 1);
-    let bound = cut.cost() + 1e-12;
+    let bound = cut.cost();
     leaves
         .iter()
         .filter(|leaf| leaf.cost() <= bound)
@@ -757,8 +751,6 @@ fn fallback_least_loaded(demands: &[f64], slots: &SlotArrays, assignment: &mut V
 
 #[cfg(test)]
 mod tests {
-    use std::cmp::Ordering;
-
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -899,12 +891,7 @@ mod tests {
             },
         );
         let cache = CliqueCost::new(&clique, &slots, &delta, &|_: UserId| 1e4);
-        let states: Vec<SlotState> = slots.iter().map(SlotState::of).collect();
-        let mut arrays = SlotArrays::default();
-        arrays.fill(&states);
-        let mut scratch = ScoreScratch::default();
-        let mut cost = |assignment: &[usize]| cache.cost(assignment, &arrays, &mut scratch);
-        assert!((cost(&full) - cost(&beamed)).abs() < 1e-9);
+        assert_eq!(cache.cost(&full), cache.cost(&beamed));
     }
 
     #[test]
@@ -937,47 +924,26 @@ mod tests {
         assert_eq!(g.weight(0, 1), 0.8);
     }
 
-    /// The comparator the beam levels and the short-list ranked with
-    /// before integer keys: cost under `partial_cmp`, then generation index.
-    fn cost_order(a: (f64, usize), b: (f64, usize)) -> Ordering {
-        a.0.partial_cmp(&b.0)
-            .expect("finite costs")
-            .then(a.1.cmp(&b.1))
-    }
-
     #[test]
     fn ranked_orders_like_cost_order() {
-        let costs = [
-            0.0,
-            f64::from_bits(1),
-            f64::from_bits(0x000f_ffff_ffff_ffff),
-            f64::MIN_POSITIVE,
-            0.5,
-            1.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        let pairs: Vec<(f64, usize)> = costs
+        let pairs: Vec<(u64, usize)> = [0, 1, 1 << 32, u64::MAX]
             .iter()
             .flat_map(|&cost| [0, 1, 2_047, usize::MAX].map(|index| (cost, index)))
             .collect();
         for &a in &pairs {
             let ranked = Ranked::new(a.0, a.1);
-            assert_eq!(ranked.cost().to_bits(), a.0.to_bits());
-            assert_eq!(ranked.index(), a.1);
+            assert_eq!((ranked.cost(), ranked.index()), a);
             for &b in &pairs {
                 assert_eq!(
                     ranked.cmp(&Ranked::new(b.0, b.1)),
-                    cost_order(a, b),
+                    a.cmp(&b),
                     "{a:?} against {b:?}"
                 );
             }
         }
     }
 
-    #[test]
-    #[should_panic(expected = "social costs lie in [+0.0, +inf]")]
-    fn nan_child_cost_panics() {
+    fn beam_with_delta(delta: f64) {
         let clique = vec![user(1), user(2)];
         let mut slots = empty_slots(2);
         slots[0].members.push(user(9));
@@ -985,23 +951,34 @@ mod tests {
             enumeration_limit: 0,
             ..config()
         };
-        let _ = assign_clique(&clique, &slots, |_, _| f64::NAN, |_| 1e4, &beam);
+        let _ = assign_clique(&clique, &slots, |_, _| delta, |_| 1e4, &beam);
     }
 
-    /// Algorithm 1's pick as it was written before the balance index moved
-    /// into [`select_best`]: every leaf `(index, cost, balance)` scored, in
-    /// generation order, stable-sorted by cost, cut after
-    /// `⌈n·top_fraction⌉` plus the ties within 1e-12, last maximum balance.
-    fn full_scoring_pick(leaves: &[(usize, f64, f64)], top_fraction: f64) -> Option<usize> {
+    #[test]
+    #[should_panic(expected = "a social affinity lies in [0, 2], got NaN")]
+    fn nan_child_cost_panics() {
+        beam_with_delta(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "a social affinity lies in [0, 2], got -0.5")]
+    fn negative_delta_panics() {
+        beam_with_delta(-0.5);
+    }
+
+    /// Algorithm 1's pick in its textbook form: every leaf
+    /// `(index, cost, balance)` scored, in generation order, stable-sorted
+    /// by cost, cut after `⌈n·top_fraction⌉` plus the ties at the cut,
+    /// last maximum balance.
+    fn full_scoring_pick(leaves: &[(usize, u64, f64)], top_fraction: f64) -> Option<usize> {
         if leaves.is_empty() {
             return None;
         }
         let mut sorted = leaves.to_vec();
-        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
+        sorted.sort_by_key(|leaf| leaf.1);
         let mut keep =
             ((sorted.len() as f64 * top_fraction).ceil() as usize).clamp(1, sorted.len());
-        let boundary = sorted[keep - 1].1;
-        while keep < sorted.len() && sorted[keep].1 <= boundary + 1e-12 {
+        while keep < sorted.len() && sorted[keep].1 == sorted[keep - 1].1 {
             keep += 1;
         }
         sorted.truncate(keep);
@@ -1015,7 +992,7 @@ mod tests {
     /// index `i`), with the leaf indices its balance function was called
     /// for, sorted.
     fn short_list_pick(
-        leaves: &[(usize, f64, f64)],
+        leaves: &[(usize, u64, f64)],
         top_fraction: f64,
     ) -> (Option<usize>, Vec<usize>) {
         let mut ranked: Vec<Ranked> = leaves
@@ -1033,28 +1010,17 @@ mod tests {
 
     #[test]
     fn select_best_scores_balance_for_the_short_list_only() {
-        // Ten leaves keep three: the cut-off is leaf 2 at cost 2.0. Leaves
-        // 3 and 8 tie it exactly and leaf 4 sits 5e-13 above it, so all
-        // three are short-listed; leaf 5, 2e-12 above, is not, nor are the
-        // dearer leaves 7 (best balance of all) and 0 and 9.
-        let costs = [
-            3.0,
-            1.0,
-            2.0,
-            2.0,
-            2.0 + 5e-13,
-            2.0 + 2e-12,
-            0.5,
-            5.0,
-            2.0,
-            4.0,
-        ];
+        // Ten leaves keep three: the cut-off is leaf 2 at cost 20. Leaves
+        // 3 and 8 tie it exactly, so both are short-listed; leaf 4, one
+        // unit (2⁻³²) above it, is not, nor are the dearer leaves 7 (best
+        // balance of all), 0, 5 and 9.
+        let costs = [30, 10, 20, 20, 21, 22, 5, 50, 20, 40];
         let balances = [0.1, 0.7, 0.9, 0.9, 0.2, 0.95, 0.3, 0.99, 0.9, 0.5];
-        let leaves: Vec<(usize, f64, f64)> = (0..costs.len())
+        let leaves: Vec<(usize, u64, f64)> = (0..costs.len())
             .map(|i| (i, costs[i], balances[i]))
             .collect();
         let (winner, calls) = short_list_pick(&leaves, 0.3);
-        assert_eq!(calls, vec![1, 2, 3, 4, 6, 8]);
+        assert_eq!(calls, vec![1, 2, 3, 6, 8]);
         // Leaves 2, 3 and 8 tie on balance and cost; the last in
         // generation order wins, as `max_by` after a stable sort picks it.
         assert_eq!(winner, Some(8));
@@ -1064,25 +1030,24 @@ mod tests {
 
     #[test]
     fn select_best_picks_what_full_scoring_picks() {
-        let costs = [0.0, 0.5, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 2.0];
+        let costs = [0, 5, 10, 11, 12, 20];
         let balances = [0.1, 0.5, 0.9];
         let mut rng = StdRng::seed_from_u64(11);
         for case in 0..500 {
             let n = rng.random_range(1..40usize);
             let top_fraction = [0.1, 0.3, 1.0][rng.random_range(0..3usize)];
-            let leaves: Vec<(usize, f64, f64)> = (0..n)
+            let leaves: Vec<(usize, u64, f64)> = (0..n)
                 .map(|i| {
                     let cost = costs[rng.random_range(0..costs.len())];
                     (i, cost, balances[rng.random_range(0..balances.len())])
                 })
                 .collect();
-            let mut sorted: Vec<f64> = leaves.iter().map(|leaf| leaf.1).collect();
-            sorted.sort_by(f64::total_cmp);
+            let mut sorted: Vec<u64> = leaves.iter().map(|leaf| leaf.1).collect();
+            sorted.sort_unstable();
             let keep = ((n as f64 * top_fraction).ceil() as usize).clamp(1, n);
-            let bound = sorted[keep - 1] + 1e-12;
             let short_list: Vec<usize> = leaves
                 .iter()
-                .filter(|leaf| leaf.1 <= bound)
+                .filter(|leaf| leaf.1 <= sorted[keep - 1])
                 .map(|leaf| leaf.0)
                 .collect();
             let (winner, calls) = short_list_pick(&leaves, top_fraction);

@@ -2,7 +2,7 @@
 
 use s3_types::TimeDelta;
 
-use crate::learning::MAX_TYPES;
+use crate::learning::{MAX_ALPHA, MAX_TYPES};
 
 /// All knobs of the S³ pipeline. `Default` reproduces the configuration
 /// the paper settles on after its parameter study (Section V-B): α = 0.3,
@@ -10,7 +10,10 @@ use crate::learning::MAX_TYPES;
 /// 0.3 social-edge threshold with a top-30 % distribution short-list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct S3Config {
-    /// Weight `α` of the type-matrix term in `δ(u,v)`.
+    /// Weight `α` of the type-matrix term in `δ(u,v)`, in `[0, 1]`: with
+    /// `P(L|E)` and `T` at most 1, every δ is then at most 2, which keeps
+    /// every fixed-point social cost sum inside a `u64` (Fig. 10 sweeps
+    /// α up to 0.5).
     pub alpha: f64,
     /// Window for extracting co-leaving events.
     pub coleave_window: TimeDelta,
@@ -36,10 +39,6 @@ pub struct S3Config {
     pub enumeration_limit: usize,
     /// Beam width of the fallback distribution search.
     pub beam_width: usize,
-    /// Extend the clustering features with the user's temporal (hour-of-
-    /// day) usage profile — the paper's future-work direction. Off by
-    /// default to match the published pipeline.
-    pub temporal_features: bool,
     /// Worker threads for training (event mining, clustering); `0` means
     /// "auto" (resolved through [`s3_par::resolve_threads`]). Every
     /// parallel path is deterministic, so results are identical for any
@@ -62,7 +61,6 @@ impl Default for S3Config {
             demand_ewma: 0.3,
             enumeration_limit: 20_000,
             beam_width: 256,
-            temporal_features: false,
             threads: 1,
         }
     }
@@ -85,8 +83,8 @@ impl S3Config {
     /// Panics when a field is outside its documented range.
     pub fn validate(&self) {
         assert!(
-            self.alpha.is_finite() && self.alpha >= 0.0,
-            "alpha must be finite and non-negative, got {}",
+            (0.0..=MAX_ALPHA).contains(&self.alpha),
+            "alpha must be in [0, {MAX_ALPHA}], got {}",
             self.alpha
         );
         assert!(
@@ -144,6 +142,25 @@ mod tests {
     fn rejects_negative_alpha() {
         S3Config {
             alpha: -0.1,
+            ..S3Config::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be in [0, 1], got 1.5")]
+    fn rejects_alpha_past_the_fixed_point_bound() {
+        S3Config {
+            alpha: 1.5,
+            ..S3Config::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    fn accepts_the_largest_alpha() {
+        S3Config {
+            alpha: 1.0,
             ..S3Config::default()
         }
         .validate();

@@ -12,8 +12,8 @@
 //!   `δ(u,v) = P(L|E)(u,v) + α·T(type_u, type_v)`.
 //!
 //! The learned [`SocialModel`] is stored in the dense form the selector
-//! decides on (dense user ids, a CSR `P(L|E)` adjacency and a flat `T`;
-//! see `docs/PERF.md`).
+//! decides on (dense user ids, a CSR `P(L|E)` adjacency and a flat `α·T`,
+//! both in the fixed point of [`to_fixed`]; see `docs/PERF.md`).
 
 use std::collections::HashMap;
 
@@ -159,6 +159,36 @@ const NO_TYPE: u8 = u8::MAX;
 /// `k_max` to it.
 pub(crate) const MAX_TYPES: usize = NO_TYPE as usize - 1;
 
+/// The largest `α` a model applies; [`S3Config::validate`] holds `alpha`
+/// to it. `P(L|E)` and `T` are probabilities, so every `δ` is at most
+/// `1 + MAX_ALPHA = 2` and every fixed-point term at most `2³³`: a `u64`
+/// sum of up to `2³¹` of them is exact. A social cost sums at most
+/// `c·r + c(c−1)/2` terms for a clique of `c` over `r` residents, which
+/// stays far below that for any batch a controller sees.
+pub(crate) const MAX_ALPHA: f64 = 1.0;
+
+/// One unit of δ in the fixed point social costs are summed in: `2³²`.
+const FIXED_ONE: f64 = 4_294_967_296.0;
+
+/// `⌊x·2³²⌋`: a social affinity in the fixed point every social cost is
+/// summed in, so that a sum of them is exact and the same in any order.
+/// Scaling by a power of two is exact, and the cast truncates. The model
+/// converts `P(L|E)` and `α·T` once each when it is built; the
+/// closure-driven [`crate::batch::assign_clique`] converts each δ its
+/// caller returns.
+///
+/// # Panics
+///
+/// Panics when `x` is NaN, negative or above `1 + MAX_ALPHA`.
+pub(crate) fn to_fixed(x: f64) -> u64 {
+    assert!(
+        (0.0..=1.0 + MAX_ALPHA).contains(&x),
+        "a social affinity lies in [0, {}], got {x}",
+        1.0 + MAX_ALPHA
+    );
+    (x * FIXED_ONE) as u64
+}
+
 /// Everything S³ learned from history, stored in the dense form every
 /// selection reads. Query by [`UserId`] with [`SocialModel::delta`], or,
 /// on the selection hot path, by dense id ([`SocialModel::dense_id`],
@@ -175,6 +205,10 @@ pub(crate) const MAX_TYPES: usize = NO_TYPE as usize - 1;
 ///   users' rows. The pair term of `δ` is a binary search over a short
 ///   row, and the per-AP cost `Σ_{w∈S(AP)} δ(u,w)` is a scan of the AP's
 ///   members against u's row, with no hashing and no allocation.
+/// * `δ` is **fixed point**: each CSR entry holds `⌊P(L|E)·2³²⌋` and
+///   each type pair `⌊α·T·2³²⌋`, truncated once when the model is built,
+///   so `δ·2³²` is the sum of two integers and every social cost an exact
+///   `u64` sum. The type matrix itself (Table I) stays `f64`.
 #[derive(Debug, Clone)]
 pub struct SocialModel {
     /// Sorted raw user ids; a user's dense id is its index here.
@@ -194,8 +228,10 @@ pub struct SocialModel {
     row_start: Vec<u32>,
     /// Concatenated neighbor rows, each sorted by dense id.
     neighbors: Vec<u32>,
-    /// `P(L|E)` parallel to `neighbors`.
-    pair_prob: Vec<f64>,
+    /// `⌊P(L|E)·2³²⌋` parallel to `neighbors`.
+    pair_fixed: Vec<u64>,
+    /// `⌊α·T(i, j)·2³²⌋` at `i·k + j`.
+    type_fixed: Vec<u64>,
     /// The α used by `delta`.
     alpha: f64,
     /// Whether the producer judged the model under-trained (see
@@ -216,7 +252,8 @@ impl SocialModel {
     ///
     /// # Panics
     ///
-    /// Panics with more than [`MAX_TYPES`] centroids.
+    /// Panics with more than [`MAX_TYPES`] centroids, or when `alpha` is
+    /// outside `[0, MAX_ALPHA]`.
     pub(crate) fn new(
         pairs: &HashMap<UserPair, f64>,
         types: &HashMap<UserId, usize>,
@@ -231,6 +268,11 @@ impl SocialModel {
             "a social model stores at most {MAX_TYPES} user types, got {k}"
         );
         let type_matrix = Self::estimate_type_matrix(k, types, pairs);
+        let type_fixed = type_matrix
+            .values
+            .iter()
+            .map(|&t| to_fixed(alpha * t))
+            .collect();
         let fallback_demand = median_demand(demands).as_f64();
 
         let mut users: Vec<u32> = Vec::with_capacity(types.len() + demands.len() + pairs.len() * 2);
@@ -297,7 +339,8 @@ impl SocialModel {
             centroids,
             row_start,
             neighbors: entries.iter().map(|e| e.1).collect(),
-            pair_prob: entries.iter().map(|e| e.2).collect(),
+            pair_fixed: entries.iter().map(|e| to_fixed(e.2)).collect(),
+            type_fixed,
             alpha,
             stale,
         }
@@ -319,7 +362,7 @@ impl SocialModel {
 
         let last_day = store.day_range().map(|(_, last)| last).unwrap_or(0);
         let profiles = all_window_profiles(store, last_day, config.lookback_days);
-        let (user_type, centroids) = Self::cluster_users(store, &profiles, last_day, config, seed);
+        let (user_type, centroids) = Self::cluster_users(&profiles, config, seed);
         let demand = demand_estimates(store, config.demand_ewma);
 
         // Batch learning sees whatever history the caller chose to train
@@ -342,31 +385,16 @@ impl SocialModel {
     }
 
     fn cluster_users(
-        store: &TraceStore,
         profiles: &HashMap<UserId, AppMix>,
-        last_day: u64,
         config: &S3Config,
         seed: u64,
     ) -> (HashMap<UserId, usize>, Vec<AppMix>) {
         let mut users: Vec<UserId> = profiles.keys().copied().collect();
         users.sort_unstable();
-        let points: Vec<Vec<f64>> = if config.temporal_features {
-            // Future-work variant: application shares ⊕ hour-of-day shares.
-            let features: Vec<(UserId, Vec<f64>)> = users
-                .iter()
-                .filter_map(|&u| {
-                    crate::profile::combined_features(store, u, last_day, config.lookback_days)
-                        .map(|f| (u, f))
-                })
-                .collect();
-            users = features.iter().map(|&(u, _)| u).collect();
-            features.into_iter().map(|(_, f)| f).collect()
-        } else {
-            users
-                .iter()
-                .map(|u| profiles[u].shares().to_vec())
-                .collect()
-        };
+        let points: Vec<Vec<f64>> = users
+            .iter()
+            .map(|u| profiles[u].shares().to_vec())
+            .collect();
         if points.len() < 2 {
             return (HashMap::new(), Vec::new());
         }
@@ -442,7 +470,8 @@ impl SocialModel {
     }
 
     /// The social relation index
-    /// `δ(u,v) = P(L(u,v)|E(u,v)) + α·T(type_u, type_v)`.
+    /// `δ(u,v) = P(L(u,v)|E(u,v)) + α·T(type_u, type_v)`, each term
+    /// truncated to a multiple of `2⁻³²` ([`SocialModel::delta_dense`]).
     ///
     /// Unknown pairs contribute only the type term; users without a type
     /// contribute only the pair term; a user with itself, or an unknown
@@ -527,7 +556,8 @@ impl SocialModel {
 
     /// The social relation index by dense id: [`SocialModel::delta`]
     /// without the interning. [`NO_USER`] on either side, or `i == j`,
-    /// is 0.
+    /// is 0. The value is exact: the fixed-point
+    /// `⌊P(L|E)·2³²⌋ + ⌊α·T·2³²⌋` the social costs sum, over `2³²`.
     ///
     /// # Panics
     ///
@@ -538,8 +568,9 @@ impl SocialModel {
         if i == j || i == NO_USER || j == NO_USER {
             return 0.0;
         }
-        Self::pair_term(self.row(i), j)
-            + self.alpha * self.type_term(self.user_type[i as usize], self.user_type[j as usize])
+        let fixed = Self::pair_term(self.row(i), j)
+            + self.type_term(self.user_type[i as usize], self.user_type[j as usize]);
+        fixed as f64 / FIXED_ONE
     }
 
     /// The demand estimate for dense user `i` in bits/s ([`NO_USER`] gets
@@ -554,45 +585,31 @@ impl SocialModel {
     }
 
     /// The added social cost of placing dense user `u` on an AP whose
-    /// member list is `members`: `Σ_{w∈members} δ(u, w)`, with no hashing
-    /// and no allocation.
-    ///
-    /// Contributions accumulate **in member order**, so the result is
-    /// bit-identical to `members.iter().map(|&w| delta_dense(u, w)).sum()`,
-    /// including std's float `Sum` quirk of folding from `-0.0` (the IEEE
-    /// additive identity): an empty member list yields `-0.0`, and the
-    /// first member — even one contributing `+0.0`, like a [`NO_USER`]
-    /// sentinel or `u` itself — flips the accumulator to `+0.0` (every δ
-    /// is non-negative, so `-0.0` can never reappear).
-    pub fn slot_cost(&self, u: u32, members: &[u32]) -> f64 {
+    /// member list is `members`: `Σ_{w∈members} δ(u, w)·2³²`, an exact
+    /// integer sum, with no hashing and no allocation.
+    pub fn slot_cost(&self, u: u32, members: &[u32]) -> u64 {
         if u == NO_USER {
-            // Every member contributes +0.0.
-            return if members.is_empty() { -0.0 } else { 0.0 };
+            return 0;
         }
         let row = self.row(u);
         let tu = self.user_type[u as usize];
-        let mut cost = -0.0f64;
+        let mut cost = 0;
         for &w in members {
-            cost += if w == u || w == NO_USER {
-                0.0
-            } else {
-                Self::pair_term(row, w)
-                    + self.alpha * self.type_term(tu, self.user_type[w as usize])
-            };
+            if w != u && w != NO_USER {
+                cost += Self::pair_term(row, w) + self.type_term(tu, self.user_type[w as usize]);
+            }
         }
         cost
     }
 
-    /// Fills `out` with the flat `c × c` pairwise δ table of `clique`
+    /// Fills `out` with the flat `c × c` pairwise `δ·2³²` table of `clique`
     /// (row-major, symmetric, zero diagonal): cell `i·c + j` is
-    /// bit-identical to `delta_dense(clique[i], clique[j])`, but u's CSR
-    /// row and type are looked up once per row instead of once per pair.
-    /// Sentinel ([`NO_USER`]) and duplicate entries leave their cells at
-    /// the exact `0.0` `delta_dense` returns for them.
-    pub(crate) fn fill_pair_table(&self, clique: &[u32], out: &mut Vec<f64>) {
+    /// `delta_dense(clique[i], clique[j])·2³²`, but u's CSR row and type
+    /// are looked up once per row instead of once per pair.
+    pub(crate) fn fill_pair_table(&self, clique: &[u32], out: &mut Vec<u64>) {
         let c = clique.len();
         out.clear();
-        out.resize(c * c, 0.0);
+        out.resize(c * c, 0);
         for i in 0..c {
             let u = clique[i];
             if u == NO_USER {
@@ -605,49 +622,46 @@ impl SocialModel {
                 if v == NO_USER || v == u {
                     continue;
                 }
-                let d = Self::pair_term(row, v)
-                    + self.alpha * self.type_term(tu, self.user_type[v as usize]);
+                let d = Self::pair_term(row, v) + self.type_term(tu, self.user_type[v as usize]);
                 out[i * c + j] = d;
                 out[j * c + i] = d;
             }
         }
     }
 
-    /// Dense user `i`'s CSR row: its neighbors and their `P(L|E)`.
+    /// Dense user `i`'s CSR row: its neighbors and their `⌊P(L|E)·2³²⌋`.
     #[inline]
-    fn row(&self, i: u32) -> (&[u32], &[f64]) {
+    fn row(&self, i: u32) -> (&[u32], &[u64]) {
         let (start, end) = (
             self.row_start[i as usize] as usize,
             self.row_start[i as usize + 1] as usize,
         );
-        (&self.neighbors[start..end], &self.pair_prob[start..end])
+        (&self.neighbors[start..end], &self.pair_fixed[start..end])
     }
 
-    /// `P(L|E)` of the row's owner with `j`: a binary search over the
+    /// `⌊P(L|E)·2³²⌋` of the row's owner with `j`: a binary search over the
     /// row, 0 when the pair was never learned.
     #[inline]
-    fn pair_term((neighbors, probs): (&[u32], &[f64]), j: u32) -> f64 {
+    fn pair_term((neighbors, probs): (&[u32], &[u64]), j: u32) -> u64 {
         match neighbors.binary_search(&j) {
             Ok(pos) => probs[pos],
-            Err(_) => 0.0,
+            Err(_) => 0,
         }
     }
 
-    /// `T(ti, tj)`, 0 when either user is untyped.
+    /// `⌊α·T(ti, tj)·2³²⌋`, 0 when either user is untyped.
     #[inline]
-    fn type_term(&self, ti: u8, tj: u8) -> f64 {
+    fn type_term(&self, ti: u8, tj: u8) -> u64 {
         if ti == NO_TYPE || tj == NO_TYPE {
-            0.0
+            0
         } else {
-            self.type_matrix.values[ti as usize * self.type_matrix.k + tj as usize]
+            self.type_fixed[ti as usize * self.type_matrix.k + tj as usize]
         }
     }
 }
 
-/// The user types a k-means `fit` over `users`' feature points describes:
-/// each user's cluster, and each centroid as an [`AppMix`]. With temporal
-/// features a centroid has 14 dimensions; the mix keeps the application
-/// block (`zip` truncates) and renormalizes it.
+/// The user types a k-means `fit` over `users`' application profiles
+/// describes: each user's cluster, and each centroid as an [`AppMix`].
 pub(crate) fn typed_clusters(
     users: &[UserId],
     fit: &KMeansResult,
@@ -874,47 +888,6 @@ mod tests {
     }
 
     #[test]
-    fn temporal_features_separate_cotemporal_users() {
-        // Four users, all pure web-browsing: two morning people, two night
-        // people. Application-only clustering cannot split them; temporal
-        // features can.
-        let mk = |user: u32, day: u64, hour: u64| {
-            let start = day * 86_400 + hour * 3_600;
-            let mut volume_by_app = [Bytes::ZERO; 6];
-            volume_by_app[AppCategory::WebBrowsing.index()] = Bytes::megabytes(10);
-            SessionRecord {
-                user: UserId::new(user),
-                ap: ApId::new(user % 2),
-                controller: ControllerId::new(0),
-                connect: Timestamp::from_secs(start),
-                disconnect: Timestamp::from_secs(start + 1_800),
-                volume_by_app,
-            }
-        };
-        let mut records = Vec::new();
-        for day in 0..5 {
-            records.push(mk(1, day, 9));
-            records.push(mk(2, day, 9));
-            records.push(mk(3, day, 22));
-            records.push(mk(4, day, 22));
-        }
-        let store = TraceStore::new(records);
-        let temporal_config = S3Config {
-            fixed_k: Some(2),
-            temporal_features: true,
-            ..S3Config::default()
-        };
-        let model = SocialModel::learn(&store, &temporal_config, 3);
-        let t1 = model.user_type(UserId::new(1)).unwrap();
-        let t2 = model.user_type(UserId::new(2)).unwrap();
-        let t3 = model.user_type(UserId::new(3)).unwrap();
-        let t4 = model.user_type(UserId::new(4)).unwrap();
-        assert_eq!(t1, t2, "morning pair together");
-        assert_eq!(t3, t4, "night pair together");
-        assert_ne!(t1, t3, "temporal features must split the day shifts");
-    }
-
-    #[test]
     fn interning_is_sorted_and_invertible() {
         let model = SocialModel::learn(&social_store(), &config(), 1);
         assert!(model.users.len() >= 4);
@@ -940,7 +913,7 @@ mod tests {
             for (&j, &p) in row.iter().zip(probs) {
                 let (back, back_probs) = model.row(j);
                 let pos = back.binary_search(&i).expect("symmetric entry");
-                assert_eq!(back_probs[pos].to_bits(), p.to_bits());
+                assert_eq!(back_probs[pos], p);
             }
         }
     }

@@ -45,80 +45,6 @@ pub fn all_window_profiles(
     out
 }
 
-/// Number of 3-hour bins in the temporal usage profile.
-pub const TEMPORAL_BIN_COUNT: usize = 8;
-
-/// The user's *temporal* usage profile: normalized traffic shares over
-/// eight 3-hour bins of the day, aggregated over
-/// `last_day−lookback+1 ..= last_day`.
-///
-/// This is the paper's future-work direction ("examine more aspects in
-/// characterizing the network usage profiles"): two users with identical
-/// application mixes but disjoint hours are less likely to co-leave than
-/// two users online at the same times. Returns `None` when the user has no
-/// traffic in the window.
-pub fn temporal_profile(
-    store: &TraceStore,
-    user: UserId,
-    last_day: u64,
-    lookback: u64,
-) -> Option<[f64; TEMPORAL_BIN_COUNT]> {
-    let first_day = last_day.saturating_sub(lookback.saturating_sub(1));
-    let mut bins = [0.0f64; TEMPORAL_BIN_COUNT];
-    let secs_per_bin = s3_types::SECS_PER_DAY / TEMPORAL_BIN_COUNT as u64;
-    for session in store.sessions_of(user) {
-        let day = session.connect.day();
-        if day < first_day || day > last_day {
-            continue;
-        }
-        // Attribute the session's volume across the bins it touches
-        // (uniform spread, same convention as the day accounting).
-        for (bin, slot) in bins.iter_mut().enumerate() {
-            let from = s3_types::Timestamp::from_secs(
-                day * s3_types::SECS_PER_DAY + bin as u64 * secs_per_bin,
-            );
-            let to = from + s3_types::TimeDelta::secs(secs_per_bin);
-            *slot += session.volume_within(from, to).as_f64();
-        }
-        // Long sessions can cross midnight; credit the next day's bins too.
-        if session.disconnect.day() > day {
-            for (bin, slot) in bins.iter_mut().enumerate() {
-                let from = s3_types::Timestamp::from_secs(
-                    (day + 1) * s3_types::SECS_PER_DAY + bin as u64 * secs_per_bin,
-                );
-                let to = from + s3_types::TimeDelta::secs(secs_per_bin);
-                *slot += session.volume_within(from, to).as_f64();
-            }
-        }
-    }
-    let total: f64 = bins.iter().sum();
-    if total <= 0.0 {
-        return None;
-    }
-    for b in &mut bins {
-        *b /= total;
-    }
-    Some(bins)
-}
-
-/// A combined feature vector for clustering: the six application shares
-/// followed by the eight temporal shares, each block summing to 1 so both
-/// aspects carry comparable weight. Returns `None` when either half is
-/// missing.
-pub fn combined_features(
-    store: &TraceStore,
-    user: UserId,
-    last_day: u64,
-    lookback: u64,
-) -> Option<Vec<f64>> {
-    let mix = window_profile(store, user, last_day, lookback)?;
-    let temporal = temporal_profile(store, user, last_day, lookback)?;
-    let mut features = Vec::with_capacity(APP_CATEGORY_COUNT + TEMPORAL_BIN_COUNT);
-    features.extend_from_slice(mix.shares());
-    features.extend_from_slice(&temporal);
-    Some(features)
-}
-
 /// EWMA bandwidth-demand estimates `w(u)` over each user's session mean
 /// rates, in session order: `w ← (1−λ)·w + λ·rate`.
 ///
@@ -267,78 +193,6 @@ mod tests {
     fn demand_rejects_bad_ewma() {
         let store = TraceStore::new(vec![]);
         let _ = demand_estimates(&store, 0.0);
-    }
-
-    #[test]
-    fn temporal_profile_places_traffic_in_the_right_bins() {
-        // A session at 10:00–10:30 lands entirely in bin 3 (09:00–12:00).
-        let store = TraceStore::new(vec![rec_with_mix(1, 0, 10, 0, 1_800)]);
-        let t = temporal_profile(&store, UserId::new(1), 0, 5).unwrap();
-        assert!((t[3] - 1.0).abs() < 1e-9, "bins: {t:?}");
-        assert!((t.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn temporal_profile_splits_across_bins() {
-        // 11:00–13:00 straddles bins 3 (09–12) and 4 (12–15) evenly.
-        let start = 11 * 3_600;
-        let store = TraceStore::new(vec![SessionRecord {
-            user: UserId::new(1),
-            ap: ApId::new(0),
-            controller: ControllerId::new(0),
-            connect: Timestamp::from_secs(start),
-            disconnect: Timestamp::from_secs(start + 2 * 3_600),
-            volume_by_app: {
-                let mut v = [Bytes::ZERO; 6];
-                v[0] = Bytes::megabytes(10);
-                v
-            },
-        }]);
-        let t = temporal_profile(&store, UserId::new(1), 0, 1).unwrap();
-        assert!((t[3] - 0.5).abs() < 1e-6, "bins: {t:?}");
-        assert!((t[4] - 0.5).abs() < 1e-6, "bins: {t:?}");
-    }
-
-    #[test]
-    fn temporal_profile_none_without_traffic() {
-        let store = TraceStore::new(vec![rec_with_mix(1, 5, 1, 0, 600)]);
-        assert!(temporal_profile(&store, UserId::new(1), 0, 1).is_none());
-        assert!(temporal_profile(&store, UserId::new(9), 5, 1).is_none());
-    }
-
-    #[test]
-    fn combined_features_concatenate_both_blocks() {
-        let store = TraceStore::new(vec![rec_with_mix(1, 0, 3, 1, 600)]);
-        let f = combined_features(&store, UserId::new(1), 0, 5).unwrap();
-        assert_eq!(f.len(), 6 + TEMPORAL_BIN_COUNT);
-        let app_sum: f64 = f[..6].iter().sum();
-        let time_sum: f64 = f[6..].iter().sum();
-        assert!((app_sum - 1.0).abs() < 1e-9);
-        assert!((time_sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn night_owls_and_larks_have_distant_temporal_profiles() {
-        let mk = |user: u32, hour: u64| {
-            let start = hour * 3_600;
-            SessionRecord {
-                user: UserId::new(user),
-                ap: ApId::new(0),
-                controller: ControllerId::new(0),
-                connect: Timestamp::from_secs(start),
-                disconnect: Timestamp::from_secs(start + 1_800),
-                volume_by_app: {
-                    let mut v = [Bytes::ZERO; 6];
-                    v[0] = Bytes::megabytes(5);
-                    v
-                },
-            }
-        };
-        let store = TraceStore::new(vec![mk(1, 9), mk(2, 22)]);
-        let a = temporal_profile(&store, UserId::new(1), 0, 1).unwrap();
-        let b = temporal_profile(&store, UserId::new(2), 0, 1).unwrap();
-        let distance: f64 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
-        assert!((distance - 2.0).abs() < 1e-9, "completely disjoint hours");
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! Over models learned from *arbitrary* traces — including empty ones,
 //! single-user ones, sessions with no traffic, and traces touching ids at
 //! the very top of the `u32` range — every answer of [`SocialModel`]'s
-//! dense tables must be **bit-equal** (`f64::to_bits`) to the quantity it
-//! stands for:
-//! `δ(u,v) = P(L|E)(u,v) + α·T(type_u, type_v)` with `P` mined straight
-//! from the trace (§IV), the demand estimate `w(u)` from
-//! [`s3_core::profile`], and the per-AP cost `Σ_{w∈S(AP)} δ(u,w)` summed
-//! in member order, for known, unknown, self, and overflow-id queries
-//! alike. Anything weaker would let the byte-identical-CSV contract rot
-//! silently.
+//! dense tables must be **exactly** the quantity it stands for:
+//! `δ(u,v)·2³² = ⌊P(L|E)(u,v)·2³²⌋ + ⌊α·T(type_u, type_v)·2³²⌋` with `P`
+//! mined straight from the trace (§IV), the demand estimate `w(u)` from
+//! [`s3_core::profile`] (bit for bit), and the per-AP cost
+//! `Σ_{w∈S(AP)} δ(u,w)·2³²`, an integer that no reordering of the members
+//! changes, for known, unknown, self, and overflow-id queries alike.
+//! Anything weaker would let the byte-identical-CSV contract rot silently.
 
 use proptest::prelude::*;
 
@@ -89,19 +88,46 @@ fn mined_pairs(store: &TraceStore, config: &S3Config) -> HashMap<UserPair, f64> 
     )
 }
 
-/// `δ(u,v) = P(L|E)(u,v) + α·T(type_u, type_v)`: `P` is 0 for a pair never
-/// mined, `T` is 0 when either user is untyped, and a user has no relation
-/// with itself.
-fn paper_delta(model: &SocialModel, pairs: &HashMap<UserPair, f64>, u: UserId, v: UserId) -> f64 {
+/// `2³²`, the fixed-point unit of δ.
+const ONE: f64 = 4_294_967_296.0;
+
+/// `δ(u,v)·2³² = ⌊P(L|E)(u,v)·2³²⌋ + ⌊(α·T(type_u, type_v))·2³²⌋`: `P` is
+/// 0 for a pair never mined, `T` is 0 when either user is untyped, and a
+/// user has no relation with itself.
+fn paper_delta(model: &SocialModel, pairs: &HashMap<UserPair, f64>, u: UserId, v: UserId) -> u64 {
     let Some(pair) = UserPair::new(u, v) else {
-        return 0.0;
+        return 0;
     };
     let p = pairs.get(&pair).copied().unwrap_or(0.0);
     let t = match (model.user_type(u), model.user_type(v)) {
         (Some(tu), Some(tv)) => model.type_matrix().get(tu, tv),
         _ => 0.0,
     };
-    p + model.alpha() * t
+    (p * ONE).floor() as u64 + (model.alpha() * t * ONE).floor() as u64
+}
+
+/// `δ(u,v)·2³²` as the model answers it, which must be a whole number.
+fn model_delta(model: &SocialModel, u: UserId, v: UserId) -> u64 {
+    let scaled = model.delta(u, v) * ONE;
+    assert_eq!(
+        scaled.fract(),
+        0.0,
+        "delta({u}, {v}) is not a multiple of 2^-32"
+    );
+    scaled as u64
+}
+
+/// The clique cost the selector accumulates when it places `clique` in
+/// order on `slots` (dense member rows): each member pays its slot cost
+/// against the slot's residents and the members placed there before it.
+fn clique_cost(model: &SocialModel, clique: &[(u32, usize)], slots: &[Vec<u32>]) -> u64 {
+    let mut rows = slots.to_vec();
+    let mut total = 0;
+    for &(u, slot) in clique {
+        total += model.slot_cost(u, &rows[slot]);
+        rows[slot].push(u);
+    }
+    total
 }
 
 proptest! {
@@ -117,8 +143,8 @@ proptest! {
             for &v in &ids {
                 // Includes self pairs (u == v) and unknown/overflow ids.
                 prop_assert_eq!(
-                    model.delta(u, v).to_bits(),
-                    paper_delta(&model, &pairs, u, v).to_bits(),
+                    model_delta(&model, u, v),
+                    paper_delta(&model, &pairs, u, v),
                     "delta({}, {}) diverged", u, v
                 );
             }
@@ -164,15 +190,44 @@ proptest! {
         let member_ids: Vec<UserId> = members.into_iter().map(UserId::new).collect();
         let mut dense = Vec::new();
         model.extend_dense(member_ids.iter().copied(), &mut dense);
-        // std's float `Sum` folds from -0.0, so an empty list sums to -0.0.
         for &u in &query_ids(&records) {
-            let summed: f64 = member_ids.iter().map(|&w| model.delta(u, w)).sum();
+            let summed: u64 = member_ids.iter().map(|&w| model_delta(&model, u, w)).sum();
             let cost = model.slot_cost(model.dense_or_unknown(u), &dense);
-            prop_assert_eq!(cost.to_bits(), summed.to_bits(), "slot cost for {}", u);
+            prop_assert_eq!(cost, summed, "slot cost for {}", u);
         }
-        let unknown: f64 = member_ids.iter().map(|&w| model.delta(UserId::new(500), w)).sum();
-        prop_assert_eq!(model.slot_cost(NO_USER, &dense).to_bits(), unknown.to_bits());
-        prop_assert_eq!(model.slot_cost(NO_USER, &[]).to_bits(), (-0.0f64).to_bits());
+        prop_assert_eq!(model.slot_cost(NO_USER, &dense), 0);
+        prop_assert_eq!(model.slot_cost(NO_USER, &[]), 0);
+    }
+
+    #[test]
+    fn slot_and_clique_costs_ignore_member_order(
+        records in records_strategy(),
+        placed in prop::collection::vec((0u32..24, 0usize..2), 1..12),
+        residents in prop::collection::vec((0u32..24, 0usize..2), 0..40),
+        seed in 0u64..4,
+    ) {
+        // A clique placed on two crowded slots, and the same clique and
+        // residents in reverse order: every sum is reordered, no value
+        // changes (an f64 sum of these δ would round apart).
+        let model = SocialModel::learn(&TraceStore::new(records), &config(), seed);
+        let dense = |raw: u32| model.dense_or_unknown(UserId::new(raw));
+        let mut slots = vec![Vec::new(); 2];
+        for &(raw, slot) in &residents {
+            slots[slot].push(dense(raw));
+        }
+        let clique: Vec<(u32, usize)> = placed.iter().map(|&(raw, slot)| (dense(raw), slot)).collect();
+        let reversed_slots: Vec<Vec<u32>> =
+            slots.iter().map(|row| row.iter().rev().copied().collect()).collect();
+        for (u, _) in &clique {
+            for (row, reversed) in slots.iter().zip(&reversed_slots) {
+                prop_assert_eq!(model.slot_cost(*u, row), model.slot_cost(*u, reversed));
+            }
+        }
+        let reversed_clique: Vec<(u32, usize)> = clique.iter().rev().copied().collect();
+        prop_assert_eq!(
+            clique_cost(&model, &clique, &slots),
+            clique_cost(&model, &reversed_clique, &reversed_slots)
+        );
     }
 }
 

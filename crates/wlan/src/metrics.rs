@@ -35,6 +35,21 @@ static IDLE_BINS: Desc = Desc {
     unit: Unit::Count,
     stability: Stability::Stable,
 };
+// Registered only when a session is left out, so snapshots of ordinary
+// traces list the same metrics as before.
+static PAST_HORIZON: Desc = Desc {
+    name: "wlan.metrics.sessions_past_horizon",
+    help: "Sessions ending past the balance horizon, left out of the balance index",
+    unit: Unit::Count,
+    stability: Stability::Stable,
+};
+
+/// Days the balance index covers, from the midnight of the first observed
+/// record's day: [`StreamingBalance`] bins a session only when it ends
+/// within them. The bin table and the sample walk grow with the span of
+/// the binned sessions, so a bound keeps one hostile timestamp near 2⁶⁴ s
+/// from sizing them; a year leaves room for any evaluation trace.
+pub const BALANCE_HORIZON_DAYS: u64 = 366;
 
 /// One balance-index sample: a controller domain over one time bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,13 +162,18 @@ where
 ///
 /// Memory is one volume per bin up to each AP's last bin with traffic:
 /// it scales with the campus and the day span, never with the record
-/// count.
+/// count. A session that ends [`BALANCE_HORIZON_DAYS`] or more days after
+/// the origin's day is left out and counted instead
+/// ([`StreamingBalance::past_horizon`], and the
+/// `wlan.metrics.sessions_past_horizon` counter).
 #[derive(Debug)]
 pub struct StreamingBalance {
     bin: TimeDelta,
     /// Start of the first record's day — the bin grid origin.
     origin: Option<u64>,
     last_day: u64,
+    /// Sessions left out for ending past the horizon.
+    past_horizon: u64,
     /// Served volume per bin index, for every AP observed under each
     /// controller over the whole stream (both maps ascend by id).
     volumes: BTreeMap<ControllerId, BTreeMap<ApId, Vec<Bytes>>>,
@@ -171,12 +191,17 @@ impl StreamingBalance {
             bin,
             origin: None,
             last_day: 0,
+            past_horizon: 0,
             volumes: BTreeMap::new(),
         }
     }
 
     /// An accumulator that has observed every record of `store`.
-    fn of_store(store: &TraceStore, bin: TimeDelta) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin` is zero.
+    pub fn of_store(store: &TraceStore, bin: TimeDelta) -> Self {
         let mut balance = StreamingBalance::new(bin);
         for record in store.records() {
             balance.observe(record);
@@ -184,7 +209,8 @@ impl StreamingBalance {
         balance
     }
 
-    /// Folds one record into the per-bin volume table.
+    /// Folds one record into the per-bin volume table, or counts it in
+    /// [`StreamingBalance::past_horizon`] when it ends past the horizon.
     ///
     /// # Panics
     ///
@@ -198,7 +224,12 @@ impl StreamingBalance {
             record.connect.as_secs() >= origin,
             "records must be observed in nondecreasing connect order"
         );
-        self.last_day = self.last_day.max(record.disconnect.day());
+        let day = record.disconnect.day();
+        if day.saturating_sub(origin / s3_types::SECS_PER_DAY) >= BALANCE_HORIZON_DAYS {
+            self.past_horizon += 1;
+            return;
+        }
+        self.last_day = self.last_day.max(day);
         let row = self
             .volumes
             .entry(record.controller)
@@ -225,6 +256,11 @@ impl StreamingBalance {
         }
     }
 
+    /// Sessions left out of the index for ending past the horizon.
+    pub fn past_horizon(&self) -> u64 {
+        self.past_horizon
+    }
+
     /// The normalized traffic balance index of every `(controller, bin)`
     /// pair whose controller has at least two APs, controller-major and
     /// bin-minor, with each bin's loads in ascending AP order. Publishes
@@ -234,6 +270,11 @@ impl StreamingBalance {
         let Some(origin) = self.origin else {
             return Vec::new();
         };
+        if self.past_horizon > 0 {
+            s3_obs::global()
+                .counter(&PAST_HORIZON)
+                .add(self.past_horizon);
+        }
         let width = self.bin.as_secs();
         let end = (self.last_day + 1) * s3_types::SECS_PER_DAY;
         let mut out = Vec::new();
@@ -513,6 +554,30 @@ mod tests {
             0x3fd1_1e88_121b_c9a8,
             (864, 456, 408),
         );
+    }
+
+    #[test]
+    fn sessions_past_the_horizon_are_counted_not_binned() {
+        let last_day_in = BALANCE_HORIZON_DAYS - 1;
+        let mut balance = StreamingBalance::new(TimeDelta::minutes(10));
+        balance.observe(&rec(1, 0, 0, 3_600, 7_200, 6));
+        balance.observe(&rec(2, 1, 0, 3_600, 7_200, 6));
+        balance.observe(&rec(
+            3,
+            1,
+            0,
+            last_day_in * 86_400,
+            last_day_in * 86_400 + 600,
+            1,
+        ));
+        balance.observe(&rec(4, 0, 0, 18e18 as u64, 18e18 as u64 + 100, 1));
+        assert_eq!(balance.past_horizon(), 1);
+        // Two APs over exactly the horizon's days of ten-minute bins, the
+        // last active one the first bin of its last day.
+        let samples = balance.samples();
+        assert_eq!(samples.len() as u64, BALANCE_HORIZON_DAYS * 144);
+        let last_active = samples.iter().rposition(|s| s.active);
+        assert_eq!(last_active, Some(last_day_in as usize * 144));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 
 use proptest::prelude::*;
 
-use s3_wlan_lb::core::batch::{assign_clique, ApSlot};
-use s3_wlan_lb::core::S3Config;
 use s3_wlan_lb::stats::gap::{gap_statistic, GapConfig};
 use s3_wlan_lb::stats::kmeans::{fit, KMeansConfig};
 use s3_wlan_lb::trace::events::{
@@ -95,40 +93,5 @@ proptest! {
         let a = gap_statistic(&pts, 3, &seq, seed).unwrap();
         let b = gap_statistic(&pts, 3, &par, seed).unwrap();
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn assign_clique_is_thread_count_invariant(
-        clique_size in 1usize..=5,
-        slot_count in 1usize..=4,
-        delta_seed in 0u64..10_000,
-        threads in 2usize..=8,
-        force_beam in (0u8..2).prop_map(|b| b == 1),
-    ) {
-        let clique: Vec<UserId> = (0..clique_size as u32).map(UserId::new).collect();
-        let slots: Vec<ApSlot> = (0..slot_count as u32)
-            .map(|s| ApSlot {
-                load: f64::from(s) * 5e5,
-                capacity: 1e8,
-                members: (0..3).map(|w| UserId::new(100 + s * 3 + w)).collect(),
-            })
-            .collect();
-        let delta = |a: UserId, b: UserId| {
-            let (lo, hi) = (a.raw().min(b.raw()), a.raw().max(b.raw()));
-            let h = (u64::from(lo) * 31 + u64::from(hi) * 17).wrapping_mul(delta_seed | 1);
-            (h % 1000) as f64 / 1000.0
-        };
-        // `force_beam` drops the enumeration limit to zero so the beam
-        // search path gets exercised on spaces enumeration would cover.
-        let seq = S3Config {
-            threads: 1,
-            enumeration_limit: if force_beam { 0 } else { S3Config::default().enumeration_limit },
-            ..S3Config::default()
-        };
-        let par = S3Config { threads, ..seq.clone() };
-        prop_assert_eq!(
-            assign_clique(&clique, &slots, delta, |_| 1e4, &seq),
-            assign_clique(&clique, &slots, delta, |_| 1e4, &par)
-        );
     }
 }
