@@ -1,5 +1,5 @@
 //! Ablation (not a paper figure): the full strategy × scenario stress
-//! grid. Every strategy in the default registry replays the evaluation
+//! grid. Every policy in [`Policy::ALL`] replays the evaluation
 //! days of a campus trace stressed by each adversarial scenario
 //! ([`s3_trace::generator::scenario`]): flash-crowd surges, rolling AP
 //! outages, heterogeneous AP capacities and roaming users, next to the
@@ -21,18 +21,17 @@
 //! `<out>/BENCH_ablation.json`. Both are byte-deterministic for a fixed
 //! seed at any thread count.
 
-use std::any::Any;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use s3_bench::{fmt, write_csv, EVAL_DAYS};
-use s3_core::{strategy_registry, S3Config, SocialModel};
+use s3_core::{Policy, S3Config, SocialModel};
 use s3_trace::generator::{apply_scenario, CampusConfig, CampusGenerator, ScenarioSpec};
 use s3_trace::{SessionDemand, TraceStore};
 use s3_types::{TimeDelta, Timestamp, SECS_PER_DAY};
 use s3_wlan::metrics::mean_active_balance_filtered;
 use s3_wlan::selector::LeastLoadedFirst;
-use s3_wlan::{BuildContext, RebalanceConfig, SimConfig, SimEngine, Topology};
+use s3_wlan::{RebalanceConfig, SimConfig, SimEngine, Topology};
 
 /// The scenario column of the grid: name → spec for
 /// [`ScenarioSpec::parse`].
@@ -142,7 +141,7 @@ impl World {
 
     /// Trains the S³ model the way the CLI does — the pre-evaluation days
     /// replayed under LLF stand in for the collected log — once, shared
-    /// by every selector the registry's `s3` factory builds.
+    /// by every S³ selector [`Policy::build`] makes.
     fn train_s3(&self, threads: usize, seed: u64) -> Arc<SocialModel> {
         let first_eval = self.days.saturating_sub(EVAL_DAYS);
         let cut = Timestamp::from_secs(first_eval * SECS_PER_DAY);
@@ -212,13 +211,12 @@ fn main() {
     } else {
         SCENARIOS
     };
-    let registry = strategy_registry();
     let bin = TimeDelta::minutes(10);
     let daytime = |h: u64| h >= 8;
 
     println!(
         "ablation grid: {} strategies x {} scenarios (seed {})",
-        registry.names().count(),
+        Policy::ALL.len(),
         scenarios.len(),
         args.seed
     );
@@ -228,19 +226,10 @@ fn main() {
         let world = World::build(config.clone(), spec_text, args.seed);
         let model = world.train_s3(args.threads, args.seed);
         let eval = world.eval_demands();
-        for entry in registry.entries() {
-            let artifact = entry
-                .caps()
-                .needs_training
-                .then_some(&model as &(dyn Any + Send + Sync));
-            let mut selector = entry
-                .build(&BuildContext {
-                    seed: args.seed,
-                    shard: 0,
-                    threads: args.threads,
-                    artifact,
-                })
-                .expect("every registered strategy builds");
+        for policy in Policy::ALL {
+            let mut selector = policy
+                .build(args.seed, Some(&model))
+                .expect("every policy builds with a model");
             let result = world.engine.run(&eval, selector.as_mut());
             let migrations = result.migrations;
             let log = TraceStore::new(result.records);
@@ -248,19 +237,17 @@ fn main() {
             let tail = p95_ap_load_mbps(&log, bin);
             println!(
                 "  {scenario_name:<15} {:<12} balance {balance:.4}  migrations {migrations:>5}  p95 {tail:.2} Mbps",
-                entry.name()
+                policy.name()
             );
             rows.push(format!(
-                "{},{scenario_name},{},{migrations},{}",
-                entry.name(),
+                "{policy},{scenario_name},{},{migrations},{}",
                 fmt(balance),
                 fmt(tail)
             ));
             sweep.push(format!(
-                "    {{\"strategy\": \"{}\", \"scenario\": \"{scenario_name}\", \
+                "    {{\"strategy\": \"{policy}\", \"scenario\": \"{scenario_name}\", \
                  \"mean_daytime_balance\": {}, \"migrations\": {migrations}, \
                  \"p95_ap_load_mbps\": {}}}",
-                entry.name(),
                 fmt(balance),
                 fmt(tail)
             ));
@@ -281,7 +268,7 @@ fn main() {
         config.total_aps(),
         config.days,
         args.seed,
-        registry.names().count(),
+        Policy::ALL.len(),
         scenarios.len(),
         sweep.join(",\n")
     );

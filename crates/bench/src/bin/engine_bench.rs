@@ -1,9 +1,10 @@
 //! Machine-readable sharded-engine throughput benchmark.
 //!
-//! Generates a campus demand trace (timing the parallel generator against
-//! the legacy sequential one), then replays it through
-//! `SimEngine::run_shards` (records discarded by a counting
-//! sink) at a sweep of `(policy, shard count)` cells, timing each run.
+//! Generates a campus demand trace with `CampusGenerator::generate`
+//! (timed), then replays it through `SimEngine::run_shards` (records
+//! discarded by a counting sink) at a sweep of `(policy, shard count)`
+//! cells, timing each run. `--policies` takes any `--policy` name of
+//! `s3wlan`; a policy that is not shardable is refused above one shard.
 //! The output is one JSON document — events/sec and users/sec per cell —
 //! suitable for archiving as a build artifact and diffing across commits:
 //!
@@ -40,12 +41,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use s3_core::{S3Config, S3Selector, SocialModel};
+use s3_core::{Policy, S3Config, SocialModel};
 use s3_obs::MetricValue;
 use s3_trace::generator::{CampusConfig, CampusGenerator};
 use s3_trace::{SessionDemand, SessionRecord, TraceStore};
 use s3_wlan::engine::SliceSource;
-use s3_wlan::selector::{ApSelector, LeastLoadedFirst};
+use s3_wlan::selector::LeastLoadedFirst;
 use s3_wlan::{RecordSink, SimConfig, SimEngine, Topology};
 
 const USAGE: &str = "usage: engine_bench [--out <path.json>] [--scale campus|district|city] \
@@ -110,46 +111,27 @@ struct Sample {
 
 /// One sweep cell: a `(policy, shard count)` pair and its best sample.
 struct Cell {
-    policy: &'static str,
+    policy: Policy,
     shards: usize,
     best: Option<Sample>,
 }
 
-/// The S³ model, trained once, with the configuration its selectors run.
-type S3Artifact = (Arc<SocialModel>, S3Config);
-
-/// Boxed per-shard selectors for `policy`. Every S³ shard shares the one
-/// model — construction stays outside the timed region.
-fn build_selectors(
-    policy: &str,
-    shards: usize,
-    s3: Option<&S3Artifact>,
-) -> Vec<Box<dyn ApSelector + Send>> {
-    (0..shards)
-        .map(|_| match policy {
-            "llf" => Box::new(LeastLoadedFirst::new()) as Box<dyn ApSelector + Send>,
-            "s3" => {
-                let (model, config) = s3.expect("s3 model trained before the sweep");
-                Box::new(S3Selector::new(Arc::clone(model), config.clone()))
-                    as Box<dyn ApSelector + Send>
-            }
-            other => {
-                eprintln!("unknown policy {other:?}\n{USAGE}");
-                std::process::exit(2);
-            }
-        })
-        .collect()
-}
-
-/// One timed streamed replay of a cell.
+/// One timed replay of a cell. Every S³ shard shares the one `model`, and
+/// selector construction stays outside the timed region.
 fn run_cell(
     engine: &SimEngine,
     demands: &[SessionDemand],
-    policy: &str,
-    shards: usize,
-    s3: Option<&S3Artifact>,
+    cell: &Cell,
+    seed: u64,
+    model: Option<&Arc<SocialModel>>,
 ) -> Sample {
-    let mut selectors = build_selectors(policy, shards, s3);
+    let mut selectors: Vec<_> = (0..cell.shards)
+        .map(|_| {
+            cell.policy
+                .build(seed, model)
+                .expect("s3 model trained before the sweep")
+        })
+        .collect();
     let mut source = SliceSource::new(demands);
     let mut sink = CountSink::default();
     let before = events_processed();
@@ -206,22 +188,25 @@ fn main() {
         .split(',')
         .map(|s| s.trim().parse().expect("--shards takes a comma list"))
         .collect();
-    let policies: Vec<&'static str> = flag(&args, "--policies")
+    let policies: Vec<Policy> = flag(&args, "--policies")
         .unwrap_or_else(|| "llf,s3".into())
         .split(',')
-        .map(|p| match p.trim() {
-            "llf" => "llf",
-            "s3" => "s3",
-            other => {
-                eprintln!("unknown policy {other:?}\n{USAGE}");
+        .map(|p| {
+            Policy::parse(p.trim()).unwrap_or_else(|e| {
+                eprintln!("{e}\n{USAGE}");
                 std::process::exit(2);
-            }
+            })
         })
         .collect();
+    if let Some(policy) = policies.iter().find(|p| !p.shardable()) {
+        if shard_counts.iter().any(|&n| n > 1) {
+            eprintln!("policy {policy} is not shardable; sweep it at --shards 1\n{USAGE}");
+            std::process::exit(2);
+        }
+    }
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let threads = s3_par::resolve_threads(None);
 
     let config = CampusConfig {
         users,
@@ -231,49 +216,38 @@ fn main() {
         ..CampusConfig::campus()
     };
     eprintln!(
-        "engine_bench: generating {users} users x {days} day(s) over {} APs \
-         (seed {seed}, {threads} thread(s))...",
+        "engine_bench: generating {users} users x {days} day(s) over {} APs (seed {seed})...",
         buildings * aps_per_building
     );
     let gen_start = Instant::now();
-    let campus = CampusGenerator::new(config.clone(), seed).generate_par(threads);
+    let campus = CampusGenerator::new(config, seed).generate();
     let gen_seconds = gen_start.elapsed().as_secs_f64();
-    let mut demands = campus.demands;
-    demands.sort_by_key(|d| (d.arrive, d.user));
+    let demands = campus.demands;
     eprintln!(
-        "engine_bench: {} demands generated in {gen_seconds:.1}s (parallel path)",
+        "engine_bench: {} demands generated in {gen_seconds:.1}s",
         demands.len()
     );
-    // Time the legacy sequential generator too: the parallel path draws
-    // per-entity seed streams, so it is a different (equally valid) trace
-    // and the comparison is wall clock, not byte output.
-    let seq_start = Instant::now();
-    let sequential = CampusGenerator::new(config, seed).generate();
-    let gen_seconds_sequential = seq_start.elapsed().as_secs_f64();
-    eprintln!(
-        "engine_bench: sequential generator {gen_seconds_sequential:.1}s \
-         ({:.2}x slower)",
-        gen_seconds_sequential / gen_seconds
-    );
-    drop(sequential);
 
     let engine = SimEngine::new(Topology::from_campus(&campus.config), SimConfig::default());
 
     // Train S³ once, outside every timed region, if the sweep needs it.
-    let s3_artifact: Option<S3Artifact> = if policies.contains(&"s3") {
+    let model = if policies.iter().any(|p| p.trains()) {
         let train_start = Instant::now();
         let llf = engine.run(&demands, &mut LeastLoadedFirst::new());
         let log = TraceStore::new(llf.records);
+        // Training runs on every core (`threads: 0`); the model is the
+        // same at any thread count.
         let s3_config = S3Config {
-            threads,
+            threads: 0,
             ..S3Config::default()
         };
         let model = SocialModel::learn(&log, &s3_config, seed);
         eprintln!(
-            "engine_bench: s3 model trained in {:.1}s (untimed)",
-            train_start.elapsed().as_secs_f64()
+            "engine_bench: s3 model trained in {:.1}s on {} thread(s) (untimed)",
+            train_start.elapsed().as_secs_f64(),
+            s3_config.effective_threads()
         );
-        Some((Arc::new(model), s3_config))
+        Some(Arc::new(model))
     } else {
         None
     };
@@ -291,24 +265,12 @@ fn main() {
 
     if repeats > 1 {
         for cell in &cells {
-            let _ = run_cell(
-                &engine,
-                &demands,
-                cell.policy,
-                cell.shards,
-                s3_artifact.as_ref(),
-            );
+            let _ = run_cell(&engine, &demands, cell, seed, model.as_ref());
         }
     }
     for round in 0..repeats {
         for cell in &mut cells {
-            let sample = run_cell(
-                &engine,
-                &demands,
-                cell.policy,
-                cell.shards,
-                s3_artifact.as_ref(),
-            );
+            let sample = run_cell(&engine, &demands, cell, seed, model.as_ref());
             if round == 0 {
                 eprintln!(
                     "engine_bench: policy={} shards={} {:.2}s {:.0} events/s {:.0} users/s",
@@ -352,17 +314,7 @@ fn main() {
         buildings * aps_per_building
     );
     let _ = writeln!(doc, "  \"demands\": {},", demands.len());
-    let _ = writeln!(doc, "  \"generate_threads\": {threads},");
     let _ = writeln!(doc, "  \"generate_seconds\": {gen_seconds:.2},");
-    let _ = writeln!(
-        doc,
-        "  \"generate_seconds_sequential\": {gen_seconds_sequential:.2},"
-    );
-    let _ = writeln!(
-        doc,
-        "  \"generate_speedup\": {:.2},",
-        gen_seconds_sequential / gen_seconds
-    );
     doc.push_str("  \"sweep\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let s = c.best.as_ref().expect("cell measured");

@@ -1,12 +1,13 @@
 //! Command-line parsing — hand-rolled, zero dependencies.
 //!
-//! Policy names are not hard-coded here: `--policy` values are validated
-//! against the [`s3_core::strategy_registry`] at parse time, and the
-//! "deterministic under sharding" rule is the registry's
-//! [`s3_wlan::StrategyCaps::shardable`] flag — adding a strategy never
-//! touches this file.
+//! Policy names are not hard-coded here: `--policy` values are parsed by
+//! [`Policy::parse`] at parse time, and the "deterministic under sharding"
+//! rule is [`Policy::shardable`] — adding a policy never touches this
+//! file.
 
 use std::path::PathBuf;
+
+use s3_core::Policy;
 
 use crate::commands::MAX_APS;
 use crate::CliError;
@@ -19,8 +20,8 @@ use crate::CliError;
 pub struct ReplayArgs {
     /// Input demand CSV.
     pub demands: PathBuf,
-    /// Policy to replay (a registered strategy name).
-    pub policy: String,
+    /// Policy to replay.
+    pub policy: Policy,
     /// Seed (random policy, S³ clustering).
     pub seed: u64,
     /// Days of the trace used to train S³ (0 = the first 70 %; ignored by
@@ -70,9 +71,6 @@ pub struct GenerateArgs {
     /// Fault-injection spec (see `FaultSpec::parse`), applied to the CSV
     /// text after generation with the same seed.
     pub faults: Option<String>,
-    /// Worker threads (0 = auto); the trace is identical for any value
-    /// (per-entity seed streams).
-    pub threads: usize,
 }
 
 /// A parsed subcommand.
@@ -186,31 +184,20 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Validates a `--policy` value against the strategy registry, so unknown
-/// names fail at parse time with the full list of known strategies.
-fn parse_policy(name: &str) -> Result<String, CliError> {
-    let registry = s3_core::strategy_registry();
-    if registry.get(name).is_some() {
-        Ok(name.to_string())
-    } else {
-        Err(CliError::Usage(registry.unknown(name).to_string()))
-    }
+/// Parses a `--policy` value, so unknown names fail at parse time with
+/// the full list of known policies.
+fn parse_policy(name: &str) -> Result<Policy, CliError> {
+    Policy::parse(name).map_err(|e| CliError::Usage(e.to_string()))
 }
 
-/// Policies whose registry entry is not flagged deterministic-under-
-/// sharding (the random baseline's sequential RNG stream) are refused up
-/// front for `--shards > 1`; the rule lives in the registry's capability
-/// flags, not in a hard-coded name list.
-fn reject_unshardable(policy: &str, shards: usize) -> Result<(), CliError> {
-    if shards > 1 {
-        let entry = s3_core::strategy_registry()
-            .get(policy)
-            .expect("policy validated at parse");
-        if !entry.caps().shardable {
-            return Err(CliError::Usage(
-                s3_wlan::StrategyError::NotShardable(entry.name()).to_string(),
-            ));
-        }
+/// Policies that are not [`Policy::shardable`] (the random baseline's
+/// sequential RNG stream) are refused up front for `--shards > 1`.
+fn reject_unshardable(policy: Policy, shards: usize) -> Result<(), CliError> {
+    if shards > 1 && !policy.shardable() {
+        return Err(CliError::Usage(format!(
+            "--shards > 1 is not supported for --policy {policy}: the strategy is not \
+             deterministic under sharding (see docs/STRATEGIES.md)"
+        )));
     }
     Ok(())
 }
@@ -336,7 +323,6 @@ fn parse_generate(cursor: &mut Cursor<'_>) -> Result<Command, CliError> {
     let mut days = None;
     let mut scenario = None;
     let mut faults = None;
-    let mut threads = 0usize;
     while let Some(flag) = cursor.next() {
         match flag {
             "--out" => out = Some(cursor.path_for(flag)?),
@@ -348,7 +334,6 @@ fn parse_generate(cursor: &mut Cursor<'_>) -> Result<Command, CliError> {
             "--days" => days = Some(cursor.u64_for(flag)?),
             "--scenario" => scenario = Some(cursor.value_for(flag)?.to_string()),
             "--faults" => faults = Some(cursor.value_for(flag)?.to_string()),
-            "--threads" => threads = cursor.usize_for(flag)?,
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
     }
@@ -379,7 +364,6 @@ fn parse_generate(cursor: &mut Cursor<'_>) -> Result<Command, CliError> {
         days,
         scenario,
         faults,
-        threads,
     }))
 }
 
@@ -390,7 +374,7 @@ fn parse_replay(sub: &str, cursor: &mut Cursor<'_>) -> Result<Command, CliError>
     let mut run = ReplayArgs {
         demands: PathBuf::new(),
         // `compare`'s fixed policy; `replay` and `trace` require --policy.
-        policy: "s3".into(),
+        policy: Policy::S3,
         seed: 42,
         train_days: 0,
         rebalance: false,
@@ -462,7 +446,7 @@ fn parse_replay(sub: &str, cursor: &mut Cursor<'_>) -> Result<Command, CliError>
                 .into(),
         ));
     }
-    reject_unshardable(&run.policy, run.shards)?;
+    reject_unshardable(run.policy, run.shards)?;
     Ok(match (sub, out) {
         ("replay", Some(out)) => Command::Replay {
             run,
@@ -517,7 +501,6 @@ mod tests {
                 days: 31,
                 scenario: None,
                 faults: None,
-                threads: 0,
             }
         );
         let args = generate_args("generate --out x.csv --users 100 --days 5 --seed 9");
@@ -525,16 +508,10 @@ mod tests {
     }
 
     #[test]
-    fn generate_threads_flag_parses() {
-        assert_eq!(generate_args("generate --out x.csv --threads 8").threads, 8);
-        assert!(parse(&argv("generate --out x.csv --threads")).is_err());
-    }
-
-    #[test]
     fn replay_analyze_and_convert_defaults() {
-        let run = |demands: &str, policy: &str| ReplayArgs {
+        let run = |demands: &str, policy: Policy| ReplayArgs {
             demands: PathBuf::from(demands),
-            policy: policy.to_string(),
+            policy,
             seed: 42,
             train_days: 0,
             rebalance: false,
@@ -546,7 +523,7 @@ mod tests {
         assert_eq!(
             parse(&argv("replay --demands d.csv --policy llf --out s.csv")).unwrap(),
             Command::Replay {
-                run: run("d.csv", "llf"),
+                run: run("d.csv", Policy::Llf),
                 out: PathBuf::from("s.csv"),
                 stream: false,
                 metrics: MetricsArgs::default(),
@@ -555,14 +532,14 @@ mod tests {
         assert_eq!(
             parse(&argv("trace --demands d.csv --policy mab --out t.jsonl")).unwrap(),
             Command::Trace {
-                run: run("d.csv", "mab"),
+                run: run("d.csv", Policy::Mab),
                 out: PathBuf::from("t.jsonl"),
             }
         );
         assert_eq!(
             parse(&argv("compare --demands d.csv")).unwrap(),
             Command::Compare {
-                run: run("d.csv", "s3"),
+                run: run("d.csv", Policy::S3),
                 metrics: MetricsArgs::default(),
             }
         );
@@ -615,7 +592,7 @@ mod tests {
         let run = replay_args(
             "replay --demands d.csv --policy s3 --out s.csv --train-days 7 --rebalance",
         );
-        assert_eq!(run.policy, "s3");
+        assert_eq!(run.policy, Policy::S3);
         assert_eq!(run.train_days, 7);
         assert!(run.rebalance);
     }
@@ -625,9 +602,9 @@ mod tests {
         let err = parse(&argv("replay --demands d.csv --policy magic --out s.csv")).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unknown policy"), "{msg}");
-        // The error enumerates every registered strategy.
-        for name in s3_core::strategy_registry().names() {
-            assert!(msg.contains(name), "{msg} should list {name}");
+        // The error enumerates every policy.
+        for policy in Policy::ALL {
+            assert!(msg.contains(policy.name()), "{msg} should list {policy}");
         }
     }
 
@@ -723,9 +700,8 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
-        // The random policy draws from one sequential RNG stream; its
-        // registry entry is not flagged shardable, so a sharded run is
-        // refused up front.
+        // The random policy draws from one sequential RNG stream; it is
+        // not shardable, so a sharded run is refused up front.
         for cmdline in [
             "replay --demands d.csv --policy random --out s.csv --shards 2",
             "trace --demands d.csv --policy random --out t.jsonl --shards 2",
@@ -738,14 +714,12 @@ mod tests {
             "replay --demands d.csv --policy random --out s.csv --shards 1"
         ))
         .is_ok());
-        // Every other registered strategy is shardable — including the
-        // RNG-bearing MAB, whose stream is keyed by shard-stable ids.
-        for name in s3_core::strategy_registry().names() {
-            if name == "random" {
-                continue;
-            }
-            let cmdline = format!("replay --demands d.csv --policy {name} --out s.csv --shards 4");
-            assert!(parse(&argv(&cmdline)).is_ok(), "{name} must shard");
+        // Every other policy is shardable — including the RNG-bearing
+        // MAB, whose stream is keyed by shard-stable ids.
+        for policy in Policy::ALL.into_iter().filter(|&p| p != Policy::Random) {
+            let cmdline =
+                format!("replay --demands d.csv --policy {policy} --out s.csv --shards 4");
+            assert!(parse(&argv(&cmdline)).is_ok(), "{policy} must shard");
         }
     }
 
@@ -785,7 +759,7 @@ mod tests {
             "trace --demands d.csv --policy s3 --out d.trace --train-days 4 \
              --rebalance --aps-per-building 3 --threads 2 --seed 9",
         );
-        assert_eq!(run.policy, "s3");
+        assert_eq!(run.policy, Policy::S3);
         assert_eq!(run.train_days, 4);
         assert!(run.rebalance);
         assert_eq!(run.aps_per_building, 3);
@@ -827,9 +801,9 @@ mod tests {
 
     #[test]
     fn every_registered_policy_parses() {
-        for name in s3_core::strategy_registry().names() {
-            let cmdline = format!("replay --demands d.csv --policy {name} --out s.csv");
-            assert_eq!(replay_args(&cmdline).policy, name);
+        for policy in Policy::ALL {
+            let cmdline = format!("replay --demands d.csv --policy {policy} --out s.csv");
+            assert_eq!(replay_args(&cmdline).policy, policy);
         }
         assert!(parse_policy("nope").is_err());
     }

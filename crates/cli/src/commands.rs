@@ -3,29 +3,28 @@
 //! `replay`, `replay --stream`, `trace` and `compare` are one pipeline:
 //! the input stage (`read_csv`) reads the demand trace, `set_up`
 //! builds the engine over the topology the trace implies and one selector
-//! per shard through the strategy registry (training S³ once when the
-//! policy needs it), and the commands differ only in where demands come
-//! from and where the run's output goes.
+//! per shard from the [`Policy`](s3_core::Policy) table (training S³ once
+//! when the policy needs it), and the commands differ only in where
+//! demands come from and where the run's output goes.
 
-use std::any::Any;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use s3_core::{strategy_registry, S3Config, SocialModel};
+use s3_core::{S3Config, SocialModel};
 use s3_trace::decision_log::{config_hash, DecisionLogReader, DecisionRecord};
 use s3_trace::generator::{
     apply_scenario, inject_csv_faults, CampusConfig, CampusGenerator, FaultSpec, ScenarioSpec,
 };
 use s3_trace::ingest::{IngestMode, IngestRow, RowError, StreamingReader};
 use s3_trace::interner::IdInterner;
-use s3_trace::{csv, SessionDemand, SessionRecord, TraceStore};
+use s3_trace::{csv, SessionDemand, SessionRecord, TraceStore, HORIZON_DAYS};
 use s3_types::{ApId, ControllerId, TimeDelta, Timestamp, UserId};
 use s3_wlan::engine::{
     check_log, trace_header, CollectSink, RunTotals, SliceSource, TraceChecker, TraceSink,
 };
-use s3_wlan::metrics::{mean_active_balance_filtered, StreamingBalance, BALANCE_HORIZON_DAYS};
+use s3_wlan::metrics::{mean_active_balance_filtered, StreamingBalance};
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst};
 use s3_wlan::{
     EngineError, RebalanceConfig, RecordSink, SimConfig, SimEngine, StreamSource, Topology,
@@ -152,10 +151,7 @@ fn generate<W: Write>(args: &GenerateArgs, out: &mut W) -> Result<(), CliError> 
         days: args.days,
         ..CampusConfig::campus()
     };
-    // The parallel generator is byte-identical at any thread count
-    // (per-entity seed streams), so the CLI always routes through it.
-    let effective_threads = s3_par::resolve_threads(Some(args.threads).filter(|&t| t > 0));
-    let mut campus = CampusGenerator::new(config, args.seed).generate_par(effective_threads);
+    let mut campus = CampusGenerator::new(config, args.seed).generate();
     if let Some(scenario) = scenario.filter(|s| !s.is_empty()) {
         let log = apply_scenario(&mut campus.demands, &campus.config, &scenario, args.seed);
         writeln!(out, "{}", log.summary())?;
@@ -355,12 +351,12 @@ struct Setup {
 
 /// The one set-up of `replay`, `replay --stream`, `trace` and `compare`:
 /// the engine over the topology of `extent` (with the rebalancer when
-/// asked), and one selector per shard built through the
-/// [`strategy_registry`]. When the registry says the policy
-/// `needs_training`, S³ is trained once on the demands `history` returns
-/// for the effective training span in days, replayed under LLF (the
-/// "collected log" convention of the paper), and every shard's selector
-/// shares that one model.
+/// asked), and one selector per shard built by
+/// [`Policy::build`](s3_core::Policy::build). When the policy
+/// [`trains`](s3_core::Policy::trains), S³ is trained once on the demands
+/// `history` returns for the effective training span in days, replayed
+/// under LLF (the "collected log" convention of the paper), and every
+/// shard's selector shares that one model.
 fn set_up(
     run: &ReplayArgs,
     extent: &Extent,
@@ -372,11 +368,7 @@ fn set_up(
         ..SimConfig::default()
     };
     let engine = SimEngine::new(topology, sim_config);
-    let registry = strategy_registry();
-    let needs_training = registry
-        .get(&run.policy)
-        .is_some_and(|entry| entry.caps().needs_training);
-    let (model, trained) = if needs_training {
+    let (model, trained) = if run.policy.trains() {
         let days = effective_train_days(run.train_days, extent.span);
         let history = history(days)?;
         let log = TraceStore::new(engine.run(&history, &mut LeastLoadedFirst::new()).records);
@@ -390,9 +382,9 @@ fn set_up(
     } else {
         (None, None)
     };
-    let artifact = model.as_ref().map(|m| m as &(dyn Any + Send + Sync));
-    let selectors = registry
-        .build_shards(&run.policy, run.shards, run.seed, run.threads, artifact)
+    let selectors = (0..run.shards)
+        .map(|_| run.policy.build(run.seed, model.as_ref()))
+        .collect::<Result<_, _>>()
         .map_err(|e| CliError::Usage(e.to_string()))?;
     Ok(Setup {
         engine,
@@ -552,7 +544,7 @@ fn report_balance<W: Write>(balance: StreamingBalance, out: &mut W) -> std::io::
     if late > 0 {
         writeln!(
             out,
-            "balance index: {late} sessions ending {BALANCE_HORIZON_DAYS} or more days after \
+            "balance index: {late} sessions ending {HORIZON_DAYS} or more days after \
              the first session's day left out"
         )?;
     }
@@ -584,7 +576,7 @@ fn trace<W: Write>(run: &ReplayArgs, out_path: &Path, out: &mut W) -> Result<(),
         run.seed,
         run.threads as u64,
         run.shards as u64,
-        &run.policy,
+        run.policy.name(),
         config_hash(&canonical),
     );
     let mut sink = TraceSink::new(BufWriter::new(File::create(out_path)?), &header)?;
@@ -1076,6 +1068,7 @@ fn step_debug<W: Write, R: BufRead>(path: &Path, mut cmds: R, out: &mut W) -> Re
 mod tests {
     use super::*;
     use crate::args::parse;
+    use s3_core::Policy;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -1098,10 +1091,10 @@ mod tests {
         let output = run_str("help").unwrap();
         assert!(output.contains("USAGE"));
         assert!(output.contains("s3wlan generate"));
-        // The POLICIES block is the registry: every strategy with its
+        // The POLICIES block is the policy table: every policy with its
         // summary.
-        for strategy in strategy_registry().entries() {
-            let line = format!("  {:<12} {}", strategy.name(), strategy.summary());
+        for policy in Policy::ALL {
+            let line = format!("  {:<12} {}", policy.name(), policy.summary());
             assert!(output.lines().any(|l| l == line), "{output} lacks {line:?}");
         }
     }
@@ -1136,6 +1129,30 @@ mod tests {
         ))
         .unwrap();
         assert!(output.contains("gain"), "{output}");
+    }
+
+    #[test]
+    fn generate_writes_the_campus_the_figures_see() {
+        let demands = tmp("gen_demands.csv");
+        run_str(&format!(
+            "generate --out {} --users 150 --buildings 3 --aps-per-building 2 --days 4 --seed 42",
+            demands.display()
+        ))
+        .unwrap();
+        let config = CampusConfig {
+            users: 150,
+            buildings: 3,
+            aps_per_building: 2,
+            days: 4,
+            ..CampusConfig::campus()
+        };
+        let mut expected = Vec::new();
+        csv::write_demands(
+            &mut expected,
+            &CampusGenerator::new(config, 42).generate().demands,
+        )
+        .unwrap();
+        assert_eq!(std::fs::read(&demands).unwrap(), expected);
     }
 
     #[test]

@@ -94,16 +94,12 @@ pub fn run<W: std::io::Write>(argv: &[String], out: &mut W) -> Result<(), CliErr
 }
 
 /// The usage text printed by `--help` and on usage errors: the fixed text
-/// followed by every strategy in the registry with its summary.
+/// followed by every policy with its summary.
 pub fn usage() -> String {
     let mut text = USAGE_TEXT.to_string();
-    text.push_str("\nPOLICIES (the strategy registry; see docs/STRATEGIES.md):\n");
-    for strategy in s3_core::strategy_registry().entries() {
-        text.push_str(&format!(
-            "  {:<12} {}\n",
-            strategy.name(),
-            strategy.summary()
-        ));
+    text.push_str("\nPOLICIES (see docs/STRATEGIES.md):\n");
+    for policy in s3_core::Policy::ALL {
+        text.push_str(&format!("  {:<12} {}\n", policy.name(), policy.summary()));
     }
     text
 }
@@ -114,7 +110,7 @@ s3wlan — social-aware WLAN load balancing toolkit
 USAGE:
   s3wlan generate --out <demands.csv> [--scale campus|district|city] [--seed N]
                   [--users N] [--buildings N] [--aps-per-building N] [--days N]
-                  [--scenario <spec>] [--faults <spec>] [--threads N]
+                  [--scenario <spec>] [--faults <spec>]
   s3wlan replay   --demands <demands.csv> --policy <name> (see POLICIES)
                   --out <sessions.csv> [--seed N] [--train-days N] [--rebalance]
                   [--stream] [--threads N] [--shards N] [--aps-per-building N]

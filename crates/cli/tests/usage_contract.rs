@@ -1,8 +1,8 @@
 //! The command-line contract of `s3wlan`: which flags each subcommand
 //! accepts (and whether each takes a value), and the exit code and first
 //! stderr line of bad command lines. Only the first stderr line is
-//! compared: the usage text printed after it renders the strategy
-//! registry, which grows with it.
+//! compared: the usage text printed after it renders the policy table,
+//! which grows with it.
 
 use std::process::Command;
 
@@ -10,7 +10,7 @@ use s3_cli::args::parse;
 
 /// Each subcommand's flags: `--flag=` takes a value, `--flag` is a switch.
 const FLAG_TABLE: &str = "
-generate     --out= --seed= --scale= --users= --buildings= --aps-per-building= --days= --scenario= --faults= --threads=
+generate     --out= --seed= --scale= --users= --buildings= --aps-per-building= --days= --scenario= --faults=
 replay       --demands= --policy= --out= --seed= --train-days= --aps-per-building= --threads= --shards= --metrics-out= --trace= --rebalance --metrics-full --lenient --stream --step
 convert      --in= --out= --maps-dir= --lenient
 analyze      --sessions= --seed= --threads= --metrics-out= --metrics-full --lenient

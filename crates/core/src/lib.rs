@@ -27,6 +27,10 @@
 //!    near-ties in favour of the assignment with the best projected
 //!    balance index (Algorithm 1, implemented in [`batch`]).
 //!
+//! [`Policy`] is the table from a `--policy` name to a selector: S³ over a
+//! shared trained model, the paper's baselines and the contenders from
+//! related work.
+//!
 //! # Example
 //!
 //! ```
@@ -57,12 +61,12 @@ pub mod batch;
 mod config;
 mod learning;
 pub mod online;
+mod policy;
 pub mod profile;
-pub mod registry;
 mod selector;
 
 pub use config::S3Config;
 pub use learning::{SocialModel, TypeMatrix, NO_USER};
 pub use online::IncrementalLearner;
-pub use registry::{default_registry, strategy_registry};
+pub use policy::{Policy, PolicyError};
 pub use selector::S3Selector;

@@ -1,15 +1,16 @@
-//! The registry refactor must not change a single decision: for every
-//! policy that predates the [`s3_core::strategy_registry`], a replay
-//! through a registry-built selector must produce records identical to a
-//! replay through the directly-constructed selector it replaced.
+//! [`Policy::build`] must not change a single decision: for the paper's
+//! policies, a replay through a selector the policy table built must
+//! produce records identical to a replay through the directly-constructed
+//! selector. (The file keeps the name it had when a strategy registry did
+//! the building.)
 
 use std::sync::Arc;
 
-use s3_core::{strategy_registry, S3Config, S3Selector, SocialModel};
+use s3_core::{Policy, S3Config, S3Selector, SocialModel};
 use s3_trace::generator::{CampusConfig, CampusGenerator};
 use s3_trace::TraceStore;
 use s3_wlan::selector::{ApSelector, LeastLoadedFirst, LeastUsers, RandomSelector, StrongestRssi};
-use s3_wlan::{BuildContext, SimConfig, SimEngine, Topology};
+use s3_wlan::{SimConfig, SimEngine, Topology};
 
 const SEED: u64 = 42;
 
@@ -19,19 +20,9 @@ fn campus() -> (SimEngine, Vec<s3_trace::SessionDemand>) {
     (engine, campus.demands)
 }
 
-fn registry_run(policy: &str, artifact: Option<&Arc<SocialModel>>) -> Vec<s3_trace::SessionRecord> {
+fn policy_run(policy: Policy, model: Option<&Arc<SocialModel>>) -> Vec<s3_trace::SessionRecord> {
     let (engine, demands) = campus();
-    let mut selector = strategy_registry()
-        .build(
-            policy,
-            &BuildContext {
-                seed: SEED,
-                shard: 0,
-                threads: 1,
-                artifact: artifact.map(|m| m as &(dyn std::any::Any + Send + Sync)),
-            },
-        )
-        .expect("registered policy builds");
+    let mut selector = policy.build(SEED, model).expect("policy builds");
     engine.run(&demands, selector.as_mut()).records
 }
 
@@ -43,7 +34,7 @@ fn direct_run(selector: &mut dyn ApSelector) -> Vec<s3_trace::SessionRecord> {
 #[test]
 fn llf_matches_direct_construction() {
     assert_eq!(
-        registry_run("llf", None),
+        policy_run(Policy::Llf, None),
         direct_run(&mut LeastLoadedFirst::new())
     );
 }
@@ -51,7 +42,7 @@ fn llf_matches_direct_construction() {
 #[test]
 fn least_users_matches_direct_construction() {
     assert_eq!(
-        registry_run("least-users", None),
+        policy_run(Policy::LeastUsers, None),
         direct_run(&mut LeastUsers::new())
     );
 }
@@ -59,7 +50,7 @@ fn least_users_matches_direct_construction() {
 #[test]
 fn rssi_matches_direct_construction() {
     assert_eq!(
-        registry_run("rssi", None),
+        policy_run(Policy::Rssi, None),
         direct_run(&mut StrongestRssi::new())
     );
 }
@@ -67,7 +58,7 @@ fn rssi_matches_direct_construction() {
 #[test]
 fn random_matches_direct_construction() {
     assert_eq!(
-        registry_run("random", None),
+        policy_run(Policy::Random, None),
         direct_run(&mut RandomSelector::new(SEED))
     );
 }
@@ -75,8 +66,8 @@ fn random_matches_direct_construction() {
 #[test]
 fn s3_matches_direct_construction() {
     // Train once the way the CLI does (LLF replay of the first day), then
-    // compare a registry-built S³ over the shared model against a
-    // hand-built one owning its own copy.
+    // compare a table-built S³ over the shared model against a hand-built
+    // one owning its own copy.
     let (engine, demands) = campus();
     let history: Vec<_> = demands
         .iter()
@@ -92,5 +83,8 @@ fn s3_matches_direct_construction() {
 
     let shared = Arc::new(model.clone());
     let mut direct = S3Selector::new(model, config);
-    assert_eq!(registry_run("s3", Some(&shared)), direct_run(&mut direct));
+    assert_eq!(
+        policy_run(Policy::S3, Some(&shared)),
+        direct_run(&mut direct)
+    );
 }

@@ -1,5 +1,5 @@
-//! Property tests over *every* strategy in the default registry: for
-//! arbitrary demand streams each registered strategy must return valid
+//! Property tests over *every* policy in [`Policy::ALL`]: for arbitrary
+//! demand streams each policy's selector must return valid
 //! candidate indices (the engine indexes the candidate list with the pick,
 //! so an invalid index aborts the run), serve every demand, and stay
 //! inside the topology.
@@ -8,11 +8,11 @@ use proptest::prelude::*;
 
 use std::sync::Arc;
 
-use s3_core::{strategy_registry, S3Config, SocialModel};
+use s3_core::{Policy, S3Config, SocialModel};
 use s3_trace::generator::CampusConfig;
 use s3_trace::{SessionDemand, TraceStore};
 use s3_types::{AppCategory, BuildingId, Bytes, ControllerId, Timestamp, UserId};
-use s3_wlan::{BuildContext, SimConfig, SimEngine, Topology};
+use s3_wlan::{SimConfig, SimEngine, Topology};
 
 fn arbitrary_demands() -> impl Strategy<Value = Vec<SessionDemand>> {
     prop::collection::vec(
@@ -48,8 +48,7 @@ fn arbitrary_demands() -> impl Strategy<Value = Vec<SessionDemand>> {
 }
 
 /// An S³ model trained on an empty log, shared — structurally valid,
-/// all-default social indices — so the `needs_training` entry can run
-/// over arbitrary demands too.
+/// all-default social indices — so S³ can run over arbitrary demands too.
 fn empty_model() -> Arc<SocialModel> {
     Arc::new(SocialModel::learn(
         &TraceStore::new(Vec::new()),
@@ -70,29 +69,24 @@ proptest! {
             Topology::from_campus(&CampusConfig::tiny()),
             SimConfig::default(),
         );
-        let registry = strategy_registry();
         let model = empty_model();
-        for entry in registry.entries() {
-            let artifact = entry
-                .caps()
-                .needs_training
-                .then_some(&model as &(dyn std::any::Any + Send + Sync));
-            let mut selector = entry
-                .build(&BuildContext { seed, shard: 0, threads: 1, artifact })
-                .expect("every registered strategy builds");
+        for policy in Policy::ALL {
+            let mut selector = policy
+                .build(seed, Some(&model))
+                .expect("every policy builds with a model");
             // `run` asserts pick < candidates.len() on every decision; an
             // out-of-range index panics here rather than mis-placing.
             let result = engine.run(&demands, selector.as_mut());
             prop_assert_eq!(
                 result.records.len() + result.rejected,
                 demands.len(),
-                "strategy {} lost demands", entry.name()
+                "strategy {} lost demands", policy
             );
             for r in &result.records {
                 prop_assert!(
                     engine.topology().aps_of_controller(r.controller).contains(&r.ap),
                     "strategy {} placed {:?} outside controller {:?}",
-                    entry.name(), r.ap, r.controller
+                    policy, r.ap, r.controller
                 );
             }
         }

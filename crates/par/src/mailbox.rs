@@ -9,10 +9,12 @@
 //! backpressure bounds the number of in-flight cycles) and whose both
 //! ends unblock promptly when the other side goes away — a worker must
 //! never deadlock because the coordinator aborted on an error, and vice
-//! versa. The standard library only ships an unbounded or rendezvous
-//! flavor of this with the semantics split across two types, and this
-//! workspace vendors no runtime crates, so the channel is hand-rolled on
-//! [`std::sync::Mutex`] + two [`std::sync::Condvar`]s.
+//! versa. `std::sync::mpsc::sync_channel(n)` has those semantics, but its
+//! receiver cannot say how many messages are waiting, and the merger
+//! samples exactly that for every shard at every chunk barrier, through
+//! [`Receiver::len`], into the `wlan.shard.channel_occupancy` histogram.
+//! This workspace vendors no runtime crates, so the channel is
+//! hand-rolled on [`std::sync::Mutex`] + two [`std::sync::Condvar`]s.
 //!
 //! Determinism note: the channel carries no ordering decisions — message
 //! order per sender is FIFO, and the sharded engine merges streams by

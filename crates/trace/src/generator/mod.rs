@@ -31,7 +31,6 @@ pub use schedule::{
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use s3_par::par_map;
 use s3_stats::rng::{bernoulli, log_normal, poisson, truncated_normal, ZipfCache};
 use s3_types::{
     ApId, BuildingId, Bytes, ControllerId, GroupId, TimeDelta, Timestamp, UserId,
@@ -192,30 +191,10 @@ pub struct Campus {
     pub ground_truth: GroundTruth,
 }
 
-/// Domain tag for per-building group-session seed streams in
-/// [`CampusGenerator::generate_par`].
-const STREAM_GROUPS: u64 = 1;
-/// Domain tag for per-user noise-session seed streams.
-const STREAM_NOISE: u64 = 2;
-
-/// Mixes `(seed, stream, index)` into an independent per-entity seed
-/// (SplitMix64 finalizer). Every entity stream of the parallel generator is
-/// a pure function of the master seed, so output never depends on which
-/// thread ran which entity.
-fn stream_seed(seed: u64, stream: u64, index: u64) -> u64 {
-    let mut z = seed
-        ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic generator: same `(config, seed)` → identical trace.
 #[derive(Debug)]
 pub struct CampusGenerator {
     config: CampusConfig,
-    seed: u64,
     rng: StdRng,
 }
 
@@ -224,15 +203,13 @@ impl CampusGenerator {
     pub fn new(config: CampusConfig, seed: u64) -> Self {
         CampusGenerator {
             config,
-            seed,
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    /// Generates the full campus trace sequentially, threading one RNG
-    /// stream through population, group sessions and noise. The byte stream
-    /// of this path is pinned (the fig2 golden depends on it); use
-    /// [`generate_par`](Self::generate_par) for large scales.
+    /// Generates the full campus trace, threading one RNG stream through
+    /// population, group sessions and noise. Its byte stream is pinned: the
+    /// figure goldens, `results/` and `replaybench` depend on it.
     pub fn generate(mut self) -> Campus {
         let ground_truth = self.synthesize_population();
         let home_zipf = ZipfCache::new(self.config.buildings, 0.8);
@@ -259,76 +236,6 @@ impl CampusGenerator {
         demands.sort_by_key(|d| (d.arrive, d.user));
         Campus {
             config: self.config,
-            demands,
-            ground_truth,
-        }
-    }
-
-    /// Generates the campus trace with session emission sharded over
-    /// `threads` workers via `s3-par`.
-    ///
-    /// Population synthesis stays on the master RNG stream (identical
-    /// ground truth to [`generate`](Self::generate)); session emission then
-    /// draws from independent per-entity streams — one per building for
-    /// group sessions, one per user for noise — each derived from the
-    /// master seed by `stream_seed`. Shards are concatenated in entity
-    /// order before the final stable sort, so the demand stream is a pure
-    /// function of `(config, seed)`: any thread count, including 1,
-    /// produces byte-identical output (pinned by test and by the CI
-    /// generate-parity step). The stream *differs* from
-    /// [`generate`](Self::generate)'s, which interleaves all entities on a
-    /// single RNG.
-    pub fn generate_par(mut self, threads: usize) -> Campus {
-        let ground_truth = self.synthesize_population();
-        let seed = self.seed;
-        let cfg = self.config;
-        let home_zipf = ZipfCache::new(cfg.buildings, 0.8);
-
-        // One shard per building: a building's groups share a seed stream.
-        let buildings: Vec<u32> = (0..cfg.buildings as u32).collect();
-        let group_parts = par_map(&buildings, threads, |_, &b| {
-            let mut rng = StdRng::seed_from_u64(stream_seed(seed, STREAM_GROUPS, u64::from(b)));
-            let mut out = Vec::new();
-            for group in &ground_truth.groups {
-                if group.building.raw() == b {
-                    emit_group_sessions(&cfg, &ground_truth, group, &mut rng, &mut out);
-                }
-            }
-            out
-        });
-
-        // Noise: every user owns a stream, chunked only for spawn
-        // granularity (chunk boundaries cannot affect output).
-        const NOISE_CHUNK: usize = 2_048;
-        let ranges: Vec<(usize, usize)> = (0..cfg.users)
-            .step_by(NOISE_CHUNK.max(1))
-            .map(|start| (start, (start + NOISE_CHUNK).min(cfg.users)))
-            .collect();
-        let noise_parts = par_map(&ranges, threads, |_, &(start, end)| {
-            let mut out = Vec::new();
-            for user_index in start..end {
-                let mut rng =
-                    StdRng::seed_from_u64(stream_seed(seed, STREAM_NOISE, user_index as u64));
-                emit_noise_sessions(
-                    &cfg,
-                    &ground_truth,
-                    &home_zipf,
-                    user_index,
-                    &mut rng,
-                    &mut out,
-                );
-            }
-            out
-        });
-
-        let total: usize = group_parts.iter().chain(&noise_parts).map(Vec::len).sum();
-        let mut demands = Vec::with_capacity(total);
-        for part in group_parts.into_iter().chain(noise_parts) {
-            demands.extend(part);
-        }
-        demands.sort_by_key(|d| (d.arrive, d.user));
-        Campus {
-            config: cfg,
             demands,
             ground_truth,
         }
@@ -610,27 +517,6 @@ mod tests {
         assert_eq!(a.demands, b.demands);
         let c = tiny_campus(8);
         assert_ne!(a.demands, c.demands);
-    }
-
-    #[test]
-    fn parallel_generation_is_thread_invariant() {
-        let t1 = CampusGenerator::new(CampusConfig::tiny(), 7).generate_par(1);
-        let t4 = CampusGenerator::new(CampusConfig::tiny(), 7).generate_par(4);
-        assert_eq!(t1.demands, t4.demands);
-        assert!(!t1.demands.is_empty());
-        for w in t1.demands.windows(2) {
-            assert!(w[0].arrive <= w[1].arrive);
-        }
-        // Population synthesis is shared with the sequential path, so the
-        // planted ground truth is identical even though the session streams
-        // differ.
-        let seq = tiny_campus(7);
-        assert_eq!(t1.ground_truth.user_types, seq.ground_truth.user_types);
-        assert_eq!(
-            t1.ground_truth.home_building,
-            seq.ground_truth.home_building
-        );
-        assert_eq!(t1.ground_truth.groups.len(), seq.ground_truth.groups.len());
     }
 
     #[test]

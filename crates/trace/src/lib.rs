@@ -47,4 +47,4 @@ pub mod summary;
 pub use record::{
     concentrated_volumes, zero_volumes, FlowRecord, SessionDemand, SessionRecord, TransportProtocol,
 };
-pub use store::TraceStore;
+pub use store::{TraceStore, HORIZON_DAYS};

@@ -10,6 +10,15 @@ use s3_types::{ApId, Bytes, ControllerId, TimeDelta, Timestamp, UserId, APP_CATE
 
 use crate::SessionRecord;
 
+/// Days a trace spans at most, from the midnight of its first session's
+/// day. A session that ends this many or more days after that day is past
+/// the horizon: [`TraceStore::day_range`] ends before it, and the balance
+/// index leaves it out and counts it (`s3_wlan::metrics::StreamingBalance`).
+/// Per-day and per-bin tables grow with the span, so the bound keeps one
+/// hostile timestamp near 2⁶⁴ s from sizing them; a year leaves room for
+/// any evaluation trace.
+pub const HORIZON_DAYS: u64 = 366;
+
 /// An immutable session log with user/AP/controller indexes.
 #[derive(Debug, Clone)]
 pub struct TraceStore {
@@ -115,19 +124,17 @@ impl TraceStore {
             .filter(move |r| r.overlaps(from, to))
     }
 
-    /// First and last day touched by any record (inclusive), or `None` for
-    /// an empty store.
+    /// The first day any record touches and the last day a record ending
+    /// within [`HORIZON_DAYS`] of it touches (inclusive), or `None` for an
+    /// empty store. Sessions past the horizon leave the range as it is.
     pub fn day_range(&self) -> Option<(u64, u64)> {
-        if self.records.is_empty() {
-            return None;
-        }
-        let first = self.records.first().expect("non-empty").connect.day();
+        let first = self.records.first()?.connect.day();
         let last = self
             .records
             .iter()
             .map(|r| r.disconnect.day())
-            .max()
-            .expect("non-empty");
+            .filter(|&day| day.saturating_sub(first) < HORIZON_DAYS)
+            .fold(first, u64::max);
         Some((first, last))
     }
 
@@ -374,6 +381,23 @@ mod tests {
         assert_eq!(sliced.len(), 1);
         assert_eq!(sliced.records()[0].user, UserId::new(2));
         assert_eq!(sliced.day_range(), Some((1, 1)));
+    }
+
+    #[test]
+    fn day_range_ends_before_the_horizon() {
+        let last_in = (HORIZON_DAYS - 1) * 86_400;
+        let far = 18_000_000_000_000_000_000;
+        let s = TraceStore::new(vec![
+            rec(1, 0, 0, 86_400 + 100, 86_400 + 200, 1),
+            rec(2, 0, 0, far, far + 100, 1),
+        ]);
+        assert_eq!(s.day_range(), Some((1, 1)));
+        let s = TraceStore::new(vec![
+            rec(1, 0, 0, 100, 200, 1),
+            rec(2, 0, 0, last_in, last_in + 100, 1),
+            rec(3, 0, 0, last_in + 86_400, last_in + 86_400 + 100, 1),
+        ]);
+        assert_eq!(s.day_range(), Some((0, HORIZON_DAYS - 1)));
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //!   compares against), [`selector::LeastUsers`],
 //!   [`selector::StrongestRssi`] and [`selector::RandomSelector`] — plus
 //!   the contender strategies from related work in [`strategies`]
-//!   (flow-level balancing, ε-greedy MAB, workload-class-aware);
-//! * [`StrategyRegistry`] — the pluggable name → factory + capability-flag
-//!   registry every consumer (CLI, benches, sharded runs) dispatches
-//!   through (see `docs/STRATEGIES.md`);
+//!   (flow-level balancing, ε-greedy MAB, workload-class-aware). The
+//!   table from a `--policy` name to one of them, S³ included, is
+//!   `s3_core::Policy`;
 //! * [`SimEngine`] — the event-driven replay core: one loop over arrival
 //!   cycles (departures, rebalance ticks, load-report epochs, arrival
 //!   batches) at any controller-domain shard count, pluggable
@@ -52,7 +51,6 @@ pub mod metrics;
 pub mod radio;
 pub mod selector;
 pub mod strategies;
-pub mod strategy;
 mod topology;
 
 pub use engine::{
@@ -60,5 +58,4 @@ pub use engine::{
     SimEngine, SimResult, SliceSource, StreamSource,
 };
 pub use selector::{ApCandidate, ApSelector, ApView, DecisionMeta, SelectionContext};
-pub use strategy::{BuildContext, Strategy, StrategyCaps, StrategyError, StrategyRegistry};
 pub use topology::{ApInfo, Topology};

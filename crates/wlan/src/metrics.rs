@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use s3_obs::{Desc, Stability, Unit};
 use s3_stats::balance::{normalized_balance_index, user_count_balance_index};
-use s3_trace::{SessionRecord, TraceStore};
+use s3_trace::{SessionRecord, TraceStore, HORIZON_DAYS};
 use s3_types::{ApId, Bytes, ControllerId, TimeDelta, Timestamp};
 
 // Balance-sampling metrics (documented in docs/METRICS.md). Recorded in
@@ -43,13 +43,6 @@ static PAST_HORIZON: Desc = Desc {
     unit: Unit::Count,
     stability: Stability::Stable,
 };
-
-/// Days the balance index covers, from the midnight of the first observed
-/// record's day: [`StreamingBalance`] bins a session only when it ends
-/// within them. The bin table and the sample walk grow with the span of
-/// the binned sessions, so a bound keeps one hostile timestamp near 2⁶⁴ s
-/// from sizing them; a year leaves room for any evaluation trace.
-pub const BALANCE_HORIZON_DAYS: u64 = 366;
 
 /// One balance-index sample: a controller domain over one time bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,7 +155,7 @@ where
 ///
 /// Memory is one volume per bin up to each AP's last bin with traffic:
 /// it scales with the campus and the day span, never with the record
-/// count. A session that ends [`BALANCE_HORIZON_DAYS`] or more days after
+/// count. A session that ends [`HORIZON_DAYS`] or more days after
 /// the origin's day is left out and counted instead
 /// ([`StreamingBalance::past_horizon`], and the
 /// `wlan.metrics.sessions_past_horizon` counter).
@@ -225,7 +218,7 @@ impl StreamingBalance {
             "records must be observed in nondecreasing connect order"
         );
         let day = record.disconnect.day();
-        if day.saturating_sub(origin / s3_types::SECS_PER_DAY) >= BALANCE_HORIZON_DAYS {
+        if day.saturating_sub(origin / s3_types::SECS_PER_DAY) >= HORIZON_DAYS {
             self.past_horizon += 1;
             return;
         }
@@ -558,7 +551,7 @@ mod tests {
 
     #[test]
     fn sessions_past_the_horizon_are_counted_not_binned() {
-        let last_day_in = BALANCE_HORIZON_DAYS - 1;
+        let last_day_in = HORIZON_DAYS - 1;
         let mut balance = StreamingBalance::new(TimeDelta::minutes(10));
         balance.observe(&rec(1, 0, 0, 3_600, 7_200, 6));
         balance.observe(&rec(2, 1, 0, 3_600, 7_200, 6));
@@ -575,7 +568,7 @@ mod tests {
         // Two APs over exactly the horizon's days of ten-minute bins, the
         // last active one the first bin of its last day.
         let samples = balance.samples();
-        assert_eq!(samples.len() as u64, BALANCE_HORIZON_DAYS * 144);
+        assert_eq!(samples.len() as u64, HORIZON_DAYS * 144);
         let last_active = samples.iter().rposition(|s| s.active);
         assert_eq!(last_active, Some(last_day_in as usize * 144));
     }

@@ -421,23 +421,22 @@ mod tests {
     #[test]
     fn contender_strategies_are_shard_invariant() {
         use crate::engine::{CollectSink, SimConfig, SimEngine, SliceSource};
-        use crate::strategy::{
-            register_baselines, register_contenders, BuildContext, StrategyRegistry,
-        };
         use crate::Topology;
         use s3_trace::generator::{CampusConfig, CampusGenerator};
 
         let campus = CampusGenerator::new(CampusConfig::tiny(), 11).generate();
         let topology = Topology::from_campus(&campus.config);
         let engine = SimEngine::new(topology, SimConfig::default());
-        let mut reg = StrategyRegistry::new();
-        register_baselines(&mut reg);
-        register_contenders(&mut reg);
-        for name in ["flow-lb", "mab", "workload"] {
-            let mut single = reg.build(name, &BuildContext::new(7, 0)).unwrap();
-            let base = engine.run(&campus.demands, single.as_mut());
+        type Build = fn() -> Box<dyn ApSelector + Send>;
+        let contenders: [(&str, Build); 3] = [
+            ("flow-lb", || Box::new(FlowLevelBalancer::new())),
+            ("mab", || Box::new(EpsilonGreedyMab::new(7))),
+            ("workload", || Box::new(WorkloadClassAware::new())),
+        ];
+        for (name, build) in contenders {
+            let base = engine.run(&campus.demands, build().as_mut());
             for shards in [2, 3] {
-                let mut selectors = reg.build_shards(name, shards, 7, 0, None).unwrap();
+                let mut selectors: Vec<_> = (0..shards).map(|_| build()).collect();
                 let mut sink = CollectSink::default();
                 let totals = engine
                     .run_shards(
