@@ -2,7 +2,9 @@
 //! dense id, slot-cost scans, the clique partition, the distribution
 //! search for a beam-sized and an enumerated clique, end-to-end
 //! `select_batch` throughput, and the latency of a one-arrival
-//! `select_batch` shaped like the replay's median decision.
+//! `select_batch` shaped like the replay's median decision and like the
+//! city's hottest controller, each over steady residents and over
+//! residents that change between calls.
 //!
 //! It times each shape with hand-rolled median-of-repeats timing and
 //! writes one JSON document, so the numbers can be archived as a build
@@ -25,7 +27,7 @@ use std::time::Instant;
 
 use s3_bench::Scenario;
 use s3_core::batch::{assign_clique, build_social_graph, ApSlot};
-use s3_core::{S3Config, SocialModel};
+use s3_core::{S3Config, S3Selector, SocialModel};
 use s3_graph::clique::{reference, CliqueBudget, CliqueWorkspace};
 use s3_graph::partition::clique_partition_in;
 use s3_trace::generator::CampusConfig;
@@ -54,9 +56,15 @@ const BEAM_CLIQUE: usize = 12;
 const ENUM_CLIQUE: usize = 4;
 /// APs and residents per AP of the one-arrival `select_batch`: the median
 /// replay decision places one user on a controller of 8 APs (the campus
-/// replay interns 426 200 residents over 13 600 batches, about 4 per AP).
+/// replay's candidate APs hold 426 200 residents over 13 600 batches,
+/// about 4 per AP).
 const MEDIAN_APS: usize = 8;
 const MEDIAN_RESIDENTS: u32 = 4;
+/// APs and residents per AP of the dense one-arrival `select_batch`: the
+/// shape of controller 0 of `s3wlan generate --scale city --seed 21`, whose
+/// 8 APs hold about 397 concurrent residents each over the day.
+const DENSE_APS: usize = 8;
+const DENSE_RESIDENTS: usize = 400;
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -96,12 +104,30 @@ fn scenario() -> Scenario {
     )
 }
 
+/// A campus with more trained users than the dense case has residents.
+fn crowded_scenario() -> Scenario {
+    Scenario::from_config(
+        CampusConfig {
+            buildings: 4,
+            aps_per_building: 8,
+            users: 3_600,
+            days: 8,
+            ..CampusConfig::campus()
+        },
+        21,
+    )
+}
+
 fn trained(s: &Scenario) -> (SocialModel, Vec<UserId>) {
-    let model = s.train_s3(&S3Config::default(), 1);
+    (s.train_s3(&S3Config::default(), 1), user_ids(s))
+}
+
+/// Every user of the scenario's log, in id order.
+fn user_ids(s: &Scenario) -> Vec<UserId> {
     let mut ids: Vec<u32> = s.llf_log.records().iter().map(|r| r.user.raw()).collect();
     ids.sort_unstable();
     ids.dedup();
-    (model, ids.into_iter().map(UserId::new).collect())
+    ids.into_iter().map(UserId::new).collect()
 }
 
 fn candidates(m: usize, users_each: u32) -> Vec<ApCandidate> {
@@ -115,6 +141,49 @@ fn candidates(m: usize, users_each: u32) -> Vec<ApCandidate> {
                 .collect(),
         })
         .collect()
+}
+
+/// A copy of `cands` in which every AP lost one resident by `swap_remove`
+/// and gained `spare(ap index)` at the end: a departure and an arrival,
+/// the changes a replay makes between two decisions on a controller.
+fn swap_one_resident(cands: &[ApCandidate], spare: impl Fn(usize) -> UserId) -> Vec<ApCandidate> {
+    let mut swapped = cands.to_vec();
+    for (i, cand) in swapped.iter_mut().enumerate() {
+        if !cand.associated.is_empty() {
+            cand.associated.swap_remove(i % cand.associated.len());
+        }
+        cand.associated.push(spare(i));
+    }
+    swapped
+}
+
+/// Median nanoseconds of a one-arrival `select_batch` on `cands`, over
+/// the same views every call (steady) and over views that alternate with
+/// `swapped` (churn), so that every call re-interns the residents that
+/// changed.
+fn time_one_arrival(
+    s3: &mut S3Selector,
+    arrival: UserId,
+    cands: &[ApCandidate],
+    swapped: &[ApCandidate],
+    iters: u64,
+    repeats: usize,
+) -> (f64, f64) {
+    let one = [ArrivalUser {
+        user: arrival,
+        ..arrivals(1, cands.len()).remove(0)
+    }];
+    let (steady_views, swapped_views) = (views_of(cands), views_of(swapped));
+    let steady = time_ns(iters, repeats, || {
+        s3.select_batch(&one, &steady_views).len() as f64
+    });
+    let mut flip = false;
+    let churn = time_ns(iters, repeats, || {
+        flip = !flip;
+        let views = if flip { &swapped_views } else { &steady_views };
+        s3.select_batch(&one, views).len() as f64
+    });
+    (steady, churn)
 }
 
 fn arrivals(n: usize, m: usize) -> Vec<ArrivalUser> {
@@ -250,16 +319,56 @@ fn main() {
         s3.select_batch(&users, &views).len() as f64
     });
     // One trained arrival, not resident anywhere, on the median decision's
-    // controller.
+    // controller; the churn variant swaps in users the shape leaves out.
     let median_cands = candidates(MEDIAN_APS, MEDIAN_RESIDENTS);
-    let median_views = views_of(&median_cands);
-    let one = [ArrivalUser {
-        user: *ids.last().expect("the scenario has users"),
-        ..arrivals(1, MEDIAN_APS).remove(0)
-    }];
-    let one_arrival_ns = time_ns(iters * 16, repeats, || {
-        s3.select_batch(&one, &median_views).len() as f64
+    let median_swapped = swap_one_resident(&median_cands, |i| {
+        UserId::new(MEDIAN_RESIDENTS * MEDIAN_APS as u32 + i as u32)
     });
+    let (one_arrival_ns, one_arrival_churn_ns) = time_one_arrival(
+        &mut s3,
+        *ids.last().expect("the scenario has users"),
+        &median_cands,
+        &median_swapped,
+        iters * 16,
+        repeats,
+    );
+
+    // One trained arrival on a controller as crowded as the city's
+    // hottest: every resident is a distinct user the model knows.
+    // k is fixed at the campus's k̂ = 4, which the decision does not
+    // read, so that set-up skips the gap statistic.
+    let crowded = crowded_scenario();
+    let crowded_config = S3Config {
+        fixed_k: Some(4),
+        ..S3Config::default()
+    };
+    let crowded_model = crowded.train_s3(&crowded_config, 1);
+    let known: Vec<UserId> = user_ids(&crowded)
+        .into_iter()
+        .filter(|&u| crowded_model.dense_id(u).is_some())
+        .collect();
+    let residents = DENSE_APS * DENSE_RESIDENTS;
+    assert!(
+        known.len() > residents + DENSE_APS,
+        "the crowded scenario trains {} users, fewer than its residents",
+        known.len()
+    );
+    let mut crowded_cands = candidates(DENSE_APS, 0);
+    for (i, cand) in crowded_cands.iter_mut().enumerate() {
+        cand.associated = (0..DENSE_RESIDENTS)
+            .map(|r| known[r * DENSE_APS + i])
+            .collect();
+    }
+    let crowded_swapped = swap_one_resident(&crowded_cands, |i| known[residents + i]);
+    let mut crowded_s3 = S3Selector::new(crowded_model, crowded_config);
+    let (crowded_ns, crowded_churn_ns) = time_one_arrival(
+        &mut crowded_s3,
+        *known.last().expect("the crowded scenario has users"),
+        &crowded_cands,
+        &crowded_swapped,
+        iters * 4,
+        repeats,
+    );
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -317,6 +426,18 @@ fn main() {
             ("aps", MEDIAN_APS as f64),
             ("residents_per_ap", f64::from(MEDIAN_RESIDENTS)),
             ("ns_per_call", one_arrival_ns),
+            ("churn_ns_per_call", one_arrival_churn_ns),
+        ],
+    );
+    doc.push_str(",\n");
+    json_section(
+        &mut doc,
+        "select_batch_dense",
+        &[
+            ("aps", DENSE_APS as f64),
+            ("residents_per_ap", DENSE_RESIDENTS as f64),
+            ("ns_per_call", crowded_ns),
+            ("churn_ns_per_call", crowded_churn_ns),
         ],
     );
     doc.push_str("\n}\n");
@@ -330,7 +451,8 @@ fn main() {
          slot={slot_ns:.1}ns \
          partition ref={partition_reference_ns:.0}ns kernel={partition_kernel_ns:.0}ns \
          search beam12={beam_ns:.0}ns enum4={enum_ns:.0}ns batch={batch_ns:.0}ns \
-         one_arrival={one_arrival_ns:.0}ns wrote={}",
+         one_arrival={one_arrival_ns:.0}ns churn={one_arrival_churn_ns:.0}ns \
+         crowded={crowded_ns:.0}ns crowded_churn={crowded_churn_ns:.0}ns wrote={}",
         out.display()
     );
 }

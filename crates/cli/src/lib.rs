@@ -138,9 +138,9 @@ SHARDS:
   each replaying its own controllers on a dedicated worker thread and
   synchronizing at per-chunk barriers (default 1 = one shard, run in
   the calling thread). Session CSVs, metrics snapshots and decision
-  log bodies are byte-identical for any N for every policy whose registry
-  entry is flagged shardable — all of them except random (one sequential
-  RNG stream; single-shard only). generate --scale picks a topology
+  log bodies are byte-identical for any N for every shardable policy (all
+  but random, which draws one sequential RNG stream and runs single-shard
+  only). generate --scale picks a topology
   preset (campus, district, or city: 10^6 users over 10^4 APs) for
   sharded benchmarking; explicit flags override preset fields.
   See docs/ENGINE.md.

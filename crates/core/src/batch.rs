@@ -265,6 +265,9 @@ struct CliqueCost {
     demands: Vec<f64>,
     /// Slot count `m` — the row stride of `slot_entry`.
     slots: usize,
+    /// One cell per model user, zero between calls: where
+    /// [`CliqueCost::fill_dense`] scatters each member's CSR row.
+    scatter: Vec<u64>,
 }
 
 impl CliqueCost {
@@ -298,24 +301,24 @@ impl CliqueCost {
             pair,
             demands,
             slots: m,
+            scatter: Vec::new(),
         }
     }
 
     /// [`CliqueCost::new`] against the model's dense tables, refilling
     /// this table's buffers in place: the clique and the per-slot member
-    /// lists are dense ids, every slot-entry cell is a CSR scan
-    /// ([`SocialModel::slot_cost`]), and the pair table is bulk-filled with
-    /// u's CSR row and type hoisted per row
+    /// lists are dense ids, each member's `m` slot-entry cells come from
+    /// one scatter of its CSR row and one gather per resident
+    /// ([`SocialModel::extend_slot_costs`]), and the pair table is
+    /// bulk-filled with u's CSR row and type hoisted per row
     /// ([`SocialModel::fill_pair_table`]).
     /// Metric accounting is identical — `core.cost.delta_evals` counts one
     /// eval per (member, slot-resident) pair exactly as [`CliqueCost::new`]
-    /// does, so the counter keeps measuring work saved by the table.
+    /// does, so the counter keeps measuring the δ terms summed.
     fn fill_dense(&mut self, model: &SocialModel, clique: &[u32], members: &[Vec<u32>]) {
         self.slot_entry.clear();
         for &user in clique {
-            for row in members {
-                self.slot_entry.push(model.slot_cost(user, row));
-            }
+            model.extend_slot_costs(user, members, &mut self.scatter, &mut self.slot_entry);
         }
         model.fill_pair_table(clique, &mut self.pair);
         self.demands.clear();

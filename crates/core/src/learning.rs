@@ -204,7 +204,10 @@ pub(crate) fn to_fixed(x: f64) -> u64 {
 ///   user, sorted by neighbor dense id, holding every pair in both of its
 ///   users' rows. The pair term of `δ` is a binary search over a short
 ///   row, and the per-AP cost `Σ_{w∈S(AP)} δ(u,w)` is a scan of the AP's
-///   members against u's row, with no hashing and no allocation.
+///   members against u's row, with no hashing and no allocation: one
+///   binary search per member ([`SocialModel::slot_cost`]), or one gather
+///   per member from u's row scattered once for all of a controller's
+///   APs (`SocialModel::extend_slot_costs`).
 /// * `δ` is **fixed point**: each CSR entry holds `⌊P(L|E)·2³²⌋` and
 ///   each type pair `⌊α·T·2³²⌋`, truncated once when the model is built,
 ///   so `δ·2³²` is the sum of two integers and every social cost an exact
@@ -586,7 +589,9 @@ impl SocialModel {
 
     /// The added social cost of placing dense user `u` on an AP whose
     /// member list is `members`: `Σ_{w∈members} δ(u, w)·2³²`, an exact
-    /// integer sum, with no hashing and no allocation.
+    /// integer sum, with no hashing and no allocation. One binary search
+    /// in u's CSR row per member: the reference form of the scattered
+    /// costs the selector's cost tables are filled with.
     pub fn slot_cost(&self, u: u32, members: &[u32]) -> u64 {
         if u == NO_USER {
             return 0;
@@ -600,6 +605,43 @@ impl SocialModel {
             }
         }
         cost
+    }
+
+    /// [`SocialModel::slot_cost`] of dense user `u` on each row of `slots`,
+    /// appended to `out` in slot order. u's CSR row is scattered once into
+    /// `scatter`, one cell per model user that is zero on entry and on
+    /// return, so each member costs one gather instead of a binary search.
+    pub(crate) fn extend_slot_costs(
+        &self,
+        u: u32,
+        slots: &[Vec<u32>],
+        scatter: &mut Vec<u64>,
+        out: &mut Vec<u64>,
+    ) {
+        if u == NO_USER {
+            out.extend(slots.iter().map(|_| 0));
+            return;
+        }
+        if scatter.len() < self.users.len() {
+            scatter.resize(self.users.len(), 0);
+        }
+        let (neighbors, probs) = self.row(u);
+        for (&w, &p) in neighbors.iter().zip(probs) {
+            scatter[w as usize] = p;
+        }
+        let tu = self.user_type[u as usize];
+        for members in slots {
+            let mut cost = 0;
+            for &w in members {
+                if w != u && w != NO_USER {
+                    cost += scatter[w as usize] + self.type_term(tu, self.user_type[w as usize]);
+                }
+            }
+            out.push(cost);
+        }
+        for &w in neighbors {
+            scatter[w as usize] = 0;
+        }
     }
 
     /// Fills `out` with the flat `c × c` pairwise `δ·2³²` table of `clique`
@@ -914,6 +956,65 @@ mod tests {
                 let (back, back_probs) = model.row(j);
                 let pos = back.binary_search(&i).expect("symmetric entry");
                 assert_eq!(back_probs[pos], p);
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The scattered slot costs are `slot_cost` row by row, for every
+        /// user and for `NO_USER`, over member lists holding typed, untyped
+        /// (sessions without traffic), unknown and repeated users and the
+        /// priced user itself; the scatter buffer is all zero afterwards.
+        #[test]
+        fn scattered_slot_costs_equal_slot_cost(
+            sessions in prop::collection::vec(
+                // user, AP, day, connect offset, dominant realm (6: no
+                // traffic)
+                (0u32..12, 0u32..3, 0u64..3, 0u64..3_600, 0usize..7),
+                0..48,
+            ),
+            slots in prop::collection::vec(prop::collection::vec(0u32..16, 0..10), 0..6),
+        ) {
+            let records: Vec<SessionRecord> = sessions
+                .into_iter()
+                .map(|(user, ap, day, offset, realm)| {
+                    let connect = day * 86_400 + 30_000 + offset;
+                    let mut volume_by_app = [Bytes::ZERO; 6];
+                    if let Some(volume) = volume_by_app.get_mut(realm) {
+                        *volume = Bytes::megabytes(5);
+                    }
+                    SessionRecord {
+                        user: UserId::new(user),
+                        ap: ApId::new(ap),
+                        controller: ControllerId::new(0),
+                        connect: Timestamp::from_secs(connect),
+                        disconnect: Timestamp::from_secs(connect + 3_600),
+                        volume_by_app,
+                    }
+                })
+                .collect();
+            let model = SocialModel::learn(&TraceStore::new(records), &config(), 1);
+            // Raw ids 12..16 are unknown to the model.
+            let slots: Vec<Vec<u32>> = slots
+                .iter()
+                .map(|row| {
+                    let mut dense = Vec::new();
+                    model.extend_dense(row.iter().map(|&raw| UserId::new(raw)), &mut dense);
+                    dense
+                })
+                .collect();
+            let mut scatter = Vec::new();
+            let mut costs = Vec::new();
+            for u in (0..model.users.len() as u32).chain([NO_USER]) {
+                costs.clear();
+                model.extend_slot_costs(u, &slots, &mut scatter, &mut costs);
+                let expected: Vec<u64> = slots.iter().map(|row| model.slot_cost(u, row)).collect();
+                prop_assert_eq!(&costs, &expected, "user {}", u);
+                prop_assert!(scatter.iter().all(|&cell| cell == 0));
             }
         }
     }

@@ -14,17 +14,22 @@
 //!
 //! Every decision reads the [`SocialModel`]'s dense tables (see
 //! `docs/PERF.md`). Every shard selector of a run shares the one model,
-//! and each keeps its own reusable [`Scratch`] of dense member buffers,
-//! slot states, clique working vectors and the distribution search's
-//! workspace — so the hot path does no hashing and, after the first
-//! request warms the buffers, the distribution search allocates nothing
-//! (the social graph and the clique partition still allocate per batch).
+//! and each keeps its own reusable [`Scratch`]: the dense ids of every
+//! candidate AP's residents, kept from batch to batch, slot states, clique
+//! working vectors and the distribution search's workspace — so the hot
+//! path does no hashing beyond one lookup per request, interns only the
+//! residents that changed since the AP was last seen, and, after the first
+//! request warms the buffers, a lone arrival allocates nothing but its
+//! returned pick (the social graph and the clique partition of a larger
+//! batch still allocate).
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use s3_graph::clique::{CliqueBudget, CliqueWorkspace};
 use s3_graph::partition::clique_partition_in;
 use s3_obs::{Desc, Stability, Unit};
+use s3_types::{ApId, UserId};
 use s3_wlan::selector::{
     ApSelector, ApView, ArrivalUser, DecisionMeta, LeastLoadedFirst, SelectionContext,
 };
@@ -72,13 +77,16 @@ pub struct S3Selector {
 }
 
 /// Reusable working memory for the selection hot path. Buffers grow to the
-/// controller's AP count and the largest batch once, then every later
-/// request runs allocation-free.
+/// largest controller, batch and AP population seen, and the resident
+/// mirrors by one set per candidate list seen; after that the slot set-up,
+/// the cost tables and the search allocate nothing.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Dense member ids per slot: existing associations plus arrivals
-    /// already placed earlier in this batch, in association order.
-    members: Vec<Vec<u32>>,
+    /// Which entry of `mirrors` serves a candidate list, by the list's
+    /// first AP: one lookup per request.
+    mirror_of: HashMap<ApId, usize>,
+    /// One set of resident mirrors per candidate list seen.
+    mirrors: Vec<ResidentMirrors>,
     /// Identity-free slot states fed to the distribution search.
     states: Vec<SlotState>,
     /// Dense-id translation of the current arrival batch.
@@ -94,6 +102,67 @@ struct Scratch {
     /// Cost tables, beam arenas and scored leaves of the distribution
     /// search, reused from clique to clique.
     search: SearchWorkspace,
+}
+
+/// What the candidate APs of one list held when the selector last saw
+/// them, position by position: the AP, its residents' raw ids in
+/// association order, and their dense ids — the member rows the cost
+/// tables read. During a batch the dense rows also take the arrivals
+/// placed so far; the next [`ResidentMirrors::sync`] cuts them off again.
+/// The mirrors are only a cache: a position that no longer matches its
+/// view is interned afresh.
+#[derive(Debug, Clone, Default)]
+struct ResidentMirrors {
+    aps: Vec<ApId>,
+    raw: Vec<Vec<UserId>>,
+    dense: Vec<Vec<u32>>,
+}
+
+impl ResidentMirrors {
+    /// Brings the first `candidates.len()` mirrors up to date and writes
+    /// the matching slot states. Residents are compared with the mirror
+    /// position by position, and only a position that changed is interned
+    /// (a departure's `swap_remove`, an appended arrival, a migration); a
+    /// mirror that held another AP starts empty.
+    fn sync(
+        &mut self,
+        model: &SocialModel,
+        candidates: &[ApView<'_>],
+        states: &mut Vec<SlotState>,
+    ) {
+        if self.aps.len() < candidates.len() {
+            self.aps.resize(candidates.len(), ApId::default());
+            self.raw.resize_with(candidates.len(), Vec::new);
+            self.dense.resize_with(candidates.len(), Vec::new);
+        }
+        states.clear();
+        for (slot, view) in candidates.iter().enumerate() {
+            let (raw, dense) = (&mut self.raw[slot], &mut self.dense[slot]);
+            if self.aps[slot] != view.ap {
+                self.aps[slot] = view.ap;
+                raw.clear();
+            }
+            dense.truncate(raw.len());
+            let mut len = 0;
+            for user in view.associated() {
+                if len == raw.len() {
+                    raw.push(user);
+                    dense.push(model.dense_or_unknown(user));
+                } else if raw[len] != user {
+                    raw[len] = user;
+                    dense[len] = model.dense_or_unknown(user);
+                }
+                len += 1;
+            }
+            raw.truncate(len);
+            dense.truncate(len);
+            states.push(SlotState {
+                load: view.load.as_f64(),
+                capacity: view.capacity.as_f64(),
+                member_count: len,
+            });
+        }
+    }
 }
 
 impl S3Selector {
@@ -133,24 +202,19 @@ impl S3Selector {
         &self.config
     }
 
-    // S³ scores mutate slot membership clique by clique; the scratch holds
-    // one dense member buffer per slot (association order preserved) plus
-    // the identity-free SlotState rows, refilled — not reallocated — per
-    // request.
-    fn prepare_slots(&mut self, candidates: &[ApView<'_>]) {
-        let model = &self.model;
+    /// Syncs the resident mirrors of `candidates` (see
+    /// [`ResidentMirrors::sync`]) and returns their index in
+    /// `scratch.mirrors`.
+    fn prepare_slots(&mut self, candidates: &[ApView<'_>]) -> usize {
         let scratch = &mut self.scratch;
-        scratch.members.resize_with(candidates.len(), Vec::new);
-        scratch.states.clear();
-        for (row, view) in scratch.members.iter_mut().zip(candidates) {
-            row.clear();
-            model.extend_dense(view.associated(), row);
-            scratch.states.push(SlotState {
-                load: view.load.as_f64(),
-                capacity: view.capacity.as_f64(),
-                member_count: row.len(),
-            });
+        let key = candidates.first().map_or(ApId::default(), |view| view.ap);
+        let next = scratch.mirrors.len();
+        let index = *scratch.mirror_of.entry(key).or_insert(next);
+        if index == next {
+            scratch.mirrors.push(ResidentMirrors::default());
         }
+        scratch.mirrors[index].sync(&self.model, candidates, &mut scratch.states);
+        index
     }
 }
 
@@ -164,13 +228,14 @@ impl ApSelector for S3Selector {
             s3_obs::global().counter(&DEGRADED_SELECTIONS).inc();
             return self.fallback.select(ctx);
         }
-        self.prepare_slots(ctx.candidates);
+        let mirrors = self.prepare_slots(ctx.candidates);
         let arrival = [self.model.dense_or_unknown(ctx.arrival.user)];
         let scratch = &mut self.scratch;
+        let members = &scratch.mirrors[mirrors].dense[..ctx.candidates.len()];
         assign_clique_dense(
             &self.model,
             &arrival,
-            &scratch.members,
+            members,
             &scratch.states,
             &self.config,
             &mut scratch.search,
@@ -198,7 +263,7 @@ impl ApSelector for S3Selector {
             );
             return self.fallback.select_batch(users, candidates);
         }
-        self.prepare_slots(candidates);
+        let mirrors = self.prepare_slots(candidates);
         self.last_meta.clear();
         self.last_meta.resize(users.len(), DecisionMeta::default());
         let model = &self.model;
@@ -212,27 +277,37 @@ impl ApSelector for S3Selector {
             // cost tables and the projected-load updates below.
             scratch.demands.push(model.demand_dense(dense));
         }
-        let graph = build_social_graph_dense(model, &scratch.arrivals, self.config.edge_threshold);
         // Cliques come out largest/heaviest first; isolated users trail as
         // singletons — the paper's processing order. The workspace keeps the
         // kernel's adjacency/candidate/weight buffers warm across batches.
-        let cliques = clique_partition_in(&graph, CliqueBudget::default(), &mut scratch.clique_ws);
+        // A lone arrival is singleton clique 0 of any partition, so it is
+        // placed without building a graph.
+        let partition = if users.len() > 1 {
+            let graph =
+                build_social_graph_dense(model, &scratch.arrivals, self.config.edge_threshold);
+            clique_partition_in(&graph, CliqueBudget::default(), &mut scratch.clique_ws)
+        } else {
+            Vec::new()
+        };
+        let lone = (users.len() == 1).then_some(&[0][..]);
+        let cliques = partition.iter().map(|c| c.vertices.as_slice()).chain(lone);
 
+        let members = &mut scratch.mirrors[mirrors].dense[..candidates.len()];
         let mut picks = vec![usize::MAX; users.len()];
-        for (clique_idx, clique) in cliques.iter().enumerate() {
+        for (clique_idx, vertices) in cliques.enumerate() {
             scratch.clique.clear();
-            for &vertex in &clique.vertices {
+            for &vertex in vertices {
                 scratch.clique.push(scratch.arrivals[vertex]);
             }
             let assignment = assign_clique_dense(
                 model,
                 &scratch.clique,
-                &scratch.members,
+                members,
                 &scratch.states,
                 &self.config,
                 &mut scratch.search,
             );
-            for (&vertex, &slot) in clique.vertices.iter().zip(assignment) {
+            for (&vertex, &slot) in vertices.iter().zip(assignment) {
                 picks[vertex] = slot;
                 self.last_meta[vertex] = DecisionMeta {
                     clique: Some(clique_idx as u32),
@@ -240,7 +315,7 @@ impl ApSelector for S3Selector {
                 };
                 scratch.states[slot].load += scratch.demands[vertex];
                 scratch.states[slot].member_count += 1;
-                scratch.members[slot].push(scratch.arrivals[vertex]);
+                members[slot].push(scratch.arrivals[vertex]);
             }
         }
         debug_assert!(picks.iter().all(|&p| p != usize::MAX));
