@@ -43,6 +43,9 @@ const PROBE: usize = 64;
 const MEMBERS: usize = 64;
 /// Arrival-burst size for the batch benchmark.
 const BATCH: usize = 24;
+/// Most partners per group of the batch benchmark: a group is one trained
+/// user and up to this many of its partners above `edge_threshold`.
+const PARTNERS: usize = 3;
 /// Slots (APs) of the distribution-search cases: one controller.
 const SEARCH_SLOTS: usize = 8;
 /// Residents per slot in the distribution-search cases.
@@ -186,6 +189,47 @@ fn time_one_arrival(
     (steady, churn)
 }
 
+/// [`BATCH`] trained users that arrive in groups, for the batch case: in
+/// id order, each user not yet taken that has a partner not yet taken
+/// with δ above `threshold`, followed by up to [`PARTNERS`] such
+/// partners, so that the batch holds δ-edges and cliques of several
+/// members. The `residents` of the candidate APs are left out.
+fn grouped_arrivals(
+    model: &SocialModel,
+    ids: &[UserId],
+    residents: &[ApCandidate],
+    threshold: f64,
+) -> Vec<UserId> {
+    let free: Vec<UserId> = ids
+        .iter()
+        .copied()
+        .filter(|u| residents.iter().all(|c| !c.associated.contains(u)))
+        .collect();
+    let mut batch: Vec<UserId> = Vec::new();
+    for &u in &free {
+        if batch.len() >= BATCH {
+            break;
+        }
+        if batch.contains(&u) {
+            continue;
+        }
+        let partners: Vec<UserId> = free
+            .iter()
+            .copied()
+            .filter(|&v| v != u && !batch.contains(&v) && model.delta(u, v) > threshold)
+            .take(PARTNERS)
+            .collect();
+        if partners.is_empty() {
+            continue;
+        }
+        batch.push(u);
+        batch.extend(partners);
+    }
+    batch.truncate(BATCH);
+    assert_eq!(batch.len(), BATCH, "the scenario has too few tied users");
+    batch
+}
+
 fn arrivals(n: usize, m: usize) -> Vec<ArrivalUser> {
     (0..n)
         .map(|i| ArrivalUser {
@@ -310,11 +354,19 @@ fn main() {
     let beam_ns = search_ns(BEAM_CLIQUE);
     let enum_ns = search_ns(ENUM_CLIQUE);
 
-    // Tier 3: full batch decision through the selector's scratch.
+    // Tier 3: full batch decision through the selector's scratch, for
+    // trained users that arrive in groups (`grouped_arrivals`): the batch
+    // holds 26 δ-edges, and its clique partition has cliques of 4, 4, 3,
+    // 3, 3, 2 and 2 members and 3 singletons.
     let mut s3 = s.default_s3(2);
     let cands = candidates(8, 12);
     let views = views_of(&cands);
-    let users = arrivals(BATCH, 8);
+    let grouped = grouped_arrivals(s3.compiled_model(), &ids, &cands, cfg.edge_threshold);
+    let users: Vec<ArrivalUser> = grouped
+        .iter()
+        .zip(arrivals(BATCH, 8))
+        .map(|(&user, arrival)| ArrivalUser { user, ..arrival })
+        .collect();
     let batch_ns = time_ns(iters.min(50), repeats, || {
         s3.select_batch(&users, &views).len() as f64
     });

@@ -17,8 +17,12 @@
 //! `u64` sum that is the same in any order, and equal costs tie exactly.
 //!
 //! The search runs on the calling thread and creates no heap object per
-//! candidate or per beam child. The beam lives in flat arenas (one `u32`
-//! slot per member of each prefix plus one cost per prefix); a child and a
+//! candidate or per beam child. Enumeration walks the prefix tree of the
+//! `mᶜ` codes depth first, member 0 at the root, carrying the running
+//! cost, code and per-slot demand down the path, so a candidate costs one
+//! add and one capacity update. The beam lives in flat arenas (one `u32`
+//! slot per member of each prefix plus one cost per prefix). Both price a
+//! member with one added-cost row per parent. A child and a
 //! capacity-feasible distribution (a leaf) are each one integer ranking
 //! `(cost, generation index)`. Every candidate pays only its social cost
 //! and capacity check: the balance index is computed for the short-listed
@@ -37,6 +41,8 @@ use s3_types::UserId;
 use crate::learning::to_fixed;
 use crate::{S3Config, SocialModel};
 
+#[cfg(test)]
+mod decode_loop;
 #[cfg(test)]
 mod reference;
 
@@ -178,9 +184,10 @@ impl SlotState {
 /// A `(cost, generation index)` pair packed into one integer that orders
 /// like the pair: the cost above the index. A beam child's index is
 /// `parent·m + slot`; a leaf's (a capacity-feasible distribution) is its
-/// enumeration code or final-beam position. Both are generated in
-/// ascending index order, so ranking them is the stable sort by cost that
-/// the beam levels and Algorithm 1's short-list need.
+/// enumeration code or final-beam position. Indices are unique, so ranking
+/// the keys is the stable sort by cost over ascending indices, in
+/// whatever order they were pushed: that is what the beam levels and
+/// Algorithm 1's short-list need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ranked(u128);
 
@@ -336,16 +343,33 @@ impl CliqueCost {
             .add((c * member_total + c * (c.saturating_sub(1)) / 2) as u64);
     }
 
-    /// Table cells a single [`CliqueCost::cost`] call reads: one
-    /// `slot_entry` cell per member plus every ordered pair of members.
+    /// Table cells a full re-sum of one distribution's cost reads
+    /// (`CliqueCost::cost`): one `slot_entry` cell per member plus every
+    /// pair of members. `core.cost.lookups` counts this per feasible
+    /// enumerated distribution, although the walk reads about one.
     fn lookups_per_cost(&self) -> u64 {
         let c = self.demands.len();
         (c + c * (c.saturating_sub(1)) / 2) as u64
     }
 
+    /// Fills `row` (`m` wide) with what member `idx` adds to the social
+    /// cost on each slot after `prefix`, the slots of members `0..idx`:
+    /// its `slot_entry` row, plus `pair[prev·c + idx]` on each earlier
+    /// member's slot. The beam fills one per parent, the enumeration walk
+    /// one per inner node of its tree.
+    fn added_row(&self, idx: usize, prefix: &[u32], row: &mut [u64]) {
+        let (m, c) = (self.slots, self.demands.len());
+        row.copy_from_slice(&self.slot_entry[idx * m..(idx + 1) * m]);
+        for (prev, &slot) in prefix.iter().enumerate() {
+            row[slot as usize] += self.pair[prev * c + idx];
+        }
+    }
+
     /// Social cost `Σᵢ C(APᵢ)` of a full assignment, in units of `2⁻³²`:
     /// each placed user pays δ to the existing members of its slot and to
-    /// the clique members placed before it on the same slot.
+    /// the clique members placed before it on the same slot. The search
+    /// never re-sums a cost; tests hold its running sums to this.
+    #[cfg(test)]
     fn cost(&self, assignment: &[usize]) -> u64 {
         let m = self.slots;
         let c = self.demands.len();
@@ -363,19 +387,18 @@ impl CliqueCost {
 
     /// The bandwidth constraint: false when a slot that receives demand
     /// would exceed its capacity (the paper's `C(APᵢ) = ∞`). Demands are
-    /// summed in member order into `scratch`, which is cleared and
-    /// refilled, so the scoring loop allocates nothing per candidate.
+    /// summed in member order into `scratch`, sized once per search, so
+    /// the scoring loop allocates nothing per candidate.
     fn fits(&self, assignment: &[usize], slots: &SlotArrays, scratch: &mut ScoreScratch) -> bool {
-        scratch.added_demand.clear();
-        scratch.added_demand.resize(self.slots, 0.0);
+        let added = &mut scratch.added_demand;
+        added.fill(0.0);
         for (idx, &slot) in assignment.iter().enumerate() {
-            scratch.added_demand[slot] += self.demands[idx];
+            added[slot] += self.demands[idx];
         }
-        scratch
-            .added_demand
+        added
             .iter()
             .enumerate()
-            .all(|(s, &add)| !(slots.load[s] + add > slots.capacity[s] && add > 0.0))
+            .all(|(s, &add)| !slots.over(s, add))
     }
 
     /// Normalized balance index of the loads a capacity-feasible
@@ -383,35 +406,44 @@ impl CliqueCost {
     /// plus [`MEMBER_EPSILON_BPS`] per member after placement. Demands are
     /// summed in member order, as [`CliqueCost::fits`] sums them.
     fn balance(&self, assignment: &[usize], slots: &SlotArrays, scratch: &mut ScoreScratch) -> f64 {
-        let m = self.slots;
-        scratch.added_demand.clear();
-        scratch.added_demand.resize(m, 0.0);
-        scratch.added_members.clear();
-        scratch.added_members.resize(m, 0);
+        let ScoreScratch {
+            added_demand,
+            added_members,
+            loads,
+        } = scratch;
+        added_demand.fill(0.0);
+        added_members.fill(0);
         for (idx, &slot) in assignment.iter().enumerate() {
-            scratch.added_demand[slot] += self.demands[idx];
-            scratch.added_members[slot] += 1;
+            added_demand[slot] += self.demands[idx];
+            added_members[slot] += 1;
         }
-        scratch.loads.clear();
-        for s in 0..m {
-            let load = slots.load[s] + scratch.added_demand[s];
-            scratch.loads.push(
-                load + (slots.member_count[s] + scratch.added_members[s]) as f64
-                    * MEMBER_EPSILON_BPS,
-            );
+        for (s, projected) in loads.iter_mut().enumerate() {
+            let load = slots.load[s] + added_demand[s];
+            *projected =
+                load + (slots.member_count[s] + added_members[s]) as f64 * MEMBER_EPSILON_BPS;
         }
-        normalized_balance_index(&scratch.loads).unwrap_or(0.0)
+        normalized_balance_index(loads).unwrap_or(0.0)
     }
 }
 
 /// Reusable per-candidate buffers for [`CliqueCost::fits`] and
 /// [`CliqueCost::balance`]: the added demand / member tallies and the
-/// projected load vector.
+/// projected load vector, one cell per slot. The enumeration walk keeps
+/// its running demand per slot in `added_demand`.
 #[derive(Debug, Clone, Default)]
 struct ScoreScratch {
     added_demand: Vec<f64>,
     added_members: Vec<usize>,
     loads: Vec<f64>,
+}
+
+impl ScoreScratch {
+    /// Sizes every buffer to `m` slots, once per search.
+    fn size(&mut self, m: usize) {
+        self.added_demand.resize(m, 0.0);
+        self.added_members.resize(m, 0);
+        self.loads.resize(m, 0.0);
+    }
 }
 
 /// Structure-of-arrays snapshot of the slot states for the scoring loop:
@@ -426,6 +458,12 @@ struct SlotArrays {
 }
 
 impl SlotArrays {
+    /// The bandwidth constraint's breach: slot `s` receives demand and
+    /// `add` more bits/s would take it over capacity.
+    fn over(&self, s: usize, add: f64) -> bool {
+        self.load[s] + add > self.capacity[s] && add > 0.0
+    }
+
     fn fill(&mut self, states: &[SlotState]) {
         self.load.clear();
         self.load.extend(states.iter().map(|s| s.load));
@@ -456,10 +494,17 @@ pub(crate) struct SearchWorkspace {
     next_costs: Vec<u64>,
     /// One beam level's children, ranked by `(cost, parent·m + slot)`.
     children: Vec<Ranked>,
-    /// A parent's added cost per slot while expanding a beam level.
-    added: Vec<u64>,
+    /// Added-cost rows ([`CliqueCost::added_row`]): the beam's, one parent
+    /// at a time, in the first `m` cells; the walk's, one per member,
+    /// `rows[idx·m .. (idx+1)·m]` for the slots on its path.
+    rows: Vec<u64>,
+    /// The enumeration walk's path, one slot per member, and per member
+    /// what the walk carries down to it.
+    path: Vec<u32>,
+    levels: Vec<Level>,
     /// Capacity-feasible distributions ranked by `(cost, generation
-    /// index)`, pushed in generation order.
+    /// index)`: enumeration codes in walk order, or final-beam positions
+    /// in order. [`select_best`] reads only the set of keys.
     leaves: Vec<Ranked>,
     /// The assignment being scored, and at the end the winner: one slot
     /// per clique member.
@@ -541,12 +586,14 @@ fn search_distribution<'w>(ws: &'w mut SearchWorkspace, config: &S3Config) -> &'
     let c = ws.cost.demands.len();
     CLIQUE_SIZE.get().observe(c as u64);
     let m = ws.slots.load.len();
+    assert!(u32::try_from(m).is_ok(), "slot indices fit a u32");
+    ws.score.size(m);
 
     let space: Option<usize> = m
         .checked_pow(c as u32)
         .filter(|&s| s <= config.enumeration_limit);
     match space {
-        Some(total) => enumerate_all(ws, total),
+        Some(total) => enumerate_all(ws, total).record(),
         None => beam_search(ws, config.beam_width),
     }
 
@@ -602,64 +649,153 @@ fn write_leaf(enumerated: bool, leaf: usize, m: usize, prefixes: &[u32], assignm
     }
 }
 
-/// Costs every capacity-feasible code in `0..total` into `ws.leaves`, in
-/// code order.
-fn enumerate_all(ws: &mut SearchWorkspace, total: usize) {
-    let c = ws.cost.demands.len();
-    let m = ws.slots.load.len();
-    ws.leaves.clear();
-    ws.assignment.clear();
-    ws.assignment.resize(c, 0);
-    for code in 0..total {
-        decode(code, m, &mut ws.assignment);
-        if ws.cost.fits(&ws.assignment, &ws.slots, &mut ws.score) {
-            ws.leaves
-                .push(Ranked::new(ws.cost.cost(&ws.assignment), code));
+/// What member `idx` of the enumeration walk starts from: the social cost
+/// and code of the members placed above it, its weight `mⁱᵈˣ` in the code,
+/// and, once it is placed, what its slot's added demand and the count of
+/// slots over capacity were before, which backing up restores.
+#[derive(Debug, Clone, Copy, Default)]
+struct Level {
+    cost: u64,
+    code: usize,
+    weight: usize,
+    demand: f64,
+    over: usize,
+}
+
+/// What one enumeration adds to `candidates_enumerated`,
+/// `capacity_rejections` and `core.cost.lookups`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Tally {
+    candidates: u64,
+    rejections: u64,
+    lookups: u64,
+}
+
+impl Tally {
+    fn record(self) {
+        CANDIDATES_ENUMERATED.get().add(self.candidates);
+        CAPACITY_REJECTIONS.get().add(self.rejections);
+        COST_LOOKUPS.get().add(self.lookups);
+    }
+}
+
+/// Costs every capacity-feasible code in `0..total`, `total = mᶜ`, into
+/// `ws.leaves`, by a depth-first walk over the codes with member 0 at the
+/// root. Entering member `idx` fills its added-cost row once; a leaf costs
+/// its parent's running cost plus one cell, under the key
+/// `(cost, Σ slotᵢ·mⁱ)` that decoding its code would give.
+///
+/// Capacity is kept, not re-summed: each slot's added demand is summed in
+/// member order, as [`CliqueCost::fits`] sums it, restored (never
+/// subtracted) on backing up, and the walk counts the slots over capacity,
+/// updating only the slot a member lands on. A leaf is feasible when the
+/// count is 0. Nothing is pruned: a negative or NaN demand can bring a
+/// slot back under capacity.
+fn enumerate_all(ws: &mut SearchWorkspace, total: usize) -> Tally {
+    let SearchWorkspace {
+        cost,
+        slots,
+        rows,
+        path,
+        levels,
+        leaves,
+        score,
+        ..
+    } = ws;
+    let (c, m) = (cost.demands.len(), slots.load.len());
+    let last = c - 1;
+    let added = &mut score.added_demand;
+    added.fill(0.0);
+    rows.resize(c * m, 0);
+    path.clear();
+    path.resize(c, 0);
+    levels.clear();
+    levels.resize(c, Level::default());
+    levels[0].weight = 1;
+    leaves.clear();
+    cost.added_row(0, &[], &mut rows[..m]);
+    let (mut idx, mut over) = (0, 0);
+    'walk: loop {
+        if idx < last {
+            // Place member idx on its path slot and enter member idx + 1.
+            let (s, level) = (path[idx] as usize, levels[idx]);
+            let add = added[s] + cost.demands[idx];
+            levels[idx].demand = added[s];
+            levels[idx].over = over;
+            over = over + usize::from(slots.over(s, add)) - usize::from(slots.over(s, added[s]));
+            added[s] = add;
+            idx += 1;
+            levels[idx] = Level {
+                cost: level.cost + rows[(idx - 1) * m + s],
+                code: level.code + s * level.weight,
+                weight: level.weight * m,
+                ..Level::default()
+            };
+            path[idx] = 0;
+            cost.added_row(idx, &path[..idx], &mut rows[idx * m..(idx + 1) * m]);
+            continue;
+        }
+        let (level, demand) = (levels[last], cost.demands[last]);
+        for (s, &cell) in rows[last * m..].iter().enumerate() {
+            let left = over - usize::from(slots.over(s, added[s]));
+            if left == 0 && !slots.over(s, added[s] + demand) {
+                leaves.push(Ranked::new(
+                    level.cost + cell,
+                    level.code + s * level.weight,
+                ));
+            }
+        }
+        // Back up to the deepest member with a slot left to try.
+        loop {
+            if idx == 0 {
+                break 'walk;
+            }
+            idx -= 1;
+            let s = path[idx] as usize;
+            added[s] = levels[idx].demand;
+            over = levels[idx].over;
+            path[idx] += 1;
+            if (path[idx] as usize) < m {
+                break;
+            }
         }
     }
-    let (scored, feasible) = (total as u64, ws.leaves.len() as u64);
-    CANDIDATES_ENUMERATED.get().add(scored);
-    CAPACITY_REJECTIONS.get().add(scored - feasible);
-    COST_LOOKUPS
-        .get()
-        .add(feasible * ws.cost.lookups_per_cost());
+    let (candidates, feasible) = (total as u64, leaves.len() as u64);
+    Tally {
+        candidates,
+        rejections: candidates - feasible,
+        lookups: feasible * cost.lookups_per_cost(),
+    }
 }
 
 /// Beam search over member-by-member prefixes, leaving the final beam's
 /// feasible distributions in `ws.leaves` (indexed by beam position).
 ///
-/// A level expands parent `p` by filling one `m`-wide row of added costs:
-/// the member's `slot_entry` row, plus `pair[prev·c + idx]` on each earlier
-/// member's slot. Children are ranked by `(cost, p·m + slot)`, kept by
-/// `select_nth_unstable` and the survivors sorted: exactly the prefix of a
-/// stable sort by cost over children in generation order. Costs are exact
-/// integer sums, so a final-beam prefix's running cost is its
-/// [`CliqueCost::cost`], and a leaf pays only the capacity test.
+/// A level expands parent `p` by filling its added-cost row
+/// ([`CliqueCost::added_row`]). Children are ranked by
+/// `(cost, p·m + slot)`, kept by `select_nth_unstable` and the survivors
+/// sorted: exactly the prefix of a stable sort by cost over children in
+/// generation order. Costs are exact integer sums, so a final-beam
+/// prefix's running cost is its `CliqueCost::cost`, and a leaf pays only
+/// the capacity test.
 fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
     let c = ws.cost.demands.len();
     let m = ws.slots.load.len();
-    assert!(
-        u32::try_from(m).is_ok(),
-        "slot indices fit the u32 beam arena"
-    );
+    ws.rows.resize(m, 0);
     ws.prefixes.clear();
     ws.costs.clear();
     ws.costs.push(0);
     for idx in 0..c {
         let parents = ws.costs.len();
         BEAM_EXPANSIONS.get().add(parents as u64);
-        let entry = &ws.cost.slot_entry[idx * m..(idx + 1) * m];
         ws.children.clear();
         for p in 0..parents {
-            ws.added.clear();
-            ws.added.extend_from_slice(entry);
-            for (prev, &slot) in ws.prefixes[p * idx..(p + 1) * idx].iter().enumerate() {
-                ws.added[slot as usize] += ws.cost.pair[prev * c + idx];
-            }
+            let row = &mut ws.rows[..m];
+            ws.cost
+                .added_row(idx, &ws.prefixes[p * idx..(p + 1) * idx], row);
             let base = ws.costs[p];
             ws.children.extend(
-                ws.added
-                    .iter()
+                row.iter()
                     .enumerate()
                     .map(|(slot, &a)| Ranked::new(base + a, p * m + slot)),
             );
@@ -992,16 +1128,21 @@ mod tests {
     }
 
     /// [`select_best`] over the same leaves (`leaves[i]` has generation
-    /// index `i`), with the leaf indices its balance function was called
+    /// index `i`), pushed in generation order or, given `shuffle`, in a
+    /// random order, with the leaf indices its balance function was called
     /// for, sorted.
     fn short_list_pick(
         leaves: &[(usize, u64, f64)],
         top_fraction: f64,
+        shuffle: Option<&mut StdRng>,
     ) -> (Option<usize>, Vec<usize>) {
         let mut ranked: Vec<Ranked> = leaves
             .iter()
             .map(|&(index, cost, _)| Ranked::new(cost, index))
             .collect();
+        if let Some(rng) = shuffle {
+            rng.shuffle(&mut ranked);
+        }
         let mut calls = Vec::new();
         let winner = select_best(&mut ranked, top_fraction, |index| {
             calls.push(index);
@@ -1022,13 +1163,13 @@ mod tests {
         let leaves: Vec<(usize, u64, f64)> = (0..costs.len())
             .map(|i| (i, costs[i], balances[i]))
             .collect();
-        let (winner, calls) = short_list_pick(&leaves, 0.3);
+        let (winner, calls) = short_list_pick(&leaves, 0.3, None);
         assert_eq!(calls, vec![1, 2, 3, 6, 8]);
         // Leaves 2, 3 and 8 tie on balance and cost; the last in
         // generation order wins, as `max_by` after a stable sort picks it.
         assert_eq!(winner, Some(8));
         assert_eq!(winner, full_scoring_pick(&leaves, 0.3));
-        assert_eq!(short_list_pick(&[], 0.3), (None, Vec::new()));
+        assert_eq!(short_list_pick(&[], 0.3, None), (None, Vec::new()));
     }
 
     #[test]
@@ -1053,12 +1194,19 @@ mod tests {
                 .filter(|leaf| leaf.1 <= sorted[keep - 1])
                 .map(|leaf| leaf.0)
                 .collect();
-            let (winner, calls) = short_list_pick(&leaves, top_fraction);
+            let (winner, calls) = short_list_pick(&leaves, top_fraction, None);
             assert_eq!(calls, short_list, "case {case}: {leaves:?}");
             assert_eq!(
                 winner,
                 full_scoring_pick(&leaves, top_fraction),
                 "case {case}: {leaves:?}"
+            );
+            // The enumeration walk pushes leaves out of code order: the
+            // pick depends only on the set of keys.
+            assert_eq!(
+                short_list_pick(&leaves, top_fraction, Some(&mut rng)),
+                (winner, calls),
+                "case {case} shuffled: {leaves:?}"
             );
         }
     }

@@ -175,7 +175,7 @@ const CAPACITY: f64 = 1e7;
 /// levels each; some slots are empty, and some are one bit/s short of full
 /// so that any placement on them is rejected (all of them, in about one
 /// case in eight, which forces the least-loaded fallback).
-fn tied_input(c: usize, m: usize, seed: u64) -> (Vec<UserId>, Vec<ApSlot>, Vec<f64>) {
+pub(super) fn tied_input(c: usize, m: usize, seed: u64) -> (Vec<UserId>, Vec<ApSlot>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let all_full = rng.random_range(0..8u32) == 0;
     let clique: Vec<UserId> = (0..c as u32).map(UserId::new).collect();
@@ -212,7 +212,7 @@ fn tied_input(c: usize, m: usize, seed: u64) -> (Vec<UserId>, Vec<ApSlot>, Vec<f
 /// A symmetric δ keyed by the unordered pair and `seed`: from {0, 0.5, 1}
 /// when `tied`, so that many distributions cost the same, and otherwise an
 /// arbitrary double in `[0, 2)` that the search truncates to `2⁻³²` units.
-fn pair_delta(seed: u64, tied: bool, a: UserId, b: UserId) -> f64 {
+pub(super) fn pair_delta(seed: u64, tied: bool, a: UserId, b: UserId) -> f64 {
     if a == b {
         return 0.0;
     }
