@@ -230,7 +230,12 @@ struct Extent {
     demands: usize,
     /// The largest building id + 1: the buildings of the implied topology.
     buildings: usize,
-    /// Days from day 0 through the last demand's arrival day.
+    /// The first demand's arrival day.
+    first_day: Option<u64>,
+    /// Days from day 0 through the last arrival day within
+    /// [`HORIZON_DAYS`] of `first_day`, as [`TraceStore::day_range`]
+    /// counts them: one far-future row does not stretch the training
+    /// span.
     span: u64,
 }
 
@@ -239,7 +244,10 @@ impl Extent {
     fn observe(&mut self, demand: &SessionDemand) {
         self.demands += 1;
         self.buildings = self.buildings.max(demand.building.index() + 1);
-        self.span = demand.arrive.day() + 1;
+        let day = demand.arrive.day();
+        if day.saturating_sub(*self.first_day.get_or_insert(day)) < HORIZON_DAYS {
+            self.span = day + 1;
+        }
     }
 }
 

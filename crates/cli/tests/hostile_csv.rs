@@ -144,7 +144,8 @@ fn refused(args: &[&str]) {
 /// (the edit on the last row, so the file stays sorted) and `analyze` (on
 /// the edit relabelled as a session CSV) finish, and say that the balance
 /// index left one session out. The session is past the trace's day range
-/// too, so `analyze` still types the users of the clean days.
+/// too, so `analyze` still types the users of the clean days, and
+/// `replay --policy s3` and `compare` train S³ on the clean days.
 #[test]
 fn a_timestamp_near_2_64_is_left_out_of_the_balance_index() {
     let dir = std::env::temp_dir().join("s3_cli_hostile_timestamps");
@@ -201,5 +202,28 @@ fn a_timestamp_near_2_64_is_left_out_of_the_balance_index() {
         if args[0] == "analyze" {
             assert!(stdout.contains("(gap statistic): k = "), "{stdout}");
         }
+    }
+    // The corpus spans 6 days, so training takes the first 70 %: 4.
+    let s3 = [
+        "replay",
+        "--policy",
+        "s3",
+        "--aps-per-building",
+        "3",
+        "--out",
+        &out_csv,
+        "--demands",
+        &middle,
+    ];
+    let compare = ["compare", "--demands", &middle, "--aps-per-building", "3"];
+    for (args, trained) in [
+        (&s3[..], "trained S3 on the first 4 days:"),
+        (&compare[..], "trained on days 0..4:"),
+    ] {
+        let output = run(args);
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(stdout.contains(trained), "{args:?}: {stdout}");
     }
 }

@@ -1,11 +1,11 @@
 //! The S³ selector: the online AP-selection policy of Algorithm 1.
 //!
-//! Single arrivals take the cost path directly: the arriving user is a
-//! clique of one, so the AP minimizing the added social affinity
-//! `C(APᵢ) = Σ_{w∈S(APᵢ)} δ(u,w)` wins, with ∞ where the bandwidth
-//! constraint breaks and the balance index breaking near-ties (which
-//! degenerates to LLF when the user has no social relations — the paper's
-//! explicit fallback).
+//! A lone arrival, including every call of `select` (a batch of one), is
+//! a clique of one and builds no social graph: the AP minimizing the
+//! added social affinity `C(APᵢ) = Σ_{w∈S(APᵢ)} δ(u,w)` wins, with ∞
+//! where the bandwidth constraint breaks and the balance index breaking
+//! near-ties (which degenerates to LLF when the user has no social
+//! relations — the paper's explicit fallback).
 //!
 //! Simultaneous arrivals (class start) run the full Algorithm 1: build the
 //! δ-threshold graph over the batch, peel maximum cliques, and distribute
@@ -223,23 +223,9 @@ impl ApSelector for S3Selector {
         "s3"
     }
 
+    /// A batch of one: the arrival is singleton clique 0.
     fn select(&mut self, ctx: &SelectionContext<'_>) -> usize {
-        if self.degraded {
-            s3_obs::global().counter(&DEGRADED_SELECTIONS).inc();
-            return self.fallback.select(ctx);
-        }
-        let mirrors = self.prepare_slots(ctx.candidates);
-        let arrival = [self.model.dense_or_unknown(ctx.arrival.user)];
-        let scratch = &mut self.scratch;
-        let members = &scratch.mirrors[mirrors].dense[..ctx.candidates.len()];
-        assign_clique_dense(
-            &self.model,
-            &arrival,
-            members,
-            &scratch.states,
-            &self.config,
-            &mut scratch.search,
-        )[0]
+        self.select_batch(std::slice::from_ref(ctx.arrival), ctx.candidates)[0]
     }
 
     fn last_batch_meta(&self) -> Option<&[DecisionMeta]> {

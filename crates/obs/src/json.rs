@@ -54,14 +54,6 @@ impl Value {
         }
     }
 
-    /// The number token parsed as `f64`, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(tok) => tok.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The element list, if this is an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
@@ -286,7 +278,10 @@ mod tests {
     fn parses_nested_document() {
         let v = parse(r#"{"a": [1, 2.5, null, true], "b": {"c": "x\ny"}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_f64(), Some(2.5));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[1],
+            Value::Num("2.5".into())
+        );
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2], Value::Null);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[3], Value::Bool(true));
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
@@ -340,8 +335,8 @@ mod tests {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
         assert_eq!(parse("-5").unwrap(), Value::Num("-5".into()));
-        assert_eq!(parse("0.5e-3").unwrap().as_f64(), Some(0.5e-3));
-        assert_eq!(parse("9E+9").unwrap().as_f64(), Some(9e9));
+        assert_eq!(parse("0.5e-3").unwrap(), Value::Num("0.5e-3".into()));
+        assert_eq!(parse("9E+9").unwrap(), Value::Num("9E+9".into()));
         assert_eq!(parse("[1e8,-0.25]").unwrap().as_arr().unwrap().len(), 2);
     }
 

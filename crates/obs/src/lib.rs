@@ -17,11 +17,10 @@
 //! thread count (see `s3-par`). Metrics must not weaken that guarantee, so
 //! this crate is built around three rules:
 //!
-//! 1. **Integer arithmetic only on hot paths.** Counters and histograms
-//!    are `u64`; sums of `u64` are associative, so per-shard workers can
-//!    add their tallies in any order and the totals still match the
-//!    sequential run exactly. (Gauges hold `f64` but are only set from
-//!    sequential sections.)
+//! 1. **Integer arithmetic only.** The two metric kinds, counters and
+//!    fixed-bucket histograms, are `u64`; sums of `u64` are associative,
+//!    so per-shard workers can add their tallies in any order and the
+//!    totals still match the sequential run exactly.
 //! 2. **A stability class per metric.** [`Stability::Stable`] metrics are
 //!    pure functions of the input and seed — identical for any thread
 //!    count. [`Stability::Volatile`] metrics (wall-clock span timers,
@@ -77,9 +76,7 @@ pub mod json;
 mod registry;
 mod snapshot;
 
-pub use registry::{
-    Counter, Desc, Gauge, Histogram, HistogramDesc, Registry, SpanTimer, Stability, Unit,
-};
+pub use registry::{Counter, Desc, Histogram, HistogramDesc, Registry, SpanTimer, Stability, Unit};
 pub use snapshot::{
     HistogramBucket, MetricKind, MetricSnapshot, MetricValue, Snapshot, SnapshotError,
     SCHEMA_VERSION,

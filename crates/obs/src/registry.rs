@@ -1,5 +1,5 @@
-//! Metric cells (counters, gauges, histograms, span timers) and the
-//! registry that owns them.
+//! Metric cells (counters, histograms, span timers) and the registry
+//! that owns them.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,8 +15,6 @@ use crate::snapshot::{HistogramBucket, MetricKind, MetricSnapshot, MetricValue, 
 pub enum Unit {
     /// Dimensionless event or item counts.
     Count,
-    /// Bytes of traffic volume.
-    Bytes,
     /// Wall-clock microseconds (span timers).
     Micros,
     /// Kilobits per second (load samples).
@@ -31,7 +29,6 @@ impl Unit {
     pub fn as_str(self) -> &'static str {
         match self {
             Unit::Count => "count",
-            Unit::Bytes => "bytes",
             Unit::Micros => "micros",
             Unit::Kbps => "kbps",
             Unit::Nanos => "nanos",
@@ -61,9 +58,9 @@ impl Stability {
     }
 }
 
-/// Static descriptor of a counter or gauge. Declare one `static` per
-/// metric; the descriptor's address doubles as its registration identity,
-/// so each name must be declared in exactly one place.
+/// Static descriptor of a counter. Declare one `static` per metric; the
+/// descriptor's address doubles as its registration identity, so each
+/// name must be declared in exactly one place.
 #[derive(Debug)]
 pub struct Desc {
     /// Dot-separated lowercase name, `<crate area>.<subsystem>.<what>`.
@@ -119,30 +116,6 @@ impl Counter {
     /// The current total.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins `f64` gauge.
-///
-/// Unlike counters, concurrent `set`s race (whichever lands last wins), so
-/// stable gauges must only be set from sequential sections — end-of-run
-/// model sizes, configuration echoes, and the like.
-#[derive(Debug, Clone)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Sets the gauge. Non-finite values are stored as `0.0` so snapshots
-    /// always serialize to valid JSON.
-    pub fn set(&self, v: f64) {
-        let v = if v.is_finite() { v } else { 0.0 };
-        self.cell.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell.load(Ordering::Relaxed))
     }
 }
 
@@ -215,7 +188,6 @@ impl Drop for SpanTimer {
 #[derive(Debug)]
 enum Slot {
     Counter(&'static Desc, Counter),
-    Gauge(&'static Desc, Gauge),
     Histogram(&'static HistogramDesc, Histogram),
 }
 
@@ -223,7 +195,6 @@ impl Slot {
     fn desc_addr(&self) -> usize {
         match self {
             Slot::Counter(d, _) => *d as *const Desc as usize,
-            Slot::Gauge(d, _) => *d as *const Desc as usize,
             Slot::Histogram(d, _) => *d as *const HistogramDesc as usize,
         }
     }
@@ -272,29 +243,6 @@ impl Registry {
         match slot {
             Slot::Counter(_, c) => c.clone(),
             _ => panic!("metric {:?} is not a counter", desc.name),
-        }
-    }
-
-    /// Returns the gauge registered under `desc`, registering it on first
-    /// use.
-    ///
-    /// # Panics
-    ///
-    /// Panics on descriptor or kind conflicts, as for [`Registry::counter`].
-    pub fn gauge(&self, desc: &'static Desc) -> Gauge {
-        let mut slots = self.slots.lock().expect("registry poisoned");
-        let slot = slots.entry(desc.name).or_insert_with(|| {
-            Slot::Gauge(
-                desc,
-                Gauge {
-                    cell: Arc::new(AtomicU64::new(0f64.to_bits())),
-                },
-            )
-        });
-        Self::check_identity(slot, desc.name, desc as *const Desc as usize);
-        match slot {
-            Slot::Gauge(_, g) => g.clone(),
-            _ => panic!("metric {:?} is not a gauge", desc.name),
         }
     }
 
@@ -375,7 +323,6 @@ impl Registry {
         for slot in slots.values() {
             match slot {
                 Slot::Counter(_, c) => c.cell.store(0, Ordering::Relaxed),
-                Slot::Gauge(_, g) => g.cell.store(0f64.to_bits(), Ordering::Relaxed),
                 Slot::Histogram(_, h) => {
                     for b in h.core.buckets.iter() {
                         b.store(0, Ordering::Relaxed);
@@ -402,14 +349,6 @@ impl Registry {
                     stability: desc.stability,
                     help: desc.help.to_string(),
                     value: MetricValue::Counter(c.get()),
-                },
-                Slot::Gauge(desc, g) => MetricSnapshot {
-                    name: desc.name.to_string(),
-                    kind: MetricKind::Gauge,
-                    unit: desc.unit.as_str().to_string(),
-                    stability: desc.stability,
-                    help: desc.help.to_string(),
-                    value: MetricValue::Gauge(g.get()),
                 },
                 Slot::Histogram(desc, h) => {
                     let counts = h.bucket_counts();
@@ -459,12 +398,6 @@ mod tests {
         unit: Unit::Count,
         stability: Stability::Stable,
     };
-    static G: Desc = Desc {
-        name: "test.gauge",
-        help: "a gauge",
-        unit: Unit::Count,
-        stability: Stability::Stable,
-    };
     static H: HistogramDesc = HistogramDesc {
         name: "test.hist",
         help: "a histogram",
@@ -486,16 +419,6 @@ mod tests {
         r.counter(&C).inc();
         r.counter(&C).add(41);
         assert_eq!(r.counter(&C).get(), 42);
-    }
-
-    #[test]
-    fn gauge_last_write_wins_and_sanitizes() {
-        let r = Registry::new();
-        r.gauge(&G).set(1.5);
-        r.gauge(&G).set(2.5);
-        assert_eq!(r.gauge(&G).get(), 2.5);
-        r.gauge(&G).set(f64::NAN);
-        assert_eq!(r.gauge(&G).get(), 0.0);
     }
 
     #[test]
@@ -609,22 +532,23 @@ mod tests {
     fn reset_zeroes_but_keeps_registrations() {
         let r = Registry::new();
         r.counter(&C).add(7);
-        r.gauge(&G).set(3.0);
         r.histogram(&H).observe(50);
         r.reset();
         assert_eq!(r.counter(&C).get(), 0);
-        assert_eq!(r.gauge(&G).get(), 0.0);
         assert_eq!(r.histogram(&H).count(), 0);
-        assert_eq!(r.snapshot().metrics.len(), 3);
+        assert_eq!(r.snapshot().metrics.len(), 2);
     }
 
     #[test]
     fn snapshot_is_name_ordered() {
         let r = Registry::new();
         r.histogram(&H).observe(1);
+        r.histogram(&T).observe(1);
         r.counter(&C).inc();
-        r.gauge(&G).set(1.0);
         let names: Vec<String> = r.snapshot().metrics.into_iter().map(|m| m.name).collect();
-        assert_eq!(names, vec!["test.counter", "test.gauge", "test.hist"]);
+        assert_eq!(
+            names,
+            vec!["test.counter", "test.hist", "test.timer_micros"]
+        );
     }
 }

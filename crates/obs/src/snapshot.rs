@@ -23,8 +23,6 @@ pub const SCHEMA_VERSION: &str = "s3-obs/1";
 pub enum MetricKind {
     /// Monotonically increasing `u64` total.
     Counter,
-    /// Last-write-wins `f64` level.
-    Gauge,
     /// Fixed-bucket `u64` distribution.
     Histogram,
 }
@@ -34,7 +32,6 @@ impl MetricKind {
     pub fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
         }
     }
@@ -42,7 +39,6 @@ impl MetricKind {
     fn from_str(s: &str) -> Option<MetricKind> {
         match s {
             "counter" => Some(MetricKind::Counter),
-            "gauge" => Some(MetricKind::Gauge),
             "histogram" => Some(MetricKind::Histogram),
             _ => None,
         }
@@ -65,8 +61,6 @@ pub struct HistogramBucket {
 pub enum MetricValue {
     /// Counter total.
     Counter(u64),
-    /// Gauge level.
-    Gauge(f64),
     /// Histogram state.
     Histogram {
         /// Total observations.
@@ -136,17 +130,6 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Formats an `f64` gauge value deterministically: integral values print
-/// without a fractional part (`3` not `3.0`), everything else uses the
-/// shortest round-trip form Rust's formatter produces.
-fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
 impl Snapshot {
     /// A copy containing only [`Stability::Stable`] metrics — the set that
     /// is byte-identical across thread counts for a fixed seed. This is
@@ -192,9 +175,6 @@ impl Snapshot {
             match &m.value {
                 MetricValue::Counter(v) => {
                     let _ = write!(out, "\"value\": {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(out, "\"value\": {}", fmt_f64(*v));
                 }
                 MetricValue::Histogram {
                     count,
@@ -242,9 +222,6 @@ impl Snapshot {
             match &m.value {
                 MetricValue::Counter(v) => {
                     let _ = writeln!(out, "{prefix},value,{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "{prefix},value,{}", fmt_f64(*v));
                 }
                 MetricValue::Histogram {
                     count,
@@ -322,11 +299,6 @@ impl Snapshot {
                 MetricValue::Counter(raw.get("value").and_then(|v| v.as_u64()).ok_or_else(
                     || SnapshotError::Schema(format!("counter {name:?} missing u64 value")),
                 )?)
-            }
-            MetricKind::Gauge => {
-                MetricValue::Gauge(raw.get("value").and_then(|v| v.as_f64()).ok_or_else(|| {
-                    SnapshotError::Schema(format!("gauge {name:?} missing numeric value"))
-                })?)
             }
             MetricKind::Histogram => {
                 let count = raw.get("count").and_then(|v| v.as_u64()).ok_or_else(|| {
@@ -406,7 +378,6 @@ impl Snapshot {
         for m in &self.metrics {
             let rendered = match &m.value {
                 MetricValue::Counter(v) => format!("{v}"),
-                MetricValue::Gauge(v) => fmt_f64(*v),
                 MetricValue::Histogram {
                     count,
                     sum,
@@ -479,9 +450,9 @@ mod tests {
         unit: Unit::Count,
         stability: Stability::Stable,
     };
-    static G: Desc = Desc {
-        name: "snap.gauge",
-        help: "a gauge",
+    static V: Desc = Desc {
+        name: "snap.volatile",
+        help: "a volatile counter",
         unit: Unit::Count,
         stability: Stability::Volatile,
     };
@@ -496,7 +467,7 @@ mod tests {
     fn sample() -> Snapshot {
         let r = Registry::new();
         r.counter(&C).add(7);
-        r.gauge(&G).set(2.25);
+        r.counter(&V).add(2);
         let h = r.histogram(&H);
         h.observe(5);
         h.observe(50);
@@ -531,7 +502,7 @@ mod tests {
         let stable = sample().stable_only();
         assert!(stable.get("snap.counter").is_some());
         assert!(stable.get("snap.hist").is_some());
-        assert!(stable.get("snap.gauge").is_none());
+        assert!(stable.get("snap.volatile").is_none());
     }
 
     #[test]
@@ -599,13 +570,5 @@ mod tests {
         assert_eq!(json_body, snap.to_json());
         assert_eq!(csv_body, snap.to_csv());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn gauge_formatting_is_deterministic() {
-        assert_eq!(fmt_f64(3.0), "3");
-        assert_eq!(fmt_f64(-2.0), "-2");
-        assert_eq!(fmt_f64(2.25), "2.25");
-        assert_eq!(fmt_f64(0.0), "0");
     }
 }

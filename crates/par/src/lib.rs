@@ -14,6 +14,10 @@
 //! At `threads <= 1` it runs sequentially on the caller's thread (no
 //! spawn); callers therefore need no separate sequential code path.
 //!
+//! That map and the thread-count helpers below are the whole crate. The
+//! sharded replay engine in `s3-wlan` runs its own threads, on
+//! [`std::sync::mpsc::sync_channel`]s.
+//!
 //! # Thread-count resolution
 //!
 //! [`resolve_threads`] maps an optional request (CLI flag, config field) to
@@ -23,8 +27,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod mailbox;
 
 use std::num::NonZeroUsize;
 

@@ -237,7 +237,9 @@ mod tests {
     use crate::topology::Topology;
     use s3_trace::generator::{CampusConfig, CampusGenerator};
     use s3_types::{ApId, AppCategory, BuildingId, Bytes, ControllerId, Timestamp, UserId};
-    use std::io::BufReader;
+    use std::io::{self, BufReader};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn demand(user: u32, building: u32, arrive: u64, depart: u64, mb: u64) -> SessionDemand {
         let mut volume_by_app = [Bytes::ZERO; 6];
@@ -906,6 +908,125 @@ mod tests {
                     let selectors = shard_selectors(shards);
                     let err = run_collect(&engine, &mut source, selectors).unwrap_err();
                     assert!(matches!(err, EngineError::MissingAp { .. }), "{err}");
+                }
+            }
+        }
+
+        /// Cycles the ingest thread forms while the merger holds the
+        /// first chunk: that chunk, the `IN_FLIGHT_CHUNKS` that fill the
+        /// merger's channel, and the chunk it can then no longer hand on.
+        const AHEAD_CYCLES: usize = (shard::IN_FLIGHT_CHUNKS + 2) * shard::CHUNK_CYCLES;
+
+        /// A sink that holds its first record until the source has handed
+        /// out its stall demand, so that the ingest thread and the shards
+        /// run ahead into full channels, and then fails on record
+        /// `fail_at`.
+        struct StallingSink {
+            pulled: mpsc::Receiver<()>,
+            records: usize,
+            fail_at: usize,
+        }
+
+        impl RecordSink for StallingSink {
+            fn emit(&mut self, _record: SessionRecord) -> io::Result<()> {
+                if self.records == 0 {
+                    self.pulled
+                        .recv()
+                        .expect("the source reached its stall demand");
+                }
+                if self.records == self.fail_at {
+                    return Err(io::Error::other("sink full"));
+                }
+                self.records += 1;
+                Ok(())
+            }
+        }
+
+        /// Replays `demands`, streamed, at `shards` into a [`StallingSink`]
+        /// released when the source hands out demand `stall`, on a helper
+        /// thread, and fails the test if the run has not returned within
+        /// ten seconds: a deadlocked pipeline fails the test instead of
+        /// hanging the test binary.
+        fn abort_run(
+            demands: Vec<SessionDemand>,
+            shards: usize,
+            stall: usize,
+            fail_at: usize,
+        ) -> Result<RunTotals, EngineError> {
+            let config = CampusConfig {
+                buildings: 4,
+                aps_per_building: 3,
+                ..CampusConfig::campus()
+            };
+            let engine = SimEngine::new(Topology::from_campus(&config), SimConfig::default());
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let (pulled_tx, pulled) = mpsc::channel();
+                let demands = demands.into_iter().enumerate().map(move |(i, d)| {
+                    if i == stall {
+                        let _ = pulled_tx.send(());
+                    }
+                    Ok(d)
+                });
+                let mut sink = StallingSink {
+                    pulled,
+                    records: 0,
+                    fail_at,
+                };
+                let _ = tx.send(engine.run_shards(
+                    &mut StreamSource::new(demands),
+                    &mut shard_selectors(shards),
+                    &mut sink,
+                ));
+            });
+            match rx.recv_timeout(Duration::from_secs(10)) {
+                Ok(result) => result,
+                Err(mpsc::RecvTimeoutError::Timeout) => panic!("shards={shards}: the run hung"),
+                Err(mpsc::RecvTimeoutError::Disconnected) => panic!("shards={shards}: panicked"),
+            }
+        }
+
+        /// One demand a minute (twice the batch window, so one cycle
+        /// each) over the four controllers.
+        fn minute_apart(n: usize) -> Vec<SessionDemand> {
+            (0..n as u64)
+                .map(|i| demand(i as u32, (i % 4) as u32, 60 * i, 60 * i + 600, 1))
+                .collect()
+        }
+
+        #[test]
+        fn unsorted_stream_behind_a_full_pipeline_is_an_error() {
+            // The out-of-order demand lies in the last chunk the ingest
+            // thread forms ahead, so it meets it with the merger's channel
+            // full.
+            let bad = AHEAD_CYCLES - 24;
+            let mut demands = minute_apart(2 * AHEAD_CYCLES);
+            demands[bad].arrive = Timestamp::from_secs(30);
+            for shards in [2, 4] {
+                match abort_run(demands.clone(), shards, bad, usize::MAX) {
+                    Err(EngineError::Unsorted { prev, next }) => {
+                        assert_eq!((prev, next), (60 * (bad as u64 - 1), 30), "shards={shards}")
+                    }
+                    other => panic!("shards={shards}: expected Unsorted, got {other:?}"),
+                }
+            }
+        }
+
+        #[test]
+        fn failing_sink_behind_a_full_pipeline_is_an_error() {
+            // Pulling demand AHEAD_CYCLES closes the last chunk the ingest
+            // thread forms ahead; the sink fails in the second chunk, with
+            // the ingest thread and the shards behind full channels.
+            let demands = minute_apart(2 * AHEAD_CYCLES);
+            for shards in [2, 4] {
+                match abort_run(
+                    demands.clone(),
+                    shards,
+                    AHEAD_CYCLES,
+                    shard::CHUNK_CYCLES + 8,
+                ) {
+                    Err(EngineError::Sink(e)) => assert_eq!(e.to_string(), "sink full"),
+                    other => panic!("shards={shards}: expected the sink's error, got {other:?}"),
                 }
             }
         }

@@ -23,17 +23,23 @@
 //! merger, so channel traffic is one send per role per chunk and demands
 //! are never copied per shard. Three message streams exist:
 //!
-//! * ingest → shard: [`ToShard::Chunk`], then [`ToShard::Finish`];
+//! * ingest → shard: each [`Chunk`]; closing the channel tells the
+//!   shard that no chunk follows;
 //! * ingest → merger: [`MetaMsg::Chunk`] with the same chunk, then
 //!   `MetaMsg::Finish` (or `MetaMsg::Fail` with the source's error);
 //! * shard → merger: one reply per chunk, `Ok(Vec<CycleOut>)` with
-//!   exactly one staged output per cycle (or the first error).
+//!   exactly one staged output per cycle (or the first error), then one
+//!   reply holding the final drain.
 //!
 //! Within a chunk the ingest thread sends to every shard *before* the
 //! merger, and the merger consumes chunks in order — so whenever the
 //! merger waits on chunk `k`'s shard replies, every shard already holds
-//! chunk `k`. All channels are bounded at [`IN_FLIGHT_CHUNKS`];
-//! backpressure bounds memory without deadlock.
+//! chunk `k`. Every channel is a [`std::sync::mpsc::sync_channel`]
+//! bounded at [`IN_FLIGHT_CHUNKS`]: backpressure bounds memory, and a
+//! role that returns drops its channel ends, which fails its peers'
+//! blocked sends and receives, so an abort never deadlocks. Only a panic
+//! closes a channel the merger still reads, and `std::thread::scope`
+//! re-raises it once the merger returns.
 //!
 //! # Pipeline roles
 //!
@@ -56,11 +62,11 @@
 //! stream — the CLI rejects `--shards > 1` with the random policy.
 
 use std::io;
+use std::sync::mpsc::{sync_channel, Receiver, RecvError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
-use s3_par::mailbox::{self, Receiver, Sender};
 use s3_trace::SessionDemand;
 use s3_types::{ApId, BitsPerSec, Timestamp};
 
@@ -72,16 +78,16 @@ use crate::selector::{ApSelector, DecisionMeta};
 use crate::topology::Topology;
 
 /// Cycles carried per cross-shard chunk. Larger chunks amortize channel
-/// locking further but delay the merger's first byte; 32 keeps the
+/// traffic further but delay the merger's first byte; 32 keeps the
 /// end-to-end latency of a chunk well under a millisecond at city scale
 /// while cutting sends by ~32× versus the per-cycle protocol.
-const CHUNK_CYCLES: usize = 32;
+pub(super) const CHUNK_CYCLES: usize = 32;
 
 /// Chunks in flight per channel (ingest→shard, shard→merger and
 /// ingest→merger are all bounded at this). Sized so a temporarily slow
 /// role never stalls the others: up to `IN_FLIGHT_CHUNKS × CHUNK_CYCLES`
 /// cycles of work sit between ingest and merge.
-const IN_FLIGHT_CHUNKS: usize = 4;
+pub(super) const IN_FLIGHT_CHUNKS: usize = 4;
 
 // Threaded-pipeline phase metrics (documented in docs/METRICS.md). All
 // Volatile: their values depend on host timing and shard count, and the
@@ -115,24 +121,9 @@ static SELECT_MICROS: HistogramDesc = HistogramDesc {
     stability: Stability::Volatile,
     bounds: &[10, 100, 1_000, 10_000, 100_000, 1_000_000],
 };
-static CHANNEL_OCCUPANCY: HistogramDesc = HistogramDesc {
-    name: "wlan.shard.channel_occupancy",
-    help: "Shard replies already queued when the coordinator reaches the barrier",
-    unit: Unit::Count,
-    stability: Stability::Volatile,
-    bounds: &[1, 2, 3, 4],
-};
 
 /// Up to [`CHUNK_CYCLES`] consecutive cycles, shared by every role.
 type Chunk = Arc<Vec<Cycle>>;
-
-enum ToShard {
-    /// Step every cycle; reply with one [`CycleOut`] each.
-    Chunk(Chunk),
-    /// Source exhausted: drain every remaining departure and reply with
-    /// a single [`CycleOut`] holding the final drain.
-    Finish,
-}
 
 /// A shard's per-chunk reply: one [`CycleOut`] per cycle, or the first
 /// error (after which the worker exits).
@@ -141,7 +132,7 @@ type ShardReply = Result<Vec<CycleOut>, EngineError>;
 /// Ingest → merger stream, mirroring the shard chunking one-to-one.
 enum MetaMsg {
     Chunk(Chunk),
-    /// Source exhausted; shards have been told to finish.
+    /// Source exhausted; the shard channels are closed.
     Finish,
     /// The demand source failed; abort with this error.
     Fail(EngineError),
@@ -228,12 +219,14 @@ impl StepOut for Staging {
 }
 
 /// A shard worker: steps every cycle of every chunk, replying once per
-/// chunk, until told to finish or a peer disconnects.
+/// chunk, until its input closes; then drains every remaining departure
+/// into one last reply, holding a single [`CycleOut`]. An error or a
+/// closed reply channel ends it early.
 fn shard_worker(
     mut shard: Shard<'_>,
     selector: &mut (dyn ApSelector + Send),
-    rx: Receiver<ToShard>,
-    tx: Sender<ShardReply>,
+    rx: Receiver<Chunk>,
+    tx: SyncSender<ShardReply>,
 ) {
     let select_micros = s3_obs::global().histogram(&SELECT_MICROS);
     let mut staging = Staging {
@@ -243,53 +236,31 @@ fn shard_worker(
         selecting: Instant::now(),
         select_elapsed: Duration::ZERO,
     };
-    while let Some(msg) = rx.recv() {
-        let finish = matches!(msg, ToShard::Finish);
-        let stepped = match msg {
-            ToShard::Chunk(cycles) => cycles
-                .iter()
-                .try_for_each(|cycle| shard.step(cycle, &mut *selector, &mut staging))
-                .map(|()| {
-                    let micros = std::mem::take(&mut staging.select_elapsed).as_micros();
-                    select_micros.observe(micros as u64);
-                }),
-            ToShard::Finish => shard
-                .depart_due(None, &mut staging)
-                .map(|popped| staging.close(popped)),
-        };
+    for cycles in rx {
+        let stepped = cycles
+            .iter()
+            .try_for_each(|cycle| shard.step(cycle, &mut *selector, &mut staging))
+            .map(|()| {
+                let micros = std::mem::take(&mut staging.select_elapsed).as_micros();
+                select_micros.observe(micros as u64);
+            });
         let failed = stepped.is_err();
         let reply = stepped.map(|()| std::mem::take(&mut staging.outs));
-        if tx.send(reply).is_err() || failed || finish {
+        if tx.send(reply).is_err() || failed {
             return;
         }
     }
+    let drained = shard.depart_due(None, &mut staging).map(|popped| {
+        staging.close(popped);
+        std::mem::take(&mut staging.outs)
+    });
+    let _ = tx.send(drained);
 }
 
-fn worker_died() -> EngineError {
-    EngineError::Sink(io::Error::other("shard worker terminated unexpectedly"))
-}
-
-/// Takes one chunk reply off a shard's output channel.
-fn recv_reply(rx: &Receiver<ShardReply>) -> Result<Vec<CycleOut>, EngineError> {
-    match rx.recv() {
-        Some(Ok(outs)) => Ok(outs),
-        Some(Err(e)) => Err(e),
-        None => Err(worker_died()),
-    }
-}
-
-/// Recovers the terminal error after the ingest thread died without a
-/// verdict (its send to a shard failed, so a worker holds the real
-/// explanation on its output channel — drain them all until one shows).
-fn sweep_worker_error(from_shards: &[Receiver<ShardReply>]) -> EngineError {
-    for rx in from_shards {
-        while let Some(reply) = rx.recv() {
-            if let Err(e) = reply {
-                return e;
-            }
-        }
-    }
-    worker_died()
+/// The error of a channel that closed before its verdict. Only a panic
+/// closes one (see the module docs), so the run ends in that panic.
+fn closed(e: RecvError) -> EngineError {
+    EngineError::Sink(io::Error::other(e))
 }
 
 /// Sends the buffered chunk: to every shard first, then to the merger —
@@ -297,13 +268,13 @@ fn sweep_worker_error(from_shards: &[Receiver<ShardReply>]) -> EngineError {
 /// Returns `false` if a peer disconnected (the pipeline is unwinding;
 /// the caller just exits).
 fn flush_chunk(
-    to_shards: &[Sender<ToShard>],
-    meta_tx: &Sender<MetaMsg>,
+    to_shards: &[SyncSender<Chunk>],
+    meta_tx: &SyncSender<MetaMsg>,
     buf: &mut Vec<Cycle>,
 ) -> bool {
     let chunk = Arc::new(std::mem::replace(buf, Vec::with_capacity(CHUNK_CYCLES)));
     for tx in to_shards {
-        if tx.send(ToShard::Chunk(Arc::clone(&chunk))).is_err() {
+        if tx.send(Arc::clone(&chunk)).is_err() {
             return false;
         }
     }
@@ -315,8 +286,8 @@ fn flush_chunk(
 fn ingest(
     mut former: CycleFormer<'_>,
     source: &mut (dyn DemandSource + Send),
-    to_shards: Vec<Sender<ToShard>>,
-    meta_tx: Sender<MetaMsg>,
+    to_shards: Vec<SyncSender<Chunk>>,
+    meta_tx: SyncSender<MetaMsg>,
 ) {
     let mut buf: Vec<Cycle> = Vec::with_capacity(CHUNK_CYCLES);
     loop {
@@ -339,11 +310,8 @@ fn ingest(
     if !buf.is_empty() && !flush_chunk(&to_shards, &meta_tx, &mut buf) {
         return;
     }
-    for tx in &to_shards {
-        if tx.send(ToShard::Finish).is_err() {
-            return;
-        }
-    }
+    // Closed shard channels start the final drains.
+    drop(to_shards);
     let _ = meta_tx.send(MetaMsg::Finish);
 }
 
@@ -364,17 +332,17 @@ impl SimEngine {
             .collect::<Result<Vec<_>, _>>()?;
         let emitter = Emitter::new(sink, &self.config);
         std::thread::scope(|scope| {
-            let mut to_shards: Vec<Sender<ToShard>> = Vec::with_capacity(shards.len());
-            let mut from_shards: Vec<Receiver<ShardReply>> = Vec::with_capacity(shards.len());
+            let mut to_shards = Vec::with_capacity(shards.len());
+            let mut from_shards = Vec::with_capacity(shards.len());
             for (shard, selector) in shards.into_iter().zip(selectors.iter_mut()) {
-                let (to_tx, to_rx) = mailbox::bounded(IN_FLIGHT_CHUNKS);
-                let (out_tx, out_rx) = mailbox::bounded(IN_FLIGHT_CHUNKS);
+                let (to_tx, to_rx) = sync_channel(IN_FLIGHT_CHUNKS);
+                let (out_tx, out_rx) = sync_channel(IN_FLIGHT_CHUNKS);
                 let selector: &mut (dyn ApSelector + Send) = &mut **selector;
                 scope.spawn(move || shard_worker(shard, selector, to_rx, out_tx));
                 to_shards.push(to_tx);
                 from_shards.push(out_rx);
             }
-            let (meta_tx, meta_rx) = mailbox::bounded(IN_FLIGHT_CHUNKS);
+            let (meta_tx, meta_rx) = sync_channel(IN_FLIGHT_CHUNKS);
             let former = CycleFormer::new(&self.config, plan);
             scope.spawn(move || ingest(former, source, to_shards, meta_tx));
             let registry = s3_obs::global();
@@ -387,7 +355,6 @@ impl SimEngine {
                 chunks: registry.counter(&CHUNKS),
                 barrier_wait: registry.histogram(&BARRIER_WAIT_MICROS),
                 merge_micros: registry.histogram(&MERGE_MICROS),
-                channel_occupancy: registry.histogram(&CHANNEL_OCCUPANCY),
             };
             merger.run(&meta_rx, &from_shards)
         })
@@ -408,7 +375,6 @@ struct Merger<'s, 't> {
     chunks: s3_obs::Counter,
     barrier_wait: s3_obs::Histogram,
     merge_micros: s3_obs::Histogram,
-    channel_occupancy: s3_obs::Histogram,
 }
 
 impl Merger<'_, '_> {
@@ -421,12 +387,7 @@ impl Merger<'_, '_> {
     ) -> Result<RunTotals, EngineError> {
         let mut outs: Vec<Vec<CycleOut>> = Vec::with_capacity(from_shards.len());
         loop {
-            let Some(msg) = meta_rx.recv() else {
-                // The ingest thread died without a verdict: its send to
-                // a shard failed, so a worker holds the real error.
-                return Err(sweep_worker_error(from_shards));
-            };
-            let cycles = match msg {
+            let cycles = match meta_rx.recv().map_err(closed)? {
                 MetaMsg::Chunk(cycles) => cycles,
                 MetaMsg::Finish => break,
                 MetaMsg::Fail(e) => return Err(e),
@@ -435,8 +396,7 @@ impl Merger<'_, '_> {
             outs.clear();
             let waited = Instant::now();
             for rx in from_shards {
-                self.channel_occupancy.observe(rx.len() as u64);
-                outs.push(recv_reply(rx)?);
+                outs.push(rx.recv().map_err(closed)??);
             }
             self.barrier_wait
                 .observe(waited.elapsed().as_micros() as u64);
@@ -451,7 +411,7 @@ impl Merger<'_, '_> {
         // merged departures complete the log.
         outs.clear();
         for rx in from_shards {
-            outs.push(recv_reply(rx)?);
+            outs.push(rx.recv().map_err(closed)??);
         }
         self.merge_departures(&mut outs, 0)?;
         let popped = outs.iter().map(|shard| shard[0].popped).sum();
