@@ -13,7 +13,7 @@ use s3_bench::Scenario;
 use s3_core::{S3Config, S3Selector};
 use s3_stats::gap::{gap_statistic, GapConfig};
 use s3_stats::rng::dirichlet_symmetric;
-use s3_trace::events::extract_encounters_par;
+use s3_trace::events::extract_encounters;
 use s3_trace::generator::CampusConfig;
 use s3_trace::{SessionRecord, TraceStore};
 use s3_types::{ApId, AppCategory, Bytes, ControllerId, TimeDelta, Timestamp, UserId};
@@ -75,9 +75,7 @@ fn bench_encounters(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &threads,
-            |b, &threads| {
-                b.iter(|| black_box(extract_encounters_par(&store, min_overlap, threads)))
-            },
+            |b, &threads| b.iter(|| black_box(extract_encounters(&store, min_overlap, threads))),
         );
     }
     group.finish();

@@ -48,10 +48,10 @@ fn bench_event_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_mining_7days_600users");
     group.sample_size(10);
     group.bench_function("encounters", |b| {
-        b.iter(|| black_box(extract_encounters(&log, TimeDelta::minutes(10))))
+        b.iter(|| black_box(extract_encounters(&log, TimeDelta::minutes(10), 1)))
     });
     group.bench_function("coleavings", |b| {
-        b.iter(|| black_box(extract_coleavings(&log, TimeDelta::minutes(5))))
+        b.iter(|| black_box(extract_coleavings(&log, TimeDelta::minutes(5), 1)))
     });
     group.finish();
 }

@@ -26,10 +26,15 @@
 //! visit all cells in round-robin order and each cell keeps its minimum.
 //! Interleaving keeps clock-frequency drift from biasing a sequential
 //! cell-by-cell comparison, and the minimum discards contention spikes.
+//! After the rounds, stderr shows each cell's minimum: the number the JSON
+//! records.
 //!
 //! The S³ model is trained once, outside every timed region, on an LLF
 //! replay of the whole trace (the throughput benchmark does not need a
 //! train/eval split — it measures selection cost, not placement quality).
+//! Its stderr line gives the training time, LLF bootstrap included, and
+//! the process's peak resident set so far (`VmHWM` in
+//! `/proc/self/status`; "n/a" where that file does not exist).
 //!
 //! The checked-in `results/BENCH_engine.json` is a reference
 //! measurement; CI regenerates a smaller smoke sweep as
@@ -100,6 +105,14 @@ fn events_processed() -> u64 {
             _ => 0,
         })
         .unwrap_or(0)
+}
+
+/// This process's peak resident set size so far, in MiB (Linux only).
+fn peak_rss_mib() -> Option<f64> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 struct Sample {
@@ -243,9 +256,10 @@ fn main() {
         };
         let model = SocialModel::learn(&log, &s3_config, seed);
         eprintln!(
-            "engine_bench: s3 model trained in {:.1}s on {} thread(s) (untimed)",
+            "engine_bench: s3 model trained in {:.1}s on {} thread(s), peak RSS {} (untimed)",
             train_start.elapsed().as_secs_f64(),
-            s3_config.effective_threads()
+            s3_config.effective_threads(),
+            peak_rss_mib().map_or("n/a".into(), |mib| format!("{mib:.0} MiB"))
         );
         Some(Arc::new(model))
     } else {
@@ -268,19 +282,9 @@ fn main() {
             let _ = run_cell(&engine, &demands, cell, seed, model.as_ref());
         }
     }
-    for round in 0..repeats {
+    for _ in 0..repeats {
         for cell in &mut cells {
             let sample = run_cell(&engine, &demands, cell, seed, model.as_ref());
-            if round == 0 {
-                eprintln!(
-                    "engine_bench: policy={} shards={} {:.2}s {:.0} events/s {:.0} users/s",
-                    cell.policy,
-                    cell.shards,
-                    sample.seconds,
-                    sample.events as f64 / sample.seconds,
-                    sample.placed as f64 / sample.seconds
-                );
-            }
             if cell
                 .best
                 .as_ref()
@@ -289,6 +293,17 @@ fn main() {
                 cell.best = Some(sample);
             }
         }
+    }
+    for cell in &cells {
+        let best = cell.best.as_ref().expect("cell measured");
+        eprintln!(
+            "engine_bench: policy={} shards={} {:.3}s {:.0} events/s {:.0} users/s (minimum of {repeats})",
+            cell.policy,
+            cell.shards,
+            best.seconds,
+            best.events as f64 / best.seconds,
+            best.placed as f64 / best.seconds
+        );
     }
 
     // Decision totals are shard-invariant per policy; a drift here is a

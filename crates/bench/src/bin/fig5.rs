@@ -22,7 +22,7 @@ fn main() {
     let mut cdfs = Vec::new();
     println!("fig5: co-leaving fraction per user");
     for (label, window) in windows {
-        let stats = leaving_stats(store, window);
+        let stats = leaving_stats(store, window, args.effective_threads());
         let fractions: Vec<f64> = stats
             .values()
             .filter(|s| s.total > 0)

@@ -777,8 +777,7 @@ fn analyze<W: Write>(
     let effective_threads = s3_par::resolve_threads(Some(threads).filter(|&t| t > 0));
 
     // Sociality.
-    let stats =
-        s3_trace::events::leaving_stats_par(&store, TimeDelta::minutes(5), effective_threads);
+    let stats = s3_trace::events::leaving_stats(&store, TimeDelta::minutes(5), effective_threads);
     let mut fractions: Vec<f64> = stats
         .values()
         .filter(|s| s.total > 0)

@@ -20,9 +20,7 @@ use std::collections::HashMap;
 use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 use s3_stats::gap::{choose_k, GapConfig};
 use s3_stats::kmeans::{self, KMeansConfig, KMeansResult};
-use s3_trace::events::{
-    coleave_given_encounter, extract_coleavings_par, extract_encounters_par, UserPair,
-};
+use s3_trace::events::{coleave_given_encounter, extract_coleavings, extract_encounters, UserPair};
 use s3_trace::TraceStore;
 use s3_types::{AppMix, BitsPerSec, UserId};
 
@@ -243,22 +241,24 @@ pub struct SocialModel {
 }
 
 impl SocialModel {
-    /// Builds the model from mined statistics: `P(L|E)` per pair, each
+    /// Builds the model from mined statistics: `P(L|E)` per pair, sorted
+    /// strictly by pair as [`coleave_given_encounter`] returns it, each
     /// typed user's cluster, the cluster centroids and each user's demand
     /// estimate. Derives the type matrix and the fallback demand from
     /// them. Both learners ([`SocialModel::learn`] and
     /// [`crate::online::IncrementalLearner`]) end here; `stale` marks a
     /// model whose ingested history is shorter than the look-back window.
     ///
-    /// The tables are deterministic: users are interned in sorted-id order
-    /// and the CSR rows are sorted, whatever the maps' iteration order.
+    /// The tables are deterministic: users are interned in sorted-id order,
+    /// whatever the maps' iteration order, and the CSR rows come out sorted
+    /// from the pair order.
     ///
     /// # Panics
     ///
     /// Panics with more than [`MAX_TYPES`] centroids, or when `alpha` is
     /// outside `[0, MAX_ALPHA]`.
     pub(crate) fn new(
-        pairs: &HashMap<UserPair, f64>,
+        pairs: Vec<(UserPair, f64)>,
         types: &HashMap<UserId, usize>,
         centroids: Vec<AppMix>,
         demands: &HashMap<UserId, BitsPerSec>,
@@ -270,23 +270,19 @@ impl SocialModel {
             k <= MAX_TYPES,
             "a social model stores at most {MAX_TYPES} user types, got {k}"
         );
-        let type_matrix = Self::estimate_type_matrix(k, types, pairs);
-        let type_fixed = type_matrix
-            .values
-            .iter()
-            .map(|&t| to_fixed(alpha * t))
-            .collect();
         let fallback_demand = median_demand(demands).as_f64();
 
         let mut users: Vec<u32> = Vec::with_capacity(types.len() + demands.len() + pairs.len() * 2);
         users.extend(types.keys().map(|u| u.raw()));
         users.extend(demands.keys().map(|u| u.raw()));
-        for pair in pairs.keys() {
-            users.push(pair.0.raw());
-            users.push(pair.1.raw());
-        }
+        users.extend(
+            pairs
+                .iter()
+                .flat_map(|(pair, _)| [pair.0.raw(), pair.1.raw()]),
+        );
         users.sort_unstable();
         users.dedup();
+        users.shrink_to_fit();
         let n = users.len();
         assert!(n < NO_USER as usize, "social model: dense id overflow");
         let dense = |raw: u32| -> usize {
@@ -305,31 +301,53 @@ impl SocialModel {
             demand[dense(user.raw())] = d.as_f64();
         }
 
-        // Both directions of every pair. The (row, col) keys are unique,
-        // so the unstable sort is deterministic despite the map order.
-        let mut entries: Vec<(u32, u32, f64)> = Vec::with_capacity(pairs.len() * 2);
-        for (pair, &p) in pairs {
-            let (a, b) = (dense(pair.0.raw()) as u32, dense(pair.1.raw()) as u32);
-            entries.push((a, b, p));
-            entries.push((b, a, p));
-        }
-        assert!(
-            entries.len() < u32::MAX as usize,
-            "social model: CSR overflow"
-        );
-        entries.sort_unstable_by_key(|x| (x.0, x.1));
+        // The table in dense ids, still in pair order, looked up once for
+        // the type matrix and both CSR passes. Both entry types are 16
+        // bytes, so the collect reuses the table's buffer.
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "pairs sorted");
+        let pairs: Vec<(u32, u32, f64)> = pairs
+            .into_iter()
+            .map(|(pair, p)| (dense(pair.0.raw()) as u32, dense(pair.1.raw()) as u32, p))
+            .collect();
+        let type_matrix = Self::estimate_type_matrix(k, &user_type, &pairs);
+        let type_fixed = type_matrix
+            .values
+            .iter()
+            .map(|&t| to_fixed(alpha * t))
+            .collect();
+
+        // Both directions of every pair, scattered into the rows in pair
+        // order. Dense ids follow raw ids, so a row receives its smaller
+        // neighbours (the pairs that list it second) before its larger ones
+        // (the pairs that list it first), each in increasing order: every
+        // row comes out sorted.
+        let edges = pairs.len() * 2;
+        assert!(edges < u32::MAX as usize, "social model: CSR overflow");
         let mut row_start = vec![0u32; n + 1];
-        for &(row, _, _) in &entries {
-            row_start[row as usize + 1] += 1;
+        for &(a, b, _) in &pairs {
+            row_start[a as usize + 1] += 1;
+            row_start[b as usize + 1] += 1;
         }
         for i in 0..n {
             row_start[i + 1] += row_start[i];
         }
+        let mut row_end = row_start.clone();
+        let mut neighbors = vec![0u32; edges];
+        let mut pair_fixed = vec![0u64; edges];
+        for &(a, b, p) in &pairs {
+            let fixed = to_fixed(p);
+            for (row, col) in [(a, b), (b, a)] {
+                let slot = row_end[row as usize] as usize;
+                neighbors[slot] = col;
+                pair_fixed[slot] = fixed;
+                row_end[row as usize] += 1;
+            }
+        }
 
         let registry = s3_obs::global();
         registry.counter(&COMPILED_USERS).add(n as u64);
-        registry.counter(&CSR_EDGES).add(entries.len() as u64);
-        if entries.is_empty() || stale {
+        registry.counter(&CSR_EDGES).add(edges as u64);
+        if edges == 0 || stale {
             registry.counter(&DEGRADED_MODELS).inc();
         }
 
@@ -341,8 +359,8 @@ impl SocialModel {
             type_matrix,
             centroids,
             row_start,
-            neighbors: entries.iter().map(|e| e.1).collect(),
-            pair_fixed: entries.iter().map(|e| to_fixed(e.2)).collect(),
+            neighbors,
+            pair_fixed,
             type_fixed,
             alpha,
             stale,
@@ -359,9 +377,10 @@ impl SocialModel {
         let registry = s3_obs::global();
         let _span = registry.timer(&LEARN_MICROS);
         let threads = config.effective_threads();
-        let encounters = extract_encounters_par(store, config.encounter_min_overlap, threads);
-        let coleavings = extract_coleavings_par(store, config.coleave_window, threads);
-        let pair_probability = coleave_given_encounter(&encounters, &coleavings);
+        let pair_probability = coleave_given_encounter(
+            &extract_encounters(store, config.encounter_min_overlap, threads),
+            &extract_coleavings(store, config.coleave_window, threads),
+        );
 
         let last_day = store.day_range().map(|(_, last)| last).unwrap_or(0);
         let profiles = all_window_profiles(store, last_day, config.lookback_days);
@@ -372,7 +391,7 @@ impl SocialModel {
         // on; only the incremental path tracks ingested days against the
         // look-back window.
         let model = SocialModel::new(
-            &pair_probability,
+            pair_probability,
             &user_type,
             centroids,
             &demand,
@@ -387,7 +406,11 @@ impl SocialModel {
         model
     }
 
-    fn cluster_users(
+    /// Types the users of `profiles` by k-means over their realm shares:
+    /// `k` is `config.fixed_k` when set, else the gap statistic's pick up
+    /// to `config.k_max`. Fewer than two profiles, or a failed fit, type
+    /// nobody. Returns each typed user's cluster and the centroids.
+    pub(crate) fn cluster_users(
         profiles: &HashMap<UserId, AppMix>,
         config: &S3Config,
         seed: u64,
@@ -430,30 +453,29 @@ impl SocialModel {
         }
     }
 
+    /// Table I from `P(L|E)` per pair in dense ids, `user_type` per dense
+    /// user.
     fn estimate_type_matrix(
         k: usize,
-        user_type: &HashMap<UserId, usize>,
-        pair_probability: &HashMap<UserPair, f64>,
+        user_type: &[u8],
+        pair_probability: &[(u32, u32, f64)],
     ) -> TypeMatrix {
         let mut matrix = TypeMatrix::zeros(k);
         if k == 0 {
             return matrix;
         }
-        // Sum in sorted pair order: floating-point addition is not
-        // associative and `HashMap` iteration order differs between maps,
-        // so map order would let two trainings on one store disagree in
-        // the last bits of T — enough to flip near-tied S³ placements.
-        let mut pairs: Vec<(UserPair, f64)> = pair_probability
-            .iter()
-            .map(|(&pair, &p)| (pair, p))
-            .collect();
-        pairs.sort_unstable_by_key(|&(pair, _)| pair);
+        // Sums in sorted pair order: floating-point addition is not
+        // associative, so any other order could let two trainings on one
+        // store disagree in the last bits of T — enough to flip near-tied
+        // S³ placements.
         let mut sums = vec![0.0; k * k];
         let mut counts = vec![0u32; k * k];
-        for (pair, p) in pairs {
-            let (Some(&ti), Some(&tj)) = (user_type.get(&pair.0), user_type.get(&pair.1)) else {
+        for &(a, b, p) in pair_probability {
+            let (ti, tj) = (user_type[a as usize], user_type[b as usize]);
+            if ti == NO_TYPE || tj == NO_TYPE {
                 continue;
-            };
+            }
+            let (ti, tj) = (usize::from(ti), usize::from(tj));
             sums[ti * k + tj] += p;
             counts[ti * k + tj] += 1;
             if ti != tj {
@@ -704,10 +726,7 @@ impl SocialModel {
 
 /// The user types a k-means `fit` over `users`' application profiles
 /// describes: each user's cluster, and each centroid as an [`AppMix`].
-pub(crate) fn typed_clusters(
-    users: &[UserId],
-    fit: &KMeansResult,
-) -> (HashMap<UserId, usize>, Vec<AppMix>) {
+fn typed_clusters(users: &[UserId], fit: &KMeansResult) -> (HashMap<UserId, usize>, Vec<AppMix>) {
     let assignments = users
         .iter()
         .zip(&fit.assignments)

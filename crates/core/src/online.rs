@@ -3,47 +3,55 @@
 //!
 //! A production controller cannot re-mine three months of logs every
 //! night. [`IncrementalLearner`] keeps the sufficient statistics of the
-//! S³ model — per-pair encounter and co-leaving counts, a rolling window
-//! of per-user daily realm volumes, and the per-user demand EWMA — and
-//! ingests one day of session records at a time. [`IncrementalLearner::
-//! build_model`] then assembles a [`SocialModel`] from the current
-//! statistics (re-running only the cheap k-means step).
+//! S³ model — per-pair encounter and co-leaving counts, per-user daily
+//! realm volumes over the look-back window, and the per-user demand EWMA —
+//! and ingests one day of session records at a time. The pair counts are
+//! the batch path's sorted tables: each day's [`extract_encounters`] and
+//! [`extract_coleavings`] are added to the running totals with
+//! [`sum_pair_runs`]. [`IncrementalLearner::build_model`] then assembles a
+//! [`SocialModel`] through the batch path's typing and model build
+//! (re-running only the cheap k-means step, at a fixed `k`).
 //!
 //! Semantics match batch learning except at day boundaries: events whose
 //! pair of sessions straddles midnight are attributed to the day of the
 //! *first* session, and co-leavings across the boundary of two ingested
 //! chunks are missed (a few seconds around midnight; negligible and
-//! documented).
+//! documented). A profile aggregates the calendar days within
+//! `lookback_days` of the latest day ingested, as the batch path's window
+//! profiles do.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-use s3_stats::kmeans::{self, KMeansConfig};
-use s3_trace::events::{coleave_given_encounter, extract_coleavings, extract_encounters, UserPair};
+use s3_trace::events::{
+    coleave_given_encounter, extract_coleavings, extract_encounters, sum_pair_runs, UserPair,
+};
 use s3_trace::TraceStore;
 use s3_types::{AppMix, BitsPerSec, UserId, APP_CATEGORY_COUNT};
 
-use crate::learning::{typed_clusters, SocialModel};
+use crate::learning::SocialModel;
 use crate::S3Config;
 
-/// Rolling per-user profile window: one volume vector per ingested day.
+/// Per-user profile window: one volume vector per ingested day with
+/// traffic.
 #[derive(Debug, Clone, Default)]
 struct ProfileWindow {
-    /// `(day, per-realm volume)` entries, oldest first, capped at the
-    /// look-back length.
-    days: VecDeque<(u64, [f64; APP_CATEGORY_COUNT])>,
+    /// `(day, per-realm volume)` entries of the days from `first_day` on,
+    /// as of the last push.
+    days: Vec<(u64, [f64; APP_CATEGORY_COUNT])>,
 }
 
 impl ProfileWindow {
-    fn push(&mut self, day: u64, volumes: [f64; APP_CATEGORY_COUNT], lookback: u64) {
-        self.days.push_back((day, volumes));
-        while self.days.len() as u64 > lookback {
-            self.days.pop_front();
-        }
+    /// Adds one day's volumes and forgets the days before `first_day`.
+    fn push(&mut self, day: u64, volumes: [f64; APP_CATEGORY_COUNT], first_day: u64) {
+        self.days.push((day, volumes));
+        self.days.retain(|&(d, _)| d >= first_day);
     }
 
-    fn aggregate(&self) -> Option<AppMix> {
+    /// The profile over the days from `first_day` on; `None` when they
+    /// carry no traffic.
+    fn aggregate(&self, first_day: u64) -> Option<AppMix> {
         let mut total = [0.0; APP_CATEGORY_COUNT];
-        for (_, v) in &self.days {
+        for (_, v) in self.days.iter().filter(|&&(d, _)| d >= first_day) {
             for (t, x) in total.iter_mut().zip(v) {
                 *t += x;
             }
@@ -57,11 +65,14 @@ impl ProfileWindow {
 pub struct IncrementalLearner {
     config: S3Config,
     seed: u64,
-    encounters: HashMap<UserPair, u32>,
-    coleavings: HashMap<UserPair, u32>,
+    /// Encounter and co-leaving counts, each sorted strictly by pair.
+    encounters: Vec<(UserPair, u32)>,
+    coleavings: Vec<(UserPair, u32)>,
     profiles: HashMap<UserId, ProfileWindow>,
     demand: HashMap<UserId, f64>,
     days_ingested: u64,
+    /// The latest calendar day ingested; the profile window ends there.
+    latest_day: u64,
 }
 
 impl IncrementalLearner {
@@ -75,11 +86,12 @@ impl IncrementalLearner {
         IncrementalLearner {
             config,
             seed,
-            encounters: HashMap::new(),
-            coleavings: HashMap::new(),
+            encounters: Vec::new(),
+            coleavings: Vec::new(),
             profiles: HashMap::new(),
             demand: HashMap::new(),
             days_ingested: 0,
+            latest_day: 0,
         }
     }
 
@@ -97,17 +109,25 @@ impl IncrementalLearner {
     /// the records belong to; callers slice their log per day, e.g. with
     /// [`TraceStore::slice_days`]).
     pub fn ingest_day(&mut self, store: &TraceStore, day: u64) {
-        // Pairwise events within the day's records. Saturating adds: a
-        // lifetime of ingests must clamp rather than wrap the counters.
-        for (pair, count) in extract_encounters(store, self.config.encounter_min_overlap) {
-            let slot = self.encounters.entry(pair).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
-        for (pair, count) in extract_coleavings(store, self.config.coleave_window) {
-            let slot = self.coleavings.entry(pair).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
+        // Pairwise events within the day's records, added to the totals
+        // with saturating sums: a lifetime of ingests must clamp rather
+        // than wrap the counters.
+        let threads = self.config.effective_threads();
+        self.encounters.extend(extract_encounters(
+            store,
+            self.config.encounter_min_overlap,
+            threads,
+        ));
+        sum_pair_runs(&mut self.encounters);
+        self.coleavings.extend(extract_coleavings(
+            store,
+            self.config.coleave_window,
+            threads,
+        ));
+        sum_pair_runs(&mut self.coleavings);
         // Profiles and demand.
+        self.latest_day = self.latest_day.max(day);
+        let first_day = self.first_profile_day();
         for user in store.users() {
             let volumes = store.user_day_volumes(user, day);
             let mut raw = [0.0; APP_CATEGORY_COUNT];
@@ -120,7 +140,7 @@ impl IncrementalLearner {
                 self.profiles
                     .entry(user)
                     .or_default()
-                    .push(day, raw, self.config.lookback_days);
+                    .push(day, raw, first_day);
             }
             for session in store.sessions_of(user) {
                 if session.connect.day() != day {
@@ -137,6 +157,24 @@ impl IncrementalLearner {
         self.days_ingested += 1;
     }
 
+    /// The first calendar day of the profile window: `lookback_days` days
+    /// ending at the latest day ingested, as in
+    /// [`crate::profile::window_profile`].
+    fn first_profile_day(&self) -> u64 {
+        self.latest_day
+            .saturating_sub(self.config.lookback_days.saturating_sub(1))
+    }
+
+    /// Each user's profile over the current window; users without traffic
+    /// in it have none.
+    fn window_profiles(&self) -> HashMap<UserId, AppMix> {
+        let first_day = self.first_profile_day();
+        self.profiles
+            .iter()
+            .filter_map(|(&user, w)| Some((user, w.aggregate(first_day)?)))
+            .collect()
+    }
+
     /// Whether the learner has ingested fewer days than the configured
     /// look-back window — models built now will carry the stale flag and
     /// the selector will fall back to LLF (see
@@ -145,50 +183,27 @@ impl IncrementalLearner {
         self.days_ingested < self.config.lookback_days
     }
 
-    /// Assembles the current model: computes `P(L|E)`, clusters the rolled
-    /// profiles (fixed `k` from the config, else 4 — a nightly job does not
-    /// re-run the gap statistic) and builds the model's tables, the type
-    /// matrix among them. The model is marked stale while the learner
+    /// Assembles the current model: computes `P(L|E)`, clusters the window
+    /// profiles (fixed `k` from the config, else 4 — a nightly job does
+    /// not re-run the gap statistic) and builds the model's tables, the
+    /// type matrix among them, as [`SocialModel::learn`] does. The model
+    /// is marked stale while the learner
     /// [`is_warming_up`](Self::is_warming_up).
     pub fn build_model(&self) -> SocialModel {
-        // P(L|E) exactly as the batch path computes it.
         let pair_probability = coleave_given_encounter(&self.encounters, &self.coleavings);
-
-        // Cluster the current window profiles.
-        let mut users: Vec<UserId> = self
-            .profiles
-            .iter()
-            .filter(|(_, w)| w.aggregate().is_some())
-            .map(|(&u, _)| u)
-            .collect();
-        users.sort_unstable();
-        let points: Vec<Vec<f64>> = users
-            .iter()
-            .map(|u| {
-                self.profiles[u]
-                    .aggregate()
-                    .expect("filtered")
-                    .shares()
-                    .to_vec()
-            })
-            .collect();
-        let k = self.config.fixed_k.unwrap_or(4).min(points.len());
-        let (user_type, centroids) = if points.len() >= 2 && k >= 1 {
-            match kmeans::fit(&points, k, &KMeansConfig::default(), self.seed) {
-                Ok(fit) => typed_clusters(&users, &fit),
-                Err(_) => (HashMap::new(), Vec::new()),
-            }
-        } else {
-            (HashMap::new(), Vec::new())
+        let config = S3Config {
+            fixed_k: Some(self.config.fixed_k.unwrap_or(4)),
+            ..self.config.clone()
         };
-
+        let (user_type, centroids) =
+            SocialModel::cluster_users(&self.window_profiles(), &config, self.seed);
         let demand: HashMap<UserId, BitsPerSec> = self
             .demand
             .iter()
             .map(|(&u, &w)| (u, BitsPerSec::new(w)))
             .collect();
         SocialModel::new(
-            &pair_probability,
+            pair_probability,
             &user_type,
             centroids,
             &demand,
@@ -264,12 +279,44 @@ mod tests {
     fn profile_window_evicts_old_days() {
         let mut w = ProfileWindow::default();
         for day in 0..20 {
-            w.push(day, [day as f64 + 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 5);
+            w.push(
+                day,
+                [day as f64 + 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                day.saturating_sub(4),
+            );
         }
         assert_eq!(w.days.len(), 5);
-        assert_eq!(w.days.front().unwrap().0, 15, "oldest surviving day");
-        let mix = w.aggregate().unwrap();
+        assert_eq!(w.days[0].0, 15, "oldest surviving day");
+        let mix = w.aggregate(15).unwrap();
         assert_eq!(mix.share(AppCategory::Im), 1.0);
+        assert!(w.aggregate(20).is_none(), "no traffic from day 20 on");
+    }
+
+    #[test]
+    fn profile_window_keeps_calendar_days() {
+        // User 1 is P2P on day 0 and e-mail on day 20, and silent between.
+        // Day 0 is 20 days before the latest day, outside a 15-day window,
+        // however few active days the user has.
+        let mut learner = IncrementalLearner::new(
+            S3Config {
+                lookback_days: 15,
+                fixed_k: Some(2),
+                ..S3Config::default()
+            },
+            6,
+        );
+        for (day, cat) in [(0, AppCategory::P2p), (20, AppCategory::Email)] {
+            let base = day * 86_400 + 3_600;
+            let records = vec![rec(1, 0, base, base + 600, cat)];
+            learner.ingest_day(&TraceStore::new(records), day);
+        }
+        let mix = learner.window_profiles()[&UserId::new(1)];
+        assert_eq!(
+            mix.share(AppCategory::P2p),
+            0.0,
+            "day 0 is out of the window"
+        );
+        assert_eq!(mix.share(AppCategory::Email), 1.0);
     }
 
     #[test]
@@ -304,8 +351,7 @@ mod tests {
                 day,
             );
         }
-        let window = &learner.profiles[&UserId::new(1)];
-        let mix = window.aggregate().unwrap();
+        let mix = learner.window_profiles()[&UserId::new(1)];
         assert_eq!(mix.share(AppCategory::P2p), 0.0, "old realm evicted");
         assert_eq!(mix.share(AppCategory::Email), 1.0);
     }
@@ -359,8 +405,9 @@ mod tests {
             backward.ingest_day(&TraceStore::new(daily_records(day)), day);
         }
         // Event statistics are counters, so ingest order cannot matter.
-        // (Profile windows legitimately differ: they keep the most recent
-        // days *ingested*, which depend on order.)
+        // (Profile windows hold the calendar days up to the latest day
+        // ingested, whatever the order; the demand EWMA does depend on
+        // it.)
         assert_eq!(forward.known_pairs(), backward.known_pairs());
         assert_eq!(forward.encounters, backward.encounters);
         assert_eq!(forward.coleavings, backward.coleavings);

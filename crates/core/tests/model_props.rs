@@ -44,24 +44,59 @@ fn records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
     .prop_map(|rows| {
         rows.into_iter()
             .map(|(user, ap, day, offset, duration, realm)| {
-                let connect = day * 86_400 + 28_800 + offset;
-                // A user whose sessions carry no traffic has pairs but
-                // neither a type nor a demand estimate.
-                let mut volume_by_app = [Bytes::ZERO; 6];
-                if let Some(volume) = volume_by_app.get_mut(realm) {
-                    *volume = Bytes::megabytes(5);
-                }
-                SessionRecord {
-                    user: UserId::new(user),
-                    ap: ApId::new(ap),
-                    controller: ControllerId::new(0),
-                    connect: Timestamp::from_secs(connect),
-                    disconnect: Timestamp::from_secs(connect + duration),
-                    volume_by_app,
-                }
+                session(user, ap, day * 86_400 + 28_800 + offset, duration, realm)
             })
             .collect()
     })
+}
+
+/// Denser days for the incremental learner: six users on two APs, with
+/// times on a one-minute grid, so that pairs meet and leave together on
+/// several days.
+fn daily_records_strategy() -> impl Strategy<Value = Vec<SessionRecord>> {
+    prop::collection::vec(
+        (
+            0u32..6,   // user
+            0u32..2,   // ap
+            0u64..4,   // day
+            0u64..30,  // connect, in minutes after 08:00
+            10u64..40, // duration, in minutes
+            0usize..7, // dominant app realm; 6 is a session with no traffic
+        ),
+        0..60,
+    )
+    .prop_map(|rows| {
+        rows.into_iter()
+            .map(|(user, ap, day, start, minutes, realm)| {
+                session(
+                    user,
+                    ap,
+                    day * 86_400 + 28_800 + start * 60,
+                    minutes * 60,
+                    realm,
+                )
+            })
+            .collect()
+    })
+}
+
+/// One session from `connect` (seconds) for `duration` seconds, its
+/// traffic all in `realm`.
+fn session(user: u32, ap: u32, connect: u64, duration: u64, realm: usize) -> SessionRecord {
+    // A user whose sessions carry no traffic has pairs but neither a type
+    // nor a demand estimate.
+    let mut volume_by_app = [Bytes::ZERO; 6];
+    if let Some(volume) = volume_by_app.get_mut(realm) {
+        *volume = Bytes::megabytes(5);
+    }
+    SessionRecord {
+        user: UserId::new(user),
+        ap: ApId::new(ap),
+        controller: ControllerId::new(0),
+        connect: Timestamp::from_secs(connect),
+        disconnect: Timestamp::from_secs(connect + duration),
+        volume_by_app,
+    }
 }
 
 fn config() -> S3Config {
@@ -83,9 +118,19 @@ fn query_ids(records: &[SessionRecord]) -> Vec<UserId> {
 /// `P(L|E)` per pair, mined from `store` as §IV defines it.
 fn mined_pairs(store: &TraceStore, config: &S3Config) -> HashMap<UserPair, f64> {
     coleave_given_encounter(
-        &extract_encounters(store, config.encounter_min_overlap),
-        &extract_coleavings(store, config.coleave_window),
+        &extract_encounters(store, config.encounter_min_overlap, 1),
+        &extract_coleavings(store, config.coleave_window, 1),
     )
+    .into_iter()
+    .collect()
+}
+
+/// Adds a day's count table to running per-pair totals, saturating.
+fn add_counts(totals: &mut HashMap<UserPair, u32>, day: Vec<(UserPair, u32)>) {
+    for (pair, count) in day {
+        let total = totals.entry(pair).or_insert(0);
+        *total = total.saturating_add(count);
+    }
 }
 
 /// `2³²`, the fixed-point unit of δ.
@@ -158,6 +203,40 @@ proptest! {
         let pairs = mined_pairs(&store, &config());
         prop_assert_eq!(model.known_pairs(), pairs.len());
         prop_assert_eq!(model.is_trivial(), pairs.is_empty());
+    }
+
+    /// The incremental learner, fed one day at a time, learns `P(L|E)` from
+    /// the per-pair sums of the daily tables.
+    #[test]
+    fn incremental_model_sums_the_daily_tables(records in daily_records_strategy(), seed in 0u64..4) {
+        let config = config();
+        let store = TraceStore::new(records);
+        let mut learner = IncrementalLearner::new(config.clone(), seed);
+        let mut encounters = HashMap::new();
+        let mut coleavings = HashMap::new();
+        for day in 0..4 {
+            let day_store = store.slice_days(day, day);
+            add_counts(&mut encounters, extract_encounters(&day_store, config.encounter_min_overlap, 1));
+            add_counts(&mut coleavings, extract_coleavings(&day_store, config.coleave_window, 1));
+            learner.ingest_day(&day_store, day);
+        }
+        let pairs: HashMap<UserPair, f64> = encounters
+            .iter()
+            .map(|(&pair, &enc)| {
+                let co = coleavings.get(&pair).copied().unwrap_or(0);
+                (pair, (co as f64 / enc as f64).min(1.0))
+            })
+            .collect();
+        let model = learner.build_model();
+        prop_assert_eq!(learner.known_pairs(), pairs.len());
+        prop_assert_eq!(model.known_pairs(), pairs.len());
+        for &pair in pairs.keys() {
+            prop_assert_eq!(
+                model_delta(&model, pair.0, pair.1),
+                paper_delta(&model, &pairs, pair.0, pair.1),
+                "delta({}, {}) diverged", pair.0, pair.1
+            );
+        }
     }
 
     #[test]

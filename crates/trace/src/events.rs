@@ -8,7 +8,10 @@
 //!
 //! Both extractors return per-pair counts; aggregating multiple common
 //! events per pair is the paper's noise-suppression step against "fake"
-//! social relationships.
+//! social relationships. A count table is a `Vec<(UserPair, u32)>` sorted
+//! strictly by pair: mining, the merge of per-AP shards, the incremental
+//! learner's running totals and the `P(L|E)` join all keep that one shape,
+//! and [`sum_pair_runs`] is the one way to add tables together.
 
 use std::collections::HashMap;
 
@@ -97,23 +100,6 @@ where
     groups
 }
 
-/// Merges per-shard pair-count maps. Saturating addition over `u32` is
-/// commutative and associative, and each AP is processed by exactly one
-/// shard, so the merged map is independent of shard count and merge order.
-/// Saturation (instead of `+`) keeps a pathological trace — billions of
-/// events on one pair — from wrapping in release or panicking in debug.
-fn merge_pair_counts(shards: Vec<HashMap<UserPair, u32>>) -> HashMap<UserPair, u32> {
-    let mut iter = shards.into_iter();
-    let mut out = iter.next().unwrap_or_default();
-    for shard in iter {
-        for (pair, count) in shard {
-            let slot = out.entry(pair).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
-    }
-    out
-}
-
 /// An unordered user pair, stored canonically (smaller id first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserPair(pub UserId, pub UserId);
@@ -134,7 +120,31 @@ impl UserPair {
     }
 }
 
-/// Per-pair encounter counts over the whole store.
+/// Sorts `entries` by pair and folds each run of one pair into a single
+/// entry holding the run's sum, leaving the table strictly increasing by
+/// pair. Each AP shard counts its events with it (one entry of 1 per
+/// event), the extractors merge the shards with it, and the incremental
+/// learner adds each day's table to its totals with it.
+///
+/// Saturating addition over `u32` is commutative and associative, so the
+/// sums do not depend on the entries' order: not on the shard count, the
+/// merge order or the ingest order. Saturation (instead of `+`) keeps a
+/// pathological trace — billions of events on one pair — from wrapping in
+/// release or panicking in debug.
+pub fn sum_pair_runs(entries: &mut Vec<(UserPair, u32)>) {
+    // A stable sort merges the sorted runs of a concatenation of tables
+    // instead of sorting it from scratch.
+    entries.sort_by_key(|&(pair, _)| pair);
+    entries.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 = kept.1.saturating_add(next.1);
+        }
+        same
+    });
+}
+
+/// Per-pair encounter counts over the whole store, sorted by pair.
 ///
 /// Two sessions on the same AP encounter when their overlap lasts at least
 /// `min_overlap`. Multiple overlapping session pairs of the same user pair
@@ -143,18 +153,15 @@ impl UserPair {
 /// Presence intervals are **half-open** `[connect, disconnect)`: sessions
 /// that merely touch (`b.connect == a.disconnect`) share no instant and
 /// never encounter, even at `min_overlap == 0`.
-pub fn extract_encounters(store: &TraceStore, min_overlap: TimeDelta) -> HashMap<UserPair, u32> {
-    extract_encounters_par(store, min_overlap, 1)
-}
-
-/// [`extract_encounters`] with the per-AP scans sharded over `threads`
-/// workers. Each AP's pair scan is independent, so sharding the sorted group
-/// list yields the same counts as the sequential pass for any thread count.
-pub fn extract_encounters_par(
+///
+/// The per-AP scans are sharded over `threads` workers. Each AP's pair scan
+/// is independent, so sharding the sorted group list yields the same table
+/// for any thread count.
+pub fn extract_encounters(
     store: &TraceStore,
     min_overlap: TimeDelta,
     threads: usize,
-) -> HashMap<UserPair, u32> {
+) -> Vec<(UserPair, u32)> {
     let registry = s3_obs::global();
     let _span = registry.timer(&MINE_MICROS);
     let scanned = registry.counter(&ENCOUNTER_PAIRS_SCANNED);
@@ -163,9 +170,8 @@ pub fn extract_encounters_par(
     // the per-AP near-quadratic pair scan cheap.
     let groups = ap_groups(store, |r| (r.connect, r.disconnect, r.user));
     let shards = s3_par::par_map(&groups, threads, |_, (_, sessions)| {
-        let mut counts: HashMap<UserPair, u32> = HashMap::new();
+        let mut counts = Vec::new();
         let mut pairs_scanned = 0u64;
-        let mut events_found = 0u64;
         for (i, &(a_start, a_end, a_user)) in sessions.iter().enumerate() {
             for &(b_start, b_end, b_user) in &sessions[i + 1..] {
                 if b_start >= a_end {
@@ -175,61 +181,53 @@ pub fn extract_encounters_par(
                 let overlap_start = a_start.max(b_start);
                 let overlap_end = a_end.min(b_end);
                 if overlap_end.saturating_sub(overlap_start) >= min_overlap {
-                    if let Some(pair) = UserPair::new(a_user, b_user) {
-                        let slot = counts.entry(pair).or_insert(0);
-                        *slot = slot.saturating_add(1);
-                        events_found += 1;
-                    }
+                    counts.extend(UserPair::new(a_user, b_user).map(|pair| (pair, 1)));
                 }
             }
         }
         scanned.add(pairs_scanned);
-        found.add(events_found);
+        found.add(counts.len() as u64);
+        sum_pair_runs(&mut counts);
         counts
     });
-    merge_pair_counts(shards)
+    let mut table = shards.concat();
+    sum_pair_runs(&mut table);
+    table
 }
 
-/// Per-pair co-leaving counts: both users disconnect from the same AP
-/// within `window` of each other.
-pub fn extract_coleavings(store: &TraceStore, window: TimeDelta) -> HashMap<UserPair, u32> {
-    extract_coleavings_par(store, window, 1)
-}
-
-/// [`extract_coleavings`] with the per-AP scans sharded over `threads`
-/// workers.
-pub fn extract_coleavings_par(
+/// Per-pair co-leaving counts, sorted by pair: both users disconnect from
+/// the same AP within `window` of each other. The per-AP scans are sharded
+/// over `threads` workers, as in [`extract_encounters`].
+pub fn extract_coleavings(
     store: &TraceStore,
     window: TimeDelta,
     threads: usize,
-) -> HashMap<UserPair, u32> {
+) -> Vec<(UserPair, u32)> {
     let registry = s3_obs::global();
     let _span = registry.timer(&MINE_MICROS);
     let scanned = registry.counter(&COLEAVING_PAIRS_SCANNED);
     let found = registry.counter(&COLEAVINGS_FOUND);
     let groups = ap_groups(store, |r| (r.disconnect, r.user));
     let shards = s3_par::par_map(&groups, threads, |_, (_, departures)| {
-        let mut counts: HashMap<UserPair, u32> = HashMap::new();
+        let mut counts = Vec::new();
         let mut pairs_scanned = 0u64;
-        let mut events_found = 0u64;
         for (i, &(t_a, user_a)) in departures.iter().enumerate() {
             for &(t_b, user_b) in &departures[i + 1..] {
                 if t_b.saturating_sub(t_a) > window {
                     break;
                 }
                 pairs_scanned += 1;
-                if let Some(pair) = UserPair::new(user_a, user_b) {
-                    let slot = counts.entry(pair).or_insert(0);
-                    *slot = slot.saturating_add(1);
-                    events_found += 1;
-                }
+                counts.extend(UserPair::new(user_a, user_b).map(|pair| (pair, 1)));
             }
         }
         scanned.add(pairs_scanned);
-        found.add(events_found);
+        found.add(counts.len() as u64);
+        sum_pair_runs(&mut counts);
         counts
     });
-    merge_pair_counts(shards)
+    let mut table = shards.concat();
+    sum_pair_runs(&mut table);
+    table
 }
 
 /// Per-user leaving statistics for Fig. 5: how many of a user's leavings
@@ -254,15 +252,10 @@ impl LeavingStats {
     }
 }
 
-/// Computes [`LeavingStats`] for every user in the store.
-pub fn leaving_stats(store: &TraceStore, window: TimeDelta) -> HashMap<UserId, LeavingStats> {
-    leaving_stats_par(store, window, 1)
-}
-
-/// [`leaving_stats`] with the per-AP scans sharded over `threads` workers.
-/// Per-user totals merge by `u32` addition, so the result is independent of
-/// the thread count.
-pub fn leaving_stats_par(
+/// Computes [`LeavingStats`] for every user in the store, with the per-AP
+/// scans sharded over `threads` workers. Per-user totals merge by `u32`
+/// addition, so the result is independent of the thread count.
+pub fn leaving_stats(
     store: &TraceStore,
     window: TimeDelta,
     threads: usize,
@@ -318,23 +311,29 @@ pub fn leaving_stats_par(
 }
 
 /// The conditional probability table `P(co-leave | encounter)` per pair —
-/// the first term of the paper's social relation index δ. Pairs that never
-/// encountered are absent (the δ formula falls back to the type matrix).
+/// the first term of the paper's social relation index δ — as a merge-join
+/// of two tables sorted by pair, as the extractors return them. The result
+/// is sorted by pair too. Pairs that never encountered are absent (the δ
+/// formula falls back to the type matrix).
 pub fn coleave_given_encounter(
-    encounters: &HashMap<UserPair, u32>,
-    coleavings: &HashMap<UserPair, u32>,
-) -> HashMap<UserPair, f64> {
-    let mut out = HashMap::with_capacity(encounters.len());
-    for (&pair, &enc) in encounters {
-        if enc == 0 {
-            continue;
-        }
-        let co = coleavings.get(&pair).copied().unwrap_or(0);
-        // A pair can in principle co-leave more often than it "encounters"
-        // (short joint visits below the dwell threshold); clamp to 1.
-        out.insert(pair, (co as f64 / enc as f64).min(1.0));
-    }
-    out
+    encounters: &[(UserPair, u32)],
+    coleavings: &[(UserPair, u32)],
+) -> Vec<(UserPair, f64)> {
+    let mut coleavings = coleavings.iter().peekable();
+    encounters
+        .iter()
+        .filter(|&&(_, enc)| enc > 0)
+        .map(|&(pair, enc)| {
+            while coleavings.next_if(|&&(other, _)| other < pair).is_some() {}
+            let co = coleavings
+                .next_if(|&&(other, _)| other == pair)
+                .map_or(0, |&(_, co)| co);
+            // A pair can in principle co-leave more often than it
+            // "encounters" (short joint visits below the dwell threshold);
+            // clamp to 1.
+            (pair, (co as f64 / enc as f64).min(1.0))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -355,6 +354,10 @@ mod tests {
         }
     }
 
+    fn pair(a: u32, b: u32) -> UserPair {
+        UserPair::new(UserId::new(a), UserId::new(b)).unwrap()
+    }
+
     #[test]
     fn user_pair_canonical() {
         let p = UserPair::new(UserId::new(5), UserId::new(2)).unwrap();
@@ -371,13 +374,10 @@ mod tests {
             rec(2, 0, 500, 2000), // 500 s overlap with user 1
             rec(3, 0, 990, 3000), // 10 s overlap with user 1
         ]);
-        let enc = extract_encounters(&store, TimeDelta::secs(300));
-        let p12 = UserPair::new(UserId::new(1), UserId::new(2)).unwrap();
-        let p13 = UserPair::new(UserId::new(1), UserId::new(3)).unwrap();
-        let p23 = UserPair::new(UserId::new(2), UserId::new(3)).unwrap();
-        assert_eq!(enc.get(&p12), Some(&1));
-        assert_eq!(enc.get(&p13), None, "10s overlap is below threshold");
-        assert_eq!(enc.get(&p23), Some(&1), "1010s overlap counts");
+        let enc = extract_encounters(&store, TimeDelta::secs(300), 1);
+        // (1, 3): the 10 s overlap is below the threshold; (2, 3): the
+        // 1010 s overlap counts.
+        assert_eq!(enc, vec![(pair(1, 2), 1), (pair(2, 3), 1)]);
     }
 
     #[test]
@@ -385,30 +385,45 @@ mod tests {
         // Presence intervals are half-open [connect, disconnect): a session
         // starting exactly when another ends shares no instant with it.
         let store = TraceStore::new(vec![rec(1, 0, 0, 1000), rec(2, 0, 1000, 2000)]);
-        let enc = extract_encounters(&store, TimeDelta::secs(0));
+        let enc = extract_encounters(&store, TimeDelta::secs(0), 1);
         assert!(enc.is_empty(), "touching intervals must not encounter");
         // One shared second does count at min_overlap == 0.
         let store = TraceStore::new(vec![rec(1, 0, 0, 1000), rec(2, 0, 999, 2000)]);
-        let enc = extract_encounters(&store, TimeDelta::secs(0));
-        let p = UserPair::new(UserId::new(1), UserId::new(2)).unwrap();
-        assert_eq!(enc.get(&p), Some(&1));
+        let enc = extract_encounters(&store, TimeDelta::secs(0), 1);
+        assert_eq!(enc, vec![(pair(1, 2), 1)]);
     }
 
     #[test]
     fn pair_counts_saturate_instead_of_wrapping() {
-        let p = UserPair::new(UserId::new(1), UserId::new(2)).unwrap();
-        let mut a = HashMap::new();
-        a.insert(p, u32::MAX - 1);
-        let mut b = HashMap::new();
-        b.insert(p, 5);
-        let merged = merge_pair_counts(vec![a, b]);
-        assert_eq!(merged[&p], u32::MAX, "merge must clamp, not wrap");
+        let mut table = vec![(pair(1, 2), u32::MAX - 1), (pair(1, 2), 5)];
+        sum_pair_runs(&mut table);
+        assert_eq!(
+            table,
+            vec![(pair(1, 2), u32::MAX)],
+            "sum must clamp, not wrap"
+        );
+    }
+
+    #[test]
+    fn summed_runs_are_strictly_increasing_by_pair() {
+        let mut table = vec![
+            (pair(2, 3), 1),
+            (pair(1, 2), 2),
+            (pair(2, 3), 4),
+            (pair(1, 9), 1),
+            (pair(1, 2), 1),
+        ];
+        sum_pair_runs(&mut table);
+        assert_eq!(
+            table,
+            vec![(pair(1, 2), 3), (pair(1, 9), 1), (pair(2, 3), 5)]
+        );
     }
 
     #[test]
     fn encounters_on_different_aps_do_not_count() {
         let store = TraceStore::new(vec![rec(1, 0, 0, 1000), rec(2, 1, 0, 1000)]);
-        let enc = extract_encounters(&store, TimeDelta::secs(60));
+        let enc = extract_encounters(&store, TimeDelta::secs(60), 1);
         assert!(enc.is_empty());
     }
 
@@ -420,9 +435,8 @@ mod tests {
             rec(1, 0, 5000, 6000),
             rec(2, 0, 5000, 6000),
         ]);
-        let enc = extract_encounters(&store, TimeDelta::secs(60));
-        let p = UserPair::new(UserId::new(1), UserId::new(2)).unwrap();
-        assert_eq!(enc.get(&p), Some(&2));
+        let enc = extract_encounters(&store, TimeDelta::secs(60), 1);
+        assert_eq!(enc, vec![(pair(1, 2), 2)]);
     }
 
     #[test]
@@ -430,21 +444,16 @@ mod tests {
         let store = TraceStore::new(vec![
             rec(1, 0, 0, 1000),
             rec(2, 0, 0, 1100), // 100 s after user 1
-            rec(3, 0, 0, 2000), // 1000 s after user 1
+            rec(3, 0, 0, 2000), // 1000 s after user 1, 900 s after user 2
         ]);
-        let co = extract_coleavings(&store, TimeDelta::secs(300));
-        let p12 = UserPair::new(UserId::new(1), UserId::new(2)).unwrap();
-        let p13 = UserPair::new(UserId::new(1), UserId::new(3)).unwrap();
-        let p23 = UserPair::new(UserId::new(2), UserId::new(3)).unwrap();
-        assert_eq!(co.get(&p12), Some(&1));
-        assert_eq!(co.get(&p13), None);
-        assert_eq!(co.get(&p23), None, "900s apart exceeds window");
+        let co = extract_coleavings(&store, TimeDelta::secs(300), 1);
+        assert_eq!(co, vec![(pair(1, 2), 1)]);
     }
 
     #[test]
     fn coleavings_on_same_ap_only() {
         let store = TraceStore::new(vec![rec(1, 0, 0, 1000), rec(2, 1, 0, 1000)]);
-        let co = extract_coleavings(&store, TimeDelta::minutes(5));
+        let co = extract_coleavings(&store, TimeDelta::minutes(5), 1);
         assert!(co.is_empty());
     }
 
@@ -452,9 +461,9 @@ mod tests {
     fn same_user_twice_is_not_a_pair() {
         // One user with two sessions ending together on the same AP.
         let store = TraceStore::new(vec![rec(1, 0, 0, 1000), rec(1, 0, 100, 1010)]);
-        let co = extract_coleavings(&store, TimeDelta::minutes(5));
+        let co = extract_coleavings(&store, TimeDelta::minutes(5), 1);
         assert!(co.is_empty());
-        let enc = extract_encounters(&store, TimeDelta::secs(60));
+        let enc = extract_encounters(&store, TimeDelta::secs(60), 1);
         assert!(enc.is_empty());
     }
 
@@ -465,7 +474,7 @@ mod tests {
             rec(2, 0, 0, 1050),    // co-leave with 1
             rec(1, 0, 5000, 9000), // solo leave for 1
         ]);
-        let stats = leaving_stats(&store, TimeDelta::secs(300));
+        let stats = leaving_stats(&store, TimeDelta::secs(300), 1);
         let s1 = stats[&UserId::new(1)];
         assert_eq!(s1.total, 2);
         assert_eq!(s1.co_leavings, 1);
@@ -480,36 +489,23 @@ mod tests {
     fn leaving_stats_look_backwards_too() {
         // User 2 leaves *after* user 1: both must see the shared event.
         let store = TraceStore::new(vec![rec(1, 0, 0, 1000), rec(2, 0, 0, 1200)]);
-        let stats = leaving_stats(&store, TimeDelta::secs(300));
+        let stats = leaving_stats(&store, TimeDelta::secs(300), 1);
         assert_eq!(stats[&UserId::new(1)].co_leavings, 1);
         assert_eq!(stats[&UserId::new(2)].co_leavings, 1);
     }
 
     #[test]
     fn conditional_probability_table() {
-        let mut enc = HashMap::new();
-        let mut co = HashMap::new();
-        let p12 = UserPair::new(UserId::new(1), UserId::new(2)).unwrap();
-        let p13 = UserPair::new(UserId::new(1), UserId::new(3)).unwrap();
-        let p14 = UserPair::new(UserId::new(1), UserId::new(4)).unwrap();
-        enc.insert(p12, 4u32);
-        co.insert(p12, 2u32);
-        enc.insert(p13, 2u32);
-        co.insert(p14, 3u32); // co-leaves but never encountered
+        let enc = [(pair(1, 2), 4), (pair(1, 3), 2)];
+        // (1, 4) co-leaves but never encountered.
+        let co = [(pair(1, 2), 2), (pair(1, 4), 3)];
         let table = coleave_given_encounter(&enc, &co);
-        assert!((table[&p12] - 0.5).abs() < 1e-12);
-        assert_eq!(table[&p13], 0.0);
-        assert!(!table.contains_key(&p14));
+        assert_eq!(table, vec![(pair(1, 2), 0.5), (pair(1, 3), 0.0)]);
     }
 
     #[test]
     fn conditional_probability_clamps_to_one() {
-        let mut enc = HashMap::new();
-        let mut co = HashMap::new();
-        let p = UserPair::new(UserId::new(1), UserId::new(2)).unwrap();
-        enc.insert(p, 1u32);
-        co.insert(p, 5u32);
-        let table = coleave_given_encounter(&enc, &co);
-        assert_eq!(table[&p], 1.0);
+        let table = coleave_given_encounter(&[(pair(1, 2), 1)], &[(pair(1, 2), 5)]);
+        assert_eq!(table, vec![(pair(1, 2), 1.0)]);
     }
 }

@@ -41,7 +41,7 @@ fn main() {
     // --- Sociality of leavings (the paper's Fig. 5 question) ---
     println!("co-leaving behaviour:");
     for minutes in [10u64, 20, 30] {
-        let stats = leaving_stats(&log, TimeDelta::minutes(minutes));
+        let stats = leaving_stats(&log, TimeDelta::minutes(minutes), 1);
         let fractions: Vec<f64> = stats
             .values()
             .filter(|s| s.total > 0)

@@ -137,15 +137,15 @@ fn delta_prediction_forecasts_future_coleavings() {
     let model = learn(&train, 13);
 
     let window = s3_wlan_lb::types::TimeDelta::minutes(5);
-    let future = s3_wlan_lb::trace::events::extract_coleavings(&test, window);
+    let future = s3_wlan_lb::trace::events::extract_coleavings(&test, window, 1);
 
     let mut high_delta_hits = 0u32;
     let mut high_delta_total = 0u32;
     let mut low_delta_hits = 0u32;
     let mut low_delta_total = 0u32;
-    for (&pair, _) in s3_wlan_lb::trace::events::extract_encounters(&train, window).iter() {
+    for (pair, _) in s3_wlan_lb::trace::events::extract_encounters(&train, window, 1) {
         let d = model.delta(pair.0, pair.1);
-        let co_leaves_later = future.contains_key(&pair);
+        let co_leaves_later = future.binary_search_by_key(&pair, |&(p, _)| p).is_ok();
         if d > 0.5 {
             high_delta_total += 1;
             if co_leaves_later {

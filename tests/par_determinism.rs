@@ -8,10 +8,7 @@ use proptest::prelude::*;
 
 use s3_wlan_lb::stats::gap::{gap_statistic, GapConfig};
 use s3_wlan_lb::stats::kmeans::{fit, KMeansConfig};
-use s3_wlan_lb::trace::events::{
-    extract_coleavings, extract_coleavings_par, extract_encounters, extract_encounters_par,
-    leaving_stats, leaving_stats_par,
-};
+use s3_wlan_lb::trace::events::{extract_coleavings, extract_encounters, leaving_stats};
 use s3_wlan_lb::trace::{SessionRecord, TraceStore};
 use s3_wlan_lb::types::{ApId, Bytes, ControllerId, TimeDelta, Timestamp, UserId};
 
@@ -47,16 +44,16 @@ proptest! {
     ) {
         let window = TimeDelta::minutes(window_min);
         prop_assert_eq!(
-            extract_encounters_par(&store, window, threads),
-            extract_encounters(&store, window)
+            extract_encounters(&store, window, threads),
+            extract_encounters(&store, window, 1)
         );
         prop_assert_eq!(
-            extract_coleavings_par(&store, window, threads),
-            extract_coleavings(&store, window)
+            extract_coleavings(&store, window, threads),
+            extract_coleavings(&store, window, 1)
         );
         prop_assert_eq!(
-            leaving_stats_par(&store, window, threads),
-            leaving_stats(&store, window)
+            leaving_stats(&store, window, threads),
+            leaving_stats(&store, window, 1)
         );
     }
 
