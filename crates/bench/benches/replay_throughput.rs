@@ -7,6 +7,9 @@
 //! real `s3wlan replay --stream` cost; the memory story (peak RSS bounded
 //! by concurrent sessions, not trace length) is demonstrated separately by
 //! the `replay_mem` binary, which runs each path in a fresh process.
+//!
+//! The `csv_codec` group times the codec alone: decoding a generated
+//! demand CSV, and encoding the session rows its replay emits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -74,5 +77,51 @@ fn bench_replay_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_replay_paths);
+fn bench_csv_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("csv_codec");
+    group.sample_size(10);
+    let campus = CampusGenerator::new(config(800), 3).generate();
+    let mut demands_csv = Vec::new();
+    csv::write_demands(&mut demands_csv, &campus.demands).expect("in-memory CSV");
+    let n = campus.demands.len();
+    group.bench_with_input(
+        BenchmarkId::new("parse_demands", n),
+        &demands_csv,
+        |b, bytes| {
+            b.iter(|| {
+                let reader = DemandReader::new(Cursor::new(bytes.as_slice()), IngestMode::Strict)
+                    .expect("valid header")
+                    .without_publish();
+                let mut rows = 0;
+                for demand in reader {
+                    black_box(demand.expect("clean CSV"));
+                    rows += 1;
+                }
+                assert_eq!(rows, n);
+            })
+        },
+    );
+
+    let engine = SimEngine::new(Topology::from_campus(&campus.config), SimConfig::default());
+    let records = engine
+        .run(&campus.demands, &mut LeastLoadedFirst::new())
+        .records;
+    let mut out = Vec::new();
+    group.bench_with_input(
+        BenchmarkId::new("write_session_rows", records.len()),
+        &records,
+        |b, records| {
+            b.iter(|| {
+                out.clear();
+                for record in records {
+                    csv::write_session_row(&mut out, record).expect("in-memory CSV");
+                }
+                black_box(out.len())
+            })
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_replay_paths, bench_csv_codec);
 criterion_main!(benches);

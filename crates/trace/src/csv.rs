@@ -7,7 +7,9 @@
 
 use std::io::{self, BufRead, Write};
 
-use crate::ingest::{DemandReader, IngestMode, SessionReader};
+use s3_types::{Bytes, APP_CATEGORY_COUNT};
+
+use crate::ingest::{DemandReader, IngestMode, SessionReader, FIELDS};
 use crate::{SessionDemand, SessionRecord};
 
 /// Errors from CSV decoding.
@@ -70,20 +72,64 @@ pub fn write_session_header<W: Write>(mut w: W) -> io::Result<()> {
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_session_row<W: Write>(mut w: W, r: &SessionRecord) -> io::Result<()> {
-    write!(
+pub fn write_session_row<W: Write>(w: W, r: &SessionRecord) -> io::Result<()> {
+    write_row(
         w,
-        "{},{},{},{},{}",
-        r.user.raw(),
-        r.ap.raw(),
-        r.controller.raw(),
-        r.connect.as_secs(),
-        r.disconnect.as_secs()
-    )?;
-    for v in &r.volume_by_app {
-        write!(w, ",{}", v.as_u64())?;
+        [
+            u64::from(r.user.raw()),
+            u64::from(r.ap.raw()),
+            u64::from(r.controller.raw()),
+            r.connect.as_secs(),
+            r.disconnect.as_secs(),
+        ],
+        &r.volume_by_app,
+    )
+}
+
+/// The longest row: eleven 20-digit numbers, ten commas and a newline.
+const ROW_MAX: usize = FIELDS * 21;
+
+/// `"00"` to `"99"`: a row's numbers are written two digits per division.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut pairs = [[0; 2]; 100];
+    let mut i = 0;
+    while i < 100 {
+        pairs[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
+        i += 1;
     }
-    writeln!(w)
+    pairs
+};
+
+/// Writes one data row — five leading columns, then the per-app volumes —
+/// in decimal, byte for byte as `write!` would, with one `write_all`. The
+/// row is built from its end, so each number's digits land in place.
+fn write_row<W: Write>(
+    mut w: W,
+    head: [u64; 5],
+    volumes: &[Bytes; APP_CATEGORY_COUNT],
+) -> io::Result<()> {
+    let mut row = [0u8; ROW_MAX];
+    let mut at = ROW_MAX;
+    let mut separator = b'\n';
+    let values = head.into_iter().chain(volumes.iter().map(|v| v.as_u64()));
+    for mut v in values.rev() {
+        at -= 1;
+        row[at] = separator;
+        separator = b',';
+        while v >= 100 {
+            at -= 2;
+            row[at..at + 2].copy_from_slice(&DIGIT_PAIRS[(v % 100) as usize]);
+            v /= 100;
+        }
+        if v >= 10 {
+            at -= 2;
+            row[at..at + 2].copy_from_slice(&DIGIT_PAIRS[v as usize]);
+        } else {
+            at -= 1;
+            row[at] = b'0' + v as u8;
+        }
+    }
+    w.write_all(&row[at..])
 }
 
 /// Writes records as CSV with a header row.
@@ -129,19 +175,17 @@ pub(crate) const DEMAND_HEADER: &str =
 pub fn write_demands<W: Write>(mut w: W, demands: &[SessionDemand]) -> io::Result<()> {
     writeln!(w, "{DEMAND_HEADER}")?;
     for d in demands {
-        write!(
-            w,
-            "{},{},{},{},{}",
-            d.user.raw(),
-            d.building.raw(),
-            d.controller.raw(),
-            d.arrive.as_secs(),
-            d.depart.as_secs()
+        write_row(
+            &mut w,
+            [
+                u64::from(d.user.raw()),
+                u64::from(d.building.raw()),
+                u64::from(d.controller.raw()),
+                d.arrive.as_secs(),
+                d.depart.as_secs(),
+            ],
+            &d.volume_by_app,
         )?;
-        for v in &d.volume_by_app {
-            write!(w, ",{}", v.as_u64())?;
-        }
-        writeln!(w)?;
     }
     Ok(())
 }
@@ -164,7 +208,8 @@ pub fn read_demands<R: BufRead>(r: R) -> Result<Vec<SessionDemand>, CsvError> {
 mod tests {
     use super::*;
     use crate::record::concentrated_volumes;
-    use s3_types::{ApId, AppCategory, BuildingId, Bytes, ControllerId, Timestamp, UserId};
+    use proptest::prelude::*;
+    use s3_types::{ApId, AppCategory, BuildingId, ControllerId, Timestamp, UserId};
     use std::io::BufReader;
 
     fn sample() -> Vec<SessionRecord> {
@@ -319,5 +364,143 @@ mod tests {
         let data = format!("{DEMAND_HEADER}\n1,0,0,100,100,0,0,0,0,0,0\n");
         let err = read_demands(BufReader::new(data.as_bytes())).unwrap_err();
         assert!(err.to_string().contains("depart must be after arrive"));
+    }
+
+    /// The `write!` forms the row writers replaced: `write_row` must write
+    /// exactly their bytes.
+    fn reference_session_row(w: &mut Vec<u8>, r: &SessionRecord) {
+        write!(
+            w,
+            "{},{},{},{},{}",
+            r.user.raw(),
+            r.ap.raw(),
+            r.controller.raw(),
+            r.connect.as_secs(),
+            r.disconnect.as_secs()
+        )
+        .unwrap();
+        for v in &r.volume_by_app {
+            write!(w, ",{}", v.as_u64()).unwrap();
+        }
+        writeln!(w).unwrap();
+    }
+
+    fn reference_demands(w: &mut Vec<u8>, demands: &[SessionDemand]) {
+        writeln!(w, "{DEMAND_HEADER}").unwrap();
+        for d in demands {
+            write!(
+                w,
+                "{},{},{},{},{}",
+                d.user.raw(),
+                d.building.raw(),
+                d.controller.raw(),
+                d.arrive.as_secs(),
+                d.depart.as_secs()
+            )
+            .unwrap();
+            for v in &d.volume_by_app {
+                write!(w, ",{}", v.as_u64()).unwrap();
+            }
+            writeln!(w).unwrap();
+        }
+    }
+
+    /// A `u64` of every decimal width: the edges 0, 9, 10, 10¹⁹ − 1, 10¹⁹
+    /// and `u64::MAX`, or a value of 1 to 20 digits.
+    fn any_u64() -> impl Strategy<Value = u64> {
+        const EDGES: [u64; 6] = [
+            0,
+            9,
+            10,
+            9_999_999_999_999_999_999,
+            10_000_000_000_000_000_000,
+            u64::MAX,
+        ];
+        (0usize..EDGES.len() + 20, 0u64..=u64::MAX).prop_map(|(pick, x)| {
+            let Some(width) = pick.checked_sub(EDGES.len()) else {
+                return EDGES[pick];
+            };
+            // `width + 1` digits: the range [10^width, 10^(width + 1)).
+            let low = if width == 0 {
+                0
+            } else {
+                10u64.pow(width as u32)
+            };
+            let high = 10u64.checked_pow(width as u32 + 1).unwrap_or(u64::MAX);
+            low + x % (high - low)
+        })
+    }
+
+    fn any_id() -> impl Strategy<Value = u32> {
+        (0u8..4, 0u32..=u32::MAX).prop_map(|(pick, x)| match pick {
+            0 => [0, 9, 10, u32::MAX][x as usize % 4],
+            1 => x % 1_000,
+            _ => x,
+        })
+    }
+
+    type Row = ([u32; 3], [u64; 2], [u64; APP_CATEGORY_COUNT]);
+
+    fn any_row() -> impl Strategy<Value = Row> {
+        (
+            prop::collection::vec(any_id(), 3),
+            prop::collection::vec(any_u64(), 2 + APP_CATEGORY_COUNT),
+        )
+            .prop_map(|(ids, values)| {
+                let ids = ids.try_into().unwrap();
+                let times = [values[0], values[1]];
+                let volumes = values[2..].try_into().unwrap();
+                (ids, times, volumes)
+            })
+    }
+
+    fn record((ids, times, volumes): &Row) -> SessionRecord {
+        SessionRecord {
+            user: UserId::new(ids[0]),
+            ap: ApId::new(ids[1]),
+            controller: ControllerId::new(ids[2]),
+            connect: Timestamp::from_secs(times[0]),
+            disconnect: Timestamp::from_secs(times[1]),
+            volume_by_app: volumes.map(Bytes::new),
+        }
+    }
+
+    fn demand((ids, times, volumes): &Row) -> SessionDemand {
+        SessionDemand {
+            user: UserId::new(ids[0]),
+            building: BuildingId::new(ids[1]),
+            controller: ControllerId::new(ids[2]),
+            arrive: Timestamp::from_secs(times[0]),
+            depart: Timestamp::from_secs(times[1]),
+            volume_by_app: volumes.map(Bytes::new),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn row_writers_write_the_fmt_bytes(rows in prop::collection::vec(any_row(), 0..12)) {
+            let records: Vec<SessionRecord> = rows.iter().map(record).collect();
+            let mut want = Vec::new();
+            writeln!(want, "{SESSION_HEADER}").unwrap();
+            for r in &records {
+                let mut row = Vec::new();
+                write_session_row(&mut row, r).unwrap();
+                let mut expected = Vec::new();
+                reference_session_row(&mut expected, r);
+                prop_assert_eq!(&row, &expected);
+                want.extend_from_slice(&expected);
+            }
+            let mut got = Vec::new();
+            write_sessions(&mut got, &records).unwrap();
+            prop_assert_eq!(&got, &want);
+
+            let demands: Vec<SessionDemand> = rows.iter().map(demand).collect();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            write_demands(&mut got, &demands).unwrap();
+            reference_demands(&mut want, &demands);
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -146,13 +146,14 @@ pub fn sum_pair_runs(entries: &mut Vec<(UserPair, u32)>) {
 
 /// Per-pair encounter counts over the whole store, sorted by pair.
 ///
-/// Two sessions on the same AP encounter when their overlap lasts at least
-/// `min_overlap`. Multiple overlapping session pairs of the same user pair
-/// each count (they are distinct common events).
+/// Two sessions on the same AP encounter when their overlap is positive
+/// and lasts at least `min_overlap`. Multiple overlapping session pairs of
+/// the same user pair each count (they are distinct common events).
 ///
 /// Presence intervals are **half-open** `[connect, disconnect)`: sessions
 /// that merely touch (`b.connect == a.disconnect`) share no instant and
-/// never encounter, even at `min_overlap == 0`.
+/// never encounter, even at `min_overlap == 0`; nor does a zero-length
+/// session, which holds no instant at all.
 ///
 /// The per-AP scans are sharded over `threads` workers. Each AP's pair scan
 /// is independent, so sharding the sorted group list yields the same table
@@ -178,9 +179,8 @@ pub fn extract_encounters(
                     break; // sorted by start; no later session can overlap
                 }
                 pairs_scanned += 1;
-                let overlap_start = a_start.max(b_start);
-                let overlap_end = a_end.min(b_end);
-                if overlap_end.saturating_sub(overlap_start) >= min_overlap {
+                let overlap = a_end.min(b_end).saturating_sub(a_start.max(b_start));
+                if overlap > TimeDelta::ZERO && overlap >= min_overlap {
                     counts.extend(UserPair::new(a_user, b_user).map(|pair| (pair, 1)));
                 }
             }
@@ -391,6 +391,17 @@ mod tests {
         let store = TraceStore::new(vec![rec(1, 0, 0, 1000), rec(2, 0, 999, 2000)]);
         let enc = extract_encounters(&store, TimeDelta::secs(0), 1);
         assert_eq!(enc, vec![(pair(1, 2), 1)]);
+    }
+
+    #[test]
+    fn zero_length_sessions_never_encounter_even_at_zero_overlap() {
+        // A zero-length session [t, t) holds no instant: inside another
+        // session, at its start or at its end, it shares nothing with it.
+        for t in [150, 100, 200] {
+            let store = TraceStore::new(vec![rec(1, 0, 100, 200), rec(2, 0, t, t)]);
+            let enc = extract_encounters(&store, TimeDelta::secs(0), 1);
+            assert!(enc.is_empty(), "[{t}, {t}) must not encounter [100, 200)");
+        }
     }
 
     #[test]

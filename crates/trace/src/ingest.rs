@@ -30,6 +30,9 @@ use s3_types::{ApId, BuildingId, Bytes, ControllerId, Timestamp, UserId, APP_CAT
 use crate::csv::{CsvError, DEMAND_HEADER, SESSION_HEADER};
 use crate::{SessionDemand, SessionRecord};
 
+#[cfg(test)]
+mod reference;
+
 // Ingestion metrics (documented in docs/METRICS.md). All counters are
 // published once per completed (EOF-reached) ingest, so totals are
 // independent of how the iterator is driven.
@@ -288,7 +291,23 @@ pub trait IngestRow: Sized {
     fn parse_row(fields: &[&str]) -> Result<(Self, u64), RowError>;
 }
 
+/// Fields per data row, in both file formats.
+pub(crate) const FIELDS: usize = 5 + APP_CATEGORY_COUNT;
+
+/// Parses a `u64` field as `s.trim().parse::<u64>()` does. A field of 1–19
+/// ASCII digits (the writers' output, which cannot overflow) takes a digit
+/// loop; everything else — signs, padding, overflow, errors — goes through
+/// `parse` itself, so results and error texts are exactly its own.
 fn parse_u64_field(s: &str, what: &str) -> Result<u64, RowError> {
+    if (1..=19).contains(&s.len()) {
+        let digits = s.bytes().try_fold(0u64, |v, b| {
+            let d = b.wrapping_sub(b'0');
+            (d < 10).then(|| v * 10 + u64::from(d))
+        });
+        if let Some(v) = digits {
+            return Ok(v);
+        }
+    }
     s.trim().parse::<u64>().map_err(|e| RowError {
         fault: RowFault::BadInt,
         detail: format!("bad {what} {s:?}: {e}"),
@@ -367,15 +386,66 @@ impl IngestRow for SessionDemand {
     }
 }
 
+/// Reads the next line into `buf` and returns it, or `None` at end of
+/// input. The line ends as [`BufRead::lines`] ends it (a final `\n` and a
+/// `\r` before it are stripped; a final line without `\n` counts) and must
+/// be UTF-8, failing as `lines` fails.
+fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> io::Result<Option<&'b str>> {
+    buf.clear();
+    if reader.read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    std::str::from_utf8(buf).map(Some).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        )
+    })
+}
+
+/// Splits a data row at its commas into exactly [`FIELDS`] fields, or
+/// returns how many fields it has.
+fn split_fields(line: &str) -> Result<[&str; FIELDS], usize> {
+    // One branch-free pass: each byte stores its index in the slot of the
+    // commas seen before it, so the slot is left holding its comma's index.
+    let mut commas = [0; FIELDS];
+    let mut count = 0;
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        commas[count.min(FIELDS - 1)] = i;
+        count += usize::from(b == b',');
+    }
+    if count + 1 != FIELDS {
+        return Err(count + 1);
+    }
+    let mut fields = [""; FIELDS];
+    let mut start = 0;
+    for (field, &comma) in fields.iter_mut().zip(&commas[..FIELDS - 1]) {
+        *field = &line[start..comma];
+        start = comma + 1;
+    }
+    fields[FIELDS - 1] = &line[start..];
+    Ok(fields)
+}
+
 /// Streaming CSV reader over any [`BufRead`] source.
 ///
 /// Yields one parsed row per [`Iterator::next`] call without materializing
 /// the file; blank lines are skipped; the header is validated up front in
 /// [`StreamingReader::new`]. Behavior on malformed rows is governed by the
 /// [`IngestMode`]. Use the [`SessionReader`] / [`DemandReader`] aliases.
+///
+/// Every line is read into one reused buffer and split into a fixed array
+/// of fields, so a row costs no allocation.
 #[derive(Debug)]
 pub struct StreamingReader<R: BufRead, T: IngestRow> {
-    lines: io::Lines<R>,
+    reader: R,
+    line: Vec<u8>,
     mode: IngestMode,
     line_no: usize,
     report: IngestReport,
@@ -400,12 +470,12 @@ impl<R: BufRead, T: IngestRow> StreamingReader<R, T> {
     /// [`CsvError::Parse`] on a missing or wrong header (even in lenient
     /// mode — a bad header means the whole file is the wrong format);
     /// [`CsvError::Io`] on reader failures.
-    pub fn new(reader: R, mode: IngestMode) -> Result<Self, CsvError> {
-        let mut lines = reader.lines();
-        let header = lines.next().ok_or_else(|| CsvError::Parse {
+    pub fn new(mut reader: R, mode: IngestMode) -> Result<Self, CsvError> {
+        let mut line = Vec::new();
+        let header = read_line(&mut reader, &mut line)?.ok_or_else(|| CsvError::Parse {
             line: 1,
             detail: "empty input (missing header)".to_string(),
-        })??;
+        })?;
         if header.trim() != T::HEADER {
             return Err(CsvError::Parse {
                 line: 1,
@@ -413,7 +483,8 @@ impl<R: BufRead, T: IngestRow> StreamingReader<R, T> {
             });
         }
         Ok(StreamingReader {
-            lines,
+            reader,
+            line,
             mode,
             line_no: 1,
             report: IngestReport::new(),
@@ -474,34 +545,28 @@ impl<R: BufRead, T: IngestRow> Iterator for StreamingReader<R, T> {
             return None;
         }
         loop {
-            let line = match self.lines.next() {
-                None => {
+            let line = match read_line(&mut self.reader, &mut self.line) {
+                Ok(None) => {
                     self.finish();
                     return None;
                 }
-                Some(Err(e)) => {
+                Err(e) => {
                     self.finished = true;
                     return Some(Err(CsvError::Io(e)));
                 }
-                Some(Ok(line)) => line,
+                Ok(Some(line)) => line,
             };
             self.line_no += 1;
             if line.trim().is_empty() {
                 continue;
             }
             self.report.rows_read += 1;
-            let fields: Vec<&str> = line.split(',').collect();
-            let parsed = if fields.len() != 5 + APP_CATEGORY_COUNT {
-                Err(RowError {
+            let parsed = match split_fields(line) {
+                Ok(fields) => T::parse_row(&fields),
+                Err(got) => Err(RowError {
                     fault: RowFault::FieldCount,
-                    detail: format!(
-                        "expected {} fields, got {}",
-                        5 + APP_CATEGORY_COUNT,
-                        fields.len()
-                    ),
-                })
-            } else {
-                T::parse_row(&fields)
+                    detail: format!("expected {FIELDS} fields, got {got}"),
+                }),
             };
             match parsed {
                 Ok((row, start)) => {

@@ -584,9 +584,8 @@ impl StepOut for Emitter<'_> {
         reported: &[BitsPerSec],
     ) -> Result<(), EngineError> {
         self.load_reports += 1;
-        for load in reported {
-            self.ap_load_kbps.observe((load.as_f64() / 1_000.0) as u64);
-        }
+        self.ap_load_kbps
+            .observe_many(reported.iter().map(|load| (load.as_f64() / 1_000.0) as u64));
         self.observe(&TraceEvent::Report {
             at: head,
             seq,
