@@ -127,15 +127,12 @@ fn bounding_box(points: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
     (lo, hi)
 }
 
-fn uniform_reference(n: usize, lo: &[f64], hi: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|_| {
-            lo.iter()
-                .zip(hi)
-                .map(|(&l, &h)| if h > l { rng.random_range(l..h) } else { l })
-                .collect()
-        })
-        .collect()
+/// Draws one point uniformly over the box `lo..hi` into `row`, a
+/// coordinate at a time (a flat side takes its one value).
+fn uniform_point(lo: &[f64], hi: &[f64], rng: &mut StdRng, row: &mut [f64]) {
+    for ((x, &l), &h) in row.iter_mut().zip(lo).zip(hi) {
+        *x = if h > l { rng.random_range(l..h) } else { l };
+    }
 }
 
 /// The principal-component frame of a point set: `(mean, axes)` with axes
@@ -172,25 +169,19 @@ fn pca_frame(points: &[Vec<f64>]) -> Result<PcaFrame, StatsError> {
     })
 }
 
-fn pca_reference(n: usize, frame: &PcaFrame, rng: &mut StdRng) -> Vec<Vec<f64>> {
-    let d = frame.mean.len();
-    (0..n)
-        .map(|_| {
-            let coords: Vec<f64> = frame
-                .lo
-                .iter()
-                .zip(&frame.hi)
-                .map(|(&l, &h)| if h > l { rng.random_range(l..h) } else { l })
-                .collect();
-            let mut point = frame.mean.clone();
-            for (axis, &c) in frame.axes.iter().zip(&coords) {
-                for (x, &a) in point.iter_mut().zip(axis).take(d) {
-                    *x += c * a;
-                }
+impl PcaFrame {
+    /// Draws one point uniformly over the frame's box into `row`: its
+    /// coordinates along the axes into `coords`, then the mean plus each
+    /// scaled axis, added axis by axis.
+    fn draw(&self, rng: &mut StdRng, coords: &mut [f64], row: &mut [f64]) {
+        uniform_point(&self.lo, &self.hi, rng, coords);
+        row.copy_from_slice(&self.mean);
+        for (axis, &c) in self.axes.iter().zip(&*coords) {
+            for (x, &a) in row.iter_mut().zip(axis) {
+                *x += c * a;
             }
-            point
-        })
-        .collect()
+        }
+    }
 }
 
 /// `log(W_k)` of one fit. `W_k` is the fit's inertia: the within-cluster
@@ -244,26 +235,25 @@ impl<'a> Evaluator<'a> {
         // finite coordinates for the PCA frame.
         let data = Points::new(points, 1)?;
         kmeans::check_restarts(&config.kmeans)?;
-        let b = config.reference_sets;
+        // Each set is drawn point by point, in one RNG stream, straight
+        // into the k-means layout.
+        let (n, dim, b) = (points.len(), points[0].len(), config.reference_sets);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-        let references: Vec<Vec<Vec<f64>>> = match config.reference_method {
+        let references = match config.reference_method {
             ReferenceMethod::BoundingBox => {
                 let (lo, hi) = bounding_box(points);
                 (0..b)
-                    .map(|_| uniform_reference(points.len(), &lo, &hi, &mut rng))
-                    .collect()
+                    .map(|_| Points::draw(n, dim, |row| uniform_point(&lo, &hi, &mut rng, row)))
+                    .collect::<Result<_, _>>()?
             }
             ReferenceMethod::PcaAligned => {
                 let frame = pca_frame(points)?;
+                let mut coords = vec![0.0; dim];
                 (0..b)
-                    .map(|_| pca_reference(points.len(), &frame, &mut rng))
-                    .collect()
+                    .map(|_| Points::draw(n, dim, |row| frame.draw(&mut rng, &mut coords, row)))
+                    .collect::<Result<_, _>>()?
             }
         };
-        let references = references
-            .iter()
-            .map(|reference| Points::new(reference, 1))
-            .collect::<Result<_, _>>()?;
         Ok(Evaluator {
             data,
             references,

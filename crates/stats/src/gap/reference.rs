@@ -1,8 +1,10 @@
 //! The exact-answer oracle for the gap statistic: the original full-curve
 //! [`super::gap_statistic`], kept verbatim except that it publishes no
 //! metrics, runs its fits sequentially on the reference k-means, and
-//! measures `W_k` with its own dispersion pass; and property tests holding
-//! [`super::gap_statistic`] and [`super::choose_k`] to its answers.
+//! measures `W_k` with its own dispersion pass. It draws its reference sets
+//! as one `Vec` per point, which the evaluator no longer does. Property
+//! tests hold [`super::gap_statistic`] and [`super::choose_k`] to its
+//! answers.
 //!
 //! The reference fits every `k` up to `k_max` before it applies the
 //! Tibshirani rule. [`super::choose_k`] stops at the first `k` the rule
@@ -13,12 +15,41 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use super::{
-    bounding_box, pca_frame, pca_reference, uniform_reference, GapConfig, GapPoint, GapResult,
-    ReferenceMethod,
-};
+use super::{bounding_box, pca_frame, GapConfig, GapPoint, GapResult, PcaFrame, ReferenceMethod};
 use crate::kmeans::{self, KMeansConfig};
 use crate::StatsError;
+
+fn uniform_reference(n: usize, lo: &[f64], hi: &[f64], rng: &mut StdRng) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|_| {
+            lo.iter()
+                .zip(hi)
+                .map(|(&l, &h)| if h > l { rng.random_range(l..h) } else { l })
+                .collect()
+        })
+        .collect()
+}
+
+fn pca_reference(n: usize, frame: &PcaFrame, rng: &mut StdRng) -> Vec<Vec<f64>> {
+    let d = frame.mean.len();
+    (0..n)
+        .map(|_| {
+            let coords: Vec<f64> = frame
+                .lo
+                .iter()
+                .zip(&frame.hi)
+                .map(|(&l, &h)| if h > l { rng.random_range(l..h) } else { l })
+                .collect();
+            let mut point = frame.mean.clone();
+            for (axis, &c) in frame.axes.iter().zip(&coords) {
+                for (x, &a) in point.iter_mut().zip(axis).take(d) {
+                    *x += c * a;
+                }
+            }
+            point
+        })
+        .collect()
+}
 
 fn log_dispersion(
     points: &[Vec<f64>],
@@ -298,6 +329,41 @@ fn choose_k_falls_back_to_the_argmax_when_the_rule_never_fires() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn the_learners_shape_is_bit_identical_to_the_reference() {
+    // 2 000 six-realm simplex profiles, B = 10 and k_max = 8: the curve
+    // and the pick of the learner's typing, under both reference methods.
+    // One restart of at most eight iterations per fit keeps the oracle's
+    // 176 fits affordable in a debug build.
+    let mut rng = StdRng::seed_from_u64(13);
+    let pts: Vec<Vec<f64>> = (0..2_000)
+        .map(|_| {
+            let raw: Vec<f64> = (0..6).map(|_| rng.random_range(0.0..1.0)).collect();
+            let total: f64 = raw.iter().sum();
+            raw.iter().map(|x| x / total).collect()
+        })
+        .collect();
+    for method in [ReferenceMethod::BoundingBox, ReferenceMethod::PcaAligned] {
+        let config = GapConfig {
+            reference_method: method,
+            kmeans: KMeansConfig {
+                max_iters: 8,
+                restarts: 1,
+                ..KMeansConfig::default()
+            },
+            ..GapConfig::default()
+        };
+        let expected = gap_statistic(&pts, 8, &config, 7).expect("valid input");
+        let actual = super::gap_statistic(&pts, 8, &config, 7).expect("valid input");
+        assert_eq!(curve_bits(&actual), curve_bits(&expected), "{method:?}");
+        assert_eq!(
+            super::choose_k(&pts, 8, &config, 7).expect("valid input"),
+            expected.chosen_k,
+            "{method:?}"
+        );
     }
 }
 

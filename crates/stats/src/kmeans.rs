@@ -5,13 +5,18 @@
 //! [`crate::gap`]. The implementation is dimension-generic so the gap
 //! statistic can feed uniform reference data through the same code path.
 //!
-//! A fit copies its points once into one row-major buffer, and each restart
-//! runs Lloyd's iterations on scratch buffers it allocates once. The kernel
-//! is generic over the row width: one instance is compiled for the
-//! six-realm profile, so its distance loop is unrolled, and one reads the
-//! width at run time. Every instance adds and compares in the same order as
-//! a loop over one `Vec` per point would, so a fit's centroids,
-//! assignments and inertia do not depend on the layout.
+//! A fit copies its points once into coordinate-major blocks of eight and
+//! into rows ([`Points`]), and each restart runs Lloyd's iterations on
+//! scratch buffers it allocates once. The assignment step measures the
+//! eight points of a block against one centroid per pass, lane by lane,
+//! and a lane keeps the closer centroid through a select, not a branch.
+//! The update step visits each cluster's rows through a stable counting
+//! sort of the assignments and sums them in registers. The kernel is generic
+//! over the row width: one instance is compiled for the six-realm profile,
+//! so its coordinate loops unroll, and one reads the width at run time.
+//! Every instance adds and compares in the same order as a loop over one
+//! `Vec` per point would, so a fit's centroids, assignments and inertia do
+//! not depend on the layout.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -64,6 +69,10 @@ static FINAL_MOVEMENT_NANOS: HistogramDesc = HistogramDesc {
 /// not depend on `s3-types`). The kernel has an instance compiled for this
 /// width; any other width runs the instance that reads it at run time.
 const PROFILE_DIM: usize = 6;
+
+/// Points per block: the lanes the assignment step measures in one pass.
+/// Eight `f64` lanes fill four SSE2 or two AVX registers.
+const LANES: usize = 8;
 
 /// Tuning knobs for [`fit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -118,26 +127,70 @@ impl KMeansResult {
     }
 }
 
-/// Checked points in one row-major buffer: point `i` is
-/// `coords[i * dim..(i + 1) * dim]`.
+/// Checked, finite points in two layouts. `rows` holds point `i` at
+/// `rows[i * dim..(i + 1) * dim]`, which the update step reads a cluster's
+/// points from. `columns` holds them in coordinate-major blocks of
+/// [`LANES`] for the distance kernels: block `b` is
+/// `columns[b * dim..(b + 1) * dim]`, and its column `j` holds coordinate
+/// `j` of points `b * LANES..(b + 1) * LANES`. The last block's lanes past
+/// `len` are zero padding: they are measured with the rest and never read
+/// back.
 pub(crate) struct Points {
-    coords: Vec<f64>,
+    rows: Vec<f64>,
+    columns: Vec<[f64; LANES]>,
+    len: usize,
     dim: usize,
 }
 
 impl Points {
-    /// Checks `points` as a `k`-cluster [`fit`] does and copies them into
-    /// one buffer.
+    /// Checks `points` as a `k`-cluster [`fit`] does and lays them out.
     pub(crate) fn new(points: &[Vec<f64>], k: usize) -> Result<Points, StatsError> {
         let dim = validate(points, k)?;
+        let mut rows = points.iter();
+        Points::draw(points.len(), dim, |row| {
+            row.copy_from_slice(rows.next().expect("one row per point"));
+        })
+    }
+
+    /// Lays out `len` points of width `dim`, each written into its row by
+    /// `draw` in point order, rejecting a non-finite coordinate as [`fit`]
+    /// does.
+    pub(crate) fn draw(
+        len: usize,
+        dim: usize,
+        mut draw: impl FnMut(&mut [f64]),
+    ) -> Result<Points, StatsError> {
+        let mut rows = vec![0.0; len * dim];
+        let mut columns = vec![[0.0; LANES]; len.div_ceil(LANES) * dim];
+        for (index, row) in rows.chunks_exact_mut(dim).enumerate() {
+            draw(row);
+            if row.iter().any(|x| !x.is_finite()) {
+                return Err(StatsError::InvalidSample {
+                    what: "kmeans",
+                    index,
+                });
+            }
+            let block = &mut columns[index / LANES * dim..][..dim];
+            for (column, &x) in block.iter_mut().zip(&*row) {
+                column[index % LANES] = x;
+            }
+        }
         Ok(Points {
-            coords: points.concat(),
+            rows,
+            columns,
+            len,
             dim,
         })
     }
 
-    fn len(&self) -> usize {
-        self.coords.len() / self.dim
+    /// Point `i`'s coordinates.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.rows[i * self.dim..(i + 1) * self.dim]
+    }
+
+    /// Length of a buffer holding one value per lane of every block.
+    fn padded_len(&self) -> usize {
+        self.len.div_ceil(LANES) * LANES
     }
 }
 
@@ -161,20 +214,109 @@ fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-/// Index and squared distance of the centroid nearest to `p`, the lowest
-/// index on ties. `centroids` holds rows of `width::<D>(dim)`.
+/// Squared distances of a block's points to `centroid`. Each lane adds
+/// `(x − y)²` in coordinate order from 0, so it holds what [`sq_dist`]
+/// returns for its point.
 #[inline(always)]
-fn nearest<const D: usize>(p: &[f64], centroids: &[f64], dim: usize) -> (usize, f64) {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
+fn block_sq_dists(block: &[[f64; LANES]], centroid: &[f64]) -> [f64; LANES] {
+    let mut sums = [0.0; LANES];
+    for (column, &y) in block.iter().zip(centroid) {
+        for (s, &x) in sums.iter_mut().zip(column) {
+            *s += (x - y) * (x - y);
+        }
+    }
+    sums
+}
+
+/// Index and squared distance of the centroid nearest to each point of a
+/// block: the first strict minimum in index order. `centroids` holds rows
+/// of `width::<D>(dim)`.
+#[inline(always)]
+fn nearest_in_block<const D: usize>(
+    block: &[[f64; LANES]],
+    centroids: &[f64],
+    dim: usize,
+) -> ([usize; LANES], [f64; LANES]) {
+    let mut best = [0usize; LANES];
+    let mut best_d = [f64::INFINITY; LANES];
     for (c, centroid) in centroids.chunks_exact(width::<D>(dim)).enumerate() {
-        let d = sq_dist(p, centroid);
-        if d < best_d {
-            best_d = d;
-            best = c;
+        let d = block_sq_dists(block, centroid);
+        // A select, not a branch, keeps the closer centroid in each lane.
+        for ((b, bd), d) in best.iter_mut().zip(&mut best_d).zip(d) {
+            let closer = d < *bd;
+            *b = if closer { c } else { *b };
+            *bd = if closer { d } else { *bd };
         }
     }
     (best, best_d)
+}
+
+/// The assignment step: each point's nearest centroid and its squared
+/// distance, and the number of points nearest to each centroid. Padded
+/// lanes are neither written back nor counted.
+fn assign<const D: usize>(
+    points: &Points,
+    centroids: &[f64],
+    assignments: &mut [usize],
+    dists: &mut [f64],
+    counts: &mut [usize],
+) {
+    let dim = width::<D>(points.dim);
+    counts.fill(0);
+    for ((block, a), d) in points
+        .columns
+        .chunks_exact(dim)
+        .zip(assignments.chunks_mut(LANES))
+        .zip(dists.chunks_mut(LANES))
+    {
+        let (best, best_d) = nearest_in_block::<D>(block, centroids, dim);
+        for (a, best) in a.iter_mut().zip(best) {
+            *a = best;
+            counts[best] += 1;
+        }
+        for (d, best_d) in d.iter_mut().zip(best_d) {
+            *d = best_d;
+        }
+    }
+}
+
+/// Squared distances of every point to `centroid`, merged block by block
+/// into `out`, which holds one value per lane.
+#[inline(always)]
+fn merge_sq_dists<const D: usize>(
+    points: &Points,
+    centroid: &[f64],
+    out: &mut [f64],
+    merge: impl Fn(&mut f64, f64),
+) {
+    let dim = width::<D>(points.dim);
+    for (block, out) in points
+        .columns
+        .chunks_exact(dim)
+        .zip(out.chunks_exact_mut(LANES))
+    {
+        let d = block_sq_dists(block, centroid);
+        for (o, d) in out.iter_mut().zip(d) {
+            merge(o, d);
+        }
+    }
+}
+
+/// Sums the points `members` into `sum`, each coordinate in member order,
+/// eight coordinates at a time in registers.
+#[inline(always)]
+fn sum_members<const D: usize>(points: &Points, members: &[usize], sum: &mut [f64]) {
+    let dim = width::<D>(points.dim);
+    for (first, out) in (0..dim).step_by(LANES).zip(sum[..dim].chunks_mut(LANES)) {
+        let mut acc = [0.0; LANES];
+        for &i in members {
+            let row = &points.rows[i * dim + first..][..out.len()];
+            for (a, x) in acc.iter_mut().zip(row) {
+                *a += x;
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
+    }
 }
 
 fn validate(points: &[Vec<f64>], k: usize) -> Result<usize, StatsError> {
@@ -232,25 +374,24 @@ pub(crate) fn check_restarts(config: &KMeansConfig) -> Result<(), StatsError> {
 /// proportional to squared distance to the nearest already-chosen centroid.
 /// Returns the `k` centroids as rows of one buffer.
 fn seed_plus_plus<const D: usize>(points: &Points, k: usize, rng: &mut StdRng) -> Vec<f64> {
-    let dim = width::<D>(points.dim);
-    let n = points.len();
-    let row = |i: usize| &points.coords[i * dim..(i + 1) * dim];
-    let mut centroids = Vec::with_capacity(k * dim);
-    centroids.extend_from_slice(row(rng.random_range(0..n)));
-    let mut d2: Vec<f64> = points
-        .coords
-        .chunks_exact(dim)
-        .map(|p| sq_dist(p, &centroids))
-        .collect();
+    let n = points.len;
+    let mut centroids = Vec::with_capacity(k * points.dim);
+    centroids.extend_from_slice(points.row(rng.random_range(0..n)));
+    // Each point's squared distance to its nearest centroid so far. The
+    // entries start at +inf, so the first centroid's distances, finite or
+    // +inf, land as they are.
+    let mut d2 = vec![f64::INFINITY; points.padded_len()];
+    let closer = |best: &mut f64, d: f64| *best = if d < *best { d } else { *best };
+    merge_sq_dists::<D>(points, &centroids, &mut d2, closer);
     for _ in 1..k {
-        let total: f64 = d2.iter().sum();
+        let total: f64 = d2[..n].iter().sum();
         let idx = if total <= 0.0 {
             // All remaining points coincide with a centroid; pick uniformly.
             rng.random_range(0..n)
         } else {
             let mut target = rng.random_range(0.0..total);
             let mut chosen = n - 1;
-            for (i, &d) in d2.iter().enumerate() {
+            for (i, &d) in d2[..n].iter().enumerate() {
                 if target < d {
                     chosen = i;
                     break;
@@ -259,14 +400,9 @@ fn seed_plus_plus<const D: usize>(points: &Points, k: usize, rng: &mut StdRng) -
             }
             chosen
         };
-        let newest = row(idx);
+        let newest = points.row(idx);
         centroids.extend_from_slice(newest);
-        for (best, p) in d2.iter_mut().zip(points.coords.chunks_exact(dim)) {
-            let d = sq_dist(p, newest);
-            if d < *best {
-                *best = d;
-            }
-        }
+        merge_sq_dists::<D>(points, newest, &mut d2, closer);
     }
     centroids
 }
@@ -280,57 +416,72 @@ fn lloyd<const D: usize>(
     seed: u64,
 ) -> KMeansResult {
     let dim = width::<D>(points.dim);
-    let coords = &points.coords[..];
+    let n = points.len;
     let mut centroids = seed_plus_plus::<D>(points, k, &mut StdRng::seed_from_u64(seed));
-    let mut assignments = vec![0usize; points.len()];
-    let mut sums = vec![0.0; k * dim];
-    let mut counts = vec![0usize; k];
+    let mut assignments = vec![0usize; n];
+    let mut dists = vec![0.0; n];
+    let mut members = vec![0usize; n];
+    let mut ends = vec![0usize; k];
+    let mut sum = vec![0.0; dim];
+    // Whether `assignments` and `dists` were measured against centroids
+    // bit-identical to the current ones.
+    let mut assigned = false;
     let mut iterations = 0u64;
     let mut converged = false;
     let mut last_movement = 0.0f64;
     for _ in 0..config.max_iters {
         iterations += 1;
-        // Assignment step.
-        for (a, p) in assignments.iter_mut().zip(coords.chunks_exact(dim)) {
-            *a = nearest::<D>(p, &centroids, dim).0;
+        assign::<D>(points, &centroids, &mut assignments, &mut dists, &mut ends);
+        // Update step. `assign` left each cluster's size in `ends`; a
+        // stable counting sort turns the sizes into run ends and lists
+        // cluster `c`'s points in point order in
+        // `members[ends[c - 1]..ends[c]]`, so each sum accumulates in point
+        // order.
+        let mut start = 0;
+        for end in &mut ends {
+            start += *end;
+            *end = start - *end;
         }
-        // Update step: the sums accumulate in point order.
-        sums.fill(0.0);
-        counts.fill(0);
-        for (p, &a) in coords.chunks_exact(dim).zip(&assignments) {
-            counts[a] += 1;
-            for (s, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(p) {
-                *s += x;
-            }
+        for (i, &a) in assignments.iter().enumerate() {
+            members[ends[a]] = i;
+            ends[a] += 1;
         }
+        assigned = true;
         let mut movement = 0.0;
-        for c in 0..k {
-            if counts[c] == 0 {
+        let mut start = 0;
+        for (c, &end) in ends.iter().enumerate() {
+            let cluster = &members[start..end];
+            start = end;
+            if cluster.is_empty() {
                 // Re-seed an empty cluster at the point farthest from point
                 // 0's centroid as updated so far (the last such point on
                 // ties) to keep exactly k clusters alive.
                 let anchor = &centroids[assignments[0] * dim..(assignments[0] + 1) * dim];
-                let far = coords
-                    .chunks_exact(dim)
-                    .map(|p| sq_dist(p, anchor))
+                let mut far_d = vec![0.0; points.padded_len()];
+                merge_sq_dists::<D>(points, anchor, &mut far_d, |o, d| *o = d);
+                let far = far_d[..n]
+                    .iter()
                     .enumerate()
                     .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("finite"))
                     .map(|(i, _)| i)
                     .expect("non-empty points");
-                let p = &coords[far * dim..(far + 1) * dim];
+                let p = points.row(far);
                 let centroid = &mut centroids[c * dim..(c + 1) * dim];
                 movement += sq_dist(centroid, p).sqrt();
+                assigned &= centroid
+                    .iter()
+                    .zip(p)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
                 centroid.copy_from_slice(p);
                 continue;
             }
-            let count = counts[c] as f64;
+            sum_members::<D>(points, cluster, &mut sum);
+            let count = cluster.len() as f64;
             let mut shift = 0.0;
-            for (x, &s) in centroids[c * dim..(c + 1) * dim]
-                .iter_mut()
-                .zip(&sums[c * dim..(c + 1) * dim])
-            {
+            for (x, &s) in centroids[c * dim..(c + 1) * dim].iter_mut().zip(&sum) {
                 let mean = s / count;
                 shift += (*x - mean) * (*x - mean);
+                assigned &= x.to_bits() == mean.to_bits();
                 *x = mean;
             }
             movement += shift.sqrt();
@@ -354,12 +505,14 @@ fn lloyd<const D: usize>(
         })
         .inc();
     // Final assignment + inertia against the last centroids, summed in
-    // point order.
+    // point order. When the last update left every centroid as it was, the
+    // last assignment step already measured them.
+    if !assigned {
+        assign::<D>(points, &centroids, &mut assignments, &mut dists, &mut ends);
+    }
     let mut inertia = 0.0;
-    for (a, p) in assignments.iter_mut().zip(coords.chunks_exact(dim)) {
-        let (best, best_d) = nearest::<D>(p, &centroids, dim);
-        *a = best;
-        inertia += best_d;
+    for &d in &dists {
+        inertia += d;
     }
     KMeansResult {
         centroids: centroids.chunks_exact(dim).map(<[f64]>::to_vec).collect(),
@@ -410,7 +563,7 @@ pub(crate) fn fit_points(
     seed: u64,
 ) -> KMeansResult {
     assert!(
-        (1..=points.len()).contains(&k) && config.restarts > 0,
+        (1..=points.len).contains(&k) && config.restarts > 0,
         "fit_points needs 1 <= k <= points and a restart"
     );
     s3_obs::global().counter(&FITS).inc();

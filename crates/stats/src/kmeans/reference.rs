@@ -180,8 +180,14 @@ fn assert_bit_identical(points: &[Vec<f64>], k: usize, config: &KMeansConfig, se
 }
 
 /// Dimensions the property draws from: one for the compiled six-realm
-/// kernel, and runtime widths on either side of it.
+/// kernel, and runtime widths on either side of it (14 sums its clusters
+/// in two chunks of coordinates).
 const DIMS: [usize; 6] = [1, 2, 3, 6, 7, 14];
+
+/// Movement tolerances the properties draw from: 0.5 stops Lloyd while
+/// centroids still move, so the last assignment step is stale and the
+/// final pass must measure again.
+const TOLS: [f64; 4] = [0.0, 1e-9, 1e-3, 0.5];
 
 /// Points of one drawn dimension. Coordinates come from a small grid and
 /// a point is often a copy of an earlier one, so inputs carry duplicates,
@@ -214,18 +220,19 @@ proptest! {
     #[test]
     fn fit_is_bit_identical_to_the_reference(
         pts in points(),
-        k_draw in 0usize..8,
+        k_draw in 0usize..12,
         restarts in 1usize..=4,
         max_iters in 1usize..40,
+        tol in 0usize..TOLS.len(),
         threads in (0u8..2).prop_map(|t| if t == 0 { 1 } else { 4 }),
         seed in 0u64..10_000,
     ) {
         let k = 1 + k_draw % pts.len();
         let config = KMeansConfig {
             max_iters,
+            tol: TOLS[tol],
             restarts,
             threads,
-            ..KMeansConfig::default()
         };
         assert_bit_identical(&pts, k, &config, seed);
     }
@@ -233,8 +240,9 @@ proptest! {
     #[test]
     fn fit_on_all_duplicate_points_is_bit_identical_to_the_reference(
         dim_index in 0usize..DIMS.len(),
-        n in 1usize..20,
-        k_draw in 0usize..6,
+        n in 1usize..=25,
+        k_draw in 0usize..12,
+        tol in 0usize..TOLS.len(),
         value in -3.0f64..3.0,
         seed in 0u64..10_000,
     ) {
@@ -242,7 +250,66 @@ proptest! {
         // first iteration and is re-seeded.
         let pts = vec![vec![value; DIMS[dim_index]]; n];
         let k = 1 + k_draw % n;
-        assert_bit_identical(&pts, k, &KMeansConfig::default(), seed);
+        let config = KMeansConfig {
+            tol: TOLS[tol],
+            ..KMeansConfig::default()
+        };
+        assert_bit_identical(&pts, k, &config, seed);
+    }
+}
+
+#[test]
+fn every_block_tail_is_bit_identical_to_the_reference() {
+    // 1 to 25 points fill the last block of eight with every count of
+    // lanes, at the compiled width and a run-time one, odd and even k, and
+    // every tolerance.
+    for n in 1..=25 {
+        for dim in [2, 6] {
+            let mut rng = StdRng::seed_from_u64(n as u64 * 31 + dim as u64);
+            let pts: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.random_range(-4.0..4.0)).collect())
+                .collect();
+            for k in [1, 2, 3, 5].into_iter().filter(|&k| k <= n) {
+                for (t, &tol) in TOLS.iter().enumerate() {
+                    let config = KMeansConfig {
+                        tol,
+                        ..KMeansConfig::default()
+                    };
+                    assert_bit_identical(&pts, k, &config, (n * 7 + k + t) as u64);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_point_tied_between_two_centroids_joins_the_first() {
+    // Points at 0 and 2 on the first axis and seven at 1, in one block:
+    // whenever k-means++ seeds the centroids at 0 and 2, every point at 1
+    // is exactly as far from both, and the first assignment step must give
+    // each of them to the lower index, as the reference does. One
+    // iteration keeps that step's choice visible in the fit.
+    for dim in [1, 6] {
+        let at = |x: f64| {
+            let mut p = vec![0.0; dim];
+            p[0] = x;
+            p
+        };
+        let mut pts = vec![at(0.0), at(2.0)];
+        pts.extend(std::iter::repeat_n(at(1.0), 7));
+        let mut tied = 0;
+        for seed in 0..40 {
+            let config = KMeansConfig {
+                max_iters: 1,
+                restarts: 1,
+                ..KMeansConfig::default()
+            };
+            assert_bit_identical(&pts, 2, &config, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let seeds = seed_plus_plus(&pts, 2, &mut rng);
+            tied += usize::from(seeds[0][0] != 1.0 && seeds[1][0] != 1.0);
+        }
+        assert!(tied > 0, "no seed put the centroids either side of the tie");
     }
 }
 

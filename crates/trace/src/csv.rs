@@ -132,20 +132,20 @@ fn write_row<W: Write>(
     w.write_all(&row[at..])
 }
 
-/// Writes records as CSV with a header row.
+/// Writes records as CSV with a header row, then flushes the writer.
 ///
 /// A `&mut` reference to any writer can be passed (`Write` is implemented
 /// for `&mut W`).
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// Propagates I/O errors from the writer, the final flush's included.
 pub fn write_sessions<W: Write>(mut w: W, records: &[SessionRecord]) -> io::Result<()> {
     write_session_header(&mut w)?;
     for r in records {
         write_session_row(&mut w, r)?;
     }
-    Ok(())
+    w.flush()
 }
 
 /// Reads records from CSV produced by [`write_sessions`].
@@ -167,11 +167,12 @@ pub fn read_sessions<R: BufRead>(r: R) -> Result<Vec<SessionRecord>, CsvError> {
 pub(crate) const DEMAND_HEADER: &str =
     "user,building,controller,arrive,depart,im,p2p,music,email,video,web";
 
-/// Writes session demands as CSV with a header row.
+/// Writes session demands as CSV with a header row, then flushes the
+/// writer.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
+/// Propagates I/O errors from the writer, the final flush's included.
 pub fn write_demands<W: Write>(mut w: W, demands: &[SessionDemand]) -> io::Result<()> {
     writeln!(w, "{DEMAND_HEADER}")?;
     for d in demands {
@@ -187,7 +188,7 @@ pub fn write_demands<W: Write>(mut w: W, demands: &[SessionDemand]) -> io::Resul
             &d.volume_by_app,
         )?;
     }
-    Ok(())
+    w.flush()
 }
 
 /// Reads session demands from CSV produced by [`write_demands`].
@@ -474,6 +475,41 @@ mod tests {
             depart: Timestamp::from_secs(times[1]),
             volume_by_app: volumes.map(Bytes::new),
         }
+    }
+
+    /// A sink whose every write fails, as a full disk's does.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "no space left"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writers_report_an_error_left_for_the_final_flush() {
+        // A buffered writer holds a short output until it is flushed, so
+        // the error only shows at the flush each writer ends with.
+        let row = ([1, 2, 3], [60, 120], [7; 6]);
+        let failed = |r: io::Result<()>| r.expect_err("the flush fails").kind();
+        assert_eq!(
+            failed(write_sessions(io::BufWriter::new(Full), &[record(&row)])),
+            io::ErrorKind::StorageFull
+        );
+        assert_eq!(
+            failed(write_demands(io::BufWriter::new(Full), &[demand(&row)])),
+            io::ErrorKind::StorageFull
+        );
+        let mut names = crate::interner::IdInterner::new();
+        names.intern("ap-1");
+        assert_eq!(
+            failed(names.write_csv(io::BufWriter::new(Full))),
+            io::ErrorKind::StorageFull
+        );
     }
 
     proptest! {

@@ -77,11 +77,12 @@ impl IdInterner {
             .map(|(i, n)| (i as u32, n.as_str()))
     }
 
-    /// Writes the mapping as two-column CSV (`id,name`).
+    /// Writes the mapping as two-column CSV (`id,name`), then flushes the
+    /// writer.
     ///
     /// # Errors
     ///
-    /// Propagates writer failures.
+    /// Propagates writer failures, the final flush's included.
     pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
         writeln!(w, "id,name")?;
         for (id, name) in self.iter() {
@@ -92,7 +93,7 @@ impl IdInterner {
                 writeln!(w, "{id},{name}")?;
             }
         }
-        Ok(())
+        w.flush()
     }
 }
 
