@@ -10,6 +10,12 @@
 //!
 //! The `csv_codec` group times the codec alone: decoding a generated
 //! demand CSV, and encoding the session rows its replay emits.
+//!
+//! The `engine` group times the engine alone: a week of the evaluation
+//! campus (eight controllers of eight APs) replayed from memory under LLF,
+//! whose decision is a scan of the candidates, into a sink that keeps
+//! nothing — cycle formation, session state, departures and emission,
+//! without CSV and without a social model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,7 +26,7 @@ use s3_trace::generator::{CampusConfig, CampusGenerator};
 use s3_trace::ingest::{DemandReader, IngestMode};
 use s3_trace::SessionRecord;
 use s3_wlan::selector::LeastLoadedFirst;
-use s3_wlan::{RecordSink, SimConfig, SimEngine, StreamSource, Topology};
+use s3_wlan::{RecordSink, SimConfig, SimEngine, SliceSource, StreamSource, Topology};
 
 fn config(users: usize) -> CampusConfig {
     CampusConfig {
@@ -123,5 +129,40 @@ fn bench_csv_codec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_replay_paths, bench_csv_codec);
+fn bench_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine");
+    group.sample_size(10);
+    let campus = CampusGenerator::new(
+        CampusConfig {
+            days: 7,
+            ..CampusConfig::campus()
+        },
+        3,
+    )
+    .generate();
+    let mut demands = campus.demands;
+    demands.sort_by_key(|d| (d.arrive, d.user));
+    let engine = SimEngine::new(Topology::from_campus(&campus.config), SimConfig::default());
+    group.bench_with_input(
+        BenchmarkId::new("llf", demands.len()),
+        &demands,
+        |b, demands| {
+            b.iter(|| {
+                let mut sink = CountSink(0);
+                let totals = engine
+                    .run_streamed(
+                        &mut SliceSource::new(demands),
+                        &mut LeastLoadedFirst::new(),
+                        &mut sink,
+                    )
+                    .expect("in-memory replay");
+                assert_eq!(sink.0, demands.len());
+                black_box(totals)
+            })
+        },
+    );
+    group.finish();
+}
+
+criterion_group!(benches, bench_replay_paths, bench_csv_codec, bench_engine);
 criterion_main!(benches);

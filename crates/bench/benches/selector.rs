@@ -30,6 +30,7 @@ fn candidates(m: usize, users_each: u32) -> Vec<ApCandidate> {
             ap: s3_types::ApId::new(i as u32),
             load: BitsPerSec::mbps(i as f64 * 0.4),
             capacity: BitsPerSec::mbps(100.0),
+            position: (0.0, 0.0),
             associated: (0..users_each)
                 .map(|u| UserId::new(u * m as u32 + i as u32))
                 .collect(),
@@ -37,13 +38,13 @@ fn candidates(m: usize, users_each: u32) -> Vec<ApCandidate> {
         .collect()
 }
 
-fn arrivals(n: usize, m: usize) -> Vec<ArrivalUser> {
+fn arrivals(n: usize) -> Vec<ArrivalUser> {
     (0..n)
         .map(|i| ArrivalUser {
             user: UserId::new(10_000 + i as u32),
             now: Timestamp::from_secs(1_000),
             demand_hint: BitsPerSec::mbps(0.2),
-            rssi: vec![-55.0; m],
+            position: (0.0, 0.0),
         })
         .collect()
 }
@@ -54,7 +55,7 @@ fn bench_single_select(c: &mut Criterion) {
     let mut llf = LeastLoadedFirst::new();
     let cands = candidates(8, 12);
     let views = views_of(&cands);
-    let arrival = &arrivals(1, 8)[0];
+    let arrival = &arrivals(1)[0];
 
     let mut group = c.benchmark_group("single_select_8aps");
     group.bench_function("llf", |b| {
@@ -87,7 +88,7 @@ fn bench_batch_select(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("batch_select_8aps");
     for &batch in &[4usize, 12, 24] {
-        let users = arrivals(batch, 8);
+        let users = arrivals(batch);
         group.bench_with_input(BenchmarkId::new("llf", batch), &users, |b, u| {
             b.iter(|| black_box(llf.select_batch(u, &views)))
         });

@@ -139,6 +139,7 @@ fn candidates(m: usize, users_each: u32) -> Vec<ApCandidate> {
             ap: ApId::new(i as u32),
             load: BitsPerSec::mbps(i as f64 * 0.4),
             capacity: BitsPerSec::mbps(100.0),
+            position: (0.0, 0.0),
             associated: (0..users_each)
                 .map(|u| UserId::new(u * m as u32 + i as u32))
                 .collect(),
@@ -174,7 +175,7 @@ fn time_one_arrival(
 ) -> (f64, f64) {
     let one = [ArrivalUser {
         user: arrival,
-        ..arrivals(1, cands.len()).remove(0)
+        ..arrivals(1).remove(0)
     }];
     let (steady_views, swapped_views) = (views_of(cands), views_of(swapped));
     let steady = time_ns(iters, repeats, || {
@@ -230,13 +231,13 @@ fn grouped_arrivals(
     batch
 }
 
-fn arrivals(n: usize, m: usize) -> Vec<ArrivalUser> {
+fn arrivals(n: usize) -> Vec<ArrivalUser> {
     (0..n)
         .map(|i| ArrivalUser {
             user: UserId::new(10_000 + i as u32),
             now: Timestamp::from_secs(1_000),
             demand_hint: BitsPerSec::mbps(0.2),
-            rssi: vec![-55.0; m],
+            position: (0.0, 0.0),
         })
         .collect()
 }
@@ -364,7 +365,7 @@ fn main() {
     let grouped = grouped_arrivals(s3.compiled_model(), &ids, &cands, cfg.edge_threshold);
     let users: Vec<ArrivalUser> = grouped
         .iter()
-        .zip(arrivals(BATCH, 8))
+        .zip(arrivals(BATCH))
         .map(|(&user, arrival)| ArrivalUser { user, ..arrival })
         .collect();
     let batch_ns = time_ns(iters.min(50), repeats, || {

@@ -31,8 +31,9 @@ fn s3wlan(args: &[String]) {
 }
 
 /// The policies with a recording: the engine's loop is pinned by `llf`
-/// and `mab`, the S³ model by `s3`.
-const POLICIES: [&str; 3] = ["llf", "mab", "s3"];
+/// and `mab`, the S³ model by `s3`, and the policies that read RSSI by
+/// `rssi` and `workload`.
+const POLICIES: [&str; 5] = ["llf", "mab", "s3", "rssi", "workload"];
 
 /// The recorded trace `policy` replays: S³ needs a third day, so that it
 /// trains on two and places a multi-member clique.

@@ -35,7 +35,7 @@ use std::sync::OnceLock;
 
 use s3_graph::SocialGraph;
 use s3_obs::{Counter, Desc, Histogram, HistogramDesc, Stability, Unit};
-use s3_stats::balance::normalized_balance_index;
+use s3_stats::balance::{normalized_balance_index, normalized_balance_of_sums};
 use s3_types::UserId;
 
 use crate::learning::to_fixed;
@@ -410,6 +410,7 @@ impl CliqueCost {
             added_demand,
             added_members,
             loads,
+            ..
         } = scratch;
         added_demand.fill(0.0);
         added_members.fill(0);
@@ -429,12 +430,17 @@ impl CliqueCost {
 /// Reusable per-candidate buffers for [`CliqueCost::fits`] and
 /// [`CliqueCost::balance`]: the added demand / member tallies and the
 /// projected load vector, one cell per slot. The enumeration walk keeps
-/// its running demand per slot in `added_demand`.
+/// its running demand per slot in `added_demand`; a lone member's search
+/// ([`pick_lone`]) keeps the projected loads without it and with it on
+/// each slot, and each short-listed slot's balance index.
 #[derive(Debug, Clone, Default)]
 struct ScoreScratch {
     added_demand: Vec<f64>,
     added_members: Vec<usize>,
     loads: Vec<f64>,
+    base: Vec<f64>,
+    placed: Vec<f64>,
+    balances: Vec<f64>,
 }
 
 impl ScoreScratch {
@@ -443,6 +449,9 @@ impl ScoreScratch {
         self.added_demand.resize(m, 0.0);
         self.added_members.resize(m, 0);
         self.loads.resize(m, 0.0);
+        self.base.resize(m, 0.0);
+        self.placed.resize(m, 0.0);
+        self.balances.resize(m, 0.0);
     }
 }
 
@@ -580,7 +589,9 @@ pub(crate) fn assign_clique_dense<'w>(
 
 /// The enumerate-or-beam + top-fraction + balance search both entry points
 /// share once the workspace holds their cost tables and slot arrays. It
-/// runs on the calling thread, whatever `config.threads` says.
+/// runs on the calling thread, whatever `config.threads` says. A clique of
+/// one whose `m` slots are enumerated takes a third arm, [`lone_leaves`]
+/// and [`pick_lone`]: the walk's leaves and pick without the walk.
 fn search_distribution<'w>(ws: &'w mut SearchWorkspace, config: &S3Config) -> &'w [usize] {
     CLIQUES_ASSIGNED.get().inc();
     let c = ws.cost.demands.len();
@@ -592,7 +603,9 @@ fn search_distribution<'w>(ws: &'w mut SearchWorkspace, config: &S3Config) -> &'
     let space: Option<usize> = m
         .checked_pow(c as u32)
         .filter(|&s| s <= config.enumeration_limit);
+    let lone = c == 1 && space.is_some();
     match space {
+        Some(_) if lone => lone_leaves(ws).record(),
         Some(total) => enumerate_all(ws, total).record(),
         None => beam_search(ws, config.beam_width),
     }
@@ -609,10 +622,14 @@ fn search_distribution<'w>(ws: &'w mut SearchWorkspace, config: &S3Config) -> &'
     let enumerated = space.is_some();
     assignment.clear();
     assignment.resize(c, 0);
-    let winner = select_best(leaves, config.top_fraction, |leaf| {
-        write_leaf(enumerated, leaf, m, prefixes, assignment);
-        cost.balance(assignment, slots, score)
-    });
+    let winner = if lone {
+        pick_lone(cost, slots, leaves, score, config.top_fraction)
+    } else {
+        select_best(leaves, config.top_fraction, |leaf| {
+            write_leaf(enumerated, leaf, m, prefixes, assignment);
+            cost.balance(assignment, slots, score)
+        })
+    };
     match winner {
         Some(leaf) => write_leaf(enumerated, leaf, m, prefixes, assignment),
         None => {
@@ -622,6 +639,105 @@ fn search_distribution<'w>(ws: &'w mut SearchWorkspace, config: &S3Config) -> &'
         }
     }
     assignment
+}
+
+/// Slots a lone member's balance indices are computed for per pass: one
+/// lane each.
+const LANES: usize = 8;
+
+/// The enumeration of a clique of one: code `s` is slot `s`, its cost the
+/// member's `slot_entry` cell, feasible by the walk's capacity test with
+/// the slot's added demand starting at `0.0`. Pushes the keys and makes
+/// the counts [`enumerate_all`] would.
+fn lone_leaves(ws: &mut SearchWorkspace) -> Tally {
+    let SearchWorkspace {
+        cost,
+        slots,
+        leaves,
+        ..
+    } = ws;
+    let m = slots.load.len();
+    let demand = cost.demands[0];
+    leaves.clear();
+    for (s, &cell) in cost.slot_entry[..m].iter().enumerate() {
+        if !slots.over(s, 0.0 + demand) {
+            leaves.push(Ranked::new(cell, s));
+        }
+    }
+    let (candidates, feasible) = (m as u64, leaves.len() as u64);
+    Tally {
+        candidates,
+        rejections: candidates - feasible,
+        lookups: feasible * cost.lookups_per_cost(),
+    }
+}
+
+/// [`select_best`] for a clique of one, with every short-listed slot's
+/// [`CliqueCost::balance`] computed [`LANES`] slots per pass: the
+/// projected loads without the member are the same for every slot, and
+/// slot `s`'s leaf replaces one of them, so each lane sums the shared
+/// loads with its own slot's swapped in ([`lone_balances`]).
+fn pick_lone(
+    cost: &CliqueCost,
+    slots: &SlotArrays,
+    leaves: &mut [Ranked],
+    score: &mut ScoreScratch,
+    top_fraction: f64,
+) -> Option<usize> {
+    let bound = short_list_bound(leaves, top_fraction)?;
+    let demand = cost.demands[0];
+    for s in 0..slots.load.len() {
+        // `CliqueCost::balance` of the leaf on `s`: the added demand and
+        // member count start at zero.
+        let count = slots.member_count[s];
+        score.base[s] = (slots.load[s] + 0.0) + count as f64 * MEMBER_EPSILON_BPS;
+        score.placed[s] =
+            (slots.load[s] + (0.0 + demand)) + (count + 1) as f64 * MEMBER_EPSILON_BPS;
+    }
+    let mut lanes = [0; LANES];
+    let mut n = 0;
+    for leaf in leaves.iter().filter(|leaf| leaf.cost() <= bound) {
+        lanes[n] = leaf.index();
+        n += 1;
+        if n == LANES {
+            lone_balances(&score.base, &score.placed, &lanes, &mut score.balances);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        lone_balances(&score.base, &score.placed, &lanes[..n], &mut score.balances);
+    }
+    let balances = &score.balances;
+    best_of_short_list(leaves, bound, |s| balances[s])
+}
+
+/// Writes `balances[s]` for each `s` of `slots` (at most [`LANES`]): the
+/// normalized balance index of `base` with entry `s` replaced by
+/// `placed[s]`. Lane `j` adds the loads in slot order, slot `slots[j]`'s
+/// from `placed`, as `normalized_balance_index` adds them, so each index
+/// is bit for bit the one it returns, 0 for an invalid load included.
+fn lone_balances(base: &[f64], placed: &[f64], slots: &[usize], balances: &mut [f64]) {
+    let mut at = [usize::MAX; LANES];
+    at[..slots.len()].copy_from_slice(slots);
+    let (mut sum, mut sum_sq) = ([0.0; LANES], [0.0; LANES]);
+    for (t, (&b, &p)) in base.iter().zip(placed).enumerate() {
+        for j in 0..LANES {
+            let x = if at[j] == t { p } else { b };
+            sum[j] += x;
+            sum_sq[j] += x * x;
+        }
+    }
+    let invalid = |x: f64| !x.is_finite() || x < 0.0;
+    let base_invalid = base.iter().filter(|&&x| invalid(x)).count();
+    for (j, &s) in slots.iter().enumerate() {
+        let lane_invalid =
+            base_invalid - usize::from(invalid(base[s])) + usize::from(invalid(placed[s]));
+        balances[s] = if lane_invalid == 0 {
+            normalized_balance_of_sums(sum[j], sum_sq[j], base.len())
+        } else {
+            0.0
+        };
+    }
 }
 
 /// Writes code `code`'s assignment: member `i` takes base-`m` digit `i`.
@@ -852,14 +968,31 @@ fn beam_search(ws: &mut SearchWorkspace, beam_width: usize) {
 fn select_best(
     leaves: &mut [Ranked],
     top_fraction: f64,
-    mut balance: impl FnMut(usize) -> f64,
+    balance: impl FnMut(usize) -> f64,
 ) -> Option<usize> {
+    let bound = short_list_bound(leaves, top_fraction)?;
+    best_of_short_list(leaves, bound, balance)
+}
+
+/// The cost of the `⌈n·top_fraction⌉`-th cheapest leaf, which bounds the
+/// short-list, or `None` when no leaf is feasible. Permutes `leaves`.
+fn short_list_bound(leaves: &mut [Ranked], top_fraction: f64) -> Option<u64> {
     if leaves.is_empty() {
         return None;
     }
     let keep = ((leaves.len() as f64 * top_fraction).ceil() as usize).clamp(1, leaves.len());
     let (_, cut, _) = leaves.select_nth_unstable(keep - 1);
-    let bound = cut.cost();
+    Some(cut.cost())
+}
+
+/// The short-listed leaf (cost at most `bound`) with the best
+/// `balance(leaf index)`, the later leaf in `(cost, index)` order winning
+/// a tie.
+fn best_of_short_list(
+    leaves: &[Ranked],
+    bound: u64,
+    mut balance: impl FnMut(usize) -> f64,
+) -> Option<usize> {
     leaves
         .iter()
         .filter(|leaf| leaf.cost() <= bound)

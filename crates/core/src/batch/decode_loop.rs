@@ -5,7 +5,9 @@
 //! [`CliqueCost::fits`], and re-sum its cost with [`CliqueCost::cost`],
 //! in code order. The walk must push the same set of `(cost, code)` keys
 //! and make the same counter increments for every input, ties and
-//! degenerate demands included.
+//! degenerate demands included. The search's arm for a clique of one
+//! ([`lone_leaves`], [`pick_lone`]) is held to the walk and its scored
+//! pick the same way.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -112,8 +114,86 @@ fn demands_of(kind: usize, drawn: &[f64], seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// Runs the walk and [`select_best`], and the lone arm, on copies of `ws`
+/// (one member) and compares their keys, counts and picks.
+fn assert_lone_arm_is_the_walk(ws: &SearchWorkspace, top_fraction: f64) {
+    let m = ws.slots.load.len();
+    let mut walk = ws.clone();
+    let walked = enumerate_all(&mut walk, m);
+    let walked_leaves = sorted(&walk.leaves);
+    let SearchWorkspace {
+        cost,
+        slots,
+        leaves,
+        score,
+        ..
+    } = &mut walk;
+    let picked = select_best(leaves, top_fraction, |s| cost.balance(&[s], slots, score));
+
+    let mut lone = ws.clone();
+    assert_eq!(lone_leaves(&mut lone), walked, "m={m}");
+    assert_eq!(sorted(&lone.leaves), walked_leaves, "m={m}");
+    let SearchWorkspace {
+        cost,
+        slots,
+        leaves,
+        score,
+        ..
+    } = &mut lone;
+    assert_eq!(
+        pick_lone(cost, slots, leaves, score, top_fraction),
+        picked,
+        "m={m}"
+    );
+    if lone.leaves.is_empty() {
+        return;
+    }
+    // Every slot's lane index is the scored one, bit for bit, whichever
+    // lane and pass computes it.
+    let all: Vec<usize> = (0..m).rev().collect();
+    let mut balances = vec![f64::NAN; m];
+    for lanes in all.chunks(LANES) {
+        lone_balances(&lone.score.base, &lone.score.placed, lanes, &mut balances);
+    }
+    for (s, balance) in balances.iter().enumerate() {
+        let scored = lone.cost.balance(&[s], &lone.slots, &mut lone.score);
+        assert_eq!(balance.to_bits(), scored.to_bits(), "m={m} slot {s}");
+    }
+}
+
+/// Slot loads from `kind`: as drawn (0), or with some slots made
+/// negative, NaN or infinite (1), which `normalized_balance_index`
+/// rejects, or all of them (2).
+fn spoil_loads(ws: &mut SearchWorkspace, kind: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 11);
+    let pool = [-1e6, f64::NAN, f64::INFINITY, -0.0, 0.0];
+    for load in &mut ws.slots.load {
+        if kind == 2 || (kind == 1 && rng.random_range(0..3u32) == 0) {
+            *load = pool[rng.random_range(0..pool.len())];
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn lone_arm_pushes_the_walks_keys_and_picks_its_pick(
+        m in 1usize..=40,
+        kind in 0usize..4,
+        loads in 0usize..3,
+        tied in 0usize..2,
+        fraction in 0usize..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (clique, slots, drawn) = tied_input(1, m, seed);
+        let demands = demands_of(kind, &drawn, seed);
+        let delta = |a: UserId, b: UserId| pair_delta(seed, tied == 1, a, b);
+        let demand = |u: UserId| demands[u.raw() as usize];
+        let mut ws = workspace(&clique, &slots, &delta, &demand);
+        spoil_loads(&mut ws, loads, seed);
+        assert_lone_arm_is_the_walk(&ws, [0.1, 0.3, 1.0][fraction]);
+    }
 
     #[test]
     fn walk_pushes_the_decode_loops_keys(

@@ -17,13 +17,12 @@
 //! and each keeps its own reusable [`Scratch`]: the dense ids of every
 //! candidate AP's residents, kept from batch to batch, slot states, clique
 //! working vectors and the distribution search's workspace — so the hot
-//! path does no hashing beyond one lookup per request, interns only the
-//! residents that changed since the AP was last seen, and, after the first
-//! request warms the buffers, a lone arrival allocates nothing but its
-//! returned pick (the social graph and the clique partition of a larger
-//! batch still allocate).
+//! path does no hashing (one binary search per request finds the mirrors),
+//! interns only the residents that changed since the AP was last seen,
+//! and, after the first request warms the buffers, a lone arrival
+//! allocates nothing but its returned pick (the social graph and the
+//! clique partition of a larger batch still allocate).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use s3_graph::clique::{CliqueBudget, CliqueWorkspace};
@@ -83,8 +82,8 @@ pub struct S3Selector {
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Which entry of `mirrors` serves a candidate list, by the list's
-    /// first AP: one lookup per request.
-    mirror_of: HashMap<ApId, usize>,
+    /// first AP, sorted by AP: one binary search per request.
+    mirror_of: Vec<(ApId, usize)>,
     /// One set of resident mirrors per candidate list seen.
     mirrors: Vec<ResidentMirrors>,
     /// Identity-free slot states fed to the distribution search.
@@ -208,11 +207,15 @@ impl S3Selector {
     fn prepare_slots(&mut self, candidates: &[ApView<'_>]) -> usize {
         let scratch = &mut self.scratch;
         let key = candidates.first().map_or(ApId::default(), |view| view.ap);
-        let next = scratch.mirrors.len();
-        let index = *scratch.mirror_of.entry(key).or_insert(next);
-        if index == next {
-            scratch.mirrors.push(ResidentMirrors::default());
-        }
+        let index = match scratch.mirror_of.binary_search_by_key(&key, |&(ap, _)| ap) {
+            Ok(at) => scratch.mirror_of[at].1,
+            Err(at) => {
+                let index = scratch.mirrors.len();
+                scratch.mirror_of.insert(at, (key, index));
+                scratch.mirrors.push(ResidentMirrors::default());
+                index
+            }
+        };
         scratch.mirrors[index].sync(&self.model, candidates, &mut scratch.states);
         index
     }
@@ -337,16 +340,17 @@ mod tests {
             ap: ApId::new(ap),
             load: BitsPerSec::mbps(load_mbps),
             capacity: BitsPerSec::mbps(100.0),
+            position: (0.0, 0.0),
             associated: associated.into_iter().map(UserId::new).collect(),
         }
     }
 
-    fn arrival(user: u32, n_candidates: usize) -> ArrivalUser {
+    fn arrival(user: u32) -> ArrivalUser {
         ArrivalUser {
             user: UserId::new(user),
             now: Timestamp::from_secs(0),
             demand_hint: BitsPerSec::mbps(1.0),
-            rssi: vec![-50.0; n_candidates],
+            position: (0.0, 0.0),
         }
     }
 
@@ -357,7 +361,7 @@ mod tests {
         assert!(s3.is_degraded(), "an empty model must engage the fallback");
         let candidates = vec![candidate(0, 10.0, vec![]), candidate(1, 1.0, vec![])];
         let views = views_of(&candidates);
-        let a = arrival(1, 2);
+        let a = arrival(1);
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
@@ -412,14 +416,14 @@ mod tests {
             candidate(2, 7.0, vec![]),
         ];
         let views = views_of(&candidates);
-        let a = arrival(1, 3);
+        let a = arrival(1);
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
         };
         let mut llf = LeastLoadedFirst::new();
         assert_eq!(s3.select(&ctx), llf.select(&ctx));
-        let users: Vec<ArrivalUser> = (1..=3).map(|u| arrival(u, 3)).collect();
+        let users: Vec<ArrivalUser> = (1..=3).map(arrival).collect();
         assert_eq!(
             s3.select_batch(&users, &views),
             llf.select_batch(&users, &views)
@@ -465,7 +469,7 @@ mod tests {
             candidate(2, 0.0, vec![]),
         ];
         let views = views_of(&candidates);
-        let users: Vec<ArrivalUser> = (1..=3).map(|u| arrival(u, 3)).collect();
+        let users: Vec<ArrivalUser> = (1..=3).map(arrival).collect();
         let picks = s3.select_batch(&users, &views);
         let distinct: std::collections::HashSet<usize> = picks.iter().copied().collect();
         assert_eq!(distinct.len(), 3, "clique must be spread: {picks:?}");
@@ -500,7 +504,7 @@ mod tests {
         // User 2 sits on AP 0, which is otherwise *less* loaded.
         let candidates = vec![candidate(0, 0.5, vec![2]), candidate(1, 1.0, vec![])];
         let views = views_of(&candidates);
-        let a = arrival(1, 2);
+        let a = arrival(1);
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,

@@ -68,7 +68,7 @@ fn arrivals(users: &[u32]) -> Vec<ArrivalUser> {
             user: UserId::new(user),
             now: Timestamp::from_secs(30_000),
             demand_hint: BitsPerSec::mbps(1.0),
-            rssi: vec![-50.0; APS as usize],
+            position: (0.0, 0.0),
         })
         .collect()
 }
@@ -82,6 +82,7 @@ fn candidates(headroom: [f64; APS as usize]) -> Vec<ApCandidate> {
             ap: ApId::new(ap),
             load: BitsPerSec::new(CAPACITY - headroom[ap as usize]),
             capacity: BitsPerSec::new(CAPACITY),
+            position: (0.0, 0.0),
             associated: (0..ap % 3)
                 .map(|j| UserId::new(5 + (ap + j) % (TIED - 4)))
                 .chain([UserId::new(100 + ap)])

@@ -98,6 +98,7 @@ fn warmed_lone_arrival_allocates_only_its_picks() {
             ap: ApId::new(ap),
             load: BitsPerSec::mbps(f64::from(ap) * 0.5),
             capacity: BitsPerSec::mbps(100.0),
+            position: (0.0, 0.0),
             associated: (0..ap % 3)
                 .map(|j| UserId::new(2 + (ap + j) % (GROUP - 1)))
                 .chain([UserId::new(100 + ap)])
@@ -109,7 +110,7 @@ fn warmed_lone_arrival_allocates_only_its_picks() {
         user: UserId::new(1),
         now: Timestamp::from_secs(30_000),
         demand_hint: BitsPerSec::mbps(1.0),
-        rssi: vec![-50.0; APS as usize],
+        position: (0.0, 0.0),
     }];
 
     let warm = s3.select_batch(&one, &views);

@@ -54,7 +54,7 @@ fn arrivals(n: u32) -> Vec<ArrivalUser> {
             user: UserId::new(user),
             now: Timestamp::from_secs(30_000),
             demand_hint: BitsPerSec::mbps(1.0),
-            rssi: vec![-50.0; APS as usize],
+            position: (0.0, 0.0),
         })
         .collect()
 }
@@ -77,6 +77,7 @@ fn search_metrics_register_on_first_use_and_survive_reset() {
             ap: ApId::new(ap),
             load: BitsPerSec::mbps(f64::from(ap) * 0.5),
             capacity: BitsPerSec::mbps(100.0),
+            position: (0.0, 0.0),
             associated: (0..ap % 3).map(|j| UserId::new(100 + ap * 4 + j)).collect(),
         })
         .collect();

@@ -86,12 +86,12 @@ const APS: [u32; 5] = [0, 1, 2, 3, u32::MAX];
 /// one led by `ApId::new(u32::MAX)`.
 const LISTS: [&[usize]; 4] = [&[0, 1, 2], &[3, 4], &[0, 4, 2, 3], &[4, 1]];
 
-fn arrival(user: UserId, m: usize) -> ArrivalUser {
+fn arrival(user: UserId) -> ArrivalUser {
     ArrivalUser {
         user,
         now: Timestamp::from_secs(40_000),
         demand_hint: BitsPerSec::mbps(1.0),
-        rssi: vec![-50.0; m],
+        position: (0.0, 0.0),
     }
 }
 
@@ -132,6 +132,7 @@ fn step(
                     ap: ApId::new(APS[i]),
                     load: BitsPerSec::mbps((world[i].len() * 3 % 7) as f64),
                     capacity: BitsPerSec::mbps(100.0),
+                    position: (0.0, 0.0),
                     associated: world[i].clone(),
                 })
                 .collect();
@@ -160,8 +161,7 @@ fn step(
                 })
                 .collect();
             let mut fresh = S3Selector::new(Arc::clone(model()), config());
-            let arrivals: Vec<ArrivalUser> =
-                users.iter().map(|&u| arrival(u, views.len())).collect();
+            let arrivals: Vec<ArrivalUser> = users.iter().map(|&u| arrival(u)).collect();
             if op == 6 {
                 let ctx = SelectionContext {
                     arrival: &arrivals[0],

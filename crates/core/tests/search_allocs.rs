@@ -110,6 +110,7 @@ fn warmed_beam_batch_allocates_per_level_not_per_child() {
             ap: ApId::new(ap),
             load: BitsPerSec::mbps(f64::from(ap) * 0.5),
             capacity: BitsPerSec::mbps(100.0),
+            position: (0.0, 0.0),
             associated: (0..ap % 3).map(|j| UserId::new(100 + ap * 4 + j)).collect(),
         })
         .collect();
@@ -119,7 +120,7 @@ fn warmed_beam_batch_allocates_per_level_not_per_child() {
             user: UserId::new(user),
             now: Timestamp::from_secs(30_000),
             demand_hint: BitsPerSec::mbps(1.0),
-            rssi: vec![-50.0; APS as usize],
+            position: (0.0, 0.0),
         })
         .collect();
 

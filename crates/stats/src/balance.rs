@@ -53,11 +53,16 @@ fn validate(what: &'static str, loads: &[f64]) -> Result<(), StatsError> {
 pub fn balance_index(loads: &[f64]) -> Result<f64, StatsError> {
     validate("balance_index", loads)?;
     let sum: f64 = loads.iter().sum();
-    if sum == 0.0 {
-        return Ok(1.0);
-    }
     let sum_sq: f64 = loads.iter().map(|x| x * x).sum();
-    Ok(sum * sum / (loads.len() as f64 * sum_sq))
+    Ok(index_of_sums(sum, sum_sq, loads.len()))
+}
+
+/// `B` from `Σ Tᵢ`, `Σ Tᵢ²` and `n`, with an all-zero load balanced.
+fn index_of_sums(sum: f64, sum_sq: f64, n: usize) -> f64 {
+    if sum == 0.0 {
+        return 1.0;
+    }
+    sum * sum / (n as f64 * sum_sq)
 }
 
 /// The normalized balance index `B̂ = (B − 1/n)/(1 − 1/n) ∈ [0, 1]`.
@@ -70,13 +75,26 @@ pub fn balance_index(loads: &[f64]) -> Result<f64, StatsError> {
 /// Same conditions as [`balance_index`].
 pub fn normalized_balance_index(loads: &[f64]) -> Result<f64, StatsError> {
     let b = balance_index(loads)?;
-    let n = loads.len() as f64;
-    if loads.len() == 1 {
-        return Ok(1.0);
+    Ok(normalize(b, loads.len()))
+}
+
+/// [`normalized_balance_index`] of `n` valid loads (finite, not
+/// negative) from their sum and their sum of squares, each added in load
+/// order from zero: bit for bit what it returns for those loads. A
+/// caller that scores many load vectors differing in one entry sums them
+/// side by side and finishes each here.
+pub fn normalized_balance_of_sums(sum: f64, sum_sq: f64, n: usize) -> f64 {
+    normalize(index_of_sums(sum, sum_sq, n), n)
+}
+
+/// Rescales `B` of `n` loads onto `[0, 1]`.
+fn normalize(b: f64, n: usize) -> f64 {
+    if n == 1 {
+        return 1.0;
     }
-    let inv_n = 1.0 / n;
+    let inv_n = 1.0 / n as f64;
     // Clamp tiny negative excursions from floating-point noise.
-    Ok(((b - inv_n) / (1.0 - inv_n)).clamp(0.0, 1.0))
+    ((b - inv_n) / (1.0 - inv_n)).clamp(0.0, 1.0)
 }
 
 /// The relative-change series of Fig. 3: `Sᵢ = (βᵢ − βᵢ₋₁)/βᵢ₋₁` for a

@@ -15,8 +15,6 @@
 //!   groups place), so shards schedule departures under the same
 //!   `(time, seq)` keys at any shard count.
 
-use std::collections::HashMap;
-
 use s3_trace::SessionDemand;
 use s3_types::{ControllerId, TimeDelta, Timestamp};
 
@@ -33,7 +31,9 @@ use crate::topology::Topology;
 pub(super) struct ShardPlan {
     /// Each shard's controllers, ascending.
     pub shards: Vec<Vec<ControllerId>>,
-    owner: HashMap<ControllerId, usize>,
+    /// Owner shard of each controller, by its rank in
+    /// [`Topology::controllers`].
+    owner: Vec<usize>,
 }
 
 impl ShardPlan {
@@ -50,7 +50,7 @@ impl ShardPlan {
         let owner = shards
             .iter()
             .enumerate()
-            .flat_map(|(i, cs)| cs.iter().map(move |&c| (c, i)))
+            .flat_map(|(i, cs)| std::iter::repeat_n(i, cs.len()))
             .collect();
         ShardPlan { shards, owner }
     }
@@ -71,6 +71,10 @@ pub(super) struct Group {
     /// unknown to every plan, consume no ids, and their members are
     /// rejected.
     pub shard: Option<usize>,
+    /// The controller's rank in [`Topology::controllers`], which reads
+    /// its APs ([`Topology::aps_of_controller_rank`]); 0 when `shard` is
+    /// `None`.
+    pub rank: usize,
     /// Indices into the cycle's batch, in batch order.
     pub members: Vec<u32>,
     pub first_sid: u32,
@@ -109,8 +113,12 @@ impl Cycle {
     }
 }
 
+/// No group yet in the current cycle.
+const NO_GROUP: u32 = u32::MAX;
+
 /// Forms cycles from a demand source and assigns every identifier.
 pub(super) struct CycleFormer<'p> {
+    topology: &'p Topology,
     plan: &'p ShardPlan,
     batch_window: TimeDelta,
     report_interval: TimeDelta,
@@ -120,13 +128,17 @@ pub(super) struct CycleFormer<'p> {
     pending: Option<SessionDemand>,
     next_seq: u64,
     next_sid: u32,
-    /// Controller → group index within the current cycle.
-    group_of: HashMap<ControllerId, usize>,
+    /// Group index within the current cycle by controller rank, or
+    /// [`NO_GROUP`].
+    group_of: Vec<u32>,
+    /// Groups of the current cycle whose controller has no AP.
+    unplaced: Vec<(ControllerId, u32)>,
 }
 
 impl<'p> CycleFormer<'p> {
-    pub fn new(config: &SimConfig, plan: &'p ShardPlan) -> Self {
+    pub fn new(topology: &'p Topology, config: &SimConfig, plan: &'p ShardPlan) -> Self {
         CycleFormer {
+            topology,
             plan,
             batch_window: config.batch_window,
             report_interval: config.load_report_interval,
@@ -135,7 +147,8 @@ impl<'p> CycleFormer<'p> {
             pending: None,
             next_seq: 0,
             next_sid: 0,
-            group_of: HashMap::new(),
+            group_of: vec![NO_GROUP; plan.owner.len()],
+            unplaced: Vec::new(),
         }
     }
 
@@ -175,30 +188,50 @@ impl<'p> CycleFormer<'p> {
             n_groups,
             ..
         } = cycle;
-        self.group_of.clear();
+        self.unplaced.clear();
         *n_groups = 0;
         for (i, d) in batch.iter().enumerate() {
-            let g = *self.group_of.entry(d.controller).or_insert_with(|| {
+            let rank = self.topology.controller_rank(d.controller);
+            let known = match rank {
+                Some(rank) => self.group_of[rank],
+                None => self
+                    .unplaced
+                    .iter()
+                    .find(|&&(c, _)| c == d.controller)
+                    .map_or(NO_GROUP, |&(_, g)| g),
+            };
+            let g = if known == NO_GROUP {
                 if *n_groups == groups.len() {
                     groups.push(Group::default());
                 }
                 let group = &mut groups[*n_groups];
                 group.controller = d.controller;
-                group.shard = self.plan.owner.get(&d.controller).copied();
+                group.shard = rank.map(|rank| self.plan.owner[rank]);
+                group.rank = rank.unwrap_or(0);
                 group.members.clear();
+                let g = *n_groups as u32;
+                match rank {
+                    Some(rank) => self.group_of[rank] = g,
+                    None => self.unplaced.push((d.controller, g)),
+                }
                 *n_groups += 1;
-                *n_groups - 1
-            });
-            groups[g].members.push(i as u32);
+                g
+            } else {
+                known
+            };
+            groups[g as usize].members.push(i as u32);
         }
         // Session ids and departure sequences in group-major order, the
         // order groups are placed (rejected groups consume no ids).
+        // Unmarking only this cycle's groups leaves `group_of` all
+        // `NO_GROUP` again, whatever the controller count.
         for group in &mut groups[..*n_groups] {
             if group.shard.is_some() {
                 let n = group.members.len();
                 group.first_sid = self.next_sid;
                 group.first_dep_seq = self.take_seqs(n as u64);
                 self.next_sid += n as u32;
+                self.group_of[group.rank] = NO_GROUP;
             }
         }
         Ok(true)

@@ -29,7 +29,8 @@ pub(crate) struct Departure {
     /// Queue sequence number (the trace logs it as the event key's
     /// `seq`).
     pub seq: u64,
-    /// Index of the session in [`super::state::RunState`].
+    /// The session's shard-local key in [`super::state::RunState`]
+    /// (the global session index travels with the session).
     pub session: u32,
 }
 

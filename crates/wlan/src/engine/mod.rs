@@ -145,17 +145,22 @@ impl SimEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `demands` is not sorted by arrival time, or if the
-    /// selector returns an out-of-range candidate index.
+    /// Panics if `demands` is not sorted by arrival time, if the selector
+    /// returns an out-of-range candidate index, or if a controller of the
+    /// topology lists an AP the topology cannot resolve (the
+    /// [`EngineError::MissingAp`] that [`SimEngine::run_shards`] returns;
+    /// the message names the controller and the AP).
     pub fn run(&self, demands: &[SessionDemand], selector: &mut dyn ApSelector) -> SimResult {
         assert!(
             demands.windows(2).all(|w| w[0].arrive <= w[1].arrive),
             "demands must be sorted by arrival time"
         );
         let mut sink = CollectSink::with_capacity(demands.len());
+        // A slice source and a collecting sink cannot fail, so the only
+        // error left is the topology's.
         let totals = self
             .run_in_thread(&mut SliceSource::new(demands), selector, &mut sink)
-            .expect("slice replay is infallible");
+            .unwrap_or_else(|e| panic!("in-memory replay cannot run: {e}"));
         sink.into_result(totals)
     }
 
@@ -910,6 +915,24 @@ mod tests {
                     assert!(matches!(err, EngineError::MissingAp { .. }), "{err}");
                 }
             }
+        }
+
+        #[test]
+        #[should_panic(expected = "controller 0 lists AP 1 which the topology cannot resolve")]
+        fn run_names_the_unresolvable_ap_it_panics_on() {
+            use crate::topology::{default_ap_capacity, ApInfo};
+            // AP ids 1 and 2 with no AP 0: `Topology::ap` resolves
+            // neither, as in `corrupt_topology_is_an_error_not_a_panic`.
+            let ap = |id: u32| ApInfo {
+                id: ApId::new(id),
+                building: BuildingId::new(0),
+                controller: ControllerId::new(0),
+                capacity: default_ap_capacity(),
+                position: (1.0, 1.0),
+            };
+            let engine =
+                SimEngine::new(Topology::from_aps(vec![ap(1), ap(2)]), SimConfig::default());
+            let _ = engine.run(&[demand(1, 0, 100, 200, 1)], &mut LeastLoadedFirst::new());
         }
 
         /// Cycles the ingest thread forms while the merger holds the

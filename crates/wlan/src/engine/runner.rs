@@ -45,7 +45,7 @@ use super::source::{DemandSource, EngineError, RecordSink};
 use super::state::RunState;
 use super::tracing::TraceEvent;
 use super::{SimConfig, SimEngine};
-use crate::radio::{distance, rssi_at, session_position};
+use crate::radio::session_position;
 use crate::selector::{ApSelector, ApView, ArrivalUser, DecisionMeta};
 use crate::topology::Topology;
 
@@ -175,7 +175,7 @@ impl SimEngine {
         let plan = ShardPlan::new(&self.topology, 1);
         let mut shard = Shard::new(&self.topology, &self.config, 0, &plan.shards[0])?;
         let mut emitter = Emitter::new(sink, &self.config);
-        let mut former = CycleFormer::new(&self.config, &plan);
+        let mut former = CycleFormer::new(&self.topology, &self.config, &plan);
         let mut cycle = Cycle::default();
         while former.next(source, &mut cycle)? {
             shard.step(&cycle, selector, &mut emitter)?;
@@ -366,7 +366,7 @@ impl<'t> Shard<'t> {
         selector: &mut dyn ApSelector,
         out: &mut impl StepOut,
     ) -> Result<(), EngineError> {
-        let aps = self.topology.aps_of_controller(group.controller);
+        let aps = self.topology.aps_of_controller_rank(group.rank);
         let batch = &cycle.batch;
         let picks = select_group(
             self.topology,
@@ -381,9 +381,9 @@ impl<'t> Shard<'t> {
             let d = &batch[i as usize];
             let sid = group.first_sid + j as u32;
             let ap = aps[pick];
-            self.run.place_at(d, ap, sid);
+            let key = self.run.place(d, ap, sid);
             self.queue
-                .push(d.depart, group.first_dep_seq + j as u64, sid);
+                .push(d.depart, group.first_dep_seq + j as u64, key);
             let meta = metas.and_then(|m| m.get(j)).copied().unwrap_or_default();
             out.select(cycle.head, sid, d, ap, meta, aps)?;
         }
@@ -412,7 +412,7 @@ impl<'t> Shard<'t> {
             out.depart(DepartOut {
                 at: dep.at,
                 seq: dep.seq,
-                sid: dep.session,
+                sid: active.sid,
                 user: active.user,
                 ap: active.ap,
                 record,
@@ -672,17 +672,16 @@ impl StepOut for Emitter<'_> {
 }
 
 /// Runs the selector over one controller group: builds the arrival users
-/// (RSSI per candidate) and the zero-copy candidate views and asks the
-/// selector for one pick per user (its decision metadata stays readable
-/// through [`ApSelector::last_batch_meta`]). The inputs a selector sees
-/// for a group are a pure function of `(topology, run state, group
-/// demands)`, which is exactly why per-controller sharding cannot change
-/// decisions. Every AP in `aps` resolves in the topology ([`Shard::new`]
-/// checks).
+/// (each with its position, from which a policy that reads RSSI computes
+/// it) and the zero-copy candidate views and asks the selector for one
+/// pick per user (its decision metadata stays readable through
+/// [`ApSelector::last_batch_meta`]). The inputs a selector sees for a
+/// group are a pure function of `(topology, run state, group demands)`,
+/// which is exactly why per-controller sharding cannot change decisions.
+/// Every AP in `aps` resolves in the topology ([`Shard::new`] checks).
 ///
-/// `arrivals` is a reusable buffer: slots (including their RSSI vectors)
-/// are overwritten in place and persist across batches, so the steady
-/// state runs without per-demand allocation.
+/// `arrivals` is a reusable buffer, overwritten from the start each
+/// call.
 fn select_group<'d>(
     topology: &Topology,
     run: &RunState,
@@ -692,30 +691,13 @@ fn select_group<'d>(
     arrivals: &mut Vec<ArrivalUser>,
 ) -> Vec<usize> {
     let info = |ap: ApId| &topology.aps()[ap.index()];
-    let mut n = 0usize;
-    for d in demands {
-        let pos = session_position(d.user, d.arrive);
-        if n == arrivals.len() {
-            arrivals.push(ArrivalUser {
-                user: d.user,
-                now: d.arrive,
-                demand_hint: d.mean_rate(),
-                rssi: Vec::with_capacity(aps.len()),
-            });
-        } else {
-            let slot = &mut arrivals[n];
-            slot.user = d.user;
-            slot.now = d.arrive;
-            slot.demand_hint = d.mean_rate();
-            slot.rssi.clear();
-        }
-        let slot = &mut arrivals[n];
-        for &ap in aps {
-            slot.rssi.push(rssi_at(distance(pos, info(ap).position)));
-        }
-        n += 1;
-    }
-    let arrivals = &arrivals[..n];
+    arrivals.clear();
+    arrivals.extend(demands.map(|d| ArrivalUser {
+        user: d.user,
+        now: d.arrive,
+        demand_hint: d.mean_rate(),
+        position: session_position(d.user, d.arrive),
+    }));
     // Zero-copy candidate views borrowing the engine's live association
     // state — nothing is cloned per candidate.
     let views: Vec<ApView<'_>> = aps
@@ -725,6 +707,7 @@ fn select_group<'d>(
                 ap,
                 run.reported[ap.index()],
                 info(ap).capacity,
+                info(ap).position,
                 &run.associated[ap.index()],
             )
         })
@@ -780,10 +763,10 @@ fn rebalance_controller(
                     .partial_cmp(&b.1.rate.as_f64())
                     .expect("finite rates")
             })
-            .map(|(idx, _)| idx);
-        let Some(idx) = candidate else { break };
-        let Some(active) = run.session_mut(idx) else {
-            return Err(EngineError::DeadSession { session: idx });
+            .map(|(key, _)| key);
+        let Some(key) = candidate else { break };
+        let Some(active) = run.session_mut(key) else {
+            return Err(EngineError::DeadSession { session: key });
         };
         // Close the segment on the old AP (skip zero-length ones).
         let record = if now > active.segment_start {
@@ -797,7 +780,7 @@ fn rebalance_controller(
         let old = active.ap;
         active.ap = min_ap;
         apply(MoveOutcome {
-            sid: idx,
+            sid: active.sid,
             user,
             from: old,
             to: min_ap,

@@ -343,7 +343,7 @@ impl SimEngine {
                 from_shards.push(out_rx);
             }
             let (meta_tx, meta_rx) = sync_channel(IN_FLIGHT_CHUNKS);
-            let former = CycleFormer::new(&self.config, plan);
+            let former = CycleFormer::new(&self.topology, &self.config, plan);
             scope.spawn(move || ingest(former, source, to_shards, meta_tx));
             let registry = s3_obs::global();
             let merger = Merger {
@@ -485,7 +485,7 @@ impl Merger<'_, '_> {
             let n = group.members.len();
             let selects = &outs[s][c].selects[self.sel_pos[s]..][..n];
             self.sel_pos[s] += n;
-            let candidates = self.topology.aps_of_controller(group.controller);
+            let candidates = self.topology.aps_of_controller_rank(group.rank);
             for (j, (&i, &(ap, meta))) in group.members.iter().zip(selects).enumerate() {
                 let sid = group.first_sid + j as u32;
                 let demand = &cycle.batch[i as usize];

@@ -49,12 +49,12 @@ pub enum EngineError {
         /// The controller whose domain listed it.
         controller: ControllerId,
     },
-    /// The rebalancer selected a session index that is no longer live —
+    /// The rebalancer selected a session key that is no longer live —
     /// an engine-state invariant violation (sessions are closed exactly
     /// once, at departure), surfaced as an error instead of the former
     /// `expect("candidate is live")` panic.
     DeadSession {
-        /// The stale session index.
+        /// The stale session's shard-local key.
         session: u32,
     },
     /// [`crate::SimEngine::run_shards`] was handed no selector: every

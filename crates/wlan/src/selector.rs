@@ -1,12 +1,14 @@
 //! The AP-selection policy interface and the paper's baseline policies.
 //!
 //! A policy sees, for each arriving user, the candidate APs of the user's
-//! controller domain — each with its current load, capacity and associated
-//! users — plus the user's per-AP RSSI. It returns the index of the chosen
-//! candidate. Policies may also handle a whole *batch* of simultaneous
-//! arrivals (class start); the default batch implementation replays the
-//! single-user path against locally tracked placements, which is exactly
-//! how an arrival-based controller behaves.
+//! controller domain — each with its current load, capacity, position and
+//! associated users — plus the user's position, from which
+//! [`ArrivalUser::rssi`] computes the RSSI to a candidate when the policy
+//! reads it. It returns the index of the chosen candidate. Policies may
+//! also handle a whole *batch* of simultaneous arrivals (class start);
+//! the default batch implementation replays the single-user path against
+//! locally tracked placements, which is exactly how an arrival-based
+//! controller behaves.
 //!
 //! # Zero-copy candidate views
 //!
@@ -22,6 +24,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use s3_types::{ApId, BitsPerSec, Timestamp, UserId};
+
+use crate::radio::{distance, rssi_at};
 
 /// A borrowed view of one candidate AP as seen by a policy at selection
 /// time — the zero-copy contract of the event-driven engine.
@@ -46,17 +50,26 @@ pub struct ApView<'a> {
     pub load: BitsPerSec,
     /// Capacity `W(i)`.
     pub capacity: BitsPerSec,
+    /// Position inside the building, meters ([`crate::ApInfo::position`]).
+    pub position: (f64, f64),
     associated: &'a [UserId],
     batch_added: &'a [UserId],
 }
 
 impl<'a> ApView<'a> {
     /// Creates a view borrowing the AP's live association list.
-    pub fn new(ap: ApId, load: BitsPerSec, capacity: BitsPerSec, associated: &'a [UserId]) -> Self {
+    pub fn new(
+        ap: ApId,
+        load: BitsPerSec,
+        capacity: BitsPerSec,
+        position: (f64, f64),
+        associated: &'a [UserId],
+    ) -> Self {
         ApView {
             ap,
             load,
             capacity,
+            position,
             associated,
             batch_added: &[],
         }
@@ -73,6 +86,7 @@ impl<'a> ApView<'a> {
             ap: self.ap,
             load: self.load,
             capacity: self.capacity,
+            position: self.position,
             associated: self.associated,
             batch_added,
         }
@@ -116,6 +130,8 @@ pub struct ApCandidate {
     pub load: BitsPerSec,
     /// Capacity `W(i)`.
     pub capacity: BitsPerSec,
+    /// Position inside the building, meters.
+    pub position: (f64, f64),
     /// Users currently associated with the AP.
     pub associated: Vec<UserId>,
 }
@@ -123,7 +139,13 @@ pub struct ApCandidate {
 impl ApCandidate {
     /// Borrows this candidate as the view policies consume.
     pub fn as_view(&self) -> ApView<'_> {
-        ApView::new(self.ap, self.load, self.capacity, &self.associated)
+        ApView::new(
+            self.ap,
+            self.load,
+            self.capacity,
+            self.position,
+            &self.associated,
+        )
     }
 }
 
@@ -143,8 +165,18 @@ pub struct ArrivalUser {
     /// The session's true mean rate — an oracle hint used for load
     /// accounting; honest policies estimate demand from history instead.
     pub demand_hint: BitsPerSec,
-    /// RSSI in dBm per candidate AP (parallel to the candidate slice).
-    pub rssi: Vec<f64>,
+    /// Where the user stands inside the building, meters
+    /// ([`crate::radio::session_position`] in a replay).
+    pub position: (f64, f64),
+}
+
+impl ArrivalUser {
+    /// RSSI in dBm of `ap` at the user's position
+    /// ([`crate::radio::rssi_at`] of the distance). Computed on every
+    /// call: only the policies that read signal strength pay for it.
+    pub fn rssi(&self, ap: &ApView<'_>) -> f64 {
+        rssi_at(distance(self.position, ap.position))
+    }
 }
 
 /// Everything a policy sees when placing a single user.
@@ -305,15 +337,26 @@ impl ApSelector for StrongestRssi {
     }
 
     fn select(&mut self, ctx: &SelectionContext<'_>) -> usize {
-        let rssi = &ctx.arrival.rssi;
-        let mut best = 0;
-        for i in 1..ctx.candidates.len() {
-            if rssi[i] > rssi[best] {
-                best = i;
-            }
-        }
-        best
+        strongest(ctx)
     }
+}
+
+/// The candidate with the strongest RSSI at the arrival's position, the
+/// first on a tie.
+pub(crate) fn strongest(ctx: &SelectionContext<'_>) -> usize {
+    let arrival = ctx.arrival;
+    let Some(first) = ctx.candidates.first() else {
+        return 0;
+    };
+    let (mut best, mut best_rssi) = (0, arrival.rssi(first));
+    for (i, candidate) in ctx.candidates.iter().enumerate().skip(1) {
+        let rssi = arrival.rssi(candidate);
+        if rssi > best_rssi {
+            best = i;
+            best_rssi = rssi;
+        }
+    }
+    best
 }
 
 /// Uniform random choice — the weakest sane baseline.
@@ -345,21 +388,23 @@ impl ApSelector for RandomSelector {
 mod tests {
     use super::*;
 
+    /// A candidate on the diagonal, `ap` · 10 m from the corner.
     fn candidate(ap: u32, load_mbps: f64, users: usize) -> ApCandidate {
         ApCandidate {
             ap: ApId::new(ap),
             load: BitsPerSec::mbps(load_mbps),
             capacity: BitsPerSec::mbps(100.0),
+            position: (f64::from(ap) * 10.0, f64::from(ap) * 10.0),
             associated: (0..users as u32).map(|i| UserId::new(1000 + i)).collect(),
         }
     }
 
-    fn arrival(rssi: Vec<f64>) -> ArrivalUser {
+    fn arrival(position: (f64, f64)) -> ArrivalUser {
         ArrivalUser {
             user: UserId::new(1),
             now: Timestamp::from_secs(0),
             demand_hint: BitsPerSec::mbps(1.0),
-            rssi,
+            position,
         }
     }
 
@@ -371,7 +416,7 @@ mod tests {
             candidate(2, 7.0, 0),
         ];
         let views = views_of(&candidates);
-        let a = arrival(vec![-50.0, -60.0, -70.0]);
+        let a = arrival((0.0, 0.0));
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
@@ -387,7 +432,7 @@ mod tests {
             candidate(2, 2.0, 2),
         ];
         let views = views_of(&candidates);
-        let a = arrival(vec![-50.0; 3]);
+        let a = arrival((0.0, 0.0));
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
@@ -400,7 +445,7 @@ mod tests {
     fn least_users_prefers_empty_ap() {
         let candidates = vec![candidate(0, 0.1, 3), candidate(1, 50.0, 0)];
         let views = views_of(&candidates);
-        let a = arrival(vec![-50.0, -80.0]);
+        let a = arrival((0.0, 0.0));
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
@@ -412,12 +457,34 @@ mod tests {
     fn strongest_rssi_ignores_load() {
         let candidates = vec![candidate(0, 0.0, 0), candidate(1, 99.0, 50)];
         let views = views_of(&candidates);
-        let a = arrival(vec![-70.0, -40.0]);
+        // 2 m from AP 1 at (10, 10), 16 m from AP 0 at the corner.
+        let a = arrival((11.0, 12.0));
+        assert!(a.rssi(&views[1]) > a.rssi(&views[0]));
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
         };
         assert_eq!(StrongestRssi::new().select(&ctx), 1);
+    }
+
+    #[test]
+    fn rssi_is_the_path_loss_at_the_distance() {
+        let candidates = vec![candidate(0, 0.0, 0), candidate(3, 0.0, 0)];
+        let views = views_of(&candidates);
+        let a = arrival((30.0, 34.0));
+        assert_eq!(a.rssi(&views[1]), rssi_at(4.0));
+        assert_eq!(
+            a.rssi(&views[0]),
+            rssi_at(distance((30.0, 34.0), (0.0, 0.0)))
+        );
+        // Equal distances tie, and the first candidate keeps the pick.
+        let tie = arrival((0.0, 30.0));
+        let ctx = SelectionContext {
+            arrival: &tie,
+            candidates: &views,
+        };
+        assert_eq!(tie.rssi(&views[0]), tie.rssi(&views[1]));
+        assert_eq!(StrongestRssi::new().select(&ctx), 0);
     }
 
     #[test]
@@ -428,7 +495,7 @@ mod tests {
             candidate(2, 0.0, 0),
         ];
         let views = views_of(&candidates);
-        let a = arrival(vec![-50.0; 3]);
+        let a = arrival((0.0, 0.0));
         let run = |seed| -> Vec<usize> {
             let mut s = RandomSelector::new(seed);
             (0..20)
@@ -457,13 +524,13 @@ mod tests {
                 user: UserId::new(1),
                 now: Timestamp::from_secs(0),
                 demand_hint: BitsPerSec::mbps(1.0),
-                rssi: vec![-50.0, -50.0],
+                position: (5.0, 5.0),
             },
             ArrivalUser {
                 user: UserId::new(2),
                 now: Timestamp::from_secs(0),
                 demand_hint: BitsPerSec::mbps(1.0),
-                rssi: vec![-50.0, -50.0],
+                position: (5.0, 5.0),
             },
         ];
         let picks = LeastLoadedFirst::new().select_batch(&users, &views);
@@ -478,6 +545,7 @@ mod tests {
             ApId::new(0),
             BitsPerSec::ZERO,
             BitsPerSec::mbps(100.0),
+            (0.0, 0.0),
             &base,
         )
         .with_batch_added(&fresh);
@@ -495,6 +563,7 @@ mod tests {
             ap: ApId::new(0),
             load: BitsPerSec::mbps(120.0),
             capacity: BitsPerSec::mbps(100.0),
+            position: (0.0, 0.0),
             associated: vec![],
         };
         assert_eq!(c.as_view().headroom(), BitsPerSec::ZERO);

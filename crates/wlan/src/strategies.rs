@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use s3_obs::{Desc, Stability, Unit};
 use s3_types::{ApId, BitsPerSec, UserId};
 
-use crate::selector::{ApSelector, SelectionContext};
+use crate::selector::{strongest, ApSelector, SelectionContext};
 
 /// Selections routed to the max-headroom AP because the arrival was
 /// classified heavy by [`WorkloadClassAware`].
@@ -270,21 +270,15 @@ impl ApSelector for WorkloadClassAware {
     fn select(&mut self, ctx: &SelectionContext<'_>) -> usize {
         let heavy = ctx.arrival.demand_hint >= self.heavy_threshold;
         let registry = s3_obs::global();
-        let mut best = 0;
-        if heavy {
-            registry.counter(&WORKLOAD_HEAVY).add(1);
-            for i in 1..ctx.candidates.len() {
-                if ctx.candidates[i].headroom() > ctx.candidates[best].headroom() {
-                    best = i;
-                }
-            }
-        } else {
+        if !heavy {
             registry.counter(&WORKLOAD_LIGHT).add(1);
-            let rssi = &ctx.arrival.rssi;
-            for i in 1..ctx.candidates.len() {
-                if rssi[i] > rssi[best] {
-                    best = i;
-                }
+            return strongest(ctx);
+        }
+        registry.counter(&WORKLOAD_HEAVY).add(1);
+        let mut best = 0;
+        for i in 1..ctx.candidates.len() {
+            if ctx.candidates[i].headroom() > ctx.candidates[best].headroom() {
+                best = i;
             }
         }
         best
@@ -297,21 +291,23 @@ mod tests {
     use crate::selector::{views_of, ApCandidate, ArrivalUser};
     use s3_types::Timestamp;
 
+    /// A candidate on the diagonal, `ap` · 10 m from the corner.
     fn candidate(ap: u32, load_mbps: f64, users: usize) -> ApCandidate {
         ApCandidate {
             ap: ApId::new(ap),
             load: BitsPerSec::mbps(load_mbps),
             capacity: BitsPerSec::mbps(100.0),
+            position: (f64::from(ap) * 10.0, f64::from(ap) * 10.0),
             associated: (0..users as u32).map(|i| UserId::new(1000 + i)).collect(),
         }
     }
 
-    fn arrival(user: u32, rate: BitsPerSec, rssi: Vec<f64>) -> ArrivalUser {
+    fn arrival(user: u32, rate: BitsPerSec, position: (f64, f64)) -> ArrivalUser {
         ArrivalUser {
             user: UserId::new(user),
             now: Timestamp::from_secs(0),
             demand_hint: rate,
-            rssi,
+            position,
         }
     }
 
@@ -321,7 +317,7 @@ mod tests {
         // would pick AP 0, flow-lb must pick AP 1.
         let candidates = vec![candidate(0, 10.0, 9), candidate(1, 20.0, 1)];
         let views = views_of(&candidates);
-        let a = arrival(1, BitsPerSec::mbps(1.0), vec![-50.0, -50.0]);
+        let a = arrival(1, BitsPerSec::mbps(1.0), (0.0, 0.0));
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
@@ -333,7 +329,7 @@ mod tests {
     fn flow_lb_ties_break_toward_first_candidate() {
         let candidates = vec![candidate(2, 5.0, 3), candidate(7, 5.0, 3)];
         let views = views_of(&candidates);
-        let a = arrival(1, BitsPerSec::mbps(1.0), vec![-50.0, -40.0]);
+        let a = arrival(1, BitsPerSec::mbps(1.0), (70.0, 70.0));
         let ctx = SelectionContext {
             arrival: &a,
             candidates: &views,
@@ -353,7 +349,7 @@ mod tests {
             let mut s = EpsilonGreedyMab::new(seed);
             (0..40)
                 .map(|u| {
-                    let a = arrival(u % 4, BitsPerSec::mbps(1.0), vec![-50.0; 3]);
+                    let a = arrival(u % 4, BitsPerSec::mbps(1.0), (0.0, 0.0));
                     let ctx = SelectionContext {
                         arrival: &a,
                         candidates: &views,
@@ -375,7 +371,7 @@ mod tests {
         let candidates = vec![candidate(0, 1.0, 1), candidate(1, 2.0, 2)];
         let views = views_of(&candidates);
         let pick_for = |s: &mut EpsilonGreedyMab, user: u32| {
-            let a = arrival(user, BitsPerSec::mbps(1.0), vec![-50.0; 2]);
+            let a = arrival(user, BitsPerSec::mbps(1.0), (0.0, 0.0));
             let ctx = SelectionContext {
                 arrival: &a,
                 candidates: &views,
@@ -403,7 +399,7 @@ mod tests {
         let mut s = EpsilonGreedyMab::new(3);
         let picks: Vec<usize> = (0..50)
             .map(|_| {
-                let a = arrival(1, BitsPerSec::mbps(1.0), vec![-50.0; 2]);
+                let a = arrival(1, BitsPerSec::mbps(1.0), (0.0, 0.0));
                 let ctx = SelectionContext {
                     arrival: &a,
                     candidates: &views,
@@ -460,13 +456,14 @@ mod tests {
         let candidates = vec![candidate(0, 90.0, 5), candidate(1, 10.0, 5)];
         let views = views_of(&candidates);
         let mut s = WorkloadClassAware::new();
-        let heavy = arrival(1, BitsPerSec::mbps(2.0), vec![-40.0, -70.0]);
+        let heavy = arrival(1, BitsPerSec::mbps(2.0), (1.0, 2.0));
+        assert!(heavy.rssi(&views[0]) > heavy.rssi(&views[1]));
         let ctx = SelectionContext {
             arrival: &heavy,
             candidates: &views,
         };
         assert_eq!(s.select(&ctx), 1, "heavy flows go to headroom");
-        let light = arrival(1, BitsPerSec::new(10_000.0), vec![-40.0, -70.0]);
+        let light = arrival(1, BitsPerSec::new(10_000.0), (1.0, 2.0));
         let ctx = SelectionContext {
             arrival: &light,
             candidates: &views,

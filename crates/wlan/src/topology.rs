@@ -1,7 +1,5 @@
 //! Physical network topology: buildings, controllers and APs.
 
-use std::collections::HashMap;
-
 use s3_trace::generator::CampusConfig;
 use s3_types::{ApId, BitsPerSec, BuildingId, ControllerId};
 
@@ -29,12 +27,58 @@ pub fn default_ap_capacity() -> BitsPerSec {
     BitsPerSec::mbps(100.0)
 }
 
+/// AP lists grouped by a controller or building id: the ids ascending,
+/// each group's APs in the order they were listed, all groups in one
+/// vector. A lookup is a binary search over the ids; a group's rank (its
+/// position among the ids) reads its APs with no search.
+#[derive(Debug, Clone)]
+struct Groups<K> {
+    keys: Vec<K>,
+    /// Where each group's APs start in `aps`; they run to the next
+    /// group's start.
+    starts: Vec<usize>,
+    aps: Vec<ApId>,
+}
+
+impl<K: Ord + Copy> Groups<K> {
+    /// Groups `(key, ap)` pairs, keeping each key's APs in pair order.
+    fn new(mut pairs: Vec<(K, ApId)>) -> Self {
+        pairs.sort_by_key(|&(key, _)| key);
+        let mut groups = Groups {
+            keys: Vec::new(),
+            starts: Vec::new(),
+            aps: Vec::with_capacity(pairs.len()),
+        };
+        for (key, ap) in pairs {
+            if groups.keys.last() != Some(&key) {
+                groups.keys.push(key);
+                groups.starts.push(groups.aps.len());
+            }
+            groups.aps.push(ap);
+        }
+        groups
+    }
+
+    fn rank(&self, key: K) -> Option<usize> {
+        self.keys.binary_search(&key).ok()
+    }
+
+    fn of_rank(&self, rank: usize) -> &[ApId] {
+        let end = self.starts.get(rank + 1).copied().unwrap_or(self.aps.len());
+        &self.aps[self.starts[rank]..end]
+    }
+
+    fn of(&self, key: K) -> &[ApId] {
+        self.rank(key).map_or(&[], |rank| self.of_rank(rank))
+    }
+}
+
 /// The campus WLAN topology.
 #[derive(Debug, Clone)]
 pub struct Topology {
     aps: Vec<ApInfo>,
-    by_controller: HashMap<ControllerId, Vec<ApId>>,
-    by_building: HashMap<BuildingId, Vec<ApId>>,
+    by_controller: Groups<ControllerId>,
+    by_building: Groups<BuildingId>,
 }
 
 impl Topology {
@@ -47,8 +91,8 @@ impl Topology {
     /// [`Topology::from_campus`] with an explicit uniform AP capacity.
     pub fn from_campus_with_capacity(config: &CampusConfig, capacity: BitsPerSec) -> Topology {
         let mut aps = Vec::with_capacity(config.total_aps());
-        let mut by_controller: HashMap<ControllerId, Vec<ApId>> = HashMap::new();
-        let mut by_building: HashMap<BuildingId, Vec<ApId>> = HashMap::new();
+        let mut by_controller = Vec::with_capacity(config.total_aps());
+        let mut by_building = Vec::with_capacity(config.total_aps());
         // APs on a near-square grid inside each building.
         let per_building = config.aps_per_building;
         let cols = (per_building as f64).sqrt().ceil() as usize;
@@ -68,15 +112,15 @@ impl Topology {
                     capacity,
                     position: (x, y),
                 });
-                by_controller.entry(controller).or_default().push(ap);
-                by_building.entry(building).or_default().push(ap);
+                by_controller.push((controller, ap));
+                by_building.push((building, ap));
             }
         }
         aps.sort_by_key(|a| a.id);
         Topology {
             aps,
-            by_controller,
-            by_building,
+            by_controller: Groups::new(by_controller),
+            by_building: Groups::new(by_building),
         }
     }
 
@@ -89,16 +133,12 @@ impl Topology {
     /// [`crate::engine::EngineError::MissingAp`] instead of panicking.
     pub fn from_aps(mut aps: Vec<ApInfo>) -> Topology {
         aps.sort_by_key(|a| a.id);
-        let mut by_controller: HashMap<ControllerId, Vec<ApId>> = HashMap::new();
-        let mut by_building: HashMap<BuildingId, Vec<ApId>> = HashMap::new();
-        for ap in &aps {
-            by_controller.entry(ap.controller).or_default().push(ap.id);
-            by_building.entry(ap.building).or_default().push(ap.id);
-        }
+        let by_controller = aps.iter().map(|ap| (ap.controller, ap.id)).collect();
+        let by_building = aps.iter().map(|ap| (ap.building, ap.id)).collect();
         Topology {
             aps,
-            by_controller,
-            by_building,
+            by_controller: Groups::new(by_controller),
+            by_building: Groups::new(by_building),
         }
     }
 
@@ -119,25 +159,29 @@ impl Topology {
 
     /// APs managed by `controller` (empty when unknown).
     pub fn aps_of_controller(&self, controller: ControllerId) -> &[ApId] {
-        self.by_controller
-            .get(&controller)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.by_controller.of(controller)
     }
 
     /// APs deployed in `building` (empty when unknown).
     pub fn aps_of_building(&self, building: BuildingId) -> &[ApId] {
-        self.by_building
-            .get(&building)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.by_building.of(building)
     }
 
     /// All controllers, ascending.
     pub fn controllers(&self) -> Vec<ControllerId> {
-        let mut out: Vec<ControllerId> = self.by_controller.keys().copied().collect();
-        out.sort_unstable();
-        out
+        self.by_controller.keys.clone()
+    }
+
+    /// Position of `controller` in [`Topology::controllers`], or `None`
+    /// when it manages no AP.
+    pub(crate) fn controller_rank(&self, controller: ControllerId) -> Option<usize> {
+        self.by_controller.rank(controller)
+    }
+
+    /// APs of the controller at position `rank` of
+    /// [`Topology::controllers`].
+    pub(crate) fn aps_of_controller_rank(&self, rank: usize) -> &[ApId] {
+        self.by_controller.of_rank(rank)
     }
 }
 
